@@ -10,15 +10,13 @@
 //
 // Usage:
 //   bench_fleet_scaling [--tenants=8] [--threads=1,2,4] [--cycles=2]
-//                       [--qps=2] [--mc=200] [--plan-workers=0,1]
+//                       [--qps=2] [--mc=200]
 //                       [--strategy=robust_hp:target=0.9]
 //                       [--snapshot-interval=0] [--json=BENCH_fleet.json]
 //
-// --plan-workers sweeps intra-plan Monte Carlo sharding: 0 = tenant-level
-// batching only (each tenant's Plan runs serially on its worker), 1 = each
-// tenant's plan shards feed the *same* fleet pool as the tenant batching
-// (one work queue — a 1-tenant fleet then saturates a many-thread pool
-// too). Every (threads, plan-workers) run must emit byte-identical
+// Tenants are the only grain of parallelism: each tenant's Plan runs
+// serially on whichever worker picks it up, so a fleet uses at most
+// min(tenants, threads) cores. Every thread count must emit byte-identical
 // per-tenant actions; the bench aborts on any divergence.
 //
 // --snapshot-interval=N (seconds of serving time; 0 = off) additionally
@@ -56,9 +54,6 @@ struct Options {
   double cycles = 2.0;        ///< Serving window, in 600 s workload cycles.
   double qps = 2.0;           ///< Mean per-tenant arrival rate (scales work).
   std::size_t mc_samples = 200;
-  /// Intra-plan sharding settings to sweep: 0 = off, nonzero = shards share
-  /// the fleet pool.
-  std::vector<std::size_t> plan_workers = {0, 1};
   std::string strategy = "robust_hp:target=0.9";
   /// Serving-time seconds between SaveFleet calls; 0 disables snapshotting.
   double snapshot_interval = 0.0;
@@ -94,8 +89,6 @@ Options ParseArgs(int argc, char** argv) {
       options.qps = std::stod(value());
     } else if (arg.rfind("--mc=", 0) == 0) {
       options.mc_samples = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg.rfind("--plan-workers=", 0) == 0) {
-      options.plan_workers = bench::ParseSizeList(value());
     } else if (arg.rfind("--strategy=", 0) == 0) {
       options.strategy = value();
     } else if (arg.rfind("--snapshot-interval=", 0) == 0) {
@@ -127,7 +120,6 @@ struct Event {
 
 struct RunResult {
   std::size_t threads = 0;
-  bool plan_sharding = false;
   double train_s = 0.0;
   double serve_s = 0.0;
   double plan_s = 0.0;     ///< Of serve_s: inside PlanAll batches.
@@ -168,10 +160,9 @@ TenantWorkload MakeTenantWorkload(std::size_t tenant, double serve_cycles,
 RunResult RunOnce(const Options& options,
                   const std::vector<TenantWorkload>& workloads,
                   const std::vector<Event>& events, double serve_horizon,
-                  std::size_t threads, bool plan_sharding) {
+                  std::size_t threads) {
   RunResult run;
   run.threads = threads;
-  run.plan_sharding = plan_sharding;
 
   auto spec = api::ParseStrategySpec(options.strategy);
   RS_CHECK(spec.ok()) << spec.status().ToString();
@@ -182,7 +173,6 @@ RunResult RunOnce(const Options& options,
   }
   Stopwatch train_watch;
   api::ScalerFleet fleet(threads);
-  fleet.SetIntraPlanSharding(plan_sharding);
   for (std::size_t i = 0; i < options.tenants; ++i) {
     auto scaler = api::ScalerBuilder()
                       .WithTrace(workloads[i].train)
@@ -291,7 +281,6 @@ void WriteJson(const Options& options, const std::vector<RunResult>& runs,
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& run = runs[i];
     out << "    {\"threads\": " << run.threads
-        << ", \"plan_sharding\": " << (run.plan_sharding ? "true" : "false")
         << ", \"train_s\": " << run.train_s
         << ", \"serve_s\": " << run.serve_s
         << ", \"plan_s\": " << run.plan_s
@@ -337,21 +326,18 @@ int main(int argc, char** argv) {
               options.strategy.c_str(), options.mc_samples, options.qps);
 
   std::vector<RunResult> runs;
-  std::printf("%8s %6s %10s %10s %10s %10s %14s %10s\n", "threads", "shard",
-              "train_s", "serve_s", "plan_s", "observe_s", "plans_per_s",
-              "speedup");
+  std::printf("%8s %10s %10s %10s %10s %14s %10s\n", "threads", "train_s",
+              "serve_s", "plan_s", "observe_s", "plans_per_s", "speedup");
   for (std::size_t threads : options.threads) {
-    for (std::size_t plan_workers : options.plan_workers) {
-      runs.push_back(RunOnce(options, workloads, events, serve_horizon,
-                             threads, plan_workers > 0));
-      const auto& run = runs.back();
-      CheckParity(runs.front(), run);
-      std::printf("%8zu %6s %10.3f %10.3f %10.3f %10.3f %14.0f %10.2fx\n",
-                  run.threads, run.plan_sharding ? "on" : "off", run.train_s,
-                  run.serve_s, run.plan_s, run.observe_s,
-                  static_cast<double>(run.planning_rounds) / run.serve_s,
-                  runs.front().serve_s / run.serve_s);
-    }
+    runs.push_back(
+        RunOnce(options, workloads, events, serve_horizon, threads));
+    const auto& run = runs.back();
+    CheckParity(runs.front(), run);
+    std::printf("%8zu %10.3f %10.3f %10.3f %10.3f %14.0f %10.2fx\n",
+                run.threads, run.train_s, run.serve_s, run.plan_s,
+                run.observe_s,
+                static_cast<double>(run.planning_rounds) / run.serve_s,
+                runs.front().serve_s / run.serve_s);
   }
 
   if (!options.json_path.empty()) {

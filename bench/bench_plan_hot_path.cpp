@@ -11,14 +11,10 @@
 // Usage:
 //   bench_plan_hot_path [--mc=100,1000,10000] [--rounds=50] [--qps=2]
 //                       [--variants=hp,rt,cost] [--workers=0,1,8]
-//                       [--plan-workers=0,8]
 //                       [--seed=20260730] [--json=BENCH_plan.json]
 //
-// --plan-workers sweeps the intra-plan Monte Carlo sharding pool: each
-// listed worker count re-drives the identical optimized-kernel schedule
-// with that pool attached to the planner and aborts unless the emitted
-// actions are byte-identical both to the reference run and to every other
-// worker count (pool size is a wall-time knob, never a behavior knob).
+// A planner runs serially on its calling thread; fleets parallelise across
+// tenants (bench_fleet_scaling measures that).
 //
 // See EXPERIMENTS.md ("Performance methodology") for the JSON schema.
 #include <algorithm>
@@ -53,7 +49,6 @@ struct Options {
       core::ScalerVariant::kHittingProbability,
       core::ScalerVariant::kResponseTime, core::ScalerVariant::kCost};
   std::vector<std::size_t> workers = {0, 1, 8};
-  std::vector<std::size_t> plan_workers = {0, 8};
   std::uint64_t seed = 20260730;
   std::string json_path;
 };
@@ -102,8 +97,6 @@ Options ParseArgs(int argc, char** argv) {
       }
     } else if (arg.rfind("--workers=", 0) == 0) {
       options.workers = bench::ParseSizeList(value());
-    } else if (arg.rfind("--plan-workers=", 0) == 0) {
-      options.plan_workers = bench::ParseSizeList(value());
     } else if (arg.rfind("--seed=", 0) == 0) {
       options.seed = std::stoull(value());
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -143,8 +136,7 @@ struct RunResult {
 RunResult DriveRounds(const workload::PiecewiseConstantIntensity& forecast,
                       core::ScalerVariant variant, std::size_t mc_samples,
                       std::size_t rounds, std::uint64_t seed,
-                      double planning_interval,
-                      common::ThreadPool* plan_pool = nullptr) {
+                      double planning_interval) {
   core::SequentialScalerOptions options;
   options.variant = variant;
   options.mc_samples = mc_samples;
@@ -152,7 +144,6 @@ RunResult DriveRounds(const workload::PiecewiseConstantIntensity& forecast,
   options.seed = seed;
   options.rt_excess = 0.5;
   options.idle_budget = 1.0;
-  options.planning_pool = plan_pool;
   core::RobustScalerPolicy policy(
       forecast, stats::DurationDistribution::Deterministic(13.0), options);
 
@@ -191,13 +182,6 @@ void CheckActionParity(const RunResult& reference, const RunResult& optimized,
   }
 }
 
-struct ParallelPoint {
-  std::size_t workers = 0;
-  double seconds = 0.0;
-  double decisions_per_s = 0.0;
-  double speedup_vs_serial = 0.0;  ///< serial optimized time / this time.
-};
-
 struct BenchRow {
   std::string variant;
   std::size_t mc = 0;
@@ -209,7 +193,6 @@ struct BenchRow {
   double opt_ns_per_decision = 0.0;
   double ref_ns_per_decision = 0.0;
   double speedup = 0.0;
-  std::vector<ParallelPoint> plan_workers;
 };
 
 /// Trains one pipeline per worker count and verifies the fits (and the
@@ -285,15 +268,8 @@ void WriteJson(const Options& options, const std::vector<BenchRow>& rows,
         << ", \"reference_decisions_per_s\": " << row.ref_decisions_per_s
         << ", \"optimized_ns_per_decision\": " << row.opt_ns_per_decision
         << ", \"reference_ns_per_decision\": " << row.ref_ns_per_decision
-        << ", \"speedup\": " << row.speedup << ", \"plan_workers\": [";
-    for (std::size_t w = 0; w < row.plan_workers.size(); ++w) {
-      const auto& point = row.plan_workers[w];
-      out << "{\"workers\": " << point.workers
-          << ", \"decisions_per_s\": " << point.decisions_per_s
-          << ", \"speedup_vs_serial\": " << point.speedup_vs_serial << "}"
-          << (w + 1 < row.plan_workers.size() ? ", " : "");
-    }
-    out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        << ", \"speedup\": " << row.speedup << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   RS_CHECK(static_cast<bool>(out)) << "write failed: " << options.json_path;
@@ -347,38 +323,13 @@ int main(int argc, char** argv) {
                   row.opt_decisions_per_s, row.ref_decisions_per_s,
                   row.opt_ns_per_decision, row.ref_ns_per_decision,
                   row.speedup);
-
-      // Intra-plan sharding sweep: identical schedule per worker count,
-      // byte-identical actions enforced against the reference run (and
-      // therefore against every other worker count).
-      for (std::size_t plan_workers : options.plan_workers) {
-        common::ThreadPool plan_pool(plan_workers);
-        const auto sharded =
-            DriveRounds(forecast, variant, mc, options.rounds, options.seed,
-                        planning_interval, &plan_pool);
-        CheckActionParity(reference, sharded, "plan-workers parity");
-        ParallelPoint point;
-        point.workers = plan_workers;
-        point.seconds = sharded.seconds;
-        point.decisions_per_s = dec / sharded.seconds;
-        point.speedup_vs_serial = optimized.seconds / sharded.seconds;
-        row.plan_workers.push_back(point);
-        std::printf("  plan-workers=%-2zu %*s%14.0f %29.2fx vs serial\n",
-                    plan_workers, 14, "", point.decisions_per_s,
-                    point.speedup_vs_serial);
-      }
       rows.push_back(row);
     }
   }
 
   const auto train_seconds = CheckTrainingWorkerParity(options, forecast);
-  std::printf("\nparity: reference vs optimized kernels identical; actions "
-              "byte-identical across plan-workers {");
-  for (std::size_t i = 0; i < options.plan_workers.size(); ++i) {
-    std::printf("%zu%s", options.plan_workers[i],
-                i + 1 < options.plan_workers.size() ? ", " : "");
-  }
-  std::printf("}; training byte-identical across workers {");
+  std::printf("\nparity: reference vs optimized kernels identical; "
+              "training byte-identical across workers {");
   for (std::size_t i = 0; i < options.workers.size(); ++i) {
     std::printf("%zu%s", options.workers[i],
                 i + 1 < options.workers.size() ? ", " : "");

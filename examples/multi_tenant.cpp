@@ -2,10 +2,11 @@
 //
 // 1. Train three per-service Scalers (different workload phases and
 //    scaling targets) and register them in a ScalerFleet with a 2-thread
-//    planning pool.
+//    worker pool.
 // 2. Serve the merged arrival stream: Observe() routes each arrival to its
-//    tenant, PlanAll() batches every tenant's planning across the pool and
-//    returns actions in registration order.
+//    tenant, PlanAll() fans the tenants out across the pool (each tenant
+//    plans serially on one thread) and returns actions in registration
+//    order.
 // 3. Mid-run, retire one tenant and hot-swap another tenant's model —
 //    neighbors are undisturbed.
 //

@@ -101,7 +101,6 @@ Result<std::unique_ptr<sim::Autoscaler>> MakeRobustVariant(
       params.Get("seed", static_cast<double>(context.seed));
   options.planning_interval =
       params.Get("planning_interval", context.planning_interval);
-  options.planning_pool = context.planning_pool;
   options.kappa_alpha = params.Get("kappa_alpha", options.kappa_alpha);
   options.local_intensity_window =
       params.Get("local_intensity_window", options.local_intensity_window);

@@ -128,15 +128,13 @@ Scaler::~Scaler() = default;
 
 Result<Scaler> Scaler::FromTrainedPipeline(core::TrainedPipeline trained,
                                            StrategySpec spec,
-                                           StrategyBuildContext build_context,
-                                           common::ThreadPool* planning_pool) {
+                                           StrategyBuildContext build_context) {
   StrategyContext context;
   context.forecast = &trained.forecast;
   context.pending = build_context.pending;
   context.mc_samples = build_context.mc_samples;
   context.planning_interval = build_context.planning_interval;
   context.seed = build_context.seed;
-  context.planning_pool = planning_pool;
   RS_ASSIGN_OR_RETURN(auto strategy,
                       StrategyRegistry::Global().Create(spec, context));
   sim::EngineOptions serve_defaults;
@@ -720,10 +718,6 @@ ScalerBuilder& ScalerBuilder::WithTrainingPool(common::ThreadPool* pool) {
   training_pool_ = pool;
   return *this;
 }
-ScalerBuilder& ScalerBuilder::WithPlanningPool(common::ThreadPool* pool) {
-  planning_pool_ = pool;
-  return *this;
-}
 
 Result<Scaler> ScalerBuilder::Build() const {
   // Cross-field validation: every misconfiguration that used to silently
@@ -816,7 +810,6 @@ Result<Scaler> ScalerBuilder::Build() const {
   context.mc_samples = mc_samples_;
   context.planning_interval = planning_interval_;
   context.seed = seed_;
-  context.planning_pool = planning_pool_;
   RS_ASSIGN_OR_RETURN(auto strategy,
                       StrategyRegistry::Global().Create(spec, context));
 
@@ -897,7 +890,6 @@ Result<Scaler> ScalerBuilder::RestoreStateSection(
   context.mc_samples = build_context.mc_samples;
   context.planning_interval = build_context.planning_interval;
   context.seed = build_context.seed;
-  context.planning_pool = options.planning_pool;
   RS_ASSIGN_OR_RETURN(auto strategy,
                       StrategyRegistry::Global().Create(spec, context));
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagStrategyModel));

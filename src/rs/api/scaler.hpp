@@ -42,21 +42,16 @@ namespace rs::api {
 
 /// \brief Process-local resources a restored Scaler needs re-injected.
 ///
-/// A snapshot is self-contained *data*; pointers into the old process
-/// (injected decision clocks, planning pools) obviously cannot travel with
-/// it. Restore re-binds them here: a snapshot taken with an injected
-/// DecisionClock refuses to restore without one (silently falling back to
-/// wall time would break the deterministic-continuation contract), while
-/// the planning pool is optional — it is purely a wall-time knob and can
-/// also be attached later via Scaler::SetPlanningPool / fleet Register.
+/// A snapshot is self-contained *data*; pointers into the old process (an
+/// injected decision clock) obviously cannot travel with it. Restore
+/// re-binds them here: a snapshot taken with an injected DecisionClock
+/// refuses to restore without one (silently falling back to wall time
+/// would break the deterministic-continuation contract).
 struct ScalerRestoreOptions {
   /// Clock to restore the snapshot's decision-clock position onto (see
   /// sim::DecisionClock::ImportPosition). Required iff the snapshot was
   /// taken with an injected clock; must outlive the restored Scaler.
   sim::DecisionClock* decision_clock = nullptr;
-  /// Worker pool for the strategy's planning fan-out (nullptr plans
-  /// inline). Must outlive the restored Scaler's planning calls.
-  common::ThreadPool* planning_pool = nullptr;
 };
 
 /// Read-only view of the online serving state (for dashboards / tests).
@@ -108,18 +103,6 @@ class Scaler {
   /// Registry-style description of the serving strategy, e.g.
   /// "robust_hp:target=0.9".
   const std::string& strategy_name() const { return strategy_name_; }
-
-  /// \brief Re-points the strategy's internal planning fan-out at `pool`
-  ///        (nullptr plans inline).
-  ///
-  /// Purely a wall-time knob: strategies that honor it keep their emitted
-  /// actions byte-identical for any pool size, so serving behavior never
-  /// depends on the pool. The pool must outlive this Scaler's planning
-  /// calls. ScalerFleet calls this on Register/ReplaceModel to share its
-  /// tenant-batching pool with per-tenant plan shards (one work queue).
-  void SetPlanningPool(common::ThreadPool* pool) {
-    strategy_->SetPlanningPool(pool);
-  }
 
   // -- Batch replay ---------------------------------------------------------
 
@@ -289,8 +272,7 @@ class Scaler {
   /// layers the retiring scaler's serving config on top.
   static Result<Scaler> FromTrainedPipeline(core::TrainedPipeline trained,
                                             StrategySpec spec,
-                                            StrategyBuildContext build_context,
-                                            common::ThreadPool* planning_pool);
+                                            StrategyBuildContext build_context);
 
   // Views into the pimpl'd Serving (defined only in scaler.cpp) that
   // ScalerFleet needs to carry serving configuration across a model swap.
@@ -377,13 +359,6 @@ class ScalerBuilder {
   /// time. The pool must outlive Build().
   ScalerBuilder& WithTrainingPool(common::ThreadPool* pool);
 
-  /// Worker pool the serving strategy shards its per-plan Monte Carlo
-  /// rounds over (see core::SequentialScalerOptions::planning_pool).
-  /// Emitted actions are byte-identical for any pool size — purely a
-  /// wall-time knob. The pool must outlive the built Scaler (it can be
-  /// replaced later via Scaler::SetPlanningPool).
-  ScalerBuilder& WithPlanningPool(common::ThreadPool* pool);
-
   /// Expert escape hatch: full pipeline configuration (periodicity, ADMM,
   /// forecast, β weights). WithBinWidth / WithForecastHorizon /
   /// WithAggregateFactor still override their fields regardless of call
@@ -429,7 +404,6 @@ class ScalerBuilder {
   std::size_t mc_samples_ = 300;
   std::uint64_t seed_ = 31;
   common::ThreadPool* training_pool_ = nullptr;
-  common::ThreadPool* planning_pool_ = nullptr;
 };
 
 /// \brief Facade over module 1–3 training for callers that share one fit

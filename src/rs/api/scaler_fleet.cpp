@@ -267,10 +267,7 @@ Status ScalerFleet::RegisterTenant(std::unique_ptr<Tenant> tenant) {
   }
   tenants_.push_back(std::move(tenant));
   index_[tenants_.back()->name] = tenants_.size() - 1;
-  // One work queue at both grains: the tenant's own Monte Carlo shards run
-  // on the fleet pool alongside other tenants' plans.
   Tenant* entry = tenants_.back().get();
-  entry->scaler.SetPlanningPool(intra_plan_sharding_ ? pool_.get() : nullptr);
   if (entry->health.jitter_rng == 0) {
     // Fresh tenant: seed its backoff-jitter stream. A restored tenant
     // brought a persisted stream position (never 0 after SplitMix64) and
@@ -344,13 +341,6 @@ Status ScalerFleet::ReplaceModelAtNextPlan(const std::string& tenant,
                          /*at_next_plan=*/true);
   }
   return Status::OK();
-}
-
-void ScalerFleet::SetIntraPlanSharding(bool enabled) {
-  intra_plan_sharding_ = enabled;
-  for (auto& entry : tenants_) {
-    entry->scaler.SetPlanningPool(enabled ? pool_.get() : nullptr);
-  }
 }
 
 // -- Model freshness ----------------------------------------------------------
@@ -533,8 +523,7 @@ void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
   fresh.session.AdoptFit(trained);
   Scaler& retiring = tenants_[i]->scaler;
   auto built = Scaler::FromTrainedPipeline(
-      std::move(trained), retiring.spec_, retiring.build_context_,
-      intra_plan_sharding_ ? pool_.get() : nullptr);
+      std::move(trained), retiring.spec_, retiring.build_context_);
   if (!built.ok()) {
     note_retrain_failure(built.status());
     return;
@@ -626,7 +615,6 @@ Status ScalerFleet::InstallReplacement(std::size_t i, Scaler replacement,
   Tenant& tenant = *tenants_[i];
   CarryServingConfig(tenant.scaler, &replacement);
   tenant.scaler = std::move(replacement);
-  tenant.scaler.SetPlanningPool(intra_plan_sharding_ ? pool_.get() : nullptr);
   if (tenant.fresh == nullptr) return Status::OK();
   FreshState& fresh = *tenant.fresh;
   fresh.base = new_base;
@@ -1186,8 +1174,7 @@ Status ScalerFleet::RestoreTenant(std::istream& in,
                                        policy_.has_value() ? &*policy_
                                                            : nullptr));
   if (!options.rename.empty()) tenant->name = options.rename;
-  // RegisterTenant re-points the restored strategy's planning shards at this
-  // fleet's pool and rejects duplicate names before any state changes.
+  // RegisterTenant rejects duplicate names before any state changes.
   return RegisterTenant(std::move(tenant));
 }
 

@@ -230,11 +230,12 @@ struct TenantFreshness {
 /// \brief Owns N named Scaler instances and serves them behind one front
 ///        end, batching planning across tenants on a worker pool.
 ///
-/// The pool is shared at both grains: PlanAll fans tenants out over it, and
-/// each tenant's strategy shards its own Monte Carlo rounds into the same
-/// work queue (no nested pools — ParallelFor's caller participation makes
-/// the nesting deadlock-free). A 1-tenant fleet on a 16-thread pool and a
-/// 16-tenant fleet on the same pool therefore both saturate it.
+/// Tenants are the only grain of planning parallelism: PlanAll fans them
+/// out over the pool, and each tenant's strategy plans its Monte Carlo
+/// rounds serially on whichever thread runs it. A fleet therefore uses at
+/// most min(tenants, workers + 1) threads per boundary, and every per-tenant
+/// byte — actions and retained planning memory alike — is independent of
+/// the worker count.
 class ScalerFleet {
  public:
   /// `worker_threads` sizes the internal planning pool; 0 plans inline on
@@ -292,16 +293,6 @@ class ScalerFleet {
   /// (per-tenant ConfigureServing via Find() overrides individually).
   /// First error aborts the sweep and is returned.
   Status ConfigureServingAll(const sim::EngineOptions& options);
-
-  /// \brief Toggles intra-plan Monte Carlo sharding (default on): whether
-  ///        tenant strategies feed their per-plan shards into the fleet's
-  ///        own worker pool.
-  ///
-  /// Off restores tenant-level-only batching (each Plan runs serially on
-  /// its worker). Either setting emits byte-identical actions — this only
-  /// moves where the wall time goes, e.g. benchmarking the two grains
-  /// against each other (bench_fleet_scaling --plan-workers).
-  void SetIntraPlanSharding(bool enabled);
 
   // -- Model freshness ------------------------------------------------------
   //
@@ -434,9 +425,8 @@ class ScalerFleet {
   Status SnapshotTenant(const std::string& tenant, std::ostream& out) const;
 
   /// Reads one tenant snapshot from `in` and registers it (at the end of
-  /// the registration order, like any new Register). The restored scaler's
-  /// planning shards feed this fleet's pool. On any error the fleet is
-  /// unchanged.
+  /// the registration order, like any new Register). On any error the
+  /// fleet is unchanged.
   Status RestoreTenant(std::istream& in,
                        const TenantRestoreOptions& options = {});
 
@@ -527,8 +517,8 @@ class ScalerFleet {
   std::size_t FindIndex(const std::string& tenant) const;
 
   /// Appends a fully-formed tenant (Register and the restore paths share
-  /// this): validates the name, indexes it, points its planning shards at
-  /// the fleet pool, and attaches/rebinds freshness state per the policy.
+  /// this): validates the name, indexes it, and attaches/rebinds freshness
+  /// state per the policy.
   Status RegisterTenant(std::unique_ptr<Tenant> tenant);
 
   /// (Re)builds `tenant`'s freshness loop state from its current trained
@@ -595,7 +585,6 @@ class ScalerFleet {
   /// so lookup must not scale with fleet size.
   std::unordered_map<std::string, std::size_t> index_;
   std::unique_ptr<common::ThreadPool> pool_;
-  bool intra_plan_sharding_ = true;
   RobustnessPolicy robustness_;
   std::optional<FreshnessPolicy> policy_;
   /// Dedicated retrain pool (policy_.retrain_workers threads); planning

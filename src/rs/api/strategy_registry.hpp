@@ -41,11 +41,6 @@ struct StrategyContext {
   double planning_interval = 1.0;
   /// Default seed of the strategy's Monte Carlo stream.
   std::uint64_t seed = 31;
-  /// Optional worker pool RobustScaler strategies shard their per-plan
-  /// Monte Carlo rounds over (actions stay byte-identical for any pool
-  /// size). Not owned; must outlive the created strategy, which can also
-  /// be re-pointed later via Autoscaler::SetPlanningPool.
-  common::ThreadPool* planning_pool = nullptr;
 };
 
 /// \brief The string-keyed strategy registry.

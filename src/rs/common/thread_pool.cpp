@@ -91,7 +91,7 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
   // drains the remaining indices itself, so nested ParallelFor calls on one
   // shared pool cannot deadlock — a worker running an outer task that fans
   // out again makes progress on its own indices even while every other
-  // worker is busy (the fleet's one-work-queue planning relies on this).
+  // worker is busy.
   struct SharedState {
     explicit SharedState(std::size_t count) : done(count) {}
     std::atomic<std::size_t> next{0};

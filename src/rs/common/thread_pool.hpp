@@ -103,8 +103,7 @@ class ThreadPool {
 /// scheduling). The calling thread participates in the work (indices are
 /// claimed from a shared counter), which makes nested ParallelFor calls on
 /// one shared pool deadlock-free: an outer task that fans out again always
-/// progresses on its own indices, so one work queue can serve both
-/// fleet-level tenant batching and intra-plan Monte Carlo shards.
+/// progresses on its own indices, even while every worker is busy.
 ///
 /// A throwing fn(i) does not deadlock the join or lose other indices: the
 /// failed index still counts down, the remaining indices still run, and

@@ -5,23 +5,17 @@
 
 #include "rs/common/kernels.hpp"
 #include "rs/common/logging.hpp"
-#include "rs/common/thread_pool.hpp"
 #include "rs/core/kappa.hpp"
 
 namespace rs::core {
 
 namespace {
 
-/// Rows of γ/τ staged per solve batch: bounds tile memory at kPlanTile × R
-/// doubles per buffer while keeping pool joins infrequent.
-constexpr std::size_t kPlanTile = 32;
-
 /// Path-block granularity of the counter-based draw substreams: block b of
-/// a query's R Monte Carlo paths always draws from the same substream, so
-/// the blocking — and therefore every drawn byte — depends only on (query
-/// index, R), never on the worker count. 128 gives the paper's R = 1000
-/// eight-way draw parallelism while each task still fills a full tile of
-/// rows per block (microseconds of work, far above scheduling cost).
+/// a query's R Monte Carlo paths always draws from its own substream, so
+/// every drawn byte depends only on (query index, R). This constant fixes
+/// the draw layout that every committed action sequence, golden file and
+/// generated regression was produced under: it must never change.
 constexpr std::size_t kPlanRngBlock = 128;
 
 /// Resize + shrink-to-fit hysteresis: buffers shrink only once they retain
@@ -65,17 +59,17 @@ void SelectOrderStatPair(double* values, std::size_t n, std::size_t lo,
 /// computes. The previous round's quantile for the same query index is kept
 /// in hp_cuts as a warm pivot: one branchless counting pass confirms the
 /// pivot bounds at least hi+1 elements, and the exact selection then runs on
-/// only that ~αR-sized prefilter. `shard->targets` is consumed (reordered).
-/// hp_cuts must be pre-sized past k_index (slots are written concurrently by
-/// distinct query indices, so no resize may happen here).
+/// only that ~αR-sized prefilter. `ws->targets` is consumed (reordered);
+/// ws->hp_cuts must be pre-sized past k_index.
 Result<Decision> SolveHpDeterministicTau(
-    const workload::PiecewiseConstantIntensity& forecast, PlanShard* shard,
-    std::vector<double>* hp_cuts, double now, double tau, double alpha,
-    std::size_t r_count, std::size_t k_index, double base) {
+    const workload::PiecewiseConstantIntensity& forecast, PlanWorkspace* ws,
+    double now, double tau, double alpha, std::size_t r_count,
+    std::size_t k_index, double base) {
   if (!(alpha > 0.0) || !(alpha < 1.0)) {
     return Status::Invalid("SolveHpConstrained: alpha must lie in (0, 1)");
   }
-  std::vector<double>& targets = shard->targets;
+  std::vector<double>& targets = ws->targets;
+  std::vector<double>& hp_cuts = ws->hp_cuts;
   // The scalar path fails the whole round when any target lies beyond a
   // zero-rate tail; probe the largest target so this path fails identically
   // instead of silently answering from the two selected statistics.
@@ -90,14 +84,14 @@ Result<Decision> SolveHpDeterministicTau(
 
   double t_lo = 0.0, t_hi = 0.0;
   bool selected = false;
-  RS_DCHECK(k_index < hp_cuts->size());
-  if ((*hp_cuts)[k_index] > 0.0) {
+  RS_DCHECK(k_index < hp_cuts.size());
+  if (hp_cuts[k_index] > 0.0) {
     // γ's α-quantile at this query index moves only by sampling noise
     // between rounds; a small safety margin above last round's cut bounds
     // the quantile pair with near-certainty (miss → exact fallback below).
     const double margin =
         std::max(1.0, 0.2 * std::sqrt(static_cast<double>(k_index + 1)));
-    const double pivot = base + (*hp_cuts)[k_index] + margin;
+    const double pivot = base + hp_cuts[k_index] + margin;
     const double* t = targets.data();
     std::size_t count = 0;
     for (std::size_t r = 0; r < r_count; ++r) {
@@ -106,8 +100,8 @@ Result<Decision> SolveHpDeterministicTau(
     if (count > hi) {
       // The count elements below the pivot are exactly the count smallest:
       // ranks lo and hi live inside the prefilter.
-      shard->gather.resize(r_count);
-      double* g = shard->gather.data();
+      ws->gather.resize(r_count);
+      double* g = ws->gather.data();
       std::size_t idx = 0;
       for (std::size_t r = 0; r < r_count; ++r) {
         if (t[r] < pivot) g[idx++] = t[r];
@@ -119,7 +113,7 @@ Result<Decision> SolveHpDeterministicTau(
   if (!selected) {
     SelectOrderStatPair(targets.data(), r_count, lo, hi, &t_lo, &t_hi);
   }
-  (*hp_cuts)[k_index] = t_hi - base;
+  hp_cuts[k_index] = t_hi - base;
 
   RS_ASSIGN_OR_RETURN(const double inv_lo, forecast.InverseCumulative(t_lo));
   const double slack_lo = std::max(0.0, inv_lo - now) - tau;
@@ -140,7 +134,6 @@ Result<Decision> SolveHpDeterministicTau(
 struct RoundParams {
   const workload::PiecewiseConstantIntensity* forecast = nullptr;
   const stats::DurationDistribution* pending = nullptr;
-  common::ThreadPool* pool = nullptr;
   ScalerVariant variant = ScalerVariant::kHittingProbability;
   double alpha = 0.1;
   double rt_excess = 0.0;
@@ -159,63 +152,51 @@ bool DeterministicTau(const RoundParams& p) {
          stats::DurationDistribution::Kind::kDeterministic;
 }
 
-/// \brief Draw phase of one tile: stages the cumulative exposure rows
-///        tile_gamma[j − j_begin][r] = γ_j(r) (and, for stochastic τ, the
-///        pending rows tile_tau) for round-relative query indices
-///        j ∈ [j_begin, j_end).
+/// Fills gamma with the cumulative exposure of the `skip` queries already
+/// covered this round: Gamma(skip, 1) per path, block b drawing from
+/// draw_base.SubstreamAt(0).SubstreamAt(b); zeros when nothing is covered.
+void DrawWarmup(const RoundParams& p, const stats::Rng& draw_base,
+                double* gamma) {
+  if (p.skip == 0) {
+    std::fill(gamma, gamma + p.r_count, 0.0);
+    return;
+  }
+  for (std::size_t begin = 0, block = 0; begin < p.r_count;
+       begin += kPlanRngBlock, ++block) {
+    stats::Rng warmup = draw_base.SubstreamAt(0).SubstreamAt(block);
+    stats::SampleGammaFill(&warmup, static_cast<double>(p.skip), 1.0,
+                           gamma + begin,
+                           std::min(kPlanRngBlock, p.r_count - begin));
+  }
+}
+
+/// \brief Draw phase of one query: advances ws->gamma to γ_j by query j's
+///        Exp(1) increments and, for stochastic τ, writes its pending
+///        samples into `tau`.
 ///
-/// Every draw comes from a counter-based substream of `draw_base` keyed on
-/// (j, path block): block b of query j draws its Exp(1) increments from
+/// Block b of round-relative query j draws its increments from
 /// draw_base.SubstreamAt(1 + 2j).SubstreamAt(b) and its τ samples from
-/// draw_base.SubstreamAt(2 + 2j).SubstreamAt(b); the Gamma(skip, 1)
-/// warm-up exposure of the already-covered queries (first tile only) draws
-/// from draw_base.SubstreamAt(0).SubstreamAt(b). The layout depends only
-/// on (j, r_count) — never on the pool — so serial and parallel fills
-/// produce identical bytes, and ws->gamma carries the cumulative γ into
-/// the next tile.
-void FillTile(const RoundParams& p, const stats::Rng& draw_base,
-              std::size_t j_begin, std::size_t j_end, PlanWorkspace* ws,
-              common::ThreadPool* pool) {
+/// draw_base.SubstreamAt(2 + 2j).SubstreamAt(b), so the drawn bytes depend
+/// only on (j, r_count), never on what was drawn or solved before.
+void DrawQuery(const RoundParams& p, const stats::Rng& draw_base,
+               std::size_t j, PlanWorkspace* ws, double* tau) {
   const std::size_t r_count = p.r_count;
-  const bool stochastic_tau = !DeterministicTau(p);
-  const std::size_t rows = j_end - j_begin;
-  double* tile = ws->tile_gamma.data();
-  double* tile_tau = stochastic_tau ? ws->tile_tau.data() : nullptr;
-  double* carry = ws->gamma.data();
-  common::ParallelForChunks(
-      pool, r_count, kPlanRngBlock,
-      [&](std::size_t block, std::size_t begin, std::size_t end) {
-        const std::size_t len = end - begin;
-        if (j_begin == 0) {
-          if (p.skip > 0) {
-            stats::Rng warmup = draw_base.SubstreamAt(0).SubstreamAt(block);
-            stats::SampleGammaFill(&warmup, static_cast<double>(p.skip), 1.0,
-                                   carry + begin, len);
-          } else {
-            std::fill(carry + begin, carry + end, 0.0);
-          }
-        }
-        for (std::size_t j = j_begin; j < j_end; ++j) {
-          double* row = tile + (j - j_begin) * r_count + begin;
-          stats::Rng exp_rng =
-              draw_base.SubstreamAt(1 + 2 * j).SubstreamAt(block);
-          stats::SampleExponentialZigguratFill(&exp_rng, 1.0, row, len);
-          const double* prev =
-              j == j_begin ? carry + begin
-                           : tile + (j - j_begin - 1) * r_count + begin;
-          for (std::size_t r = 0; r < len; ++r) row[r] += prev[r];
-          if (stochastic_tau) {
-            stats::Rng tau_rng =
-                draw_base.SubstreamAt(2 + 2 * j).SubstreamAt(block);
-            double* tau_row = tile_tau + (j - j_begin) * r_count + begin;
-            for (std::size_t r = 0; r < len; ++r) {
-              tau_row[r] = p.pending->Sample(&tau_rng);
-            }
-          }
-        }
-        const double* last = tile + (rows - 1) * r_count;
-        std::copy(last + begin, last + end, carry + begin);
-      });
+  double* increments = ws->targets.data();
+  for (std::size_t begin = 0, block = 0; begin < r_count;
+       begin += kPlanRngBlock, ++block) {
+    const std::size_t len = std::min(kPlanRngBlock, r_count - begin);
+    stats::Rng exp_rng = draw_base.SubstreamAt(1 + 2 * j).SubstreamAt(block);
+    stats::SampleExponentialZigguratFill(&exp_rng, 1.0, increments + begin,
+                                         len);
+    if (tau != nullptr) {
+      stats::Rng tau_rng = draw_base.SubstreamAt(2 + 2 * j).SubstreamAt(block);
+      for (std::size_t r = begin; r < begin + len; ++r) {
+        tau[r] = p.pending->Sample(&tau_rng);
+      }
+    }
+  }
+  double* gamma = ws->gamma.data();
+  for (std::size_t r = 0; r < r_count; ++r) gamma[r] += increments[r];
 }
 
 Result<Decision> SolveVariant(DecisionKernel* kernel, const RoundParams& p) {
@@ -230,119 +211,79 @@ Result<Decision> SolveVariant(DecisionKernel* kernel, const RoundParams& p) {
   return Status::Invalid("RobustScalerPolicy: unknown variant");
 }
 
-/// Optimized-kernel solve of one query's decision on its own shard; safe to
-/// run concurrently with other rows (distinct shards, distinct hp_cuts
-/// slots, const forecast).
-SolvedDecision SolveOptimizedRow(const RoundParams& p, PlanShard* shard,
-                                 std::vector<double>* hp_cuts,
-                                 const double* gamma_row,
-                                 const double* tau_row, std::size_t abs_k,
-                                 double base) {
-  SolvedDecision out;
+/// Optimized-kernel solve of one query's decision from ws->gamma (and, for
+/// stochastic τ, the τ samples already drawn into ws->samples.tau).
+Result<Decision> SolveOptimized(const RoundParams& p, PlanWorkspace* ws,
+                                std::size_t abs_k, double base) {
   const std::size_t r_count = p.r_count;
   const bool deterministic_tau = DeterministicTau(p);
-  shard->targets.resize(r_count);
-  double* targets = shard->targets.data();
-  for (std::size_t r = 0; r < r_count; ++r) targets[r] = base + gamma_row[r];
+  double* targets = ws->targets.data();
+  const double* gamma = ws->gamma.data();
+  for (std::size_t r = 0; r < r_count; ++r) targets[r] = base + gamma[r];
+  McSamples& samples = ws->samples;
 
-  Result<Decision> decision = Decision{};
   if (deterministic_tau &&
       p.variant == ScalerVariant::kHittingProbability) {
-    decision =
-        SolveHpDeterministicTau(*p.forecast, shard, hp_cuts, p.now,
-                                p.pending->Mean(), p.alpha, r_count, abs_k,
-                                base);
-  } else if (deterministic_tau) {
+    return SolveHpDeterministicTau(*p.forecast, ws, p.now, p.pending->Mean(),
+                                   p.alpha, r_count, abs_k, base);
+  }
+  if (deterministic_tau) {
     // RT/cost with constant τ: the pairing of ξ with τ is irrelevant, so
     // sort the targets in place and invert them in one ascending sweep —
     // ξ lands pre-sorted and the kernel needs no sort of its own.
-    common::RadixSortAscending(targets, r_count, &shard->radix);
-    shard->samples.xi.resize(r_count);
-    shard->samples.tau.resize(r_count);
-    Status status = p.forecast->InverseCumulativeAscending(
-        targets, r_count, shard->samples.xi.data());
-    if (!status.ok()) {
-      out.status = std::move(status);
-      return out;
-    }
+    common::RadixSortAscending(targets, r_count, &ws->radix);
+    samples.xi.resize(r_count);
+    samples.tau.resize(r_count);
+    RS_RETURN_NOT_OK(p.forecast->InverseCumulativeAscending(
+        targets, r_count, samples.xi.data()));
     for (std::size_t r = 0; r < r_count; ++r) {
-      shard->samples.xi[r] = std::max(0.0, shard->samples.xi[r] - p.now);
+      samples.xi[r] = std::max(0.0, samples.xi[r] - p.now);
     }
-    std::fill(shard->samples.tau.begin(), shard->samples.tau.end(),
-              p.pending->Mean());
-    shard->kernel.BindAscendingXi(shard->samples);
-    decision = SolveVariant(&shard->kernel, p);
-  } else {
-    Status status = p.forecast->InverseCumulativeBatch(
-        shard->targets, &shard->samples.xi, &shard->order);
-    if (!status.ok()) {
-      out.status = std::move(status);
-      return out;
-    }
-    shard->samples.tau.resize(r_count);
-    for (std::size_t r = 0; r < r_count; ++r) {
-      shard->samples.xi[r] = std::max(0.0, shard->samples.xi[r] - p.now);
-      shard->samples.tau[r] = tau_row[r];
-    }
-    shard->kernel.Bind(shard->samples);
-    decision = SolveVariant(&shard->kernel, p);
+    std::fill(samples.tau.begin(), samples.tau.end(), p.pending->Mean());
+    ws->kernel.BindAscendingXi(samples);
+    return SolveVariant(&ws->kernel, p);
   }
-  if (!decision.ok()) {
-    out.status = decision.status();
-  } else {
-    out.decision = *decision;
+  RS_RETURN_NOT_OK(p.forecast->InverseCumulativeBatch(
+      ws->targets, &samples.xi, &ws->order));
+  for (std::size_t r = 0; r < r_count; ++r) {
+    samples.xi[r] = std::max(0.0, samples.xi[r] - p.now);
   }
-  return out;
+  ws->kernel.Bind(samples);
+  return SolveVariant(&ws->kernel, p);
 }
 
 /// Reference solve of one query's decision: scalar Result-wrapped
-/// inversions and the free-function solvers, on the same drawn bytes.
-SolvedDecision SolveReferenceRow(const RoundParams& p,
-                                 const double* gamma_row,
-                                 const double* tau_row, McSamples* samples,
-                                 double base) {
-  SolvedDecision out;
+/// inversions and the free-function solvers, on the same drawn bytes
+/// (stochastic τ samples already drawn into samples->tau).
+Result<Decision> SolveReference(const RoundParams& p, const double* gamma,
+                                McSamples* samples, double base) {
   for (std::size_t r = 0; r < p.r_count; ++r) {
-    auto inv = p.forecast->InverseCumulative(base + gamma_row[r]);
-    if (!inv.ok()) {
-      out.status = inv.status();
-      return out;
-    }
-    samples->xi[r] = std::max(0.0, inv.ValueOrDie() - p.now);
+    RS_ASSIGN_OR_RETURN(const double inv,
+                        p.forecast->InverseCumulative(base + gamma[r]));
+    samples->xi[r] = std::max(0.0, inv - p.now);
   }
-  const bool deterministic_tau = DeterministicTau(p);
-  for (std::size_t r = 0; r < p.r_count; ++r) {
-    samples->tau[r] = deterministic_tau ? p.pending->Mean() : tau_row[r];
+  if (DeterministicTau(p)) {
+    std::fill(samples->tau.begin(), samples->tau.end(), p.pending->Mean());
   }
-  Result<Decision> decision = Decision{};
   switch (p.variant) {
     case ScalerVariant::kHittingProbability:
-      decision = SolveHpConstrained(*samples, p.alpha);
-      break;
+      return SolveHpConstrained(*samples, p.alpha);
     case ScalerVariant::kResponseTime:
-      decision = SolveRtConstrained(*samples, p.rt_excess);
-      break;
+      return SolveRtConstrained(*samples, p.rt_excess);
     case ScalerVariant::kCost:
-      decision = SolveCostConstrained(*samples, p.idle_budget);
-      break;
+      return SolveCostConstrained(*samples, p.idle_budget);
   }
-  if (!decision.ok()) {
-    out.status = decision.status();
-  } else {
-    out.decision = *decision;
-  }
-  return out;
+  return Status::Invalid("RobustScalerPolicy: unknown variant");
 }
 
-/// \brief One planning round, tiled and sharded: draw phase over fixed
-///        path blocks, solve phase over per-query shards, k-ordered
-///        reduction.
+/// \brief One planning round: draw, solve and emit one query at a time,
+///        stopping at the first failure (or unbounded decision, when
+///        requested).
 ///
 /// The master generator advances by exactly one raw draw per round (the
 /// substream epoch), so failures and early stops never shift later rounds'
-/// draws, and the emitted actions are byte-identical for any pool size —
-/// including the reference-kernel mode, which consumes the same drawn
-/// bytes through the naive serial solvers.
+/// draws. The reference-kernel mode consumes the same drawn bytes through
+/// the naive solvers.
 sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
                                       stats::Rng* master, PlanWorkspace* ws) {
   sim::ScalingAction action;
@@ -351,24 +292,11 @@ sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
   ws->EnsureSize(r_count);
   const double base = ws->CumulativeAt(*p.forecast, p.now);
   const bool reference = common::UseReferenceKernels();
-  const bool deterministic_tau = DeterministicTau(p);
-  // Serial pre-sizing of everything the fan-out writes into: the warm-pivot
-  // table (distinct slots per query), the γ/τ tiles, the reduction buffer.
-  // Tiles are sized to the round's real depth (shallow rounds keep shallow
-  // tiles), capped at kPlanTile rows.
-  const std::size_t tile_rows = std::min(kPlanTile, p.count);
-  if (deterministic_tau &&
-      p.variant == ScalerVariant::kHittingProbability &&
+  const bool stochastic_tau = !DeterministicTau(p);
+  if (!stochastic_tau && p.variant == ScalerVariant::kHittingProbability &&
       ws->hp_cuts.size() < p.skip + p.count) {
     ws->hp_cuts.resize(p.skip + p.count, 0.0);
   }
-  if (ws->tile_gamma.size() < tile_rows * r_count) {
-    ws->tile_gamma.resize(tile_rows * r_count);
-  }
-  if (!deterministic_tau && ws->tile_tau.size() < tile_rows * r_count) {
-    ws->tile_tau.resize(tile_rows * r_count);
-  }
-  if (ws->decisions.size() < tile_rows) ws->decisions.resize(tile_rows);
 
   // The round's entire draw schedule keys off this snapshot; the master
   // stream pays one draw per round as the substream epoch.
@@ -376,99 +304,60 @@ sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
   master->NextUint64();
 
   // Reference mode keeps the historical cost profile: fresh sample buffers
-  // every round, scalar inversions, per-solve sorts, no pool.
+  // every round, scalar inversions, per-solve sorts.
   McSamples reference_samples;
   if (reference) {
     reference_samples.xi.resize(r_count);
     reference_samples.tau.resize(r_count);
   }
-  common::ThreadPool* pool = reference ? nullptr : p.pool;
+  McSamples& samples = reference ? reference_samples : ws->samples;
+  if (stochastic_tau) samples.tau.resize(r_count);
 
-  for (std::size_t tile_begin = 0; tile_begin < p.count;
-       tile_begin += kPlanTile) {
-    const std::size_t tile_end = std::min(tile_begin + kPlanTile, p.count);
-    const std::size_t rows = tile_end - tile_begin;
-    FillTile(p, draw_base, tile_begin, tile_end, ws, pool);
-    const auto tau_row = [&](std::size_t c) -> const double* {
-      return deterministic_tau ? nullptr
-                               : ws->tile_tau.data() + c * r_count;
-    };
-    if (reference) {
-      for (std::size_t c = 0; c < rows; ++c) {
-        ws->decisions[c] =
-            SolveReferenceRow(p, ws->tile_gamma.data() + c * r_count,
-                              tau_row(c), &reference_samples, base);
-      }
-    } else {
-      // Inline execution solves rows one after another, so a single shard
-      // serves the whole tile; only a real fan-out needs a shard per row.
-      const bool inline_solve = pool == nullptr || pool->threads() == 0;
-      ws->EnsureShards(inline_solve ? 1 : rows);
-      common::ParallelFor(pool, rows, [&](std::size_t c) {
-        ws->decisions[c] = SolveOptimizedRow(
-            p, &ws->shards[inline_solve ? 0 : c], &ws->hp_cuts,
-            ws->tile_gamma.data() + c * r_count, tau_row(c),
-            p.skip + tile_begin + c, base);
-      });
+  DrawWarmup(p, draw_base, ws->gamma.data());
+  for (std::size_t j = 0; j < p.count; ++j) {
+    DrawQuery(p, draw_base, j, ws,
+              stochastic_tau ? samples.tau.data() : nullptr);
+    const Result<Decision> decision =
+        reference ? SolveReference(p, ws->gamma.data(), &samples, base)
+                  : SolveOptimized(p, ws, p.skip + j, base);
+    if (!decision.ok()) {
+      RS_LOG(Warning) << p.who << ": decision for upcoming query "
+                      << p.skip + j + 1
+                      << " failed: " << decision.status().ToString();
+      return action;
     }
-    // k-ordered reduction: replays the serial loop's failure and
-    // early-stop semantics exactly, partial actions included.
-    for (std::size_t c = 0; c < rows; ++c) {
-      SolvedDecision& solved = ws->decisions[c];
-      if (!solved.status.ok()) {
-        RS_LOG(Warning) << p.who << ": decision for upcoming query "
-                        << p.skip + tile_begin + c + 1
-                        << " failed: " << solved.status.ToString();
-        return action;
-      }
-      // Later queries are even more slack, so the round is done.
-      if (p.stop_on_unbounded && solved.decision.unbounded) return action;
-      action.creation_times.push_back(p.emit_origin +
-                                      solved.decision.creation_time);
-    }
+    // Later queries are even more slack, so the round is done.
+    if (p.stop_on_unbounded && decision->unbounded) return action;
+    action.creation_times.push_back(p.emit_origin + decision->creation_time);
   }
   return action;
 }
 
 }  // namespace
 
-std::size_t PlanShard::RetainedBytes() const {
-  return (targets.capacity() + gather.capacity() + samples.xi.capacity() +
-          samples.tau.capacity()) *
+void PlanWorkspace::EnsureSize(std::size_t r) {
+  FitVector(&gamma, r);
+  // Solve scratch sized for a larger R is dropped wholesale (rebuilt
+  // lazily at the new size).
+  if (targets.capacity() > 2 * std::max<std::size_t>(r, 1)) {
+    order = {};
+    gather = {};
+    radix = {};
+    samples = {};
+    kernel = {};
+  }
+  FitVector(&targets, r);
+}
+
+std::size_t PlanWorkspace::RetainedBytes() const {
+  return (gamma.capacity() + targets.capacity() + gather.capacity() +
+          samples.xi.capacity() + samples.tau.capacity() +
+          hp_cuts.capacity()) *
              sizeof(double) +
          order.capacity() * sizeof(std::uint32_t) +
          (radix.keys.capacity() + radix.tmp.capacity()) *
              sizeof(std::uint64_t) +
          kernel.WorkspaceBytes();
-}
-
-void PlanWorkspace::EnsureSize(std::size_t r) {
-  FitVector(&gamma, r);
-  // Tiles grow on demand (to the real round depth, capped at kPlanTile
-  // rows) inside RunMonteCarloRound; here they only shrink back under the
-  // cap when R drops.
-  if (tile_gamma.size() > kPlanTile * r) FitVector(&tile_gamma, kPlanTile * r);
-  if (tile_tau.size() > kPlanTile * r) FitVector(&tile_tau, kPlanTile * r);
-  // Shards sized for a larger R are dropped wholesale (their kernels and
-  // scratch rebuilt lazily at the new size).
-  if (!shards.empty() &&
-      shards.front().targets.capacity() > 2 * std::max<std::size_t>(r, 1)) {
-    shards.clear();
-    shards.shrink_to_fit();
-  }
-}
-
-void PlanWorkspace::EnsureShards(std::size_t count) {
-  if (shards.size() < count) shards.resize(count);
-}
-
-std::size_t PlanWorkspace::RetainedBytes() const {
-  std::size_t bytes = (gamma.capacity() + tile_gamma.capacity() +
-                       tile_tau.capacity() + hp_cuts.capacity()) *
-                          sizeof(double) +
-                      decisions.capacity() * sizeof(SolvedDecision);
-  for (const auto& shard : shards) bytes += shard.RetainedBytes();
-  return bytes;
 }
 
 double PlanWorkspace::CumulativeAt(
@@ -588,7 +477,6 @@ sim::ScalingAction RobustScalerPolicy::PlanWindow(const sim::SimContext& ctx) {
   RoundParams params;
   params.forecast = &forecast_;
   params.pending = &pending_;
-  params.pool = options_.planning_pool;
   params.variant = options_.variant;
   params.alpha = options_.alpha;
   params.rt_excess = options_.rt_excess;
@@ -645,7 +533,6 @@ sim::ScalingAction HpCountScaler::PlanAhead(double now, std::size_t first_j,
   RoundParams params;
   params.forecast = &forecast_;
   params.pending = &pending_;
-  params.pool = options_.planning_pool;
   params.variant = ScalerVariant::kHittingProbability;
   params.alpha = options_.alpha;
   params.now = now;

@@ -11,19 +11,16 @@
 ///  * HpCountScaler — the literal Algorithm 4: planning every m arrivals,
 ///    always staying κ+1 arrivals ahead; used to validate Proposition 1.
 ///
-/// Both planners run their Monte Carlo rounds through a persistent
-/// PlanWorkspace (batched sampling + the allocation-free DecisionKernel).
-/// Rounds are sharded: every draw comes from a counter-based substream of
-/// the round's master state keyed on (query index, path block) — see
-/// stats::Rng::SubstreamAt — so the per-query decisions are independent
-/// given the γ paths and fan out across an optional planning pool
-/// (SequentialScalerOptions::planning_pool / SetPlanningPool) with fixed
-/// blocking and k-ordered reductions. Emitted actions are byte-identical
-/// for 0/1/N workers. Setting RS_REFERENCE_KERNELS (see
-/// rs/common/kernels.hpp) routes the solve phase through the naive
-/// reference kernels (serially) instead; under a fixed seed the two paths
-/// emit byte-identical action sequences — the guarantee that keeps the hot
-/// path safe to optimize.
+/// Both planners run their Monte Carlo rounds serially on the calling
+/// thread through a persistent PlanWorkspace (batched sampling + the
+/// allocation-free DecisionKernel); a fleet parallelises across tenants,
+/// never inside one plan. Every draw comes from a counter-based substream
+/// of the round's master state keyed on (query index, path block) — see
+/// stats::Rng::SubstreamAt — so a round draws, solves and emits one query
+/// at a time. Setting RS_REFERENCE_KERNELS (see rs/common/kernels.hpp)
+/// routes the solve phase through the naive reference kernels instead;
+/// under a fixed seed the two paths emit byte-identical action sequences —
+/// the guarantee that keeps the hot path safe to optimize.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +33,6 @@
 #include "rs/stats/rng.hpp"
 #include "rs/workload/intensity.hpp"
 
-namespace rs::common {
-class ThreadPool;
-}  // namespace rs::common
-
 namespace rs::core {
 
 /// Which stochastically-constrained formulation drives decisions.
@@ -49,54 +42,31 @@ enum class ScalerVariant {
   kCost,                ///< RobustScaler-cost: E[cost] <= B (Eq. 6/7).
 };
 
-/// \brief Per-slot scratch for one in-flight decision of a planning round:
-///        batch-inversion buffers, selection scratch, τ/ξ sample storage,
-///        and a decision kernel. Each parallel k-slot of a round owns one
-///        shard, so concurrent solves never share mutable state.
-struct PlanShard {
-  std::vector<double> targets;       ///< base + γ row: inversion input.
+/// \brief Persistent per-policy buffers for the planning hot loop: Monte
+///        Carlo path state, batch-inversion and selection scratch, τ/ξ
+///        sample storage and the decision kernel, all reused across rounds
+///        so steady-state planning performs no heap allocation.
+struct PlanWorkspace {
+  std::vector<double> gamma;  ///< Cumulative unit-rate exposure per path.
+  /// Λ(now) + γ: inversion input. Also receives each query's Exp(1) draws
+  /// before they are folded into gamma.
+  std::vector<double> targets;
   std::vector<std::uint32_t> order;  ///< Batch-inversion index scratch.
   std::vector<double> gather;        ///< Pivot-prefilter buffer (HP).
   common::RadixSortScratch radix;    ///< Target-sort scratch (RT/cost).
   McSamples samples;                 ///< ξ/τ buffers bound to the kernel.
   DecisionKernel kernel;
-
-  /// Retained bytes (buffer capacities) for workspace accounting.
-  std::size_t RetainedBytes() const;
-};
-
-/// One per-query outcome of a planning round's solve phase; buffered per
-/// tile so the k-ordered reduction can replay failures and early stops
-/// exactly like the serial loop.
-struct SolvedDecision {
-  Status status;
-  Decision decision;
-};
-
-/// \brief Persistent per-policy buffers for the planning hot loop: Monte
-///        Carlo path state, tiled γ/τ rows, per-slot shards, and the
-///        decision kernels, all reused across rounds so steady-state
-///        planning performs no heap allocation.
-struct PlanWorkspace {
-  std::vector<double> gamma;       ///< Cumulative unit-rate exposure per path.
-  std::vector<double> tile_gamma;  ///< Tile of cumulative γ rows (row-major).
-  std::vector<double> tile_tau;    ///< Tile of τ rows (stochastic τ only).
   /// Previous round's per-query α-quantile of γ — the warm pivot that lets
   /// the next round's selection pre-filter to ~αR elements.
   std::vector<double> hp_cuts;
-  std::vector<PlanShard> shards;          ///< One per parallel k-slot.
-  std::vector<SolvedDecision> decisions;  ///< Tile reduction buffer.
 
-  /// Resizes every per-path buffer to `r` elements (no-op once warm).
+  /// Resizes the per-path draw buffers to `r` elements (no-op once warm).
   /// Shrinks to fit when `r` drops well below the retained capacity, so a
   /// fleet tenant whose R shrinks stops pinning its peak-size buffers.
   void EnsureSize(std::size_t r);
 
-  /// Ensures at least `count` solve shards exist.
-  void EnsureShards(std::size_t count);
-
-  /// Bytes of planning scratch currently retained (buffer capacities,
-  /// shards and kernels included) — surfaced through
+  /// Bytes of planning scratch currently retained (buffer capacities and
+  /// the kernel included) — surfaced through
   /// Autoscaler::planning_workspace_bytes into serving snapshots.
   std::size_t RetainedBytes() const;
 
@@ -138,12 +108,6 @@ struct SequentialScalerOptions {
   /// sets it to the refit time.
   double forecast_origin = 0.0;
   std::uint64_t seed = 31;
-  /// Optional worker pool the planner shards its Monte Carlo rounds over
-  /// (draw blocks and per-query solves). Emitted actions are byte-identical
-  /// for any pool size — this is purely a wall-time knob. Not owned; must
-  /// outlive the policy (or be replaced via SetPlanningPool). nullptr plans
-  /// inline.
-  common::ThreadPool* planning_pool = nullptr;
 };
 
 /// \brief The RobustScaler autoscaling policy (time-interval planning).
@@ -163,9 +127,6 @@ class RobustScalerPolicy : public sim::Autoscaler {
   /// Decisions depend on the forecast and outstanding-instance counts only,
   /// never on past arrival times: no history retention needed.
   double history_requirement() const override { return 0.0; }
-  void SetPlanningPool(common::ThreadPool* pool) override {
-    options_.planning_pool = pool;
-  }
   std::size_t planning_workspace_bytes() const override {
     return workspace_.RetainedBytes();
   }
@@ -181,10 +142,10 @@ class RobustScalerPolicy : public sim::Autoscaler {
   ///        model is its RNG position; option scalars ride along so restore
   ///        can cross-check them against the rebuilt spec.
   ///
-  /// The PlanWorkspace (γ tiles, shards, hp_cuts warm pivots) and the κ
-  /// memo are pure scratch — they change planning *speed*, never the
-  /// emitted actions (the reference-kernel parity tests pin this) — so they
-  /// are deliberately not persisted and restart cold.
+  /// The PlanWorkspace (γ paths, solve scratch, hp_cuts warm pivots) and
+  /// the κ memo are pure scratch — they change planning *speed*, never the
+  /// emitted actions (the reference-kernel parity tests pin this) — so
+  /// they are deliberately not persisted and restart cold.
   Status SerializeModel(persist::Writer* writer) const override;
   Status DeserializeModel(persist::Reader* reader) override;
 
@@ -217,9 +178,6 @@ struct HpCountScalerOptions {
   /// Upper intensity bound λ̄ for κ (Eq. 8); <= 0 derives it from the
   /// forecast's maximum rate.
   double lambda_bar = 0.0;
-  /// Optional Monte Carlo sharding pool (see
-  /// SequentialScalerOptions::planning_pool).
-  common::ThreadPool* planning_pool = nullptr;
 };
 
 /// \brief Literal Algorithm 4 with the κ threshold: plans creation times
@@ -233,9 +191,6 @@ class HpCountScaler : public sim::Autoscaler {
   const char* name() const override { return "RobustScaler-HP-count"; }
   /// Plans from the forecast alone; past arrivals are never re-read.
   double history_requirement() const override { return 0.0; }
-  void SetPlanningPool(common::ThreadPool* pool) override {
-    options_.planning_pool = pool;
-  }
   std::size_t planning_workspace_bytes() const override {
     return workspace_.RetainedBytes();
   }

@@ -10,10 +10,6 @@
 
 #include "rs/common/status.hpp"
 
-namespace rs::common {
-class ThreadPool;
-}  // namespace rs::common
-
 namespace rs::persist {
 class Writer;
 class Reader;
@@ -83,18 +79,6 @@ class Autoscaler {
   /// (the conservative default) when old arrivals stay relevant forever
   /// (e.g. periodic model refitting).
   virtual double history_requirement() const { return kUnboundedHistory; }
-
-  /// \brief Hands the strategy a worker pool for its internal planning
-  ///        fan-out (nullptr plans inline on the calling thread).
-  ///
-  /// Optional: the default ignores it. Strategies that accept a pool must
-  /// keep their emitted actions byte-identical for every pool size — the
-  /// pool is purely a wall-time knob (the RobustScaler planners shard their
-  /// Monte Carlo rounds with fixed blocking, so this holds by
-  /// construction). The pool must outlive the strategy's planning calls;
-  /// rs::api::ScalerFleet uses this hook to feed per-tenant plan shards
-  /// into its own tenant-batching pool (one work queue, no nested pools).
-  virtual void SetPlanningPool(common::ThreadPool* pool) { (void)pool; }
 
   /// Bytes of persistent planning scratch the strategy currently retains
   /// (Monte Carlo workspaces and the like); 0 when it keeps none. Serving

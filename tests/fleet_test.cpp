@@ -327,6 +327,7 @@ TEST(ScalerFleetTest, FleetMatchesSequentialScalersAcrossThreadCounts) {
 
   // Reference: independent Scalers driven sequentially, full action logs.
   std::vector<std::vector<sim::ScalingAction>> reference;
+  std::size_t reference_workspace_bytes = 0;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     Scaler scaler = BuildTenantScaler(workloads[i], tenants[i].second);
     ASSERT_TRUE(
@@ -336,7 +337,9 @@ TEST(ScalerFleetTest, FleetMatchesSequentialScalersAcrossThreadCounts) {
     }
     ASSERT_TRUE(scaler.Plan(workloads[i].test.horizon()).ok());
     reference.push_back(scaler.ActionLog());
+    reference_workspace_bytes += scaler.Snapshot().planning_workspace_bytes;
   }
+  ASSERT_GT(reference_workspace_bytes, 0u);
 
   for (std::size_t threads : {0u, 1u, 4u}) {
     ScalerFleet fleet(threads);
@@ -376,6 +379,11 @@ TEST(ScalerFleetTest, FleetMatchesSequentialScalersAcrossThreadCounts) {
           reference[i], fleet.Find(tenants[i].first)->ActionLog(),
           tenants[i].first + " @" + std::to_string(threads) + " threads");
     }
+    // Planning memory is as deterministic as the actions: each tenant plans
+    // serially, so its retained workspace never depends on the pool.
+    EXPECT_EQ(fleet.Snapshot().planning_workspace_bytes,
+              reference_workspace_bytes)
+        << threads << " threads";
   }
 }
 

@@ -411,11 +411,10 @@ TEST(PlannerParityTest, ReferenceAndOptimizedKernelsEmitIdenticalActions) {
   }
 }
 
-TEST(PlannerParityTest, ActionsIdenticalAcrossPlanningPoolWorkers) {
-  // The pool-sharded Monte Carlo round must emit byte-identical actions for
-  // any worker count — and match the reference kernels — for every variant
-  // under both deterministic and stochastic τ. Run in the TSan CI job, this
-  // also race-checks the draw/solve fan-out.
+TEST(PlannerParityTest, ShortRoundsMatchReferenceAndRetainWorkspace) {
+  // Short rounds (R below one draw block) must match the reference kernels
+  // for every variant under both deterministic and stochastic τ, and leave
+  // planning scratch behind for the next round.
   stats::Rng rng(90210);
   const auto intensity = RandomIntensity(&rng, 48, false, 2.0);
   const std::vector<stats::DurationDistribution> pendings = {
@@ -442,22 +441,16 @@ TEST(PlannerParityTest, ActionsIdenticalAcrossPlanningPoolWorkers) {
       const auto ref_actions = DrivePolicy(&reference, 4.0, 8);
       common::SetReferenceKernels(false);
 
-      for (std::size_t workers :
-           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        common::ThreadPool pool(workers);
-        options.planning_pool = &pool;
-        core::RobustScalerPolicy sharded(intensity, pending, options);
-        const auto actions = DrivePolicy(&sharded, 4.0, 8);
-        ExpectSameActions(ref_actions, actions);
-        EXPECT_GT(sharded.planning_workspace_bytes(), 0u);
-      }
+      core::RobustScalerPolicy optimized(intensity, pending, options);
+      ExpectSameActions(ref_actions, DrivePolicy(&optimized, 4.0, 8));
+      EXPECT_GT(optimized.planning_workspace_bytes(), 0u);
     }
   }
 }
 
 TEST(PlannerParityTest, WorkspaceShrinksWhenRDrops) {
-  // Drive a real policy so the tile buffers, shards, and kernels all warm
-  // up at the large R, then shrink the bare workspace via EnsureSize.
+  // Drive a real policy so the draw buffers, solve scratch, and kernel all
+  // warm up at the large R, then shrink the bare workspace via EnsureSize.
   stats::Rng rng(11);
   const auto intensity = RandomIntensity(&rng, 32, false, 2.0);
   core::SequentialScalerOptions options;
@@ -474,7 +467,9 @@ TEST(PlannerParityTest, WorkspaceShrinksWhenRDrops) {
 
   core::PlanWorkspace ws;
   ws.EnsureSize(10000);
-  ws.tile_gamma.resize(32 * 10000);  // As a deep round at R=10000 leaves it.
+  // As a stochastic-τ solve at R=10000 leaves the sample buffers.
+  ws.samples.xi.resize(10000);
+  ws.samples.tau.resize(10000);
   const std::size_t warm = ws.RetainedBytes();
   ws.EnsureSize(100);
   const std::size_t shrunk = ws.RetainedBytes();
@@ -493,9 +488,8 @@ TEST(PlannerParityTest, HpCountScalerParity) {
     options.m = 2;
     options.seed = 4711;
 
-    const auto drive = [&](bool reference, common::ThreadPool* pool) {
+    const auto drive = [&](bool reference) {
       common::ScopedReferenceKernels mode(reference);
-      options.planning_pool = pool;
       core::HpCountScaler scaler(intensity, pending, options);
       std::vector<sim::ScalingAction> actions;
       std::vector<double> history;
@@ -508,10 +502,7 @@ TEST(PlannerParityTest, HpCountScalerParity) {
       }
       return actions;
     };
-    const auto reference_actions = drive(true, nullptr);
-    ExpectSameActions(reference_actions, drive(false, nullptr));
-    common::ThreadPool pool(2);
-    ExpectSameActions(reference_actions, drive(false, &pool));
+    ExpectSameActions(drive(true), drive(false));
   }
 }
 

@@ -24,7 +24,6 @@
 
 #include "rs/api/api.hpp"
 #include "rs/common/kernels.hpp"
-#include "rs/common/thread_pool.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
 #include "rs/stats/rng.hpp"
@@ -420,12 +419,10 @@ const char* const kAllStrategySpecs[] = {
     "robust_cost:target=2.0",
 };
 
-// Runs the script on `spec`, snapshotting at `cut` and restoring (optionally
-// with a planning pool), and requires the stitched outcome stream to equal
-// the uninterrupted control's.
+// Runs the script on `spec`, snapshotting at `cut` and restoring, and
+// requires the stitched outcome stream to equal the uninterrupted control's.
 void CheckContinuationParity(const Workload& w, const char* spec,
-                             std::size_t cut,
-                             common::ThreadPool* restore_pool = nullptr) {
+                             std::size_t cut) {
   const auto script = MakeScript(w.test);
   const std::size_t cut_step = std::min(cut, script.size());
 
@@ -439,9 +436,7 @@ void CheckContinuationParity(const Workload& w, const char* spec,
   std::stringstream snapshot;
   ASSERT_TRUE(first.SaveState(snapshot).ok());
 
-  ScalerRestoreOptions options;
-  options.planning_pool = restore_pool;
-  auto restored = ScalerBuilder::RestoreState(snapshot, options);
+  auto restored = ScalerBuilder::RestoreState(snapshot);
   ASSERT_TRUE(restored.ok()) << spec << ": " << restored.status().ToString();
   RunSteps(&restored.ValueOrDie(), script, cut_step, script.size(), &got);
 
@@ -450,10 +445,12 @@ void CheckContinuationParity(const Workload& w, const char* spec,
 }
 
 TEST(PersistScalerParityTest, AllStrategiesContinueIdenticallyFromMidCut) {
-  const Workload w = MakePersistWorkload(41);
-  const std::size_t mid = MakeScript(w.test).size() / 2;
-  for (const char* spec : kAllStrategySpecs) {
-    CheckContinuationParity(w, spec, mid);
+  for (const std::uint64_t seed : {41, 44}) {
+    const Workload w = MakePersistWorkload(seed);
+    const std::size_t mid = MakeScript(w.test).size() / 2;
+    for (const char* spec : kAllStrategySpecs) {
+      CheckContinuationParity(w, spec, mid);
+    }
   }
 }
 
@@ -479,20 +476,6 @@ TEST(PersistScalerParityTest, MidPlanSnapshotPoints) {
     CheckContinuationParity(w, "adaptive_backup_pool:multiplier=1.5,"
                                "update_interval=60,estimate_window=120",
                             cut);
-  }
-}
-
-TEST(PersistScalerParityTest, RestoreUnderPlanningPoolWorkerCounts) {
-  // The pool is a pure wall-time knob: restoring onto 1- and 8-worker pools
-  // must continue the 0-worker control byte-identically.
-  const Workload w = MakePersistWorkload(44);
-  const std::size_t mid = MakeScript(w.test).size() / 2;
-  common::ThreadPool one(1);
-  common::ThreadPool eight(8);
-  for (const char* spec : kAllStrategySpecs) {
-    CheckContinuationParity(w, spec, mid, /*restore_pool=*/nullptr);
-    CheckContinuationParity(w, spec, mid, &one);
-    CheckContinuationParity(w, spec, mid, &eight);
   }
 }
 

@@ -11,10 +11,9 @@ ratios measured within one run of one binary on one machine — they cancel
 the machine out and collapse only when the optimization itself regresses:
 
   plan_hot_path  : per-(variant, R) `speedup` (reference kernels vs
-                   optimized kernels) and per-worker-count
-                   `plan_workers[].speedup_vs_serial`;
-  fleet_scaling  : per-(threads, plan_sharding) `speedup` over the run's own
-                   1-thread baseline;
+                   optimized kernels);
+  fleet_scaling  : per-threads `speedup` over the run's own 1-thread
+                   baseline;
   training_time  : per-scenario `decision_ms` (the paper's "< 5 ms per
                    decision" claim; absolute, so give it a wider tolerance);
   freshness      : per-retrain_workers `detection_rate` (must not drop),
@@ -143,16 +142,6 @@ def gate_plan(baseline, current, gate, gate_absolute):
             key, "optimized_decisions_per_s",
             base.get("optimized_decisions_per_s"),
             cur.get("optimized_decisions_per_s"), gated=gate_absolute)
-        base_pw = {p["workers"]: p for p in base.get("plan_workers", [])}
-        cur_pw = {p["workers"]: p for p in cur.get("plan_workers", [])}
-        for workers, base_point in base_pw.items():
-            cur_point = cur_pw.get(workers)
-            if cur_point is None:
-                continue
-            regressions += gate.compare(
-                key + (("plan_workers", workers),), "speedup_vs_serial",
-                base_point.get("speedup_vs_serial"),
-                cur_point.get("speedup_vs_serial"), gated=True)
         # The one-line job-log summary: old vs new decisions/sec.
         print(f"bench_gate: {fmt_key(key)}: "
               f"{cur.get('optimized_decisions_per_s', 0):.0f} dec/s "
@@ -164,9 +153,8 @@ def gate_plan(baseline, current, gate, gate_absolute):
 
 def gate_fleet(baseline, current, gate, gate_absolute):
     regressions = 0
-    key_fields = ("threads", "plan_sharding")
-    base_rows = index_rows(baseline.get("results", []), key_fields)
-    cur_rows = index_rows(current.get("results", []), key_fields)
+    base_rows = index_rows(baseline.get("results", []), ("threads",))
+    cur_rows = index_rows(current.get("results", []), ("threads",))
     for key, base in base_rows.items():
         cur = cur_rows.get(key)
         if cur is None:

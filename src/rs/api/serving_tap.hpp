@@ -4,9 +4,12 @@
 /// A ServingTap attached via ScalerFleet::AttachTap sees every successful
 /// serving-facing operation — tenant lifecycle, Observe arrivals, Plan
 /// drains — with exactly the values the caller saw, after the fleet applied
-/// them. rs::trace::Recorder implements this interface to capture a serving
-/// session into a durable trace (see docs/TRACE_FORMAT.md); dashboards or
-/// shadow pipelines can implement it too.
+/// them. rs::trace::EventTap implements this interface once, turning each
+/// callback into a trace event; its two subclasses are rs::trace::Recorder
+/// (captures a serving session into a durable trace, docs/TRACE_FORMAT.md)
+/// and rs::wal::FleetJournal (appends each event to a write-ahead journal,
+/// docs/WAL_FORMAT.md). Dashboards or shadow pipelines can implement it
+/// too.
 ///
 /// Contract for implementations:
 ///  * Callbacks fire on the fleet's caller thread, never from pool workers

@@ -1,6 +1,7 @@
 /// \file recorder.cpp
-/// \brief ServingTap implementation that appends capture events as a live
-///        fleet serves.
+/// \brief EventTap — the one ServingTap-to-trace::Event mapping and its
+///        tenant intern table — and the Recorder that appends its events
+///        to a capture as a live fleet serves.
 #include <sstream>
 #include <utility>
 
@@ -8,63 +9,80 @@
 
 namespace rs::trace {
 
-Recorder::Recorder(std::string label) {
-  capture_.producer = "robustscaler rs::trace";
-  capture_.label = std::move(label);
+namespace {
+
+Result<std::string> SerializeScaler(const api::Scaler& scaler) {
+  std::ostringstream out(std::ios::binary);
+  RS_RETURN_NOT_OK(scaler.SaveState(out));
+  return std::move(out).str();
 }
 
-Status Recorder::Attach(api::ScalerFleet* fleet) {
+}  // namespace
+
+// -- EventTap -----------------------------------------------------------------
+
+Status EventTap::AttachAndSnapshot(api::ScalerFleet* fleet, const char* who) {
   if (fleet == nullptr) {
-    return Status::Invalid("Recorder::Attach: fleet is null");
+    return Status::Invalid(std::string(who) + ": fleet is null");
   }
   if (fleet_ != nullptr) {
-    return Status::Invalid(
-        "Recorder::Attach: already attached (Detach first; one recorder "
-        "records one fleet at a time)");
+    return Status::Invalid(std::string(who) +
+                           ": already attached (Detach first; one tap "
+                           "records one fleet at a time)");
   }
   RS_RETURN_NOT_OK(fleet->AttachTap(this));
   fleet_ = fleet;
-  // Snapshot the tenants that are already serving, in registration order:
-  // replay restores these and continues byte-identically from the attach
-  // point, so mid-session captures are as self-contained as fresh ones.
+  // Register the tenants already serving that the stream has not seen, in
+  // registration order: replay restores these snapshots and continues
+  // byte-identically from the attach point, while a re-attach (or a fleet
+  // a journal just recovered) registers nothing twice.
   for (const std::string& tenant : fleet->Tenants()) {
+    if (ids_.count(tenant) != 0) continue;
     const api::Scaler* scaler = fleet->Find(tenant);
+    if (scaler == nullptr) {
+      Detach();
+      return Status::Invalid(std::string(who) + ": fleet lists tenant \"" +
+                             tenant + "\" but Find() returns no scaler for it");
+    }
     auto state = SerializeScaler(*scaler);
     if (!state.ok()) {
       Detach();
-      std::ostringstream msg;
-      msg << "Recorder::Attach: tenant \"" << tenant
-          << "\" cannot be snapshotted: " << state.status().message();
-      return Status(state.status().code(), msg.str());
+      return Status(state.status().code(),
+                    std::string(who) + ": tenant \"" + tenant +
+                        "\" cannot be snapshotted: " +
+                        state.status().message());
     }
     Event event;
     event.kind = EventKind::kRegister;
-    event.id = next_id_++;
+    event.id = next_id_;
     event.name = tenant;
     event.state = std::move(state).ValueOrDie();
-    ids_[tenant] = event.id;
-    capture_.events.push_back(std::move(event));
+    Intern(event);
+    Emit(std::move(event));
   }
   return Status::OK();
 }
 
-void Recorder::Detach() {
+void EventTap::Detach() {
   if (fleet_ == nullptr) return;
   fleet_->DetachTap();
   fleet_ = nullptr;
 }
 
-Capture Recorder::TakeCapture() {
-  Capture out = std::move(capture_);
-  capture_ = Capture{};
-  capture_.producer = out.producer;
-  capture_.label = out.label;
-  ids_.clear();
-  next_id_ = 1;
-  return out;
+void EventTap::Intern(const Event& event) {
+  if (event.kind == EventKind::kRegister) {
+    names_[event.id] = event.name;
+    ids_[event.name] = event.id;
+    if (event.id >= next_id_) next_id_ = event.id + 1;
+  } else if (event.kind == EventKind::kRetire) {
+    const auto named = names_.find(event.id);
+    if (named == names_.end()) return;
+    const auto live = ids_.find(named->second);
+    if (live != ids_.end() && live->second == event.id) ids_.erase(live);
+  }
 }
 
-std::uint32_t Recorder::InternId(const std::string& tenant) const {
+std::uint32_t EventTap::InternId(const std::string& tenant) const {
   const auto it = ids_.find(tenant);
   // The fleet only fires callbacks for tenants it holds, and every way a
   // tenant can land in the fleet fires OnRegister first, so the lookup
@@ -72,37 +90,31 @@ std::uint32_t Recorder::InternId(const std::string& tenant) const {
   return it == ids_.end() ? 0 : it->second;
 }
 
-Result<std::string> Recorder::SerializeScaler(const api::Scaler& scaler) const {
-  std::ostringstream out(std::ios::binary);
-  RS_RETURN_NOT_OK(scaler.SaveState(out));
-  return std::move(out).str();
-}
-
-void Recorder::OnRegister(const std::string& tenant,
+void EventTap::OnRegister(const std::string& tenant,
                           const api::Scaler& scaler) {
   Event event;
   event.kind = EventKind::kRegister;
-  event.id = next_id_++;
+  event.id = next_id_;
   event.name = tenant;
   auto state = SerializeScaler(scaler);
   // A scaler whose strategy cannot serialize is caught at Attach for
-  // existing tenants; for one registered mid-capture the event records an
+  // existing tenants; for one registered mid-stream the event carries an
   // empty state, which replay rejects with a descriptive error rather than
   // silently dropping the tenant.
   if (state.ok()) event.state = std::move(state).ValueOrDie();
-  ids_[tenant] = event.id;
-  capture_.events.push_back(std::move(event));
+  Intern(event);
+  Emit(std::move(event));
 }
 
-void Recorder::OnRetire(const std::string& tenant) {
+void EventTap::OnRetire(const std::string& tenant) {
   Event event;
   event.kind = EventKind::kRetire;
   event.id = InternId(tenant);
-  ids_.erase(tenant);
-  capture_.events.push_back(std::move(event));
+  Intern(event);
+  Emit(std::move(event));
 }
 
-void Recorder::OnReplaceModel(const std::string& tenant,
+void EventTap::OnReplaceModel(const std::string& tenant,
                               const api::Scaler& incoming, bool at_next_plan) {
   Event event;
   event.kind = EventKind::kReplaceModel;
@@ -110,10 +122,10 @@ void Recorder::OnReplaceModel(const std::string& tenant,
   event.at_next_plan = at_next_plan;
   auto state = SerializeScaler(incoming);
   if (state.ok()) event.state = std::move(state).ValueOrDie();
-  capture_.events.push_back(std::move(event));
+  Emit(std::move(event));
 }
 
-void Recorder::OnObserve(const std::string& tenant, double arrival_time,
+void EventTap::OnObserve(const std::string& tenant, double arrival_time,
                          const api::Scaler::ObserveOutcome& outcome) {
   Event event;
   event.kind = EventKind::kObserve;
@@ -121,10 +133,10 @@ void Recorder::OnObserve(const std::string& tenant, double arrival_time,
   event.time = arrival_time;
   event.cold_start = outcome.cold_start;
   event.cancel_earliest = outcome.cancel_earliest_scheduled;
-  capture_.events.push_back(std::move(event));
+  Emit(std::move(event));
 }
 
-void Recorder::OnPlan(const std::string& tenant, double now,
+void EventTap::OnPlan(const std::string& tenant, double now,
                       const sim::ScalingAction& action,
                       const ClockMark& clock) {
   Event event;
@@ -133,10 +145,10 @@ void Recorder::OnPlan(const std::string& tenant, double now,
   event.time = now;
   event.clock = clock;
   event.action = action;
-  capture_.events.push_back(std::move(event));
+  Emit(std::move(event));
 }
 
-void Recorder::OnPlanAll(double now,
+void EventTap::OnPlanAll(double now,
                          const std::vector<api::ScalerFleet::TenantPlan>& plans,
                          const std::vector<ClockMark>& clocks) {
   Event event;
@@ -151,6 +163,32 @@ void Recorder::OnPlanAll(double now,
     if (plan.ok) plan.action = plans[i].action;
     event.plans.push_back(std::move(plan));
   }
+  Emit(std::move(event));
+}
+
+// -- Recorder -----------------------------------------------------------------
+
+Recorder::Recorder(std::string label) {
+  capture_.producer = "robustscaler rs::trace";
+  capture_.label = std::move(label);
+}
+
+Status Recorder::Attach(api::ScalerFleet* fleet) {
+  return AttachAndSnapshot(fleet, "Recorder::Attach");
+}
+
+Capture Recorder::TakeCapture() {
+  Capture out = std::move(capture_);
+  capture_ = Capture{};
+  capture_.producer = out.producer;
+  capture_.label = out.label;
+  ids_.clear();
+  names_.clear();
+  next_id_ = 1;
+  return out;
+}
+
+void Recorder::Emit(Event&& event) {
   capture_.events.push_back(std::move(event));
 }
 

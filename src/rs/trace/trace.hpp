@@ -12,7 +12,9 @@
 /// The pieces compose into a capture-then-regress pipeline (the idea is
 /// borrowed from genthat's trace-based unit-test extraction for R):
 ///
-///   Recorder  — a ServingTap that appends events as a live fleet serves;
+///   EventTap  — the ServingTap that turns each serving call into one
+///               event (shared with the rs::wal journal);
+///   Recorder  — an EventTap that appends events as a live fleet serves;
 ///   Replay    — rebuilds a fleet from the capture's embedded snapshots and
 ///               re-drives the event stream, comparing every emitted action
 ///               byte-for-byte against the recorded one;
@@ -143,6 +145,63 @@ struct Capture {
 void EncodeEvent(persist::Writer* writer, const Event& event);
 Status DecodeEvent(persist::Reader* reader, Event* event);
 
+/// \brief The one mapping from api::ServingTap callbacks to trace events,
+///        plus the tenant-id intern table that mapping needs.
+///
+/// Every serving callback becomes exactly one Event, handed to Emit() in
+/// serving order; what a subclass does with it is its only job (Recorder
+/// appends it to a Capture, wal::FleetJournal frames it into a segment).
+/// Because both taps share this class, the recorder and the journal turn
+/// the same serving call into the same event bytes.
+///
+/// Interning: kRegister assigns the next id, later events carry only the
+/// id, a retire unbinds the name, and ids are never reused (a retire +
+/// re-register yields a fresh id). The table survives Detach, so a
+/// re-attached tap continues the same stream.
+class EventTap : public api::ServingTap {
+ public:
+  /// Detaches from the attached fleet (no-op when already detached).
+  void Detach();
+
+  // -- ServingTap (one Emit per callback) -------------------------------------
+  void OnRegister(const std::string& tenant, const api::Scaler& scaler) final;
+  void OnRetire(const std::string& tenant) final;
+  void OnReplaceModel(const std::string& tenant, const api::Scaler& incoming,
+                      bool at_next_plan) final;
+  void OnObserve(const std::string& tenant, double arrival_time,
+                 const api::Scaler::ObserveOutcome& outcome) final;
+  void OnPlan(const std::string& tenant, double now,
+              const sim::ScalingAction& action, const ClockMark& clock) final;
+  void OnPlanAll(double now,
+                 const std::vector<api::ScalerFleet::TenantPlan>& plans,
+                 const std::vector<ClockMark>& clocks) final;
+
+ protected:
+  /// Receives every event this tap builds, in serving order.
+  virtual void Emit(Event&& event) = 0;
+
+  /// \brief Attaches as `fleet`'s tap (refused while another tap is
+  ///        attached or the freshness loop is enabled), then emits a
+  ///        kRegister with a full scaler snapshot for every fleet tenant
+  ///        not interned yet, in registration order. `who` prefixes errors.
+  Status AttachAndSnapshot(api::ScalerFleet* fleet, const char* who);
+
+  /// Applies a kRegister / kRetire event to the intern table (other kinds
+  /// are ignored): the live callbacks and a journal re-reading its own
+  /// records build the table through this one rule.
+  void Intern(const Event& event);
+
+  api::ScalerFleet* fleet_ = nullptr;
+  std::uint32_t next_id_ = 1;
+  /// Live tenant name -> id (retired names are unbound).
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  /// Every id ever issued -> its tenant name, retired ones included.
+  std::unordered_map<std::uint32_t, std::string> names_;
+
+ private:
+  std::uint32_t InternId(const std::string& tenant) const;
+};
+
 /// \brief ServingTap that records a live fleet's session into a Capture.
 ///
 /// Usage:
@@ -163,16 +222,20 @@ Status DecodeEvent(persist::Reader* reader, Event* event);
 ///
 /// Single caller thread, like the fleet itself. The recorder must outlive
 /// its attachment (detach before destroying either side).
-class Recorder final : public api::ServingTap {
+class Recorder final : public EventTap {
  public:
   explicit Recorder(std::string label = "");
 
-  /// Attaches to `fleet` (refused while another tap is attached or the
-  /// freshness loop is enabled) and snapshots its current tenants.
+  /// \brief Attaches to `fleet` (refused while another tap is attached or
+  ///        the freshness loop is enabled) and snapshots every tenant the
+  ///        capture has not interned yet.
+  ///
+  /// Tenants already in the capture are not registered again, so a
+  /// Detach + Attach continues the same capture (the journal's rule too).
+  /// Serving done while detached is not recorded: such a capture replays
+  /// only if the fleet was not driven in the gap. TakeCapture() clears the
+  /// table, so the next Attach starts a fresh self-contained capture.
   Status Attach(api::ScalerFleet* fleet);
-
-  /// Detaches from the fleet attached to (no-op when already detached).
-  void Detach();
 
   const Capture& capture() const { return capture_; }
 
@@ -181,29 +244,10 @@ class Recorder final : public api::ServingTap {
 
   std::size_t events() const { return capture_.events.size(); }
 
-  // -- ServingTap ------------------------------------------------------------
-  void OnRegister(const std::string& tenant,
-                  const api::Scaler& scaler) override;
-  void OnRetire(const std::string& tenant) override;
-  void OnReplaceModel(const std::string& tenant, const api::Scaler& incoming,
-                      bool at_next_plan) override;
-  void OnObserve(const std::string& tenant, double arrival_time,
-                 const api::Scaler::ObserveOutcome& outcome) override;
-  void OnPlan(const std::string& tenant, double now,
-              const sim::ScalingAction& action,
-              const ClockMark& clock) override;
-  void OnPlanAll(double now,
-                 const std::vector<api::ScalerFleet::TenantPlan>& plans,
-                 const std::vector<ClockMark>& clocks) override;
-
  private:
-  std::uint32_t InternId(const std::string& tenant) const;
-  Result<std::string> SerializeScaler(const api::Scaler& scaler) const;
+  void Emit(Event&& event) override;
 
   Capture capture_;
-  api::ScalerFleet* fleet_ = nullptr;
-  std::unordered_map<std::string, std::uint32_t> ids_;
-  std::uint32_t next_id_ = 1;
 };
 
 /// Knobs for Replay().

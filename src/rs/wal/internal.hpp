@@ -1,6 +1,7 @@
 /// \file internal.hpp
-/// \brief rs::wal on-disk constants + the segment scanner shared by the
-///        journal's Open() repair pass and InspectSegmentFile verification.
+/// \brief rs::wal on-disk constants + the segment scanner and payload
+///        decoder shared by the journal's Open() repair pass and
+///        InspectSegmentFile verification.
 ///        docs/WAL_FORMAT.md is the normative spec for everything here.
 #pragma once
 
@@ -11,6 +12,10 @@
 #include <string_view>
 
 #include "rs/common/status.hpp"
+
+namespace rs::trace {
+struct Event;
+}  // namespace rs::trace
 
 namespace rs::wal::internal {
 
@@ -69,6 +74,10 @@ Result<SegmentScan> ScanSegmentBytes(
     std::uint64_t expected_first_lsn,
     const std::function<Status(std::uint64_t lsn, std::string_view payload)>&
         on_record);
+
+/// Decodes one record payload (an rs::persist container holding exactly one
+/// trace event); trailing bytes after the event are an error.
+Status DecodePayload(std::string_view payload, trace::Event* event);
 
 /// Reads a whole file into `out` (binary). IoError when unopenable.
 Status ReadFileBytes(const std::string& path, std::string* out);

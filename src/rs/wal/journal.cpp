@@ -1,8 +1,9 @@
 /// \file journal.cpp
 /// \brief FleetJournal write path: open/repair, append with CRC framing and
-///        fsync policy, segment rotation, checkpointing, and the ServingTap
-///        callbacks that feed it. docs/WAL_FORMAT.md is the normative
-///        on-disk spec; recovery lives in recover.cpp.
+///        fsync policy, segment rotation, and checkpointing. The serving
+///        callbacks that feed Emit live in trace::EventTap.
+///        docs/WAL_FORMAT.md is the normative on-disk spec; recovery lives
+///        in recover.cpp.
 #include <fcntl.h>
 
 #include <filesystem>
@@ -75,18 +76,6 @@ Result<std::string> EncodePayload(const trace::Event& event) {
   return std::move(out).str();
 }
 
-Status DecodePayload(std::string_view payload, trace::Event* event) {
-  RS_ASSIGN_OR_RETURN(persist::Reader reader,
-                      persist::Reader::FromBytes(std::string(payload)));
-  RS_RETURN_NOT_OK(trace::DecodeEvent(&reader, event));
-  if (reader.remaining() != 0) {
-    return Status::Invalid("journal record payload carries " +
-                           std::to_string(reader.remaining()) +
-                           " trailing bytes after the event");
-  }
-  return Status::OK();
-}
-
 /// Segment filenames are wal-<16 hex digits of first LSN>.rswal so a
 /// lexicographic sort is an LSN sort.
 bool ParseSegmentName(const std::string& name, std::uint64_t* first_lsn) {
@@ -146,14 +135,6 @@ std::string FleetJournal::SegmentPath(std::uint64_t first_lsn) const {
   std::snprintf(name, sizeof(name), "wal-%016llx.rswal",
                 static_cast<unsigned long long>(first_lsn));
   return dir_ + "/" + name;
-}
-
-std::uint32_t FleetJournal::InternId(const std::string& tenant) const {
-  const auto it = ids_.find(tenant);
-  // The fleet only fires callbacks for tenants it holds, and every way a
-  // tenant can land in the fleet fires OnRegister first, so the lookup
-  // cannot miss; 0 (never a valid id) keeps a corrupted stream decodable.
-  return it == ids_.end() ? 0 : it->second;
 }
 
 Status FleetJournal::Open(const std::string& dir,
@@ -232,22 +213,10 @@ Status FleetJournal::Open(const std::string& dir,
                                   std::string_view payload) -> Status {
       if (lsn <= checkpoint_lsn_) return Status::OK();  // snapshot covers it
       trace::Event event;
-      RS_RETURN_NOT_OK(DecodePayload(payload, &event));
-      // The journal tail extends the checkpoint's intern table exactly the
-      // way live appends built it.
-      if (event.kind == trace::EventKind::kRegister) {
-        names_[event.id] = event.name;
-        ids_[event.name] = event.id;
-        if (event.id >= next_id_) next_id_ = event.id + 1;
-      } else if (event.kind == trace::EventKind::kRetire) {
-        const auto named = names_.find(event.id);
-        if (named != names_.end()) {
-          const auto live = ids_.find(named->second);
-          if (live != ids_.end() && live->second == event.id) {
-            ids_.erase(live);
-          }
-        }
-      }
+      RS_RETURN_NOT_OK(internal::DecodePayload(payload, &event));
+      // The journal tail extends the checkpoint's intern table through the
+      // same rule the live callbacks built it with.
+      Intern(event);
       tail_.push_back(std::move(event));
       return Status::OK();
     };
@@ -322,32 +291,7 @@ Status FleetJournal::Open(const std::string& dir,
   }
 
   if (segments_.empty()) {
-    const std::string path = SegmentPath(next_lsn_);
-    // O_APPEND like every segment fd: writes land at EOF regardless of the
-    // file offset, so the post-failure ftruncate in AppendAttempt never
-    // leaves a zero-filled hole under a retried frame.
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      return Errno("FleetJournal::Open: cannot create first segment " + path);
-    }
-    const std::string header = internal::BuildSegmentHeader(next_lsn_);
-    Status written =
-        WriteAll(fd, header.data(), header.size(), "write header of " + path);
-    if (written.ok() && ::fsync(fd) != 0) {
-      written = Errno("fsync " + path);
-    }
-    if (!written.ok()) {
-      ::close(fd);
-      return written;
-    }
-    RS_RETURN_NOT_OK(persist::FsyncParentDir(path));
-    fd_ = fd;
-    active_path_ = path;
-    active_size_ = internal::kSegmentHeaderBytes;
-    active_records_ = 0;
-    segments_.emplace_back(next_lsn_, path);
+    RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/false));
   } else {
     active_path_ = segments_.back().second;
     fd_ = ::open(active_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
@@ -452,57 +396,64 @@ Status FleetJournal::MaybeFsync() {
   return Status::OK();
 }
 
+Status FleetJournal::CreateSegment(bool rotating) {
+  const std::string path = SegmentPath(next_lsn_);
+  const std::string header = internal::BuildSegmentHeader(next_lsn_);
+  Status last;
+  int fd = -1;
+  for (int attempt = 0; attempt < (rotating ? kAttempts : 1); ++attempt) {
+    if (rotating) {
+      last = fault::Hit("wal.rotate");
+      if (!last.ok()) continue;
+    }
+    // O_TRUNC: a previous crashed attempt may have left a partial file
+    // here; restart it cleanly. O_APPEND like every segment fd: writes land
+    // at EOF regardless of the file offset, so the post-failure ftruncate
+    // in AppendAttempt never leaves a zero-filled hole under a retried
+    // frame.
+    fd = ::open(path.c_str(),
+                O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
+                0644);
+    if (fd < 0) {
+      last = Errno("FleetJournal: cannot create segment " + path);
+      continue;
+    }
+    last = WriteAll(fd, header.data(), header.size(),
+                    "write header of " + path);
+    if (last.ok() && ::fsync(fd) != 0) {
+      last = Errno("fsync " + path);
+    }
+    if (last.ok()) break;
+    ::close(fd);
+    fd = -1;
+  }
+  RS_RETURN_NOT_OK(last);
+  if (rotating) CrashPoint("wal.rotate.created");
+  const Status synced = persist::FsyncParentDir(path);
+  if (!synced.ok()) {
+    ::close(fd);
+    return synced;
+  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  active_path_ = path;
+  active_size_ = internal::kSegmentHeaderBytes;
+  active_records_ = 0;
+  segments_.emplace_back(next_lsn_, path);
+  return Status::OK();
+}
+
 Status FleetJournal::Rotate() {
   CrashPoint("wal.rotate.begin");
   // The outgoing segment must be fully durable before the journal moves
   // on — rotation is rare, so this syncs under every policy.
   RS_RETURN_NOT_OK(FsyncActive());
-  const std::string path = SegmentPath(next_lsn_);
-  const std::string header = internal::BuildSegmentHeader(next_lsn_);
-  Status last;
-  int new_fd = -1;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    last = fault::Hit("wal.rotate");
-    if (!last.ok()) continue;
-    // O_TRUNC: a previous crashed rotation attempt may have left a partial
-    // file here; restart it cleanly. O_APPEND for the same reason as every
-    // segment fd (see Open): append retries must not write past a hole.
-    new_fd = ::open(path.c_str(),
-                    O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (new_fd < 0) {
-      last = Errno("FleetJournal::Rotate: cannot create " + path);
-      continue;
-    }
-    last = WriteAll(new_fd, header.data(), header.size(),
-                    "write header of " + path);
-    if (last.ok() && ::fsync(new_fd) != 0) {
-      last = Errno("fsync " + path);
-    }
-    if (last.ok()) break;
-    ::close(new_fd);
-    new_fd = -1;
-  }
-  RS_RETURN_NOT_OK(last);
-  CrashPoint("wal.rotate.created");
-  {
-    const Status synced = persist::FsyncParentDir(path);
-    if (!synced.ok()) {
-      ::close(new_fd);
-      return synced;
-    }
-  }
-  ::close(fd_);
-  fd_ = new_fd;
-  active_path_ = path;
-  active_size_ = internal::kSegmentHeaderBytes;
-  active_records_ = 0;
-  segments_.emplace_back(next_lsn_, path);
+  RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/true));
   CrashPoint("wal.rotate.done");
   return Status::OK();
 }
 
-void FleetJournal::Append(const trace::Event& event) {
+void FleetJournal::Emit(trace::Event&& event) {
   if (!opened_ || !status_.ok()) return;
   auto payload = EncodePayload(event);
   if (!payload.ok()) {
@@ -559,55 +510,10 @@ Status FleetJournal::Sync() {
 }
 
 Status FleetJournal::Attach(api::ScalerFleet* fleet) {
-  if (fleet == nullptr) {
-    return Status::Invalid("FleetJournal::Attach: fleet is null");
-  }
   if (!opened_) {
     return Status::Invalid("FleetJournal::Attach: Open the journal first");
   }
-  if (fleet_ != nullptr) {
-    return Status::Invalid(
-        "FleetJournal::Attach: already attached (Detach first; one journal "
-        "records one fleet at a time)");
-  }
-  RS_RETURN_NOT_OK(fleet->AttachTap(this));
-  fleet_ = fleet;
-  // Journal a registration (with full scaler snapshot) for every fleet
-  // tenant the journal has not seen: a fresh fleet journals everything, a
-  // fleet Recover() just rebuilt journals nothing twice.
-  for (const std::string& tenant : fleet->Tenants()) {
-    if (ids_.count(tenant) != 0) continue;
-    const api::Scaler* scaler = fleet->Find(tenant);
-    if (scaler == nullptr) {
-      Detach();
-      return Status::Invalid("FleetJournal::Attach: fleet lists tenant \"" +
-                             tenant +
-                             "\" but Find() returns no scaler for it");
-    }
-    std::ostringstream state(std::ios::binary);
-    const Status saved = scaler->SaveState(state);
-    if (!saved.ok()) {
-      Detach();
-      return Status(saved.code(), "FleetJournal::Attach: tenant \"" + tenant +
-                                      "\" cannot be snapshotted: " +
-                                      saved.message());
-    }
-    trace::Event event;
-    event.kind = trace::EventKind::kRegister;
-    event.id = next_id_++;
-    event.name = tenant;
-    event.state = std::move(state).str();
-    ids_[tenant] = event.id;
-    names_[event.id] = tenant;
-    Append(event);
-  }
-  return Status::OK();
-}
-
-void FleetJournal::Detach() {
-  if (fleet_ == nullptr) return;
-  fleet_->DetachTap();
-  fleet_ = nullptr;
+  return AttachAndSnapshot(fleet, "FleetJournal::Attach");
 }
 
 Status FleetJournal::Checkpoint(const std::string& user_meta) {
@@ -664,7 +570,6 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
   RS_RETURN_NOT_OK(persist::FsyncParentDir(path));
   CrashPoint("wal.checkpoint.done");
   checkpoint_lsn_ = lsn;
-  checkpoint_meta_ = user_meta;
 
   // Retire segments fully covered by the checkpoint. The active segment is
   // always kept, which preserves the journal-end >= checkpoint invariant.
@@ -681,85 +586,6 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
     }
   }
   return Status::OK();
-}
-
-// -- ServingTap -------------------------------------------------------------
-
-void FleetJournal::OnRegister(const std::string& tenant,
-                              const api::Scaler& scaler) {
-  trace::Event event;
-  event.kind = trace::EventKind::kRegister;
-  event.id = next_id_++;
-  event.name = tenant;
-  std::ostringstream state(std::ios::binary);
-  // A scaler that cannot serialize journals an empty state, which recovery
-  // rejects with a descriptive error rather than silently dropping the
-  // tenant (same contract as trace::Recorder).
-  if (scaler.SaveState(state).ok()) event.state = std::move(state).str();
-  ids_[tenant] = event.id;
-  names_[event.id] = tenant;
-  Append(event);
-}
-
-void FleetJournal::OnRetire(const std::string& tenant) {
-  trace::Event event;
-  event.kind = trace::EventKind::kRetire;
-  event.id = InternId(tenant);
-  ids_.erase(tenant);
-  Append(event);
-}
-
-void FleetJournal::OnReplaceModel(const std::string& tenant,
-                                  const api::Scaler& incoming,
-                                  bool at_next_plan) {
-  trace::Event event;
-  event.kind = trace::EventKind::kReplaceModel;
-  event.id = InternId(tenant);
-  event.at_next_plan = at_next_plan;
-  std::ostringstream state(std::ios::binary);
-  if (incoming.SaveState(state).ok()) event.state = std::move(state).str();
-  Append(event);
-}
-
-void FleetJournal::OnObserve(const std::string& tenant, double arrival_time,
-                             const api::Scaler::ObserveOutcome& outcome) {
-  trace::Event event;
-  event.kind = trace::EventKind::kObserve;
-  event.id = InternId(tenant);
-  event.time = arrival_time;
-  event.cold_start = outcome.cold_start;
-  event.cancel_earliest = outcome.cancel_earliest_scheduled;
-  Append(event);
-}
-
-void FleetJournal::OnPlan(const std::string& tenant, double now,
-                          const sim::ScalingAction& action,
-                          const api::TapClockMark& clock) {
-  trace::Event event;
-  event.kind = trace::EventKind::kPlan;
-  event.id = InternId(tenant);
-  event.time = now;
-  event.clock = clock;
-  event.action = action;
-  Append(event);
-}
-
-void FleetJournal::OnPlanAll(
-    double now, const std::vector<api::ScalerFleet::TenantPlan>& plans,
-    const std::vector<api::TapClockMark>& clocks) {
-  trace::Event event;
-  event.kind = trace::EventKind::kPlanAll;
-  event.time = now;
-  event.plans.reserve(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    trace::PlannedTenant plan;
-    plan.id = InternId(plans[i].tenant);
-    plan.ok = plans[i].status.ok();
-    plan.clock = i < clocks.size() ? clocks[i] : api::TapClockMark{};
-    if (plan.ok) plan.action = plans[i].action;
-    event.plans.push_back(std::move(plan));
-  }
-  Append(event);
 }
 
 }  // namespace rs::wal

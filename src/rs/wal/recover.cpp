@@ -40,6 +40,11 @@ Status ParseCheckpointMeta(persist::Reader* reader, CheckpointMeta* out) {
   }
   RS_ASSIGN_OR_RETURN(out->lsn, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(out->next_id, reader->ReadU64());
+  // Tenant ids are u32 on the wire (docs/TRACE_FORMAT.md).
+  if (out->next_id == 0 || out->next_id > UINT32_MAX) {
+    return Status::Invalid("next tenant id " + std::to_string(out->next_id) +
+                           " is outside the 32-bit id range [1, 2^32)");
+  }
   RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint32_t id = 0;
@@ -75,8 +80,7 @@ Status FleetJournal::LoadCheckpointMeta(const std::string& path) {
     CheckpointMeta meta;
     RS_RETURN_NOT_OK(ParseCheckpointMeta(&reader, &meta));
     checkpoint_lsn_ = meta.lsn;
-    next_id_ = meta.next_id;
-    checkpoint_meta_ = std::move(meta.user_meta);
+    next_id_ = static_cast<std::uint32_t>(meta.next_id);
     for (auto& [id, name, live] : meta.entries) {
       names_[id] = name;
       if (live) ids_[std::move(name)] = id;
@@ -176,17 +180,11 @@ Result<SegmentReport> InspectSegmentFile(const std::string& path) {
   RS_RETURN_NOT_OK(internal::ReadFileBytes(path, &bytes));
   const auto on_record = [](std::uint64_t lsn,
                             std::string_view payload) -> Status {
-    RS_ASSIGN_OR_RETURN(persist::Reader reader,
-                        persist::Reader::FromBytes(std::string(payload)));
     trace::Event event;
-    RS_RETURN_NOT_OK(trace::DecodeEvent(&reader, &event));
-    if (reader.remaining() != 0) {
-      return Status::Invalid("record LSN " + std::to_string(lsn) +
-                             " payload carries " +
-                             std::to_string(reader.remaining()) +
-                             " trailing bytes after the event");
-    }
-    return Status::OK();
+    const Status decoded = internal::DecodePayload(payload, &event);
+    if (decoded.ok()) return decoded;
+    return Status(decoded.code(), "record LSN " + std::to_string(lsn) + ": " +
+                                      decoded.message());
   };
   // A torn tail is legal here (a crash mid-append leaves one; recovery
   // truncates it) — only pre-tail corruption fails.

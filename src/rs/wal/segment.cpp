@@ -1,10 +1,12 @@
 /// \file segment.cpp
-/// \brief Segment frame codec + scanner (shared by Open repair and
-///        InspectSegmentFile). docs/WAL_FORMAT.md is the normative spec.
+/// \brief Segment frame codec + scanner + payload decoder (shared by Open
+///        repair and InspectSegmentFile). docs/WAL_FORMAT.md is the
+///        normative spec.
 #include <fstream>
 #include <sstream>
 
 #include "rs/persist/persist.hpp"
+#include "rs/trace/trace.hpp"
 #include "rs/wal/internal.hpp"
 
 namespace rs::wal::internal {
@@ -141,6 +143,18 @@ Result<SegmentScan> ScanSegmentBytes(
   }
   scan.valid_bytes = offset;
   return scan;
+}
+
+Status DecodePayload(std::string_view payload, trace::Event* event) {
+  RS_ASSIGN_OR_RETURN(persist::Reader reader,
+                      persist::Reader::FromBytes(std::string(payload)));
+  RS_RETURN_NOT_OK(trace::DecodeEvent(&reader, event));
+  if (reader.remaining() != 0) {
+    return Status::Invalid("journal record payload carries " +
+                           std::to_string(reader.remaining()) +
+                           " trailing bytes after the event");
+  }
+  return Status::OK();
 }
 
 Status ReadFileBytes(const std::string& path, std::string* out) {

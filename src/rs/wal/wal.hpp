@@ -17,8 +17,9 @@
 ///
 /// The journal *is* the trace: records carry the exact rs::trace event
 /// encoding (one wire format shared by capture and journal —
-/// trace::EncodeEvent/DecodeEvent), and FleetJournal is an api::ServingTap
-/// attached through the same hook as trace::Recorder. The tap runs on the
+/// trace::EncodeEvent/DecodeEvent), and FleetJournal is a trace::EventTap
+/// like trace::Recorder — the same callbacks build the same events with
+/// the same tenant interning; only Emit differs. The tap runs on the
 /// caller thread after the operation applies, so a crash between apply and
 /// append can only lose results the caller never received — never an
 /// acknowledged one once the fsync policy's durability point has passed.
@@ -46,12 +47,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "rs/api/scaler_fleet.hpp"
-#include "rs/api/serving_tap.hpp"
 #include "rs/common/status.hpp"
 #include "rs/trace/trace.hpp"
 
@@ -156,7 +155,11 @@ void CrashPoint(const char* point);
 /// Single caller thread, like the fleet itself; the journal must outlive
 /// its attachment. Incompatible with the freshness loop (the tap hook
 /// refuses the combination) — journaled fleets retrain synchronously.
-class FleetJournal final : public api::ServingTap {
+///
+/// The serving callbacks (OnRegister ... OnPlanAll), Detach, and the
+/// tenant intern table come from trace::EventTap, shared with
+/// trace::Recorder; the journal supplies Emit, which appends one record.
+class FleetJournal final : public trace::EventTap {
  public:
   FleetJournal() = default;
   ~FleetJournal() override;
@@ -197,9 +200,6 @@ class FleetJournal final : public api::ServingTap {
   ///        Recover() just rebuilt journals nothing twice.
   Status Attach(api::ScalerFleet* fleet);
 
-  /// Detaches from the attached fleet (no-op when detached).
-  void Detach();
-
   /// \brief Writes a checkpoint: fsyncs the journal, then durably writes
   ///        (temp + fsync + rename + dir fsync) a snapshot container tying
   ///        the attached fleet's full state and the journal's tenant-id
@@ -221,40 +221,23 @@ class FleetJournal final : public api::ServingTap {
   /// syncs; bench_wal reports it per fsync policy).
   std::uint64_t fsyncs() const { return fsyncs_; }
   std::uint64_t checkpoint_lsn() const { return checkpoint_lsn_; }
-  const std::string& checkpoint_meta() const { return checkpoint_meta_; }
-  const std::string& directory() const { return dir_; }
   /// Journal-tail events decoded by Open() (what Recover re-drives).
   const std::vector<trace::Event>& tail() const { return tail_; }
-  /// Tenant-id intern table (checkpoint table + tail registrations).
-  const std::unordered_map<std::uint32_t, std::string>& tenant_names() const {
-    return names_;
-  }
-
-  // -- ServingTap (appends one journal record per successful operation) ------
-  void OnRegister(const std::string& tenant,
-                  const api::Scaler& scaler) override;
-  void OnRetire(const std::string& tenant) override;
-  void OnReplaceModel(const std::string& tenant, const api::Scaler& incoming,
-                      bool at_next_plan) override;
-  void OnObserve(const std::string& tenant, double arrival_time,
-                 const api::Scaler::ObserveOutcome& outcome) override;
-  void OnPlan(const std::string& tenant, double now,
-              const sim::ScalingAction& action,
-              const api::TapClockMark& clock) override;
-  void OnPlanAll(double now,
-                 const std::vector<api::ScalerFleet::TenantPlan>& plans,
-                 const std::vector<api::TapClockMark>& clocks) override;
 
  private:
-  std::uint32_t InternId(const std::string& tenant) const;
   /// Encodes + frames + appends one event; on exhausted retries flips
   /// status_ to broken. The journal's single write path.
-  void Append(const trace::Event& event);
+  void Emit(trace::Event&& event) override;
   /// One framed write. `*retryable` comes back false when a failed attempt
   /// could not be cut back to the record boundary (retrying would corrupt
   /// the journal mid-file).
   Status AppendAttempt(const std::string& frame, bool* retryable);
   Status Rotate();
+  /// Creates the segment starting at next_lsn_ (header and directory entry
+  /// synced) and makes it active. `rotating` retries under the wal.rotate
+  /// fault site and fires the wal.rotate.created crash window; Open's
+  /// first segment makes one attempt and hits neither.
+  Status CreateSegment(bool rotating);
   Status MaybeFsync();
   Status FsyncActive();
   Status LoadCheckpointMeta(const std::string& path);
@@ -277,14 +260,9 @@ class FleetJournal final : public api::ServingTap {
   Status status_ = Status::OK();
   OpenReport open_report_;
   std::uint64_t checkpoint_lsn_ = 0;
-  std::string checkpoint_meta_;
-  std::uint64_t next_id_ = 1;
-  std::unordered_map<std::string, std::uint32_t> ids_;
-  std::unordered_map<std::uint32_t, std::string> names_;
   std::vector<trace::Event> tail_;
   /// (first_lsn, path) per segment, ascending; back() is active.
   std::vector<std::pair<std::uint64_t, std::string>> segments_;
-  api::ScalerFleet* fleet_ = nullptr;
 };
 
 /// \brief One-call journaling enablement (the EnableJournal of ISSUE 10,

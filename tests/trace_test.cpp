@@ -4,7 +4,8 @@
 //  * the headline replay-parity guarantee: a recorded serving session over
 //    all five registry strategies re-drives byte-identically under fleet
 //    worker counts {0, 1, 8};
-//  * mid-session attach yields a self-contained capture (snapshot-prefixed);
+//  * mid-session attach yields a self-contained capture (snapshot-prefixed),
+//    and a Detach + Attach continues it without registering tenants twice;
 //  * lifecycle events (retire, re-register, immediate and plan-boundary
 //    model swaps) replay cleanly;
 //  * charged-decision sessions under an injected FakeDecisionClock replay
@@ -325,6 +326,50 @@ TEST(TraceReplayTest, MidSessionAttachYieldsSelfContainedCapture) {
   auto report = Replay(capture);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->diverged) << report->detail;
+}
+
+TEST(TraceReplayTest, ReattachContinuesTheSameCapture) {
+  // Detach + Attach must not register the live tenants a second time: the
+  // recorder keeps its intern table across the gap, so the capture stays
+  // one replayable stream.
+  const Workload w = MakeTraceWorkload(93);
+  const auto& queries = w.test.queries();
+  ASSERT_GE(queries.size(), 2u);
+  api::ScalerFleet fleet(0);
+  ASSERT_TRUE(
+      fleet.Register("a", BuildTenantScaler(w, "robust_hp:target=0.9")).ok());
+
+  Recorder recorder("re-attach");
+  ASSERT_TRUE(recorder.Attach(&fleet).ok());
+  ASSERT_TRUE(fleet.Observe("a", queries[0].arrival_time).ok());
+  recorder.Detach();
+  ASSERT_TRUE(recorder.Attach(&fleet).ok());
+  ASSERT_TRUE(fleet.Observe("a", queries[1].arrival_time).ok());
+  for (const auto& plan : fleet.PlanAll(queries[1].arrival_time + 1.0)) {
+    ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
+  }
+  recorder.Detach();
+  const Capture capture = recorder.TakeCapture();
+
+  ASSERT_EQ(capture.events.size(), 4u);
+  EXPECT_EQ(capture.events[0].kind, EventKind::kRegister);
+  EXPECT_EQ(capture.events[1].kind, EventKind::kObserve);
+  EXPECT_EQ(capture.events[2].kind, EventKind::kObserve);
+  EXPECT_EQ(capture.events[2].id, capture.events[0].id);
+  EXPECT_EQ(capture.events[3].kind, EventKind::kPlanAll);
+  auto report = Replay(capture);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->diverged) << report->detail;
+
+  // TakeCapture clears the table: the next Attach starts a fresh,
+  // self-contained capture.
+  ASSERT_TRUE(recorder.Attach(&fleet).ok());
+  recorder.Detach();
+  const Capture fresh = recorder.TakeCapture();
+  ASSERT_EQ(fresh.events.size(), 1u);
+  EXPECT_EQ(fresh.events[0].kind, EventKind::kRegister);
+  EXPECT_EQ(fresh.events[0].id, 1u);
+  EXPECT_EQ(fresh.events[0].name, "a");
 }
 
 TEST(TraceReplayTest, InjectedClockSessionsVerifyClockPositions) {

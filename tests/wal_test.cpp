@@ -11,6 +11,9 @@
 //    LSN past the journal end (stale snapshot + lost journal), and
 //    double-recovery idempotence, and the refusal to Recover through a
 //    journal object that has appended since Open (its tail is stale);
+//  * one event tap: a journal reopened after a session holds exactly the
+//    events a trace::Recorder captured from the same session, byte for
+//    byte (mid-session attach, lifecycle churn, Plan and PlanAll);
 //  * fail-stop degradation under injected wal.append / wal.fsync / wal.rotate
 //    faults: status() goes sticky-broken, serving continues, and the durable
 //    prefix still recovers;
@@ -34,7 +37,9 @@
 
 #include "rs/api/api.hpp"
 #include "rs/fault/fault.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/stats/rng.hpp"
+#include "rs/trace/trace.hpp"
 #include "rs/wal/wal.hpp"
 
 namespace rs::wal {
@@ -441,6 +446,75 @@ TEST(WalRecoveryTest, RecoverAfterAppendsIsRefusedUntilReopen) {
 }
 
 // ---------------------------------------------------------------------------
+// One event tap: the journal and the recorder emit the same stream.
+// ---------------------------------------------------------------------------
+
+/// Serves one deterministic session under `tap` that fires every tap
+/// callback: the tap attaches mid-session (after untapped traffic), then
+/// sees PlanAll batches, a retire + re-register, an immediate and a
+/// plan-boundary model swap, and a single-tenant Plan.
+template <typename Tap>
+void ServeEveryCallback(Tap* tap) {
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  ServeSteps(&fleet, 1, 3);
+  ASSERT_TRUE(tap->Attach(&fleet).ok());
+  ServeSteps(&fleet, 4, 6);
+  ASSERT_TRUE(fleet.Retire("svc-a").ok());
+  ASSERT_TRUE(
+      fleet.Register("svc-a", BuildScaler("backup_pool:pool_size=1")).ok());
+  ASSERT_TRUE(
+      fleet.ReplaceModel("svc-b", BuildScaler("robust_hp:target=0.8")).ok());
+  ASSERT_TRUE(
+      fleet.ReplaceModelAtNextPlan("svc-a", BuildScaler("backup_pool")).ok());
+  ServeSteps(&fleet, 7, 9);
+  ASSERT_TRUE(fleet.Plan("svc-b", 19.0).ok());
+  ServeSteps(&fleet, 10, 11);
+  tap->Detach();
+}
+
+std::string EncodedEvent(const trace::Event& event) {
+  persist::Writer writer;
+  trace::EncodeEvent(&writer, event);
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(writer.Finish(out).ok());
+  return std::move(out).str();
+}
+
+TEST(WalTapTest, JournalTailEqualsRecorderCaptureEventForEvent) {
+  trace::Recorder recorder("wal_test tap equivalence");
+  ServeEveryCallback(&recorder);
+  const trace::Capture capture = recorder.TakeCapture();
+  bool kinds[7] = {};
+  for (const trace::Event& event : capture.events) {
+    kinds[static_cast<std::size_t>(event.kind)] = true;
+  }
+  for (std::size_t kind = 1; kind <= 6; ++kind) {
+    EXPECT_TRUE(kinds[kind]) << "the session never emitted "
+                             << trace::EventKindName(
+                                    static_cast<trace::EventKind>(kind));
+  }
+
+  const std::string dir = TempDir("tap_equivalence");
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir).ok());
+    ServeEveryCallback(&journal);
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+  }
+  FleetJournal reopened;
+  ASSERT_TRUE(reopened.Open(dir).ok());
+  const std::vector<trace::Event>& tail = reopened.tail();
+  ASSERT_EQ(tail.size(), capture.events.size());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    ASSERT_EQ(EncodedEvent(tail[i]), EncodedEvent(capture.events[i]))
+        << "event " << i << " (" << trace::EventKindName(tail[i].kind)
+        << ") differs between journal and capture";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Fail-stop degradation under injected journal faults.
 // ---------------------------------------------------------------------------
 
@@ -653,6 +727,33 @@ TEST(WalCorruptionTest, CheckpointTruncationsAndFlipsFailCleanly) {
     FleetJournal journal;
     // The container CRC catches every flip; recovery never sees garbage.
     EXPECT_FALSE(journal.Open(dir).ok()) << "flipped checkpoint at " << pos;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalCorruptionTest, CheckpointNextIdOutsideTheIdRangeIsRejected) {
+  // A CRC-valid checkpoint whose intern counter cannot be a u32 tenant id:
+  // Open must refuse it instead of wrapping the counter and reusing ids.
+  const std::string dir = TempDir("ckpt_next_id");
+  std::filesystem::create_directories(dir);
+  for (const std::uint64_t next_id :
+       {std::uint64_t{0}, std::uint64_t{1} << 32}) {
+    persist::Writer writer;
+    writer.BeginSection(persist::kTagWalCheckpoint);
+    writer.WriteU32(1);  // wal layer version
+    writer.WriteU64(0);  // checkpoint LSN
+    writer.WriteU64(next_id);
+    writer.WriteU64(0);  // no intern entries
+    writer.WriteString("");
+    writer.EndSection();
+    std::ostringstream encoded(std::ios::binary);
+    ASSERT_TRUE(writer.Finish(encoded).ok());
+    Spit(dir + "/checkpoint.rsnp", encoded.str());
+    FleetJournal journal;
+    const Status st = journal.Open(dir);
+    ASSERT_FALSE(st.ok()) << "next_id " << next_id;
+    EXPECT_NE(st.message().find("32-bit id range"), std::string::npos)
+        << st.ToString();
   }
   std::filesystem::remove_all(dir);
 }

@@ -26,9 +26,11 @@ std::string Cat(Args&&... args) {
 }
 
 void AppendLe(std::string* buffer, std::uint64_t value, std::size_t width) {
+  char bytes[8];
   for (std::size_t i = 0; i < width; ++i) {
-    buffer->push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
   }
+  buffer->append(bytes, width);
 }
 
 void PatchLe64(std::string* buffer, std::size_t offset, std::uint64_t value) {
@@ -73,9 +75,18 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
   return ~crc;
 }
 
-Writer::Writer() {
+Writer::Writer() { Reset(); }
+
+void Writer::Reset() {
+  buffer_.clear();
+  open_.clear();
   AppendLe(&buffer_, kMagic, 4);
   AppendLe(&buffer_, kFormatVersion, 4);
+}
+
+void Writer::swap(Writer& other) noexcept {
+  buffer_.swap(other.buffer_);
+  open_.swap(other.open_);
 }
 
 void Writer::WriteU8(std::uint8_t value) { AppendLe(&buffer_, value, 1); }
@@ -118,17 +129,18 @@ void Writer::EndSection() {
   PatchLe64(&buffer_, length_offset, buffer_.size() - (length_offset + 8));
 }
 
-Status Writer::Finish(std::ostream& out) {
+std::string_view Writer::Finish() {
   RS_CHECK(open_.empty()) << "Finish() with an unclosed section";
-  const std::uint32_t crc = Crc32(buffer_.data(), buffer_.size());
-  std::string trailer;
-  AppendLe(&trailer, crc, 4);
-  out.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  AppendLe(&buffer_, Crc32(buffer_.data(), buffer_.size()), kTrailerBytes);
+  return buffer_;
+}
+
+Status Writer::Finish(std::ostream& out) {
+  const std::string_view bytes = Finish();
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
   if (!out.good()) {
-    return Status::IoError(Cat("failed to write snapshot (",
-                               buffer_.size() + kTrailerBytes,
+    return Status::IoError(Cat("failed to write snapshot (", bytes.size(),
                                " bytes) to output stream"));
   }
   return Status::OK();

@@ -93,10 +93,20 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 /// when a section closes), then Finish() appends the CRC trailer and writes
 /// the whole snapshot to the output stream in one pass — a failed or
 /// interrupted write can therefore never leave a half-written header that
-/// looks valid.
+/// looks valid. One writer encodes one container per Finish(); Reset()
+/// starts the next one in the same buffer, so an encoder reused for many
+/// small containers (one journal record each) stops allocating once warm.
 class Writer {
  public:
   Writer();
+
+  /// Discards the encoded bytes and rewrites the container header, keeping
+  /// the buffer's capacity.
+  void Reset();
+
+  /// Exchanges contents and buffers with `other` (swapping with a fresh
+  /// Writer frees this one's capacity).
+  void swap(Writer& other) noexcept;
 
   void WriteU8(std::uint8_t value);
   void WriteBool(bool value);
@@ -112,10 +122,15 @@ class Writer {
   void BeginSection(std::uint32_t tag);
   void EndSection();
 
-  /// Appends the CRC trailer and writes the snapshot to `out`.
+  /// Appends the CRC trailer to the buffer and returns the whole container,
+  /// valid until the next write or Reset().
+  std::string_view Finish();
+
+  /// Finish(), then writes the container to `out`.
   Status Finish(std::ostream& out);
 
-  /// Encoded size so far (header + sections, without the CRC trailer).
+  /// Encoded size so far (header + sections, plus the CRC trailer once
+  /// finished).
   std::size_t size() const { return buffer_.size(); }
 
  private:

@@ -44,8 +44,10 @@ std::uint64_t ReadU64Le(const char* p);
 void AppendU32Le(std::string* out, std::uint32_t value);
 void AppendU64Le(std::string* out, std::uint64_t value);
 
-/// Frames one record: [lsn u64][len u32][crc u32][payload].
-std::string BuildFrame(std::uint64_t lsn, std::string_view payload);
+/// Frames one record into `frame` (cleared first, capacity kept):
+/// [lsn u64][len u32][crc u32][payload].
+void BuildFrame(std::uint64_t lsn, std::string_view payload,
+                std::string* frame);
 
 /// Renders the 16-byte segment header for a segment starting at `first_lsn`.
 std::string BuildSegmentHeader(std::uint64_t first_lsn);

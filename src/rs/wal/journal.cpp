@@ -17,7 +17,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "rs/fault/fault.hpp"
@@ -33,6 +33,11 @@ namespace {
 /// Append/fsync/rotate attempts before the journal fail-stops.
 constexpr int kAttempts = 3;
 
+/// A record larger than this (a scaler snapshot, a PlanAll over a large
+/// fleet) does not leave its capacity behind in the reused encode and frame
+/// buffers; Observe and single-tenant Plan records stay far below it.
+constexpr std::size_t kRetainedRecordBytes = 4 << 10;
+
 CrashPointHook g_crash_hook = nullptr;
 void* g_crash_hook_arg = nullptr;
 
@@ -40,40 +45,33 @@ Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-Status WriteAll(int fd, const char* data, std::size_t size,
-                const std::string& what) {
+/// Writes all `size` bytes; false (errno set) on failure. Callers build
+/// the error text only then, so a successful write allocates nothing.
+bool WriteAll(int fd, const char* data, std::size_t size) {
   while (size > 0) {
     const ssize_t n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno(what);
+      return false;
     }
     data += n;
     size -= static_cast<std::size_t>(n);
   }
-  return Status::OK();
+  return true;
 }
 
-Status WriteFileDurable(const std::string& path, const std::string& bytes) {
+Status WriteFileDurable(const std::string& path, std::string_view bytes) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("cannot open " + path);
-  Status written = WriteAll(fd, bytes.data(), bytes.size(), "write " + path);
+  Status written = WriteAll(fd, bytes.data(), bytes.size())
+                       ? Status::OK()
+                       : Errno("write " + path);
   if (written.ok() && ::fsync(fd) != 0) {
     written = Errno("fsync " + path);
   }
   ::close(fd);
   return written;
-}
-
-/// One journal-record payload is a complete rs::persist container holding a
-/// single trace event — the reader revalidates magic/version/CRC for free.
-Result<std::string> EncodePayload(const trace::Event& event) {
-  persist::Writer writer;
-  trace::EncodeEvent(&writer, event);
-  std::ostringstream out(std::ios::binary);
-  RS_RETURN_NOT_OK(writer.Finish(out));
-  return std::move(out).str();
 }
 
 /// Segment filenames are wal-<16 hex digits of first LSN>.rswal so a
@@ -319,17 +317,11 @@ Status FleetJournal::AppendAttempt(const std::string& frame,
   // the retry loop like a real short write.
   RS_RETURN_NOT_OK(fault::Hit("wal.append"));
   CrashPoint("wal.append.head");
-  Status written = WriteAll(fd_, frame.data(), internal::kFrameHeaderBytes,
-                            "append to " + active_path_);
-  if (written.ok()) {
-    // Two write() calls so a crash at the window between them leaves a
-    // genuinely torn record (frame header, no payload) for recovery to cut.
-    CrashPoint("wal.append.torn");
-    written = WriteAll(fd_, frame.data() + internal::kFrameHeaderBytes,
-                       frame.size() - internal::kFrameHeaderBytes,
-                       "append to " + active_path_);
-  }
-  if (!written.ok()) {
+  // Frame header and payload go out in one write(). A crash can still leave
+  // part of it on disk (a short write, or a power cut before the page cache
+  // is flushed); Open cuts such a torn tail back to the last whole record.
+  if (!WriteAll(fd_, frame.data(), frame.size())) {
+    const Status written = Errno("append to " + active_path_);
     // A partial record may be on disk; cut back to the record boundary so a
     // retry (fd_ is O_APPEND — the next write lands at the truncated end,
     // not the stale offset) never produces a half-frame followed by a
@@ -418,8 +410,9 @@ Status FleetJournal::CreateSegment(bool rotating) {
       last = Errno("FleetJournal: cannot create segment " + path);
       continue;
     }
-    last = WriteAll(fd, header.data(), header.size(),
-                    "write header of " + path);
+    last = WriteAll(fd, header.data(), header.size())
+               ? Status::OK()
+               : Errno("write header of " + path);
     if (last.ok() && ::fsync(fd) != 0) {
       last = Errno("fsync " + path);
     }
@@ -455,14 +448,23 @@ Status FleetJournal::Rotate() {
 
 void FleetJournal::Emit(trace::Event&& event) {
   if (!opened_ || !status_.ok()) return;
-  auto payload = EncodePayload(event);
-  if (!payload.ok()) {
-    status_ = payload.status();
-    return;
+  // The payload is a complete rs::persist container holding the one event
+  // (the reader revalidates magic/version/CRC for free), encoded and framed
+  // in buffers reused from the previous record.
+  encoder_.Reset();
+  trace::EncodeEvent(&encoder_, event);
+  internal::BuildFrame(next_lsn_, encoder_.Finish(), &frame_);
+  AppendFrame();
+  if (frame_.size() > kRetainedRecordBytes) {
+    // Swap, not assign: assigning an empty std::string keeps the capacity.
+    persist::Writer().swap(encoder_);
+    std::string().swap(frame_);
   }
-  const std::string frame = internal::BuildFrame(next_lsn_, *payload);
+}
+
+void FleetJournal::AppendFrame() {
   if (active_records_ > 0 &&
-      active_size_ + frame.size() > policy_.segment_bytes) {
+      active_size_ + frame_.size() > policy_.segment_bytes) {
     const Status rotated = Rotate();
     if (!rotated.ok()) {
       status_ = Status(rotated.code(),
@@ -475,7 +477,7 @@ void FleetJournal::Emit(trace::Event&& event) {
   Status appended;
   bool retryable = true;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    appended = AppendAttempt(frame, &retryable);
+    appended = AppendAttempt(frame_, &retryable);
     if (appended.ok() || !retryable) break;
   }
   if (!appended.ok()) {
@@ -484,7 +486,7 @@ void FleetJournal::Emit(trace::Event&& event) {
                          " (append): " + appended.message());
     return;
   }
-  active_size_ += frame.size();
+  active_size_ += frame_.size();
   ++active_records_;
   ++next_lsn_;
   ++records_since_fsync_;
@@ -552,15 +554,14 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
   writer.WriteString(user_meta);
   RS_RETURN_NOT_OK(fleet_->SaveFleetSection(&writer));
   writer.EndSection();
-  std::ostringstream encoded(std::ios::binary);
-  RS_RETURN_NOT_OK(writer.Finish(encoded));
+  const std::string_view encoded = writer.Finish();
 
   // Durable temp-write + rename by hand (not AtomicWriteFile) so the crash
   // windows between the steps are injectable; same persist.* fault sites.
   const std::string path = dir_ + "/checkpoint.rsnp";
   const std::string tmp = path + ".tmp";
   RS_RETURN_NOT_OK(fault::Hit("persist.write"));
-  RS_RETURN_NOT_OK(WriteFileDurable(tmp, encoded.str()));
+  RS_RETURN_NOT_OK(WriteFileDurable(tmp, encoded));
   CrashPoint("wal.checkpoint.tmp");
   RS_RETURN_NOT_OK(fault::Hit("persist.rename"));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {

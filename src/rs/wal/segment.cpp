@@ -41,16 +41,15 @@ void AppendU64Le(std::string* out, std::uint64_t value) {
   }
 }
 
-std::string BuildFrame(std::uint64_t lsn, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  AppendU64Le(&frame, lsn);
-  AppendU32Le(&frame, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = persist::Crc32(frame.data(), 12);
+void BuildFrame(std::uint64_t lsn, std::string_view payload,
+                std::string* frame) {
+  frame->clear();
+  AppendU64Le(frame, lsn);
+  AppendU32Le(frame, static_cast<std::uint32_t>(payload.size()));
+  std::uint32_t crc = persist::Crc32(frame->data(), 12);
   crc = persist::Crc32(payload.data(), payload.size(), crc);
-  AppendU32Le(&frame, crc);
-  frame.append(payload);
-  return frame;
+  AppendU32Le(frame, crc);
+  frame->append(payload);
 }
 
 std::string BuildSegmentHeader(std::uint64_t first_lsn) {
@@ -158,16 +157,21 @@ Status DecodePayload(std::string_view payload, trace::Event* event) {
 }
 
 Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::IoError("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
+  // One sized read straight into the result (segments run to megabytes
+  // and restart reads every one).
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
+    return Status::IoError("cannot size " + path);
+  }
+  in.seekg(0);
+  out->resize(static_cast<std::size_t>(size));
+  if (!in.read(out->data(), size)) {
     return Status::IoError("failed to read " + path);
   }
-  *out = std::move(buffer).str();
   return Status::OK();
 }
 

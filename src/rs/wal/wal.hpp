@@ -52,6 +52,7 @@
 
 #include "rs/api/scaler_fleet.hpp"
 #include "rs/common/status.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/trace/trace.hpp"
 
 namespace rs::wal {
@@ -129,9 +130,14 @@ struct SegmentReport {
 Result<SegmentReport> InspectSegmentFile(const std::string& path);
 
 /// \brief Test-only crash-point hook: called at every named crash window
-///        (wal.append.head, wal.append.torn, wal.fsync.before, ...) so a
+///        (wal.append.head, wal.append.done, wal.fsync.before, ...) so a
 ///        kill-point harness can _Exit mid-operation. Null disarms.
 ///        Not for production use; costs one branch per window when unset.
+///
+/// A record goes out in one write(), so no window falls inside a record;
+/// a harness that wants a torn record cuts the file itself after a kill at
+/// wal.append.done (written, not yet counted), which leaves exactly what a
+/// torn write does.
 using CrashPointHook = void (*)(void* arg, const char* point);
 void SetCrashPointHook(CrashPointHook hook, void* arg);
 
@@ -225,12 +231,16 @@ class FleetJournal final : public trace::EventTap {
   const std::vector<trace::Event>& tail() const { return tail_; }
 
  private:
-  /// Encodes + frames + appends one event; on exhausted retries flips
-  /// status_ to broken. The journal's single write path.
+  /// Encodes + frames one event into frame_ and appends it; on exhausted
+  /// retries flips status_ to broken. The journal's single write path, and
+  /// allocation-free once the reused buffers are warm.
   void Emit(trace::Event&& event) override;
-  /// One framed write. `*retryable` comes back false when a failed attempt
-  /// could not be cut back to the record boundary (retrying would corrupt
-  /// the journal mid-file).
+  /// Rotates if frame_ does not fit, appends it with retries, then applies
+  /// the fsync policy; any exhausted step fail-stops the journal.
+  void AppendFrame();
+  /// One write() of the whole frame. `*retryable` comes back false when a
+  /// failed attempt could not be cut back to the record boundary (retrying
+  /// would corrupt the journal mid-file).
   Status AppendAttempt(const std::string& frame, bool* retryable);
   Status Rotate();
   /// Creates the segment starting at next_lsn_ (header and directory entry
@@ -257,6 +267,9 @@ class FleetJournal final : public trace::EventTap {
   std::uint64_t fsyncs_ = 0;
   std::uint64_t records_since_fsync_ = 0;
   std::chrono::steady_clock::time_point last_fsync_{};
+  /// Emit's reused record payload encoder and frame buffer.
+  persist::Writer encoder_;
+  std::string frame_;
   Status status_ = Status::OK();
   OpenReport open_report_;
   std::uint64_t checkpoint_lsn_ = 0;

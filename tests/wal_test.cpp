@@ -7,13 +7,17 @@
 //    from checkpoint + tail rather than the full history;
 //  * segment rotation and recovery across segment boundaries;
 //  * every fsync policy recovers (kill -9 semantics: the page cache lives);
-//  * recovery edge cases: empty journal, exactly one torn record, checkpoint
-//    LSN past the journal end (stale snapshot + lost journal), and
-//    double-recovery idempotence, and the refusal to Recover through a
-//    journal object that has appended since Open (its tail is stale);
+//  * recovery edge cases: empty journal, exactly one torn record (cut at
+//    every byte offset inside it), checkpoint LSN past the journal end
+//    (stale snapshot + lost journal), and double-recovery idempotence, and
+//    the refusal to Recover through a journal object that has appended
+//    since Open (its tail is stale);
 //  * one event tap: a journal reopened after a session holds exactly the
 //    events a trace::Recorder captured from the same session, byte for
 //    byte (mid-session attach, lifecycle churn, Plan and PlanAll);
+//  * the append path: every segment file equals, byte for byte, the frames
+//    a fresh-encoder-per-record oracle builds for the same session, and a
+//    steady-state Observe append makes zero heap allocations;
 //  * fail-stop degradation under injected wal.append / wal.fsync / wal.rotate
 //    faults: status() goes sticky-broken, serving continues, and the durable
 //    prefix still recovers;
@@ -21,14 +25,18 @@
 //    checkpoint files fail with a clean Status — this file runs under the
 //    ASan/UBSan CI job, which is the real assertion (mirrors persist_test).
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <system_error>
 #include <string>
@@ -41,6 +49,39 @@
 #include "rs/stats/rng.hpp"
 #include "rs/trace/trace.hpp"
 #include "rs/wal/wal.hpp"
+
+// Heap accounting for the append-path tests: this binary's global operator
+// new counts allocations while g_counting_allocations is set, and new/delete
+// always track the live heap bytes they hand out.
+namespace {
+std::atomic<bool> g_counting_allocations{false};
+std::atomic<std::uint64_t> g_heap_allocations{0};
+std::atomic<std::int64_t> g_live_heap_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting_allocations.load(std::memory_order_relaxed)) {
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_heap_bytes.fetch_add(
+      static_cast<std::int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+  return p;
+}
+// Out of line, so GCC does not inline free() against a new-expression and
+// warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap_bytes.fetch_sub(
+      static_cast<std::int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  operator delete(p);
+}
 
 namespace rs::wal {
 namespace {
@@ -143,6 +184,34 @@ void Spit(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+void AppendLe(std::string* out, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+  }
+}
+
+std::uint64_t ReadLe(const std::string& bytes, std::size_t offset,
+                     std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[offset + i]))
+             << (8 * i);
+  }
+  return value;
+}
+
+/// Offset of the last record frame in a segment's bytes (0: no record).
+/// Frames follow the 16-byte header as [lsn u64][len u32][crc u32][payload].
+std::size_t LastFrameOffset(const std::string& bytes) {
+  std::size_t last = 0;
+  for (std::size_t offset = 16; offset + 16 <= bytes.size();
+       offset += 16 + ReadLe(bytes, offset + 8, 4)) {
+    last = offset;
+  }
+  return last;
 }
 
 std::vector<std::string> SegmentFiles(const std::string& dir) {
@@ -330,27 +399,32 @@ TEST(WalRecoveryTest, ExactlyOneTornRecordIsTruncatedAndTheRestReplays) {
     ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
     durable_lsn = journal.last_lsn();
   }
-  // Tear the last record: cut a few bytes off the (single) segment, exactly
-  // what a crash mid-append leaves behind.
+  // Tear the last record of the (single) segment at every byte offset
+  // inside it: each cut is what a crash during its write can leave behind.
   const auto segments = SegmentFiles(dir);
   ASSERT_EQ(segments.size(), 1u);
   const std::string bytes = Slurp(segments[0]);
-  ASSERT_GT(bytes.size(), 5u);
-  Spit(segments[0], bytes.substr(0, bytes.size() - 5));
-
-  FleetJournal journal;
-  ASSERT_TRUE(journal.Open(dir).ok());
-  EXPECT_GT(journal.open_report().truncated_bytes, 0u);
-  EXPECT_EQ(journal.open_report().last_lsn, durable_lsn - 1)
-      << "exactly the torn record is lost";
-  auto fleet = journal.Recover();
-  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-  EXPECT_EQ(fleet->size(), 2u);
-  // The truncation is durable: a second open sees a clean journal.
-  FleetJournal again;
-  ASSERT_TRUE(again.Open(dir).ok());
-  EXPECT_EQ(again.open_report().truncated_bytes, 0u);
-  EXPECT_EQ(again.open_report().last_lsn, durable_lsn - 1);
+  const std::size_t last = LastFrameOffset(bytes);
+  ASSERT_GT(last, 0u);
+  const std::size_t frame_size = bytes.size() - last;
+  for (std::size_t cut = 1; cut < frame_size; ++cut) {
+    SCOPED_TRACE("record cut after " + std::to_string(cut) + " of " +
+                 std::to_string(frame_size) + " bytes");
+    Spit(segments[0], bytes.substr(0, last + cut));
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir).ok());
+    ASSERT_EQ(journal.open_report().truncated_bytes, cut);
+    ASSERT_EQ(journal.open_report().last_lsn, durable_lsn - 1)
+        << "exactly the torn record is lost";
+    auto fleet = journal.Recover();
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    ASSERT_EQ(fleet->size(), 2u);
+    // The truncation is durable: a second open sees a clean journal.
+    FleetJournal again;
+    ASSERT_TRUE(again.Open(dir).ok());
+    ASSERT_EQ(again.open_report().truncated_bytes, 0u);
+    ASSERT_EQ(again.open_report().last_lsn, durable_lsn - 1);
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -511,6 +585,136 @@ TEST(WalTapTest, JournalTailEqualsRecorderCaptureEventForEvent) {
         << "event " << i << " (" << trace::EventKindName(tail[i].kind)
         << ") differs between journal and capture";
   }
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The append path: same bytes as a fresh encoder per record, no allocation.
+// ---------------------------------------------------------------------------
+
+/// The byte oracle: one record framed the way the journal first wrote it —
+/// a fresh persist::Writer finished through an ostringstream (EncodedEvent),
+/// then [lsn u64][len u32][crc u32] + a copy of that payload.
+std::string OracleFrame(std::uint64_t lsn, const trace::Event& event) {
+  const std::string payload = EncodedEvent(event);
+  std::string frame;
+  AppendLe(&frame, lsn, 8);
+  AppendLe(&frame, payload.size(), 4);
+  std::uint32_t crc = persist::Crc32(frame.data(), 12);
+  crc = persist::Crc32(payload.data(), payload.size(), crc);
+  AppendLe(&frame, crc, 4);
+  return frame + payload;
+}
+
+TEST(WalAppendTest, SegmentFilesEqualTheFreshEncoderOracleByteForByte) {
+  // The event stream, from a Recorder serving the same session.
+  trace::Recorder recorder("wal_test byte oracle");
+  ServeEveryCallback(&recorder);
+  const trace::Capture capture = recorder.TakeCapture();
+
+  // Small segments: the session's scaler snapshots force rotations.
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  policy.segment_bytes = 4096;
+  const std::string dir = TempDir("byte_oracle");
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir, policy).ok());
+    ServeEveryCallback(&journal);
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    ASSERT_EQ(journal.last_lsn(), capture.events.size());
+  }
+
+  // Expected segments: "RSWJ", version 1, first LSN, then whole frames; a
+  // frame that would overflow a non-empty segment starts the next one.
+  std::vector<std::string> expected;
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < capture.events.size(); ++i) {
+    const std::uint64_t lsn = i + 1;
+    const std::string frame = OracleFrame(lsn, capture.events[i]);
+    if (expected.empty() ||
+        (records > 0 &&
+         expected.back().size() + frame.size() > policy.segment_bytes)) {
+      expected.emplace_back("RSWJ");
+      AppendLe(&expected.back(), 1, 4);
+      AppendLe(&expected.back(), lsn, 8);
+      records = 0;
+    }
+    expected.back() += frame;
+    ++records;
+  }
+  ASSERT_GE(expected.size(), 2u) << "the session must rotate segments";
+
+  const auto segments = SegmentFiles(dir);
+  ASSERT_EQ(segments.size(), expected.size());
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_TRUE(Slurp(segments[i]) == expected[i])
+        << segments[i] << " differs from the oracle's bytes";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalAppendTest, SteadyStateObserveAppendMakesNoHeapAllocation) {
+  const std::string dir = TempDir("alloc_pin");
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir, policy).ok());
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
+  const std::string& tenant = Tenants()[0];
+  const std::uint64_t lsn_before = journal.last_lsn();
+  api::Scaler::ObserveOutcome outcome;
+  journal.OnObserve(tenant, 1.0, outcome);  // Warms the reused buffers.
+
+  g_heap_allocations.store(0);
+  g_counting_allocations.store(true);
+  for (int i = 1; i < 1000; ++i) {
+    outcome.cold_start = i % 2 == 0;
+    journal.OnObserve(tenant, 1.0 + 0.001 * i, outcome);
+  }
+  g_counting_allocations.store(false);
+
+  EXPECT_EQ(g_heap_allocations.load(), 0u)
+      << "heap allocations in 999 steady-state Observe appends";
+  EXPECT_TRUE(journal.status().ok()) << journal.status().ToString();
+  EXPECT_EQ(journal.last_lsn(), lsn_before + 1000);
+  journal.Detach();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
+  const std::string dir = TempDir("bounded_buffers");
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir, policy).ok());
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
+  // A PlanAll over a large fleet: one record far larger than an Observe,
+  // the way a scaler snapshot is.
+  std::vector<ScalerFleet::TenantPlan> plans(200);
+  for (ScalerFleet::TenantPlan& plan : plans) {
+    plan.tenant = Tenants()[0];
+    plan.action.creation_times.assign(16, 3.0);
+  }
+  const std::vector<api::TapClockMark> clocks(plans.size());
+  const std::string segment = SegmentFiles(dir).back();
+  const std::uintmax_t size_before = std::filesystem::file_size(segment);
+  const std::int64_t live_before = g_live_heap_bytes.load();
+  journal.OnPlanAll(2.0, plans, clocks);
+  const std::int64_t retained = g_live_heap_bytes.load() - live_before;
+  const std::uintmax_t record =
+      std::filesystem::file_size(segment) - size_before;
+
+  ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+  ASSERT_GT(record, 16u << 10);
+  EXPECT_LT(retained, static_cast<std::int64_t>(record / 4))
+      << "the journal still holds " << retained << " heap bytes after a "
+      << record << "-byte record";
+  journal.Detach();
   std::filesystem::remove_all(dir);
 }
 

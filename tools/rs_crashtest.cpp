@@ -6,10 +6,17 @@
 /// forks a victim child that serves a fixed deterministic schedule through
 /// a journaled fleet and `_Exit(3)`s — no destructors, no flushes, the
 /// in-process equivalent of kill -9 — at the K-th crash-point window
-/// (wal.append.head/.torn/.done, wal.fsync.before/.after, wal.rotate.*,
+/// (wal.append.head/.done, wal.fsync.before/.after, wal.rotate.*,
 /// wal.checkpoint.* including the rename window, plus a "serve.op"
-/// boundary point before every operation). The parent then, for every
-/// worker count in --workers:
+/// boundary point before every operation).
+///
+/// The journal writes each record with one write(), so no window falls
+/// inside a record. The harness makes the torn record itself: when the
+/// victim dies at wal.append.done (record written, LSN not yet advanced),
+/// the parent cuts the active segment at a seeded offset strictly inside
+/// that last frame — what a torn single write leaves on disk. The matrix
+/// fails if no kill point produced a torn-tail repair. The parent then,
+/// for every worker count in --workers:
 ///
 ///   * reopens the journal directory (scan + torn-tail repair),
 ///   * recovers (checkpoint snapshot + journal-tail replay), and
@@ -38,13 +45,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -165,10 +175,18 @@ wal::JournalPolicy VictimPolicy() {
 std::uint64_t g_crash_count = 0;
 std::uint64_t g_crash_limit = 0;  ///< 0: count only (probe mode).
 
-void CrashHook(void*, const char*) {
+/// Victim exit codes: killed at a crash window, or killed at
+/// wal.append.done (the parent then tears the record just written).
+constexpr int kExitCrashed = 3;
+constexpr int kExitCrashedAfterAppend = 4;
+
+void CrashHook(void*, const char* point) {
   ++g_crash_count;
   if (g_crash_limit != 0 && g_crash_count == g_crash_limit) {
-    std::_Exit(3);  // No destructors, no flushes: kill -9 semantics.
+    // No destructors, no flushes: kill -9 semantics.
+    std::_Exit(std::strcmp(point, "wal.append.done") == 0
+                   ? kExitCrashedAfterAppend
+                   : kExitCrashed);
   }
 }
 
@@ -221,6 +239,44 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+std::uint64_t ReadLe(const std::string& bytes, std::size_t offset,
+                     std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[offset + i]))
+             << (8 * i);
+  }
+  return value;
+}
+
+/// Tears the journal's last record: cuts the active (last) segment at a
+/// seeded offset strictly inside its last frame, as a torn write would.
+/// Frames follow the 16-byte segment header as [lsn u64][len u32]
+/// [crc u32][payload] (docs/WAL_FORMAT.md).
+void TearLastRecord(const std::string& dir, std::uint64_t* stream) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) segments.push_back(entry.path().string());
+  }
+  RS_CHECK(!segments.empty()) << "no journal segment in " << dir;
+  const std::string path = *std::max_element(segments.begin(), segments.end());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::size_t last = 0;
+  for (std::size_t offset = 16; offset + 16 <= bytes.size();
+       offset += 16 + ReadLe(bytes, offset + 8, 4)) {
+    last = offset;
+  }
+  RS_CHECK(last != 0) << path << " holds no record to tear";
+  const std::size_t frame_size = bytes.size() - last;
+  const std::size_t cut = last + 1 + SplitMix64(stream) % (frame_size - 1);
+  fs::resize_file(path, cut);
+}
+
 int RunMatrix(const Options& options) {
   namespace fs = std::filesystem;
   const std::size_t total_ops = 3 * options.steps;
@@ -265,6 +321,7 @@ int RunMatrix(const Options& options) {
   std::size_t crashed = 0;
   std::size_t survived = 0;
   std::size_t torn_repairs = 0;
+  std::uint64_t tear_stream = ~options.seed;  // Apart from the kill points'.
   std::size_t dropped_segments = 0;
   std::size_t with_checkpoint = 0;
   for (std::size_t n = 0; n < kill_points.size(); ++n) {
@@ -280,12 +337,14 @@ int RunMatrix(const Options& options) {
     }
     int wstatus = 0;
     RS_CHECK(waitpid(pid, &wstatus, 0) == pid);
-    RS_CHECK(WIFEXITED(wstatus) &&
-             (WEXITSTATUS(wstatus) == 3 || WEXITSTATUS(wstatus) == 0))
+    const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    RS_CHECK(code == 0 || code == kExitCrashed ||
+             code == kExitCrashedAfterAppend)
         << "victim died abnormally (status " << wstatus << ") at kill point "
         << k;
-    const bool did_crash = WEXITSTATUS(wstatus) == 3;
-    did_crash ? ++crashed : ++survived;
+    code != 0 ? ++crashed : ++survived;
+    const bool tore = code == kExitCrashedAfterAppend;
+    if (tore) TearLastRecord(dir, &tear_stream);
 
     // Recover + continue under every worker count; each must match the
     // control run byte-for-byte from its resume point.
@@ -295,6 +354,8 @@ int RunMatrix(const Options& options) {
       const Status opened = journal.Open(dir, VictimPolicy());
       RS_CHECK(opened.ok()) << "kill point " << k << ": " << opened.ToString();
       if (workers == options.workers.front()) {
+        RS_CHECK(!tore || journal.open_report().truncated_bytes > 0)
+            << "kill point " << k << ": Open did not repair the torn record";
         torn_repairs += journal.open_report().truncated_bytes > 0 ? 1 : 0;
         dropped_segments += journal.open_report().dropped_segments;
         with_checkpoint += journal.open_report().had_checkpoint ? 1 : 0;
@@ -347,6 +408,9 @@ int RunMatrix(const Options& options) {
     }
   }
   if (!options.keep) fs::remove_all(options.dir, ignored);
+  RS_CHECK(torn_repairs > 0)
+      << "no kill point produced a torn tail, so the matrix did not cover "
+         "torn-record repair; raise --points";
 
   std::printf(
       "rs_crashtest: PASS — %zu kill points, every recovery byte-identical "

@@ -5,8 +5,9 @@
 // serving loop only. Reported per policy:
 //
 //   append_overhead  — serve_on_s / serve_off_s, the journal's whole
-//                      serving tax (encode + frame + CRC + write + policy
-//                      fsyncs) as a within-run ratio, machine cancelled;
+//                      serving tax (encode + frame + CRC + copy into the
+//                      mapped segment + policy fsyncs) as a within-run
+//                      ratio, machine cancelled;
 //   bytes_per_event  — on-disk journal bytes / events appended (the wire
 //                      format's cost; moves only when the encoding or the
 //                      framing changes);
@@ -166,12 +167,16 @@ void ServeSteps(api::ScalerFleet* fleet, const Options& options,
   }
 }
 
+/// Record bytes of every segment: the live segment is preallocated, so its
+/// file size would count padding.
 std::uint64_t JournalBytes(const std::string& dir) {
   std::uint64_t total = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("wal-", 0) == 0) {
-      total += static_cast<std::uint64_t>(entry.file_size());
+      auto segment = wal::InspectSegmentFile(entry.path().string());
+      RS_CHECK(segment.ok()) << segment.status().ToString();
+      total += segment->bytes;
     }
   }
   return total;

@@ -58,7 +58,10 @@ struct SegmentScan {
   std::size_t records = 0;
   std::uint64_t last_lsn = 0;   ///< 0 when the segment holds no records.
   std::size_t valid_bytes = 0;  ///< Offset where intact data ends.
-  std::size_t torn_bytes = 0;   ///< Bytes past valid_bytes (torn tail).
+  std::size_t torn_bytes = 0;   ///< From valid_bytes through the last
+                                ///< non-zero byte (torn tail).
+  std::size_t padding_bytes = 0;  ///< The all-zero run after the torn tail
+                                  ///< (preallocation a killed writer left).
 };
 
 /// \brief Walks one segment's bytes: validates the header, then every
@@ -67,10 +70,12 @@ struct SegmentScan {
 ///
 /// The first invalid record is the end of the log (the standard WAL rule: a
 /// torn tail is only ever the *final* write, so nothing after the first
-/// break is trustworthy). With `allow_torn_tail` the break is reported via
-/// torn_bytes; without it (a segment that is not the journal's last) it is
-/// a hard error. `expected_first_lsn` 0 accepts any header LSN. An
-/// `on_record` error aborts the scan as corruption, never a torn tail.
+/// break is trustworthy). With `allow_torn_tail` the bytes from the break
+/// on are reported as torn_bytes up to the last non-zero byte and as
+/// padding_bytes after it; without it (a segment that is not the journal's
+/// last) any break, padding included, is a hard error.
+/// `expected_first_lsn` 0 accepts any header LSN. An `on_record` error
+/// aborts the scan as corruption, never a torn tail.
 Result<SegmentScan> ScanSegmentBytes(
     std::string_view bytes, bool allow_torn_tail,
     std::uint64_t expected_first_lsn,

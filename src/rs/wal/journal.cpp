@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <system_error>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -45,8 +46,7 @@ Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-/// Writes all `size` bytes; false (errno set) on failure. Callers build
-/// the error text only then, so a successful write allocates nothing.
+/// Writes all `size` bytes; false (errno set) on failure.
 bool WriteAll(int fd, const char* data, std::size_t size) {
   while (size > 0) {
     const ssize_t n = ::write(fd, data, size);
@@ -58,6 +58,28 @@ bool WriteAll(int fd, const char* data, std::size_t size) {
     size -= static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Preallocates `fd`'s file to at least `bytes` and maps its first `bytes`
+/// shared, so appends are stores into the page cache. Space runs out here,
+/// as a Status, never later as a SIGBUS on a store. Linux's
+/// posix_fallocate writes zeros where the filesystem cannot allocate, so
+/// the bytes past the data end always read as zero.
+Status MapSegment(int fd, std::uint64_t bytes, const std::string& path,
+                  char** map) {
+  int rc;
+  do {
+    rc = ::posix_fallocate(fd, 0, static_cast<off_t>(bytes));
+  } while (rc == EINTR);
+  if (rc != 0) {
+    return Status::IoError("preallocate " + std::to_string(bytes) +
+                           " bytes for " + path + ": " + std::strerror(rc));
+  }
+  void* mapped =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  if (mapped == MAP_FAILED) return Errno("map " + path);
+  *map = static_cast<char*>(mapped);
+  return Status::OK();
 }
 
 Status WriteFileDurable(const std::string& path, std::string_view bytes) {
@@ -124,8 +146,18 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "unknown";
 }
 
-FleetJournal::~FleetJournal() {
-  if (fd_ >= 0) ::close(fd_);
+FleetJournal::~FleetJournal() { ReleaseActive(); }
+
+void FleetJournal::ReleaseActive() {
+  if (map_ != nullptr) ::munmap(map_, map_bytes_);
+  map_ = nullptr;
+  if (fd_ < 0) return;
+  // Drops the preallocated padding so a closed segment holds exactly its
+  // records. A failed cut leaves zero padding, which readers accept on the
+  // last segment; rotation cuts (and fails on error) before this runs.
+  (void)::ftruncate(fd_, static_cast<off_t>(active_size_));
+  ::close(fd_);
+  fd_ = -1;
 }
 
 std::string FleetJournal::SegmentPath(std::uint64_t first_lsn) const {
@@ -247,35 +279,12 @@ Status FleetJournal::Open(const std::string& dir,
             "checkpoint, or the checkpoint was rolled back)");
       }
     }
-    if (scan->torn_bytes > 0) {
-      // Torn tail from a crash mid-append: cut the file back to the last
-      // intact record boundary, durably.
-      const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd < 0) {
-        return Errno("FleetJournal::Open: cannot reopen " + path +
-                     " to truncate its torn tail");
-      }
-      if (::ftruncate(fd, static_cast<off_t>(scan->valid_bytes)) != 0) {
-        const Status error =
-            Errno("FleetJournal::Open: cannot truncate torn tail of " + path);
-        ::close(fd);
-        return error;
-      }
-      if (::fsync(fd) != 0) {
-        const Status error =
-            Errno("FleetJournal::Open: cannot fsync " + path +
-                  " after truncating its torn tail");
-        ::close(fd);
-        return error;
-      }
-      ::close(fd);
-      open_report_.truncated_bytes += scan->torn_bytes;
-    }
     segments_.emplace_back(scan->first_lsn, path);
     expected = scan->records > 0 ? scan->last_lsn + 1 : scan->first_lsn;
     if (last) {
       active_size_ = scan->valid_bytes;
       active_records_ = scan->records;
+      open_report_.truncated_bytes = scan->torn_bytes;
     }
   }
 
@@ -292,11 +301,22 @@ Status FleetJournal::Open(const std::string& dir,
     RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/false));
   } else {
     active_path_ = segments_.back().second;
-    fd_ = ::open(active_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    fd_ = ::open(active_path_.c_str(), O_RDWR | O_CLOEXEC);
     if (fd_ < 0) {
       return Errno("FleetJournal::Open: cannot open active segment " +
                    active_path_);
     }
+    // A torn tail from a crash mid-append is cut back to the last intact
+    // record, durably. Zero padding alone needs no repair: appends go over
+    // it.
+    if (open_report_.truncated_bytes > 0 &&
+        (::ftruncate(fd_, static_cast<off_t>(active_size_)) != 0 ||
+         ::fsync(fd_) != 0)) {
+      return Errno("FleetJournal::Open: cannot cut the torn tail of " +
+                   active_path_);
+    }
+    map_bytes_ = std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
+    RS_RETURN_NOT_OK(MapSegment(fd_, map_bytes_, active_path_, &map_));
   }
 
   records_since_fsync_ = 0;
@@ -310,37 +330,24 @@ Status FleetJournal::Open(const std::string& dir,
   return Status::OK();
 }
 
-Status FleetJournal::AppendAttempt(const std::string& frame,
-                                   bool* retryable) {
-  *retryable = true;
+Status FleetJournal::AppendAttempt() {
   // Direct Hit() rather than RS_FAULT_POINT: the injected error must feed
-  // the retry loop like a real short write.
+  // the retry loop like a real failed append.
   RS_RETURN_NOT_OK(fault::Hit("wal.append"));
   CrashPoint("wal.append.head");
-  // Frame header and payload go out in one write(). A crash can still leave
-  // part of it on disk (a short write, or a power cut before the page cache
-  // is flushed); Open cuts such a torn tail back to the last whole record.
-  if (!WriteAll(fd_, frame.data(), frame.size())) {
-    const Status written = Errno("append to " + active_path_);
-    // A partial record may be on disk; cut back to the record boundary so a
-    // retry (fd_ is O_APPEND — the next write lands at the truncated end,
-    // not the stale offset) never produces a half-frame followed by a
-    // fresh frame. If the cut itself fails the half-frame is stuck
-    // mid-file and any retry would bury it under a new record, corrupting
-    // the journal where recovery cannot repair it: unretryable.
-    int rc;
-    do {
-      rc = ::ftruncate(fd_, static_cast<off_t>(active_size_));
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-      *retryable = false;
-      return Status(written.code(),
-                    written.message() + "; and the partial record cannot be "
-                                        "cut back (ftruncate: " +
-                        std::strerror(errno) + ")");
-    }
-    return written;
+  const std::uint64_t end = active_size_ + frame_.size();
+  if (end > map_bytes_) {
+    // Only a record larger than the segment's preallocation gets here.
+    char* grown = nullptr;
+    RS_RETURN_NOT_OK(MapSegment(fd_, end, active_path_, &grown));
+    ::munmap(map_, map_bytes_);
+    map_ = grown;
+    map_bytes_ = end;
   }
+  // The store lands in the page cache, as a write() would: it survives the
+  // process, and fsync(fd_) writes it back. A crash mid-copy leaves part of
+  // the frame before zeros, which Open cuts back as a torn tail.
+  std::memcpy(map_ + active_size_, frame_.data(), frame_.size());
   CrashPoint("wal.append.done");
   return Status::OK();
 }
@@ -391,21 +398,19 @@ Status FleetJournal::MaybeFsync() {
 Status FleetJournal::CreateSegment(bool rotating) {
   const std::string path = SegmentPath(next_lsn_);
   const std::string header = internal::BuildSegmentHeader(next_lsn_);
+  const std::uint64_t map_bytes = std::max<std::uint64_t>(
+      policy_.segment_bytes, internal::kSegmentHeaderBytes);
   Status last;
   int fd = -1;
+  char* map = nullptr;
   for (int attempt = 0; attempt < (rotating ? kAttempts : 1); ++attempt) {
     if (rotating) {
       last = fault::Hit("wal.rotate");
       if (!last.ok()) continue;
     }
     // O_TRUNC: a previous crashed attempt may have left a partial file
-    // here; restart it cleanly. O_APPEND like every segment fd: writes land
-    // at EOF regardless of the file offset, so the post-failure ftruncate
-    // in AppendAttempt never leaves a zero-filled hole under a retried
-    // frame.
-    fd = ::open(path.c_str(),
-                O_WRONLY | O_APPEND | O_CREAT | O_TRUNC | O_CLOEXEC,
-                0644);
+    // here; restart it cleanly.
+    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) {
       last = Errno("FleetJournal: cannot create segment " + path);
       continue;
@@ -416,6 +421,7 @@ Status FleetJournal::CreateSegment(bool rotating) {
     if (last.ok() && ::fsync(fd) != 0) {
       last = Errno("fsync " + path);
     }
+    if (last.ok()) last = MapSegment(fd, map_bytes, path, &map);
     if (last.ok()) break;
     ::close(fd);
     fd = -1;
@@ -424,11 +430,14 @@ Status FleetJournal::CreateSegment(bool rotating) {
   if (rotating) CrashPoint("wal.rotate.created");
   const Status synced = persist::FsyncParentDir(path);
   if (!synced.ok()) {
+    ::munmap(map, map_bytes);
     ::close(fd);
     return synced;
   }
-  if (fd_ >= 0) ::close(fd_);
+  ReleaseActive();
   fd_ = fd;
+  map_ = map;
+  map_bytes_ = map_bytes;
   active_path_ = path;
   active_size_ = internal::kSegmentHeaderBytes;
   active_records_ = 0;
@@ -438,8 +447,12 @@ Status FleetJournal::CreateSegment(bool rotating) {
 
 Status FleetJournal::Rotate() {
   CrashPoint("wal.rotate.begin");
-  // The outgoing segment must be fully durable before the journal moves
-  // on — rotation is rare, so this syncs under every policy.
+  // The outgoing segment is cut to its data end and then made fully
+  // durable before the journal moves on, so retired segments carry no
+  // padding. Rotation is rare, so this syncs under every policy.
+  if (::ftruncate(fd_, static_cast<off_t>(active_size_)) != 0) {
+    return Errno("truncate " + active_path_ + " to its data end");
+  }
   RS_RETURN_NOT_OK(FsyncActive());
   RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/true));
   CrashPoint("wal.rotate.done");
@@ -475,10 +488,9 @@ void FleetJournal::AppendFrame() {
     }
   }
   Status appended;
-  bool retryable = true;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    appended = AppendAttempt(frame_, &retryable);
-    if (appended.ok() || !retryable) break;
+    appended = AppendAttempt();
+    if (appended.ok()) break;
   }
   if (!appended.ok()) {
     status_ = Status(appended.code(),

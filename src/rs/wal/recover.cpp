@@ -186,8 +186,8 @@ Result<SegmentReport> InspectSegmentFile(const std::string& path) {
     return Status(decoded.code(), "record LSN " + std::to_string(lsn) + ": " +
                                       decoded.message());
   };
-  // A torn tail is legal here (a crash mid-append leaves one; recovery
-  // truncates it) — only pre-tail corruption fails.
+  // A torn tail and zero padding are legal here (a crash mid-append leaves
+  // them; recovery truncates the tail) — only pre-tail corruption fails.
   auto scan =
       internal::ScanSegmentBytes(bytes, /*allow_torn_tail=*/true,
                                  /*expected_first_lsn=*/0, on_record);
@@ -199,8 +199,9 @@ Result<SegmentReport> InspectSegmentFile(const std::string& path) {
   result.first_lsn = scan->first_lsn;
   result.last_lsn = scan->last_lsn;
   result.records = scan->records;
-  result.bytes = bytes.size();
+  result.bytes = bytes.size() - scan->padding_bytes;
   result.torn_tail_bytes = scan->torn_bytes;
+  result.padding_bytes = scan->padding_bytes;
   return result;
 }
 

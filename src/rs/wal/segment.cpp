@@ -100,17 +100,24 @@ Result<SegmentScan> ScanSegmentBytes(
   std::uint64_t expected = scan.first_lsn;
   std::size_t offset = kSegmentHeaderBytes;
   // The first invalid record ends the log: a crash can only tear the final
-  // write, so nothing past the break is trustworthy framing.
+  // write, so nothing past the break is trustworthy framing. Past the last
+  // non-zero byte lies the zero padding of a preallocated active segment.
   const auto broken = [&](const char* why) -> Result<SegmentScan> {
+    const std::size_t last_nonzero =
+        bytes.substr(offset).find_last_not_of('\0');
+    const std::size_t torn =
+        last_nonzero == std::string_view::npos ? 0 : last_nonzero + 1;
     if (allow_torn_tail) {
       scan.valid_bytes = offset;
-      scan.torn_bytes = bytes.size() - offset;
+      scan.torn_bytes = torn;
+      scan.padding_bytes = bytes.size() - offset - torn;
       return scan;
     }
     std::ostringstream msg;
-    msg << "journal segment corrupt at byte offset " << offset << ": " << why
+    msg << "journal segment corrupt at byte offset " << offset << ": "
+        << (torn == 0 ? "zero padding" : why)
         << " (not the journal's last segment, so this cannot be a torn "
-           "tail left by a crash)";
+           "tail or padding left by a crash)";
     return Status::Invalid(msg.str());
   };
 

@@ -33,13 +33,31 @@
 /// failures (fault sites wal.append / wal.fsync / wal.rotate, stormed by
 /// MakeStormPlan) are retried, then the journal fail-stops — status()
 /// turns sticky-broken, serving continues unjournaled, and recovery still
-/// replays the durable prefix. Two failures skip the retries and fail-stop
-/// at once, because retrying would lie: a real fsync() error (Linux may
-/// drop the dirty pages, so a later fsync returning 0 proves nothing —
-/// "fsyncgate") and a partial append whose cut-back ftruncate failed
-/// (retrying would bury the half-frame mid-file). docs/WAL_FORMAT.md is the normative on-disk
-/// spec (machine-checked by tools/trace_spec_check.py);
-/// docs/ARCHITECTURE.md describes the recovery state machine.
+/// replays the durable prefix. A real fsync() error skips the retries and
+/// fail-stops at once, because retrying would lie: Linux may drop the dirty
+/// pages, so a later fsync returning 0 proves nothing ("fsyncgate").
+///
+/// Where the bytes live: the active segment is preallocated to
+/// JournalPolicy::segment_bytes and mapped MAP_SHARED, and an append is one
+/// memcpy into that mapping — the same page cache a write() fills, so a
+/// record is out of the process when Emit returns, and fsync(2) on the
+/// segment writes it back. Closing or rotating a segment truncates it to
+/// its data end; a killed process leaves the zero padding, which readers
+/// skip on the journal's last segment (docs/WAL_FORMAT.md §2.3).
+///
+/// Residual risk of the mapping: a few I/O failures arrive as SIGBUS, not
+/// as a fail-stop Status — a page read back in with EIO after writeback
+/// evicted it, or another process truncating the segment. Either kills the
+/// process, which the journal already recovers from. Running out of space
+/// is not among them: preallocation reports it as a Status when a segment
+/// is created or grown.
+/// (Crotty, Leis & Pavlo, "Are You Sure You Want to Use MMAP in Your
+/// Database Management System?", CIDR 2022, lists the general caveats; for
+/// an append-only log only error handling applies.)
+///
+/// docs/WAL_FORMAT.md is the normative on-disk spec (machine-checked by
+/// tools/trace_spec_check.py); docs/ARCHITECTURE.md describes the recovery
+/// state machine.
 #pragma once
 
 #include <chrono>
@@ -63,7 +81,8 @@ enum class FsyncPolicy : std::uint8_t {
   kEveryN,       ///< fsync every `fsync_every_n` records.
   kEveryT,       ///< fsync when `fsync_every_s` elapsed since the last one.
   kNone,         ///< Never fsync on append: zero-loss through kill -9 only
-                 ///< (the OS page cache survives the process), not power
+                 ///< (the appended records sit in the OS page cache, via the
+                 ///< shared mapping, which survives the process), not power
                  ///< loss. Rotation and checkpoint still sync.
 };
 
@@ -76,6 +95,7 @@ struct JournalPolicy {
                                      ///< clock — avoid in parity tests).
   /// Rotate to a fresh segment once the active one exceeds this (a record
   /// never spans segments; tests shrink it to force rotation windows).
+  /// Also the preallocation of the active segment's mapping.
   std::uint64_t segment_bytes = 4ull << 20;
   /// Checkpoint() deletes segments fully covered by the checkpoint LSN
   /// (the active segment is always kept, preserving the invariant that
@@ -91,7 +111,8 @@ struct OpenReport {
   std::uint64_t checkpoint_lsn = 0;
   std::size_t tail_events = 0;       ///< Decoded events past the checkpoint.
   std::size_t truncated_bytes = 0;   ///< Torn tail dropped from the last
-                                     ///< segment (crash mid-append).
+                                     ///< segment (crash mid-append); zero
+                                     ///< padding is not counted.
   std::size_t dropped_segments = 0;  ///< Header-only/torn trailing segments
                                      ///< dropped (crash mid-rotation).
   std::size_t removed_tmp_files = 0; ///< Orphaned `*.tmp` swept.
@@ -118,9 +139,11 @@ struct SegmentReport {
   std::uint64_t first_lsn = 0;
   std::uint64_t last_lsn = 0;        ///< 0 when the segment holds no records.
   std::size_t records = 0;
-  std::size_t bytes = 0;             ///< File size.
+  std::size_t bytes = 0;             ///< File size minus padding_bytes.
   std::size_t torn_tail_bytes = 0;   ///< Trailing torn record (legal: a
                                      ///< crash mid-append leaves one).
+  std::size_t padding_bytes = 0;     ///< Zero preallocation after the torn
+                                     ///< tail (a killed writer leaves it).
 };
 
 /// \brief Verifies one journal segment file: header magic/version, per-
@@ -134,9 +157,9 @@ Result<SegmentReport> InspectSegmentFile(const std::string& path);
 ///        kill-point harness can _Exit mid-operation. Null disarms.
 ///        Not for production use; costs one branch per window when unset.
 ///
-/// A record goes out in one write(), so no window falls inside a record;
+/// A record goes out in one memcpy, so no window falls inside a record;
 /// a harness that wants a torn record cuts the file itself after a kill at
-/// wal.append.done (written, not yet counted), which leaves exactly what a
+/// wal.append.done (copied, not yet counted), which leaves exactly what a
 /// torn write does.
 using CrashPointHook = void (*)(void* arg, const char* point);
 void SetCrashPointHook(CrashPointHook hook, void* arg);
@@ -238,16 +261,20 @@ class FleetJournal final : public trace::EventTap {
   /// Rotates if frame_ does not fit, appends it with retries, then applies
   /// the fsync policy; any exhausted step fail-stops the journal.
   void AppendFrame();
-  /// One write() of the whole frame. `*retryable` comes back false when a
-  /// failed attempt could not be cut back to the record boundary (retrying
-  /// would corrupt the journal mid-file).
-  Status AppendAttempt(const std::string& frame, bool* retryable);
+  /// Copies frame_ into the mapping at active_size_, first growing the
+  /// file and mapping when one record outsizes the preallocation.
+  Status AppendAttempt();
+  /// Truncates the active segment to its data end, syncs it, and makes a
+  /// fresh segment active.
   Status Rotate();
   /// Creates the segment starting at next_lsn_ (header and directory entry
-  /// synced) and makes it active. `rotating` retries under the wal.rotate
-  /// fault site and fires the wal.rotate.created crash window; Open's
-  /// first segment makes one attempt and hits neither.
+  /// synced, file preallocated and mapped) and makes it active. `rotating`
+  /// retries under the wal.rotate fault site and fires the
+  /// wal.rotate.created crash window; Open's first segment makes one
+  /// attempt and hits neither.
   Status CreateSegment(bool rotating);
+  /// Unmaps the active segment, truncates it to its data end and closes it.
+  void ReleaseActive();
   Status MaybeFsync();
   Status FsyncActive();
   Status LoadCheckpointMeta(const std::string& path);
@@ -256,9 +283,11 @@ class FleetJournal final : public trace::EventTap {
   std::string dir_;
   JournalPolicy policy_;
   bool opened_ = false;
-  int fd_ = -1;                   ///< Active segment, O_APPEND.
+  int fd_ = -1;                   ///< Active segment, O_RDWR.
+  char* map_ = nullptr;           ///< Active segment's shared mapping.
+  std::uint64_t map_bytes_ = 0;   ///< Mapped (and preallocated) length.
   std::string active_path_;
-  std::uint64_t active_size_ = 0; ///< Active segment size on disk.
+  std::uint64_t active_size_ = 0; ///< Active segment's data end.
   std::uint64_t active_records_ = 0;
   std::uint64_t next_lsn_ = 1;
   /// next_lsn_ as Open() left it; Recover refuses once appends outrun the

@@ -121,6 +121,47 @@ TEST(PersistCodecTest, RngStateRoundTripContinuesBitForBit) {
   }
 }
 
+/// Bitwise CRC-32 (IEEE reflected): the reference the sliced kernel must
+/// match byte for byte.
+std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(PersistCrcTest, SlicedKernelMatchesTheBitwiseReference) {
+  EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(persist::Crc32(nullptr, 0), 0u);
+
+  stats::Rng rng(20220414);
+  std::vector<unsigned char> buffer(4096 + 8);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextBounded(256));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = rng.NextBounded(4097);
+    const auto seed = static_cast<std::uint32_t>(rng.NextUint64());
+    for (std::size_t align = 0; align < 8; ++align) {
+      const unsigned char* data = buffer.data() + align;
+      ASSERT_EQ(persist::Crc32(data, len, seed),
+                ReferenceCrc32(data, len, seed))
+          << "length " << len << ", alignment " << align;
+    }
+    // Chaining: a CRC split at any point equals the one-shot CRC.
+    const std::size_t cut = rng.NextBounded(len + 1);
+    const std::uint32_t head = persist::Crc32(buffer.data(), cut);
+    EXPECT_EQ(persist::Crc32(buffer.data() + cut, len - cut, head),
+              ReferenceCrc32(buffer.data(), len, 0))
+        << "length " << len << " chained at " << cut;
+  }
+}
+
 TEST(PersistCodecTest, DurationDistributionRawParamsRoundTrip) {
   // LogNormal's public factory converts mean/cv to (mu, sigma); the raw
   // accessors must round-trip the internal parameters bit-exactly.

@@ -40,8 +40,12 @@
 #include <sstream>
 #include <system_error>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "rs/api/api.hpp"
 #include "rs/fault/fault.hpp"
@@ -328,6 +332,69 @@ TEST(WalRecoveryTest, EveryFsyncPolicyRecoversAfterProcessCrash) {
   }
 }
 
+TEST(WalRecoveryTest, KilledWriterLeavesPaddingAndLosesNoRecord) {
+  // A forked child journals under kNone and _Exits: no destructor runs, so
+  // the segment is never unmapped or cut and ends in zero padding.
+  constexpr int kObserves = 500;
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  policy.segment_bytes = 64 << 10;
+  const std::string dir = TempDir("killed");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    FleetJournal journal;
+    ScalerFleet fleet(0);
+    RegisterTenants(&fleet);
+    const bool ready =
+        journal.Open(dir, policy).ok() && EnableJournal(&fleet, &journal).ok();
+    for (int i = 0; ready && i < kObserves; ++i) {
+      (void)fleet.Observe(Tenants()[i % 2], 0.01 * i);
+    }
+    std::_Exit(ready && journal.status().ok() ? 0 : 1);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) << wstatus;
+  const std::uint64_t journaled = 2 + kObserves;  // Two registrations.
+
+  const std::string segment = SegmentFiles(dir).back();
+  ASSERT_EQ(std::filesystem::file_size(segment), policy.segment_bytes);
+  auto killed = InspectSegmentFile(segment);
+  ASSERT_TRUE(killed.ok()) << killed.status().ToString();
+  EXPECT_EQ(killed->last_lsn, journaled);
+  EXPECT_EQ(killed->torn_tail_bytes, 0u);
+  EXPECT_EQ(killed->bytes + killed->padding_bytes, policy.segment_bytes);
+
+  ScalerFleet control(0);
+  RegisterTenants(&control);
+  for (int i = 0; i < kObserves; ++i) {
+    ASSERT_TRUE(control.Observe(Tenants()[i % 2], 0.01 * i).ok());
+  }
+  const auto control_tail = ServeSteps(&control, 10, 12);
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir, policy).ok());
+    EXPECT_EQ(journal.open_report().last_lsn, journaled);
+    EXPECT_EQ(journal.open_report().truncated_bytes, 0u)
+        << "padding is not a torn tail";
+    auto fleet = journal.Recover();
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    ASSERT_TRUE(journal.Attach(&*fleet).ok());
+    EXPECT_EQ(ServeSteps(&*fleet, 10, 12), control_tail);
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    journal.Detach();
+  }
+  // Appends after the reopen continued at the old data end: the closed
+  // segment is one gap-free run of records with no padding left.
+  auto closed = InspectSegmentFile(segment);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->last_lsn, journaled + 3 * (Tenants().size() + 1));
+  EXPECT_EQ(closed->padding_bytes, 0u);
+  EXPECT_EQ(closed->bytes, std::filesystem::file_size(segment));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(WalRecoveryTest, RotatedSegmentsRecoverAndCheckpointRetiresThem) {
   ScalerFleet control(0);
   RegisterTenants(&control);
@@ -345,8 +412,19 @@ TEST(WalRecoveryTest, RotatedSegmentsRecoverAndCheckpointRetiresThem) {
     ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
     ServeSteps(&fleet, 1, 12);
     ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
-    ASSERT_GT(SegmentFiles(dir).size(), 2u)
-        << "the session must actually rotate";
+    const auto segments = SegmentFiles(dir);
+    ASSERT_GT(segments.size(), 2u) << "the session must actually rotate";
+    // Rotation cuts each retired segment to its records; only the live
+    // one still carries its preallocation.
+    for (const std::string& segment : segments) {
+      auto inspected = InspectSegmentFile(segment);
+      ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
+      EXPECT_EQ(inspected->torn_tail_bytes, 0u) << segment;
+      const bool live = segment == segments.back();
+      EXPECT_EQ(inspected->padding_bytes > 0, live) << segment;
+      const std::uintmax_t size = std::filesystem::file_size(segment);
+      EXPECT_EQ(inspected->bytes + inspected->padding_bytes, size) << segment;
+    }
 
     const std::size_t segments_before = SegmentFiles(dir).size();
     ASSERT_TRUE(journal.Checkpoint("post-rotation").ok());
@@ -411,9 +489,15 @@ TEST(WalRecoveryTest, ExactlyOneTornRecordIsTruncatedAndTheRestReplays) {
     SCOPED_TRACE("record cut after " + std::to_string(cut) + " of " +
                  std::to_string(frame_size) + " bytes");
     Spit(segments[0], bytes.substr(0, last + cut));
+    // Torn bytes run through the cut's last non-zero byte; zeros after it
+    // read as preallocation padding, which is not counted as torn.
+    const std::size_t nonzero =
+        std::string_view(bytes).substr(last, cut).find_last_not_of('\0');
+    const std::size_t torn =
+        nonzero == std::string_view::npos ? 0 : nonzero + 1;
     FleetJournal journal;
     ASSERT_TRUE(journal.Open(dir).ok());
-    ASSERT_EQ(journal.open_report().truncated_bytes, cut);
+    ASSERT_EQ(journal.open_report().truncated_bytes, torn);
     ASSERT_EQ(journal.open_report().last_lsn, durable_lsn - 1)
         << "exactly the torn record is lost";
     auto fleet = journal.Recover();
@@ -701,13 +785,14 @@ TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
     plan.action.creation_times.assign(16, 3.0);
   }
   const std::vector<api::TapClockMark> clocks(plans.size());
+  // The live segment is preallocated, so its record bytes come from the
+  // segment scan, not the file size.
   const std::string segment = SegmentFiles(dir).back();
-  const std::uintmax_t size_before = std::filesystem::file_size(segment);
+  const std::size_t size_before = InspectSegmentFile(segment)->bytes;
   const std::int64_t live_before = g_live_heap_bytes.load();
   journal.OnPlanAll(2.0, plans, clocks);
   const std::int64_t retained = g_live_heap_bytes.load() - live_before;
-  const std::uintmax_t record =
-      std::filesystem::file_size(segment) - size_before;
+  const std::size_t record = InspectSegmentFile(segment)->bytes - size_before;
 
   ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
   ASSERT_GT(record, 16u << 10);
@@ -715,6 +800,52 @@ TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
       << "the journal still holds " << retained << " heap bytes after a "
       << record << "-byte record";
   journal.Detach();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalAppendTest, RecordLargerThanTheSegmentGrowsTheMapping) {
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  policy.segment_bytes = 4096;
+  const std::string dir = TempDir("oversized");
+  std::size_t record = 0;
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir, policy).ok());
+    ScalerFleet fleet(0);
+    RegisterTenants(&fleet);
+    ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
+    std::vector<ScalerFleet::TenantPlan> plans(200);
+    for (ScalerFleet::TenantPlan& plan : plans) {
+      plan.tenant = Tenants()[0];
+      plan.action.creation_times.assign(16, 3.0);
+    }
+    journal.OnPlanAll(2.0, plans,
+                      std::vector<api::TapClockMark>(plans.size()));
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    // The oversized record sits alone in a segment grown to fit it.
+    auto grown = InspectSegmentFile(SegmentFiles(dir).back());
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    EXPECT_EQ(grown->records, 1u);
+    EXPECT_EQ(grown->torn_tail_bytes, 0u);
+    EXPECT_EQ(grown->padding_bytes, 0u);
+    record = grown->bytes;
+    ASSERT_GT(record, 4 * policy.segment_bytes);
+    ServeSteps(&fleet, 3, 4);  // Rotates past the grown segment.
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    journal.Detach();
+  }
+  std::size_t records = 0;
+  for (const std::string& segment : SegmentFiles(dir)) {
+    auto inspected = InspectSegmentFile(segment);
+    ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
+    EXPECT_EQ(inspected->torn_tail_bytes + inspected->padding_bytes, 0u);
+    EXPECT_EQ(inspected->bytes, std::filesystem::file_size(segment));
+    records += inspected->records;
+  }
+  FleetJournal reopened;
+  ASSERT_TRUE(reopened.Open(dir, policy).ok());
+  EXPECT_EQ(reopened.last_lsn(), records);
   std::filesystem::remove_all(dir);
 }
 
@@ -828,28 +959,30 @@ const CorruptionFixture& Fixture() {
   static const CorruptionFixture fixture = [] {
     CorruptionFixture f;
     f.dir = TempDir("fuzz_base");
-    FleetJournal journal;
-    EXPECT_TRUE(journal.Open(f.dir).ok());
-    ScalerFleet fleet(0);
-    EXPECT_TRUE(fleet.Register("svc-a", BuildScaler("backup_pool")).ok());
-    EXPECT_TRUE(
-        fleet.Register("svc-b", BuildScaler("robust_hp:target=0.9")).ok());
-    EXPECT_TRUE(EnableJournal(&fleet, &journal).ok());
-    for (int step = 1; step <= 6; ++step) {
-      const double now = 2.0 * step;
-      EXPECT_TRUE(fleet.Observe("svc-a", now - 1.0).ok());
-      EXPECT_TRUE(fleet.Observe("svc-b", now - 0.99).ok());
-      for (const auto& plan : fleet.PlanAll(now)) {
+    {
+      FleetJournal journal;
+      EXPECT_TRUE(journal.Open(f.dir).ok());
+      ScalerFleet fleet(0);
+      EXPECT_TRUE(fleet.Register("svc-a", BuildScaler("backup_pool")).ok());
+      EXPECT_TRUE(
+          fleet.Register("svc-b", BuildScaler("robust_hp:target=0.9")).ok());
+      EXPECT_TRUE(EnableJournal(&fleet, &journal).ok());
+      for (int step = 1; step <= 6; ++step) {
+        const double now = 2.0 * step;
+        EXPECT_TRUE(fleet.Observe("svc-a", now - 1.0).ok());
+        EXPECT_TRUE(fleet.Observe("svc-b", now - 0.99).ok());
+        for (const auto& plan : fleet.PlanAll(now)) {
+          EXPECT_TRUE(plan.status.ok());
+        }
+      }
+      EXPECT_TRUE(journal.Checkpoint("fuzz fixture").ok());
+      // A few post-checkpoint events so recovery has a tail to decode.
+      EXPECT_TRUE(fleet.Observe("svc-a", 13.0).ok());
+      for (const auto& plan : fleet.PlanAll(14.0)) {
         EXPECT_TRUE(plan.status.ok());
       }
-    }
-    EXPECT_TRUE(journal.Checkpoint("fuzz fixture").ok());
-    // A few post-checkpoint events so recovery has a tail to decode.
-    EXPECT_TRUE(fleet.Observe("svc-a", 13.0).ok());
-    for (const auto& plan : fleet.PlanAll(14.0)) {
-      EXPECT_TRUE(plan.status.ok());
-    }
-    journal.Detach();
+      journal.Detach();
+    }  // Closing the journal cuts its preallocated segment to the records.
     const auto segments = SegmentFiles(f.dir);
     EXPECT_EQ(segments.size(), 1u);
     f.segment_bytes = Slurp(segments[0]);
@@ -980,7 +1113,8 @@ TEST(WalCorruptionTest, MidJournalCorruptionIsAHardErrorNotATornTail) {
   ASSERT_GT(segments.size(), 2u);
   // Flip one byte inside a record of the FIRST segment: that can never be a
   // torn tail (crashes only tear the journal's end), so Open must refuse.
-  std::string bytes = Slurp(segments[0]);
+  const std::string intact = Slurp(segments[0]);
+  std::string bytes = intact;
   ASSERT_GT(bytes.size(), 40u);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
   Spit(segments[0], bytes);
@@ -989,6 +1123,14 @@ TEST(WalCorruptionTest, MidJournalCorruptionIsAHardErrorNotATornTail) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot be a torn tail"), std::string::npos)
       << st.ToString();
+  // Rotation cuts every retired segment to its records, so zero padding is
+  // corruption there too.
+  Spit(segments[0], intact + std::string(100, '\0'));
+  FleetJournal padded;
+  const Status padded_st = padded.Open(dir);
+  ASSERT_FALSE(padded_st.ok());
+  EXPECT_NE(padded_st.message().find("zero padding"), std::string::npos)
+      << padded_st.ToString();
   std::filesystem::remove_all(dir);
 }
 

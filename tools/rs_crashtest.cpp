@@ -10,13 +10,15 @@
 /// wal.checkpoint.* including the rename window, plus a "serve.op"
 /// boundary point before every operation).
 ///
-/// The journal writes each record with one write(), so no window falls
-/// inside a record. The harness makes the torn record itself: when the
-/// victim dies at wal.append.done (record written, LSN not yet advanced),
-/// the parent cuts the active segment at a seeded offset strictly inside
-/// that last frame — what a torn single write leaves on disk. The matrix
-/// fails if no kill point produced a torn-tail repair. The parent then,
-/// for every worker count in --workers:
+/// The journal copies each record into its mapped segment with one memcpy,
+/// so no window falls inside a record. The harness makes the torn record
+/// itself: when the victim dies at wal.append.done (record copied, LSN not
+/// yet advanced), the parent cuts the active segment at a seeded offset
+/// strictly inside that last frame — what a torn single write leaves on
+/// disk. The victim dies with its segment mapped, so the zero padding of
+/// the preallocation follows the last record; Open must skip it without
+/// counting it as a repair. The matrix fails if no kill point produced a
+/// torn-tail repair. The parent then, for every worker count in --workers:
 ///
 ///   * reopens the journal directory (scan + torn-tail repair),
 ///   * recovers (checkpoint snapshot + journal-tail replay), and
@@ -38,6 +40,8 @@
 ///   rs_crashtest [--dir=PATH] [--points=200] [--seed=20220414]
 ///                [--steps=12] [--workers=0,1,8] [--keep]
 ///   rs_crashtest gen-example <out-file>     # deterministic example segment
+///   rs_crashtest gen-example --crashed <out-file>
+///                                  # the same, as a killed writer leaves it
 ///
 /// Exit code 0 = every kill point recovered byte-identically; any
 /// divergence, lost record, or recovery failure aborts with a message.
@@ -57,6 +61,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -250,31 +255,45 @@ std::uint64_t ReadLe(const std::string& bytes, std::size_t offset,
   return value;
 }
 
-/// Tears the journal's last record: cuts the active (last) segment at a
-/// seeded offset strictly inside its last frame, as a torn write would.
-/// Frames follow the 16-byte segment header as [lsn u64][len u32]
-/// [crc u32][payload] (docs/WAL_FORMAT.md).
-void TearLastRecord(const std::string& dir, std::uint64_t* stream) {
-  namespace fs = std::filesystem;
+/// The journal's last segment file.
+std::string LastSegment(const std::string& dir) {
   std::vector<std::string> segments;
-  for (const auto& entry : fs::directory_iterator(dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("wal-", 0) == 0) segments.push_back(entry.path().string());
   }
   RS_CHECK(!segments.empty()) << "no journal segment in " << dir;
-  const std::string path = *std::max_element(segments.begin(), segments.end());
+  return *std::max_element(segments.begin(), segments.end());
+}
+
+/// Tears the journal's last record: cuts the active (last) segment at a
+/// seeded offset strictly inside its last frame, as a torn write would,
+/// dropping the zero padding after it. Frames follow the 16-byte segment
+/// header as [lsn u64][len u32][crc u32][payload] (docs/WAL_FORMAT.md).
+/// Returns the torn bytes Open must report: the kept part of the frame
+/// through its last non-zero byte (zeros after it read as padding).
+std::size_t TearLastRecord(const std::string& dir, std::uint64_t* stream) {
+  const std::string path = LastSegment(dir);
+  auto report = wal::InspectSegmentFile(path);
+  RS_CHECK(report.ok()) << report.status().ToString();
   std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  // The walk stops at the end of the last intact record, not at the end of
+  // the file, which may be padding.
+  bytes.resize(report->bytes - report->torn_tail_bytes);
   std::size_t last = 0;
-  for (std::size_t offset = 16; offset + 16 <= bytes.size();
+  for (std::size_t offset = 16; offset < bytes.size();
        offset += 16 + ReadLe(bytes, offset + 8, 4)) {
     last = offset;
   }
   RS_CHECK(last != 0) << path << " holds no record to tear";
   const std::size_t frame_size = bytes.size() - last;
   const std::size_t cut = last + 1 + SplitMix64(stream) % (frame_size - 1);
-  fs::resize_file(path, cut);
+  std::filesystem::resize_file(path, cut);
+  const std::size_t nonzero =
+      std::string_view(bytes).substr(last, cut - last).find_last_not_of('\0');
+  return nonzero == std::string_view::npos ? 0 : nonzero + 1;
 }
 
 int RunMatrix(const Options& options) {
@@ -321,6 +340,7 @@ int RunMatrix(const Options& options) {
   std::size_t crashed = 0;
   std::size_t survived = 0;
   std::size_t torn_repairs = 0;
+  std::size_t padded = 0;  ///< Killed victims whose segment kept padding.
   std::uint64_t tear_stream = ~options.seed;  // Apart from the kill points'.
   std::size_t dropped_segments = 0;
   std::size_t with_checkpoint = 0;
@@ -343,8 +363,15 @@ int RunMatrix(const Options& options) {
         << "victim died abnormally (status " << wstatus << ") at kill point "
         << k;
     code != 0 ? ++crashed : ++survived;
-    const bool tore = code == kExitCrashedAfterAppend;
-    if (tore) TearLastRecord(dir, &tear_stream);
+    if (code != 0) {
+      // Not an assertion: a victim killed mid-rotation may leave a trailing
+      // segment without a header, which Open drops.
+      auto report = wal::InspectSegmentFile(LastSegment(dir));
+      padded += report.ok() && report->padding_bytes > 0 ? 1 : 0;
+    }
+    const std::size_t torn = code == kExitCrashedAfterAppend
+                                 ? TearLastRecord(dir, &tear_stream)
+                                 : 0;
 
     // Recover + continue under every worker count; each must match the
     // control run byte-for-byte from its resume point.
@@ -354,8 +381,11 @@ int RunMatrix(const Options& options) {
       const Status opened = journal.Open(dir, VictimPolicy());
       RS_CHECK(opened.ok()) << "kill point " << k << ": " << opened.ToString();
       if (workers == options.workers.front()) {
-        RS_CHECK(!tore || journal.open_report().truncated_bytes > 0)
-            << "kill point " << k << ": Open did not repair the torn record";
+        // Exactly the torn bytes: padding never counts as a repair.
+        RS_CHECK(journal.open_report().truncated_bytes == torn)
+            << "kill point " << k << ": Open truncated "
+            << journal.open_report().truncated_bytes << " bytes, the torn "
+            << "record left " << torn;
         torn_repairs += journal.open_report().truncated_bytes > 0 ? 1 : 0;
         dropped_segments += journal.open_report().dropped_segments;
         with_checkpoint += journal.open_report().had_checkpoint ? 1 : 0;
@@ -401,9 +431,10 @@ int RunMatrix(const Options& options) {
 
     if ((n + 1) % 25 == 0 || n + 1 == kill_points.size()) {
       std::printf(
-          "  [%3zu/%zu] ok (crashed %zu, survived %zu, torn-tail repairs "
-          "%zu, dropped segments %zu, recovered-from-checkpoint %zu)\n",
-          n + 1, kill_points.size(), crashed, survived, torn_repairs,
+          "  [%3zu/%zu] ok (crashed %zu, padded %zu, survived %zu, "
+          "torn-tail repairs %zu, dropped segments %zu, "
+          "recovered-from-checkpoint %zu)\n",
+          n + 1, kill_points.size(), crashed, padded, survived, torn_repairs,
           dropped_segments, with_checkpoint);
     }
   }
@@ -422,13 +453,17 @@ int RunMatrix(const Options& options) {
 
 /// Writes a small deterministic journal segment (for tests/data and the
 /// format spec checker): one fleet, two tenants, two serving steps, no
-/// fsync timing dependence, single segment.
-int GenExample(const std::string& out_path) {
+/// fsync timing dependence, single segment. `crashed` serves in a forked
+/// victim that _Exits with the journal still open, so the copied segment
+/// ends in the zero padding a killed writer leaves.
+int GenExample(const std::string& out_path, bool crashed) {
   namespace fs = std::filesystem;
   const std::string dir = out_path + ".tmpdir";
   std::error_code ignored;
   fs::remove_all(dir, ignored);
-  {
+  const pid_t pid = crashed ? fork() : 0;
+  RS_CHECK(pid >= 0) << "fork failed";
+  if (pid == 0) {
     wal::FleetJournal journal;
     wal::JournalPolicy policy;
     policy.fsync = wal::FsyncPolicy::kNone;
@@ -438,19 +473,27 @@ int GenExample(const std::string& out_path) {
     RS_CHECK(wal::EnableJournal(&fleet, &journal).ok());
     for (std::size_t j = 0; j < 6; ++j) (void)RunOp(&fleet, j);
     RS_CHECK(journal.Sync().ok());
+    if (crashed) std::_Exit(0);
     journal.Detach();
+  } else {
+    int wstatus = 0;
+    RS_CHECK(waitpid(pid, &wstatus, 0) == pid && WIFEXITED(wstatus) &&
+             WEXITSTATUS(wstatus) == 0)
+        << "example victim failed (status " << wstatus << ")";
   }
   const std::string segment = dir + "/wal-0000000000000001.rswal";
   auto report = wal::InspectSegmentFile(segment);
   RS_CHECK(report.ok()) << report.status().ToString();
   RS_CHECK(report->records == 8 && report->torn_tail_bytes == 0);
+  RS_CHECK((report->padding_bytes > 0) == crashed);
   fs::copy_file(segment, out_path, fs::copy_options::overwrite_existing);
   fs::remove_all(dir, ignored);
-  std::printf("wrote %s (%zu records, LSN %llu..%llu, %zu bytes)\n",
+  std::printf("wrote %s (%zu records, LSN %llu..%llu, %zu bytes, %zu bytes "
+              "of padding)\n",
               out_path.c_str(), report->records,
               static_cast<unsigned long long>(report->first_lsn),
               static_cast<unsigned long long>(report->last_lsn),
-              report->bytes);
+              report->bytes, report->padding_bytes);
   return 0;
 }
 
@@ -470,11 +513,16 @@ std::vector<std::size_t> ParseSizeList(const std::string& text) {
 int main(int argc, char** argv) {
   Options options;
   std::string gen_example_out;
+  bool gen_example_crashed = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg == "gen-example" && i + 1 < argc) {
-      gen_example_out = argv[++i];
+    const bool crashed_example = arg == "gen-example" && i + 2 < argc &&
+                                 std::strcmp(argv[i + 1], "--crashed") == 0;
+    if (crashed_example || (arg == "gen-example" && i + 1 < argc)) {
+      gen_example_crashed = crashed_example;
+      i += crashed_example ? 2 : 1;
+      gen_example_out = argv[i];
     } else if (arg.rfind("--dir=", 0) == 0) {
       options.dir = value();
     } else if (arg.rfind("--points=", 0) == 0) {
@@ -491,7 +539,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: rs_crashtest [--dir=PATH] [--points=N] [--seed=S] "
                    "[--steps=N] [--workers=0,1,8] [--keep]\n"
-                   "       rs_crashtest gen-example <out-file>\n");
+                   "       rs_crashtest gen-example [--crashed] <out-file>\n");
       return 2;
     }
   }
@@ -501,6 +549,8 @@ int main(int argc, char** argv) {
   g_buffers.push_back(TrainTenant(0));
   g_buffers.push_back(TrainTenant(1));
 
-  if (!gen_example_out.empty()) return GenExample(gen_example_out);
+  if (!gen_example_out.empty()) {
+    return GenExample(gen_example_out, gen_example_crashed);
+  }
   return RunMatrix(options);
 }

@@ -7,7 +7,7 @@
 ///
 /// Also understands rs::wal artifacts: journal segment files (magic
 /// "RSWJ") are walked record-by-record (CRC, framing, LSN contiguity —
-/// torn tails reported, pre-tail corruption fails), and journal
+/// torn tails and padding reported, pre-tail corruption fails), and journal
 /// checkpoints print their WCKP metadata before the embedded fleet.
 ///
 /// The inspector understands the current section layouts but degrades
@@ -596,9 +596,9 @@ int main(int argc, char** argv) {
   }
   // Journal segments (rs::wal, magic "RSWJ") are not persist containers;
   // route them to the segment walker: header magic/version, per-record CRC
-  // + length framing, LSN contiguity. A torn tail is reported (legal — a
-  // crash mid-append leaves one; recovery truncates it); corruption before
-  // the tail fails.
+  // + length framing, LSN contiguity. A torn tail and zero padding are
+  // reported (legal — a crash mid-append leaves them; recovery truncates
+  // the tail); corruption before the tail fails.
   char magic[4] = {};
   in.read(magic, 4);
   if (in.gcount() == 4 && std::string(magic, 4) == "RSWJ") {
@@ -618,6 +618,10 @@ int main(int argc, char** argv) {
     if (report->torn_tail_bytes > 0) {
       std::cout << ", torn tail " << report->torn_tail_bytes
                 << " byte(s) (recovery truncates it)";
+    }
+    if (report->padding_bytes > 0) {
+      std::cout << ", zero padding " << report->padding_bytes
+                << " byte(s) (left by a killed writer)";
     }
     std::cout << (verify ? " — OK (CRC and framing verified)" : "") << '\n';
     return 0;

@@ -11,13 +11,18 @@ Usage: trace_spec_check.py <capture.rstrace|segment.rswal> [more...]
 Files are dispatched on their leading magic: "RSNP" containers get the
 capture walk, "RSWJ" files get the journal-segment walk (header, then
 per-record LSN/length/CRC framing with each payload decoded as a
-single-event container; a torn tail — the first invalid record — ends the
-scan, per the spec's crash rule).
+single-event container; the first invalid record ends the scan, per the
+spec's crash rule). What follows it is a torn tail through its last
+non-zero byte and zero padding after that, both legal only in the
+journal's last segment: a file named wal-<16 hex digits>.rswal with a
+later-named segment beside it is rejected for either.
 
 Exit status 0 iff every file decodes: magic/version/CRC valid, every
 section consumed exactly, every event well-formed.
 """
 
+import os
+import re
 import struct
 import sys
 import zlib
@@ -30,6 +35,7 @@ WAL_LAYER_VERSION = 1
 WAL_SEGMENT_HEADER = 16  # magic u32 + version u32 + first_lsn u64
 WAL_FRAME_HEADER = 16    # lsn u64 + payload_len u32 + crc u32
 WAL_MIN_PAYLOAD = 12     # container header (8) + CRC trailer (4)
+WAL_SEGMENT_NAME = re.compile(r"wal-[0-9a-f]{16}\.rswal")
 
 # Section tags are fourCCs stored little-endian: tag('T','R','C','E')
 # compares equal to the bytes b"TRCE" read as a LE u32.
@@ -190,6 +196,17 @@ def check_event_payload(blob, what):
     return kind
 
 
+def is_last_segment(path):
+    """A journal-named segment is the last unless a later-named one sits
+    beside it; a file under any other name is checked on its own, as last."""
+    name = os.path.basename(path)
+    if not WAL_SEGMENT_NAME.fullmatch(name):
+        return True
+    siblings = os.listdir(os.path.dirname(path) or ".")
+    return not any(WAL_SEGMENT_NAME.fullmatch(other) and other > name
+                   for other in siblings)
+
+
 def check_wal_segment(path, blob):
     if len(blob) < WAL_SEGMENT_HEADER:
         raise SpecError("segment shorter than its 16-byte header")
@@ -204,21 +221,17 @@ def check_wal_segment(path, blob):
     expected = first_lsn
     records = 0
     histogram = {}
-    torn = 0
     while pos < len(blob):
         remaining = len(blob) - pos
         if remaining < WAL_FRAME_HEADER:
-            torn = remaining  # truncated frame header: a crash mid-append
-            break
+            break  # truncated frame header: a crash mid-append
         lsn, length, crc = struct.unpack("<QII", blob[pos:pos + 16])
         if length < WAL_MIN_PAYLOAD or length > remaining - WAL_FRAME_HEADER:
-            torn = remaining
             break
         actual = zlib.crc32(blob[pos:pos + 12])
         actual = zlib.crc32(blob[pos + 16:pos + 16 + length],
                             actual) & 0xFFFFFFFF
         if actual != crc:
-            torn = remaining
             break
         if lsn != expected:
             # A CRC-valid record that breaks the contiguous LSN sequence is
@@ -231,9 +244,16 @@ def check_wal_segment(path, blob):
         pos += WAL_FRAME_HEADER + length
         expected += 1
         records += 1
+    torn = len(blob[pos:].rstrip(b"\0"))
+    padding = len(blob) - pos - torn
+    if (torn or padding) and not is_last_segment(path):
+        what = "an invalid record" if torn else "zero padding"
+        raise SpecError(f"{what} at offset {pos}, but a later segment "
+                        f"follows, so no crash can have left it")
     summary = ", ".join(f"{EVENT_NAMES[k]}={n}"
                         for k, n in sorted(histogram.items()))
     tail = f"; torn tail {torn} bytes" if torn else ""
+    tail += f"; zero padding {padding} bytes" if padding else ""
     print(f"{path}: OK (journal segment, {records} records, LSN "
           f"{first_lsn}..{first_lsn + records - 1}: {summary or 'none'}"
           f"{tail})")

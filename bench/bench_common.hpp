@@ -178,6 +178,20 @@ inline std::vector<std::size_t> ParseSizeList(const std::string& list) {
   return out;
 }
 
+/// Reads the optional `--json=<path>` flag of a harness whose only argument
+/// it is (empty when absent); any other argument aborts with usage.
+inline std::string JsonPathArg(int argc, char** argv) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    RS_CHECK(arg.rfind("--json=", 0) == 0)
+        << "unknown argument: " << arg << " (usage: " << argv[0]
+        << " [--json=<path>])";
+    path = arg.substr(7);
+  }
+  return path;
+}
+
 inline void PrintHeader(const char* title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);

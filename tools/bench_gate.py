@@ -41,6 +41,17 @@ the machine out and collapse only when the optimization itself regresses:
                    framing cost — moves only when the wire format changes)
                    gates for every journaled row.
 
+  table3_period_reg : the paper-fidelity gate for Table III — per metric
+                   (MSE, MAE) the `improvement_pct` the periodicity term buys
+                   (must not drop) and the regularized fit's error
+                   `with_reg` (must not grow). Deterministic given the
+                   bench's seed, so only a change to the trainer moves them.
+  fig4_pareto    : the paper-fidelity gate for Fig. 4 — per (trace,
+                   strategy, parameter) point, `hit_rate` (must not drop)
+                   and `creations_per_query` (must not grow). Deterministic
+                   given the scenario seeds; the RobustScaler rows move only
+                   when training or planning changes.
+
 fleet_scaling also trend-gates `snapshot_ms` and `snapshot_bytes` once the
 committed baseline carries them (rows or baselines without the fields stay
 report-only, so pre-snapshot baselines keep working).
@@ -376,6 +387,57 @@ def gate_wal(baseline, current, gate, gate_absolute):
     return regressions
 
 
+def gate_table3(baseline, current, gate, gate_absolute):
+    del gate_absolute  # Every table3 metric is deterministic and gated.
+    regressions = 0
+    base_rows = index_rows(baseline.get("results", []), ("metric",))
+    cur_rows = index_rows(current.get("results", []), ("metric",))
+    for key, base in base_rows.items():
+        cur = cur_rows.get(key)
+        if cur is None:
+            regressions += gate.missing(key)
+            continue
+        regressions += gate.compare(key, "improvement_pct",
+                                    base.get("improvement_pct"),
+                                    cur.get("improvement_pct"), gated=True)
+        regressions += gate.compare(key, "with_reg", base.get("with_reg"),
+                                    cur.get("with_reg"), gated=True,
+                                    higher_is_better=False)
+        print(f"bench_gate: {fmt_key(key)}: "
+              f"{cur.get('without_reg', 0):.3e} -> "
+              f"{cur.get('with_reg', 0):.3e}, improvement "
+              f"{cur.get('improvement_pct', 0):.1f}% "
+              f"(baseline {base.get('improvement_pct', 0):.1f}%)")
+    return regressions
+
+
+def gate_fig4(baseline, current, gate, gate_absolute):
+    del gate_absolute  # Every fig4 metric is deterministic and gated.
+    regressions = 0
+    fields = ("trace", "strategy", "parameter")
+    base_rows = index_rows(baseline.get("results", []), fields)
+    cur_rows = index_rows(current.get("results", []), fields)
+    for key, base in base_rows.items():
+        cur = cur_rows.get(key)
+        if cur is None:
+            regressions += gate.missing(key)
+            continue
+        regressions += gate.compare(key, "hit_rate", base.get("hit_rate"),
+                                    cur.get("hit_rate"), gated=True)
+        regressions += gate.compare(key, "creations_per_query",
+                                    base.get("creations_per_query"),
+                                    cur.get("creations_per_query"),
+                                    gated=True, higher_is_better=False)
+    moved = [r for r in gate.rows if r["delta_pct"]]
+    print(f"bench_gate: {len(base_rows)} Fig. 4 points, {len(moved)} "
+          "metric(s) moved off the baseline")
+    for row in moved:
+        print(f"bench_gate:   {row['key']}: {row['metric']} "
+              f"{row['baseline']:.4f} -> {row['current']:.4f} "
+              f"({row['delta_pct']:+.2f}%)")
+    return regressions
+
+
 GATES = {
     "plan_hot_path": gate_plan,
     "fleet_scaling": gate_fleet,
@@ -384,6 +446,8 @@ GATES = {
     "replay": gate_replay,
     "chaos": gate_chaos,
     "wal": gate_wal,
+    "table3_period_reg": gate_table3,
+    "fig4_pareto": gate_fig4,
 }
 
 

@@ -1,6 +1,7 @@
-// Ablation: ADMM hyper-parameter sensitivity — ρ (convergence speed),
-// β1 (smoothness), β2 (periodicity strength) — measured as iterations to
-// tolerance and intensity-recovery MSE on a periodic ground truth. Backs
+// Ablation: ADMM hyper-parameter sensitivity — initial ρ (convergence
+// speed), β1 (smoothness), β2 (periodicity strength) — measured as
+// iterations to the scaled stopping rule, the penalty residual balancing
+// ended at, and intensity-recovery MSE on a periodic ground truth. Backs
 // the default choices baked into PipelineOptions.
 #include <cmath>
 #include <cstdio>
@@ -15,8 +16,14 @@ namespace {
 struct FitOutcome {
   std::size_t iterations;
   bool converged;
+  double final_rho;
   double mse;
 };
+
+void PrintOutcome(double parameter, const FitOutcome& out) {
+  std::printf("%8.2f %10zu %10s %10.3g %12.3e\n", parameter, out.iterations,
+              out.converged ? "yes" : "no", out.final_rho, out.mse);
+}
 
 FitOutcome FitWith(const std::vector<double>& counts,
                    const std::vector<double>& truth, double dt, double rho,
@@ -32,7 +39,7 @@ FitOutcome FitWith(const std::vector<double>& counts,
   rs::core::AdmmInfo info;
   auto model = rs::core::FitNhpp(counts, config, options, &info);
   RS_CHECK(model.ok()) << model.status().ToString();
-  return {info.iterations, info.converged,
+  return {info.iterations, info.converged, info.rho,
           rs::stats::MeanSquaredError(model->Intensity(), truth)};
 }
 
@@ -56,31 +63,30 @@ int main() {
         static_cast<double>(rs::stats::SamplePoisson(&rng, truth[i] * dt));
   }
 
-  std::printf("\nrho sweep (beta1=10, beta2=50):\n%8s %10s %10s %12s\n", "rho",
-              "iters", "converged", "mse");
+  const char* columns = "%8s %10s %10s %10s %12s\n";
+  std::printf("\nrho sweep (beta1=10, beta2=50):\n");
+  std::printf(columns, "rho0", "iters", "converged", "final_rho", "mse");
   for (double rho : {0.1, 0.5, 1.0, 5.0, 20.0}) {
-    const auto out = FitWith(counts, truth, dt, rho, 10.0, 50.0, period);
-    std::printf("%8.2f %10zu %10s %12.3e\n", rho, out.iterations,
-                out.converged ? "yes" : "no", out.mse);
+    PrintOutcome(rho, FitWith(counts, truth, dt, rho, 10.0, 50.0, period));
   }
 
-  std::printf("\nbeta1 sweep (rho=1, beta2=50):\n%8s %10s %12s\n", "beta1",
-              "iters", "mse");
+  std::printf("\nbeta1 sweep (rho0=1, beta2=50):\n");
+  std::printf(columns, "beta1", "iters", "converged", "final_rho", "mse");
   for (double beta1 : {0.0, 1.0, 10.0, 100.0, 1000.0}) {
-    const auto out = FitWith(counts, truth, dt, 1.0, beta1, 50.0, period);
-    std::printf("%8.1f %10zu %12.3e\n", beta1, out.iterations, out.mse);
+    PrintOutcome(beta1, FitWith(counts, truth, dt, 1.0, beta1, 50.0, period));
   }
 
-  std::printf("\nbeta2 sweep (rho=1, beta1=10):\n%8s %10s %12s\n", "beta2",
-              "iters", "mse");
+  std::printf("\nbeta2 sweep (rho0=1, beta1=10):\n");
+  std::printf(columns, "beta2", "iters", "converged", "final_rho", "mse");
   for (double beta2 : {0.0, 5.0, 50.0, 500.0, 5000.0}) {
-    const auto out =
-        FitWith(counts, truth, dt, 1.0, 10.0, beta2, beta2 > 0.0 ? period : 0);
-    std::printf("%8.1f %10zu %12.3e\n", beta2, out.iterations, out.mse);
+    PrintOutcome(beta2, FitWith(counts, truth, dt, 1.0, 10.0, beta2,
+                                beta2 > 0.0 ? period : 0));
   }
 
-  std::printf("\nExpected: mid-range rho converges fastest; moderate beta1\n"
-              "and beta2 minimize MSE (beta2=0 reproduces the Table III\n"
-              "no-regularization penalty; huge values over-smooth).\n");
+  std::printf("\nExpected: residual balancing makes the initial rho nearly\n"
+              "irrelevant (each fit ends near the same final rho); moderate\n"
+              "beta1 and beta2 minimize MSE (beta2=0 reproduces the Table III\n"
+              "no-regularization penalty; huge values over-smooth and take\n"
+              "longest to converge).\n");
   return 0;
 }

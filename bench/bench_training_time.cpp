@@ -4,7 +4,9 @@
 // update on all traces. This harness times the same operations on the
 // synthetic stand-in traces, optionally across training worker-pool sizes
 // (the fit is byte-identical for every pool size — asserted here — so the
-// workers column is purely wall time).
+// workers column is purely wall time). Each scenario also reports the ADMM
+// fit's iteration count and whether it met the stopping rule: both are
+// deterministic, so CI gates them exactly.
 //
 // Usage:
 //   bench_training_time [--workers=0,4] [--json=BENCH_training.json]
@@ -50,6 +52,8 @@ struct ScenarioTiming {
   std::size_t queries = 0;
   std::vector<double> train_s;  ///< One entry per worker count.
   double decide_ms = 0.0;
+  std::size_t admm_iterations = 0;
+  bool converged = false;
 };
 
 ScenarioTiming TimeScenario(rs::bench::Scenario&& scenario,
@@ -74,8 +78,11 @@ ScenarioTiming TimeScenario(rs::bench::Scenario&& scenario,
     trained = std::move(result).ValueOrDie();
     if (first_rates.empty()) {
       first_rates = trained.forecast.rates();
+      timing.admm_iterations = trained.admm_info.iterations;
+      timing.converged = trained.admm_info.converged;
     } else {
-      RS_CHECK(first_rates == trained.forecast.rates())
+      RS_CHECK(first_rates == trained.forecast.rates() &&
+               timing.admm_iterations == trained.admm_info.iterations)
           << scenario.name << ": training with " << worker_count
           << " workers changed the fit";
     }
@@ -98,7 +105,8 @@ ScenarioTiming TimeScenario(rs::bench::Scenario&& scenario,
 
   std::printf("%-10s %10zu", timing.name.c_str(), timing.queries);
   for (double s : timing.train_s) std::printf(" %13.2f", s);
-  std::printf(" %15.3f\n", timing.decide_ms);
+  std::printf(" %15.3f %10zu %10s\n", timing.decide_ms, timing.admm_iterations,
+              timing.converged ? "yes" : "no");
   return timing;
 }
 
@@ -121,7 +129,9 @@ void WriteJson(const Options& options,
     for (std::size_t w = 0; w < t.train_s.size(); ++w) {
       out << t.train_s[w] << (w + 1 < t.train_s.size() ? ", " : "");
     }
-    out << "], \"decision_ms\": " << t.decide_ms << "}"
+    out << "], \"decision_ms\": " << t.decide_ms
+        << ", \"admm_iterations\": " << t.admm_iterations
+        << ", \"converged\": " << (t.converged ? "true" : "false") << "}"
         << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -135,7 +145,7 @@ int main(int argc, char** argv) {
   PrintHeader("Section VII-B2 — training time and decision latency");
   std::printf("%-10s %10s", "trace", "queries");
   for (std::size_t w : options.workers) std::printf("  train_s(w=%zu)", w);
-  std::printf(" %15s\n", "decision_ms");
+  std::printf(" %15s %10s %10s\n", "decision_ms", "admm_iters", "converged");
 
   std::vector<ScenarioTiming> timings;
   timings.push_back(TimeScenario(MakeCrsScenario(), options.workers));

@@ -27,8 +27,12 @@ namespace {
 constexpr std::uint32_t kFleetLayerVersion = 3;
 /// Payload layout inside kTagFreshness (per-tenant loop state).
 constexpr std::uint32_t kFreshnessVersion = 1;
-/// Payload layout inside kTagFreshnessPolicy.
-constexpr std::uint32_t kPolicyVersion = 1;
+/// Payload layout inside kTagFreshnessPolicy. v2 stores the ADMM stopping
+/// rule's ε_abs/ε_rel in the two tolerance slots. A v1 payload held raw
+/// residual-norm bounds there that no refit ever met (every fit ran to the
+/// iteration cap); they have no meaning under the scaled rule, so a v1
+/// policy loads with the current default ε_abs/ε_rel.
+constexpr std::uint32_t kPolicyVersion = 2;
 /// Payload layout inside kTagHealth (per-tenant degradation state).
 constexpr std::uint32_t kHealthVersion = 1;
 
@@ -103,8 +107,8 @@ void WritePolicy(persist::Writer* writer, const FreshnessPolicy& policy) {
   writer->WriteDouble(policy.pipeline.forecast_horizon);
   writer->WriteDouble(policy.pipeline.admm.rho);
   writer->WriteU64(policy.pipeline.admm.max_iterations);
-  writer->WriteDouble(policy.pipeline.admm.primal_tolerance);
-  writer->WriteDouble(policy.pipeline.admm.dual_tolerance);
+  writer->WriteDouble(policy.pipeline.admm.abs_tolerance);
+  writer->WriteDouble(policy.pipeline.admm.rel_tolerance);
   writer->WriteDouble(policy.pipeline.admm.r_clamp);
   writer->WriteU64(policy.pipeline.periodicity.aggregate_factor);
   writer->WriteU64(policy.detector.warmup_bins);
@@ -135,10 +139,12 @@ Result<FreshnessPolicy> ReadPolicy(persist::Reader* reader) {
   RS_ASSIGN_OR_RETURN(policy.pipeline.admm.rho, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const std::uint64_t max_iter, reader->ReadU64());
   policy.pipeline.admm.max_iterations = static_cast<std::size_t>(max_iter);
-  RS_ASSIGN_OR_RETURN(policy.pipeline.admm.primal_tolerance,
-                      reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.pipeline.admm.dual_tolerance,
-                      reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const double abs_tolerance, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const double rel_tolerance, reader->ReadDouble());
+  if (version >= 2) {
+    policy.pipeline.admm.abs_tolerance = abs_tolerance;
+    policy.pipeline.admm.rel_tolerance = rel_tolerance;
+  }
   RS_ASSIGN_OR_RETURN(policy.pipeline.admm.r_clamp, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const std::uint64_t aggregate, reader->ReadU64());
   policy.pipeline.periodicity.aggregate_factor =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "rs/linalg/banded_cholesky.hpp"
 #include "rs/linalg/difference_ops.hpp"
@@ -19,6 +20,12 @@ using linalg::Vec;
 /// boundaries (and the chunk-order reduction below) depend only on the
 /// series length, so any worker count produces bitwise-identical iterates.
 constexpr std::size_t kAdmmChunk = 1024;
+
+/// Residual balancing (Boyd et al. 2011, §3.4.1): when one relative
+/// residual exceeds the other by more than kBalanceMu, ρ is multiplied or
+/// divided by kBalanceTau.
+constexpr double kBalanceMu = 10.0;
+constexpr double kBalanceTau = 2.0;
 
 void Clamp(Vec* r, double bound, common::ThreadPool* pool) {
   double* pr = r->data();
@@ -66,6 +73,9 @@ Result<NhppModel> FitNhpp(const std::vector<double>& counts,
     return Status::Invalid("FitNhpp: beta1/beta2 must be >= 0");
   }
   if (!(options.rho > 0.0)) return Status::Invalid("FitNhpp: rho must be > 0");
+  if (!(options.abs_tolerance >= 0.0) || !(options.rel_tolerance >= 0.0)) {
+    return Status::Invalid("FitNhpp: abs/rel tolerances must be >= 0");
+  }
   for (double q : counts) {
     if (!(q >= 0.0) || !std::isfinite(q)) {
       return Status::Invalid("FitNhpp: counts must be finite and >= 0");
@@ -73,7 +83,7 @@ Result<NhppModel> FitNhpp(const std::vector<double>& counts,
   }
   const bool use_period = config.period > 0 && config.period < t;
   const std::size_t period = use_period ? config.period : 0;
-  const double rho = options.rho;
+  double rho = options.rho;
   common::ThreadPool* pool = options.pool;
   RSubproblemSolver solver = options.solver;
   if (solver == RSubproblemSolver::kAuto) {
@@ -111,22 +121,33 @@ Result<NhppModel> FitNhpp(const std::vector<double>& counts,
   linalg::SymmetricBandedMatrix a(t, bandwidth);
   linalg::Vec rhs(t), r_next(t), tmp(t), tmp2(t), partials;
   Vec w(t);  // Δt · exp(r_k): Hessian weights of the likelihood term.
+  Vec w_next(t);
   AdmmInfo local_info;
+  const double dt = config.dt;
+  const double sqrt_p = std::sqrt(static_cast<double>(y.size() + z.size()));
+  const double sqrt_t = std::sqrt(static_cast<double>(t));
+  {
+    const double* pr = r.data();
+    double* pw = w.data();
+    common::ParallelForChunks(
+        pool, t, kAdmmChunk,
+        [dt, pr, pw](std::size_t, std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) pw[i] = dt * std::exp(pr[i]);
+        });
+  }
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     // ---- r-update: solve A_k r = B_k (Algorithm 2, line 2). ----
     // B_k = Q − Δt e^{r_k} + diag(w) r_k + D2ᵀ(ν_y + ρ y) + DLᵀ(ν_z + ρ z).
     {
-      const double dt = config.dt;
       const double* pc = counts.data();
       const double* pr = r.data();
-      double* pw = w.data();
+      const double* pw = w.data();
       double* prhs = rhs.data();
       common::ParallelForChunks(
           pool, t, kAdmmChunk,
-          [dt, pc, pr, pw, prhs](std::size_t, std::size_t b, std::size_t e) {
+          [pc, pr, pw, prhs](std::size_t, std::size_t b, std::size_t e) {
             for (std::size_t i = b; i < e; ++i) {
-              pw[i] = dt * std::exp(pr[i]);
               prhs[i] = pc[i] - pw[i] + pw[i] * pr[i];
             }
           });
@@ -246,19 +267,69 @@ Result<NhppModel> FitNhpp(const std::vector<double>& counts,
                             });
     }
 
+    // Scales of the stopping rule (Boyd et al. 2011, §3.3.1): ‖[D2r; DLr]‖,
+    // ‖[y; z]‖ for the primal side, ‖D2ᵀν_y + DLᵀν_z‖ for the dual side.
+    const auto sum_sq = [pool, &partials](const Vec& v) {
+      return ChunkedSum(pool, v.size(), &partials,
+                        [&v](std::size_t i) { return v[i] * v[i]; });
+    };
+    double dr_sq = sum_sq(d2r);
+    double yz_sq = sum_sq(y_next);
+    linalg::ApplyD2Transpose(nu_y, t, &tmp);
+    if (use_period) {
+      dr_sq += sum_sq(dlr);
+      yz_sq += sum_sq(z_next);
+      linalg::ApplyDLTranspose(nu_z, t, period, &tmp2);
+      for (std::size_t i = 0; i < t; ++i) tmp[i] += tmp2[i];
+    }
+    const double dual_scale = std::sqrt(sum_sq(tmp));
+    const double primal_scale = std::sqrt(std::max(dr_sq, yz_sq));
+
+    // The r-update is one Newton step, so stationarity also fails by the
+    // Taylor model's error ∇f(r_{k+1}) − ∇f(r_k) − diag(w_k)(r_{k+1} − r_k)
+    // = w_{k+1} − w_k − w_k ⊙ Δr. The split residuals cannot see it along
+    // the null space of [D2; DL] (the intensity level), so it joins the
+    // dual residual. w_{k+1} is the next iteration's Hessian weight.
+    const double model_sq = ChunkedSum(
+        pool, t, &partials, [dt, &r, &r_next, &w, &w_next](std::size_t i) {
+          w_next[i] = dt * std::exp(r_next[i]);
+          const double gap = w_next[i] - w[i] - w[i] * (r_next[i] - r[i]);
+          return gap * gap;
+        });
+
     r = r_next;
+    w.swap(w_next);
     y = std::move(y_next);
     if (use_period) z = std::move(z_next);
 
     local_info.iterations = iter + 1;
     local_info.primal_residual = std::sqrt(primal_sq);
-    local_info.dual_residual = rho * std::sqrt(dual_sq);
-    if (local_info.primal_residual < options.primal_tolerance &&
-        local_info.dual_residual < options.dual_tolerance) {
+    const double split_dual = rho * std::sqrt(dual_sq);
+    local_info.dual_residual = std::sqrt(split_dual * split_dual + model_sq);
+    local_info.primal_epsilon = sqrt_p * options.abs_tolerance +
+                                options.rel_tolerance * primal_scale;
+    local_info.dual_epsilon =
+        sqrt_t * options.abs_tolerance + options.rel_tolerance * dual_scale;
+    if (local_info.primal_residual <= local_info.primal_epsilon &&
+        local_info.dual_residual <= local_info.dual_epsilon) {
       local_info.converged = true;
       break;
     }
+
+    // Residual balancing on the split residuals relative to their scales
+    // (ρ does not act on the Taylor-model term). ν is unscaled, so a new ρ
+    // needs no dual rescale; the r-system is rebuilt every iteration anyway.
+    constexpr double kTiny = std::numeric_limits<double>::min();
+    const double rel_primal =
+        local_info.primal_residual / std::max(primal_scale, kTiny);
+    const double rel_dual = split_dual / std::max(dual_scale, kTiny);
+    if (rel_primal > kBalanceMu * rel_dual) {
+      rho *= kBalanceTau;
+    } else if (rel_dual > kBalanceMu * rel_primal) {
+      rho /= kBalanceTau;
+    }
   }
+  local_info.rho = rho;
   if (info != nullptr) *info = local_info;
 
   NhppConfig fitted_config = config;

@@ -31,12 +31,18 @@ inline constexpr std::size_t kAutoSolverPeriodThreshold = 512;
 
 /// ADMM hyper-parameters and stopping rules.
 struct AdmmOptions {
-  double rho = 1.0;               ///< Augmented-Lagrangian penalty ρ.
+  /// Initial augmented-Lagrangian penalty ρ. Residual balancing (Boyd et
+  /// al. 2011, §3.4.1) rescales it by 2× whenever one relative residual
+  /// outgrows the other 10-fold; AdmmInfo::rho reports where it ended.
+  double rho = 1.0;
   std::size_t max_iterations = 200;
-  /// Stop when both primal residuals ‖y−D2r‖₂, ‖z−DLr‖₂ and the dual
-  /// residual (scaled iterate change) fall below these.
-  double primal_tolerance = 1e-6;
-  double dual_tolerance = 1e-6;
+  /// Scaled stopping rule (Boyd et al. 2011, §3.3.1): stop when the primal
+  /// residual ‖[y−D2r; z−DLr]‖₂ ≤ √p·ε_abs + ε_rel·max(‖[D2r; DLr]‖,
+  /// ‖[y; z]‖) and the dual residual ρ‖Δ[y; z]‖₂ ≤ √T·ε_abs +
+  /// ε_rel·‖D2ᵀν_y + DLᵀν_z‖, with p the number of split rows and T the
+  /// series length.
+  double abs_tolerance = 1e-3;  ///< ε_abs.
+  double rel_tolerance = 1e-3;  ///< ε_rel.
   RSubproblemSolver solver = RSubproblemSolver::kAuto;
   /// Log-intensity is clamped to ±`r_clamp` to keep exp() finite.
   double r_clamp = 25.0;
@@ -49,10 +55,10 @@ struct AdmmOptions {
   /// Optional initial iterate r₀ (log-intensity, aligned with `counts`): a
   /// warm start from a previous fit on a prefix of the same series. Bins
   /// beyond its length — and non-finite entries — fall back to the smoothed
-  /// default start; everything is clamped to ±r_clamp either way. Reusing
-  /// the previous iterate typically cuts iterations several-fold on small
-  /// appended windows (the per-iterate warm start the PCG path already
-  /// exploits, lifted to whole refits). Not owned; must outlive the call.
+  /// default start; everything is clamped to ±r_clamp either way. Only the
+  /// primal iterate is seeded (the duals restart at zero), so the iterate
+  /// alone saves little: pair it with the previous fit's final ρ as `rho`
+  /// (rs::train::TrainingSession does). Not owned; must outlive the call.
   const std::vector<double>* warm_start = nullptr;
 };
 
@@ -61,6 +67,12 @@ struct AdmmInfo {
   std::size_t iterations = 0;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
+  /// ε_pri and ε_dual of the scaled stopping rule at the last iteration.
+  double primal_epsilon = 0.0;
+  double dual_epsilon = 0.0;
+  /// Final penalty ρ: the one the next iteration would use, i.e. after the
+  /// last balancing step. A warm refit starts from it.
+  double rho = 0.0;
   bool converged = false;
 };
 

@@ -7,8 +7,10 @@ namespace rs::train {
 
 namespace {
 
-/// Session payload layout version inside kTagTrainSession.
-constexpr std::uint32_t kSessionVersion = 1;
+/// Session payload layout version inside kTagTrainSession. v2 appends the
+/// previous fit's final ADMM penalty ρ; a v1 payload loads without one, so
+/// its first refit starts from the configured ρ.
+constexpr std::uint32_t kSessionVersion = 2;
 
 }  // namespace
 
@@ -37,6 +39,7 @@ TrainingSession TrainingSession::FromTrained(
   if (!trained.counts.counts.empty()) {
     session.counts_ = trained.counts;
     session.warm_ = trained.model.log_intensity();
+    session.warm_rho_ = trained.admm_info.rho;
     session.fits_ = 1;
     session.last_iterations_ = trained.admm_info.iterations;
   } else {
@@ -100,24 +103,27 @@ Result<core::TrainedPipeline> TrainingSession::Fit() {
   RS_ASSIGN_OR_RETURN(
       auto trained,
       core::TrainRobustScalerFromCounts(counts_, options_, nullptr));
-  warm_ = trained.model.log_intensity();
-  ++fits_;
-  last_iterations_ = trained.admm_info.iterations;
+  AdoptFit(trained);
   return trained;
 }
 
 Result<core::TrainedPipeline> TrainingSession::Refit() {
-  const std::vector<double>* warm = warm_.empty() ? nullptr : &warm_;
+  if (warm_.empty()) return Fit();
+  // Warm start both the iterate and the balanced penalty: restarting ρ
+  // from its configured value makes residual balancing redo the climb the
+  // previous fit already made.
+  core::PipelineOptions options = options_;
+  if (warm_rho_ > 0.0) options.admm.rho = warm_rho_;
   RS_ASSIGN_OR_RETURN(
-      auto trained, core::TrainRobustScalerFromCounts(counts_, options_, warm));
-  warm_ = trained.model.log_intensity();
-  ++fits_;
-  last_iterations_ = trained.admm_info.iterations;
+      auto trained,
+      core::TrainRobustScalerFromCounts(counts_, options, &warm_));
+  AdoptFit(trained);
   return trained;
 }
 
 void TrainingSession::AdoptFit(const core::TrainedPipeline& trained) {
   warm_ = trained.model.log_intensity();
+  warm_rho_ = trained.admm_info.rho;
   ++fits_;
   last_iterations_ = trained.admm_info.iterations;
 }
@@ -131,6 +137,7 @@ void TrainingSession::Serialize(persist::Writer* writer) const {
   writer->WriteDoubleVector(warm_);
   writer->WriteU64(fits_);
   writer->WriteU64(last_iterations_);
+  writer->WriteDouble(warm_rho_);
   writer->EndSection();
 }
 
@@ -151,6 +158,9 @@ Result<TrainingSession> TrainingSession::Deserialize(
   RS_RETURN_NOT_OK(reader->ReadDoubleVector(&session.warm_));
   RS_ASSIGN_OR_RETURN(session.fits_, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(session.last_iterations_, reader->ReadU64());
+  if (version >= 2) {
+    RS_ASSIGN_OR_RETURN(session.warm_rho_, reader->ReadDouble());
+  }
   RS_RETURN_NOT_OK(reader->ExitSection());
   if (!(session.counts_.dt > 0.0)) {
     return Status::Invalid("TrainingSession: snapshot dt must be > 0");

@@ -4,11 +4,10 @@
 ///
 /// TrainRobustScaler is a one-shot batch: bin a trace, fit, forecast,
 /// forget. A TrainingSession keeps the binned window and the fitted
-/// log-intensity iterate alive between fits, so a retrain after new
-/// arrivals warm-starts ADMM from the previous solution (see
-/// AdmmOptions::warm_start) instead of from the smoothed cold start —
-/// typically a several-fold iteration cut when the appended window is a
-/// small fraction of the series. Sessions are plain values: copyable, so a
+/// log-intensity iterate and the final ADMM penalty ρ alive between fits,
+/// so a retrain after new arrivals warm-starts ADMM from the previous
+/// solution (see AdmmOptions::warm_start) instead of from the smoothed cold
+/// start. Sessions are plain values: copyable, so a
 /// background retrain job can capture a point-in-time copy while the live
 /// session keeps accumulating arrivals, and serializable, so they survive
 /// rs::persist snapshot/restore (kTagTrainSession).
@@ -28,8 +27,8 @@ namespace rs::train {
 /// Cold contract: on the same counts, `Fit()` is byte-identical to
 /// `TrainRobustScaler` on the trace that produced them (same modules, same
 /// order of floating-point operations). `Refit()` differs only in the ADMM
-/// starting iterate, which changes the iteration count, not the contract:
-/// both converge to the same tolerances.
+/// starting iterate and penalty, which change the iteration count, not the
+/// contract: both stop on the same scaled tolerances.
 class TrainingSession {
  public:
   TrainingSession() = default;
@@ -71,8 +70,9 @@ class TrainingSession {
   /// Cold fit of the current window (ignores the warm-start iterate).
   Result<core::TrainedPipeline> Fit();
 
-  /// Warm fit: starts ADMM from the previous fit's iterate when one exists
-  /// (falls back to a cold fit otherwise). Updates the iterate on success.
+  /// Warm fit: starts ADMM from the previous fit's iterate and final ρ
+  /// when one exists (falls back to a cold fit otherwise). Updates both on
+  /// success.
   Result<core::TrainedPipeline> Refit();
 
   /// Adopts an externally produced fit's iterate as the new warm start —
@@ -106,6 +106,7 @@ class TrainingSession {
   core::PipelineOptions options_;
   ts::CountSeries counts_;
   std::vector<double> warm_;  ///< Previous fit's log-intensity iterate.
+  double warm_rho_ = 0.0;     ///< Previous fit's final ρ (0 = none).
   std::uint64_t fits_ = 0;
   std::uint64_t last_iterations_ = 0;
 };

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "rs/core/admm.hpp"
+#include "rs/linalg/difference_ops.hpp"
+#include "rs/linalg/vector_ops.hpp"
 #include "rs/stats/distributions.hpp"
 #include "rs/stats/empirical.hpp"
 #include "rs/stats/rng.hpp"
@@ -91,13 +94,65 @@ TEST(AdmmTest, ConvergesOnSmoothData) {
   NhppConfig config;
   config.dt = 10.0;
   config.beta1 = 1.0;
-  AdmmOptions options;
-  options.max_iterations = 500;
+  const AdmmOptions options;  // Defaults: ε_abs = ε_rel = 1e-3, cap 200.
   AdmmInfo info;
   auto model = FitNhpp(counts, config, options, &info);
   ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(info.converged);
+  EXPECT_LT(info.iterations, options.max_iterations);
+
+  // The scaled rule was met, against thresholds no looser than its
+  // definition allows: ‖[y; z]‖ ≤ ‖D2r‖ + ‖y − D2r‖, so
+  // ε_pri ≤ √p·ε_abs + ε_rel·(‖D2r‖ + r_pri).
+  EXPECT_LE(info.primal_residual, info.primal_epsilon);
+  EXPECT_LE(info.dual_residual, info.dual_epsilon);
+  std::vector<double> d2r;
+  linalg::ApplyD2(model->log_intensity(), &d2r);
+  const double sqrt_p = std::sqrt(static_cast<double>(d2r.size()));
+  EXPECT_LE(info.primal_epsilon,
+            sqrt_p * options.abs_tolerance +
+                options.rel_tolerance *
+                    (std::sqrt(linalg::Dot(d2r, d2r)) + info.primal_residual) +
+                1e-12);
+
+  // And stopping there costs little objective: the loss is within 1e-5
+  // (relative) of a 20 000-iteration reference fit run with zero
+  // tolerances.
+  AdmmOptions reference_options;
+  reference_options.max_iterations = 20000;
+  reference_options.abs_tolerance = 0.0;
+  reference_options.rel_tolerance = 0.0;
+  auto reference = FitNhpp(counts, config, reference_options);
+  ASSERT_TRUE(reference.ok());
+  const double loss = *model->Loss(counts);
+  const double reference_loss = *reference->Loss(counts);
+  EXPECT_LE(loss - reference_loss, 1e-5 * std::fabs(reference_loss))
+      << "loss " << loss << " vs reference " << reference_loss;
+}
+
+TEST(AdmmTest, StopsAtTheLikelihoodLevelOnFlatSeries) {
+  // A flat series keeps D2r = DLr = 0 from the first iterate on, so the
+  // split residuals vanish at once; only the Newton step's model error
+  // shows the level is not yet the likelihood optimum. Stopping must wait
+  // for it.
+  NhppConfig config;
+  config.dt = 30.0;
+  config.period = 20;
+  AdmmInfo info;
+  auto constant = FitNhpp(std::vector<double>(240, 7.0), config, {}, &info);
+  ASSERT_TRUE(constant.ok());
   EXPECT_TRUE(info.converged);
-  EXPECT_LT(info.primal_residual, 1e-5);
+  for (double lambda : constant->Intensity()) {
+    EXPECT_NEAR(lambda, 7.0 / config.dt, 1e-4);  // The MLE level Q/Δt.
+  }
+  // All zero: the optimum is the clamp floor; the fit must head there, not
+  // stop at the smoothed start 0.5/Δt.
+  auto silent = FitNhpp(std::vector<double>(240, 0.0), config, {}, &info);
+  ASSERT_TRUE(silent.ok());
+  EXPECT_TRUE(info.converged);
+  for (double lambda : silent->Intensity()) {
+    EXPECT_LT(lambda, 1e-3 * 0.5 / config.dt);
+  }
 }
 
 TEST(AdmmTest, PeriodicityPenaltyImprovesAccuracy) {
@@ -182,6 +237,12 @@ TEST(AdmmTest, RejectsInvalidInputs) {
   EXPECT_FALSE(FitNhpp({1.0, -2.0, 3.0}, config).ok());  // Negative count.
   AdmmOptions options;
   options.rho = 0.0;
+  EXPECT_FALSE(FitNhpp({1.0, 2.0, 3.0}, config, options).ok());
+  options.rho = 1.0;
+  options.rel_tolerance = -1.0;
+  EXPECT_FALSE(FitNhpp({1.0, 2.0, 3.0}, config, options).ok());
+  options.rel_tolerance = 1e-3;
+  options.abs_tolerance = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(FitNhpp({1.0, 2.0, 3.0}, config, options).ok());
 }
 

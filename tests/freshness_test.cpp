@@ -138,10 +138,12 @@ TEST(TrainingSession, WarmRefitConvergesFasterToTheSameModel) {
   const double extension = 1.0 * kPeriodS;
   const auto full = MakeSineTrace(22, train_horizon + extension, 1.0);
   auto options = MakePipelineOptions(2.0 * kPeriodS);
-  // Let ADMM run to its tolerances so "same minimizer" is well-defined
-  // (the convex objective has a unique optimum; a capped fit does not).
-  // At the default 1e-6 residuals that takes several thousand iterations
-  // on these tiny problems.
+  // Let ADMM run to tight tolerances so "same minimizer" is well-defined
+  // (the convex objective has a unique optimum; a loosely stopped fit is
+  // only near it). ε_abs = ε_rel = 1e-5 takes 100–160 iterations here; the
+  // cap only guards against a regression that stops converging.
+  options.admm.abs_tolerance = 1e-5;
+  options.admm.rel_tolerance = 1e-5;
   options.admm.max_iterations = 50000;
 
   auto [head, tail] = full.SplitAt(train_horizon);
@@ -182,6 +184,98 @@ TEST(TrainingSession, WarmRefitConvergesFasterToTheSameModel) {
                 cold_full->model.log_intensity()[i], 1e-2)
         << "log intensity bin " << i;
   }
+}
+
+TEST(TrainingSession, WarmRefitTakesFewerIterationsThanColdAtDefaults) {
+  // The freshness loop's shape: fit four cycles, serve half a cycle more,
+  // refit. At the default stopping rule, warm refits (previous iterate and
+  // final ρ) must beat cold fits of the same windows in total iterations.
+  // Per seed the two can tie or swap when the detected period moves
+  // between the fits; the total is the contract.
+  const double train_horizon = 4.0 * kPeriodS;
+  const double extension = 0.5 * kPeriodS;
+  const auto options = MakePipelineOptions(2.0 * kPeriodS);
+  std::size_t warm_total = 0, cold_total = 0;
+  for (std::uint64_t seed = 20; seed < 30; ++seed) {
+    const auto full = MakeSineTrace(seed, train_horizon + extension, 1.0);
+    auto [head, tail] = full.SplitAt(train_horizon);
+    auto session = train::TrainingSession::FromTrace(head, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session->Fit().ok());
+    std::vector<double> continuation = tail.ArrivalTimes();
+    for (double& t : continuation) t += train_horizon;
+    ASSERT_TRUE(
+        session->AppendArrivals(continuation, train_horizon + extension).ok());
+    auto warm = session->Refit();
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+    auto cold_session = train::TrainingSession::FromTrace(full, options);
+    ASSERT_TRUE(cold_session.ok());
+    auto cold = cold_session->Fit();
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+    EXPECT_TRUE(warm->admm_info.converged) << "seed " << seed;
+    EXPECT_TRUE(cold->admm_info.converged) << "seed " << seed;
+    warm_total += warm->admm_info.iterations;
+    cold_total += cold->admm_info.iterations;
+  }
+  EXPECT_LT(warm_total, cold_total);
+}
+
+TEST(TrainingSession, SnapshotCarriesWarmRhoAndReadsVersionOne) {
+  const auto trace = MakeSineTrace(25, 4.0 * kPeriodS, 1.0);
+  const auto options = MakePipelineOptions(kPeriodS);
+  auto session = train::TrainingSession::FromTrace(trace, options);
+  ASSERT_TRUE(session.ok());
+  auto fitted = session->Fit();
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  ASSERT_NE(fitted->admm_info.rho, options.admm.rho)
+      << "fixture must move ρ for this test to mean anything";
+
+  const auto round_trip = [&options](persist::Writer* writer)
+      -> Result<train::TrainingSession> {
+    std::stringstream buffer;
+    RS_RETURN_NOT_OK(writer->Finish(buffer));
+    RS_ASSIGN_OR_RETURN(auto reader, persist::Reader::FromStream(buffer));
+    return train::TrainingSession::Deserialize(&reader, options);
+  };
+
+  // Current layout: the restored session refits exactly like the live one,
+  // warm ρ included.
+  persist::Writer writer;
+  session->Serialize(&writer);
+  auto restored = round_trip(&writer);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto live_refit = session->Refit();
+  auto restored_refit = restored->Refit();
+  ASSERT_TRUE(live_refit.ok() && restored_refit.ok());
+  EXPECT_EQ(live_refit->admm_info.iterations,
+            restored_refit->admm_info.iterations);
+  EXPECT_EQ(live_refit->forecast.rates(), restored_refit->forecast.rates());
+
+  // A v1 payload (no ρ) still loads; its refit warm-starts the iterate
+  // from the configured ρ.
+  persist::Writer v1;
+  v1.BeginSection(persist::kTagTrainSession);
+  v1.WriteU32(1);
+  v1.WriteDouble(fitted->counts.start);
+  v1.WriteDouble(fitted->counts.dt);
+  v1.WriteDoubleVector(fitted->counts.counts);
+  v1.WriteDoubleVector(fitted->model.log_intensity());
+  v1.WriteU64(1);
+  v1.WriteU64(fitted->admm_info.iterations);
+  v1.EndSection();
+  auto legacy = round_trip(&v1);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  ASSERT_TRUE(legacy->has_warm_start());
+  auto legacy_refit = legacy->Refit();
+  ASSERT_TRUE(legacy_refit.ok()) << legacy_refit.status().ToString();
+  auto expected = core::TrainRobustScalerFromCounts(
+      fitted->counts, options, &fitted->model.log_intensity());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(legacy_refit->admm_info.iterations,
+            expected->admm_info.iterations);
+  EXPECT_EQ(legacy_refit->forecast.rates(), expected->forecast.rates());
 }
 
 TEST(TrainingSession, RefitIsDeterministic) {

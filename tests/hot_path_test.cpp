@@ -558,6 +558,45 @@ TEST(TrainingParityTest, FitNhppIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(fits[0], fits[2]);
 }
 
+TEST(TrainingParityTest, StoppingRuleIdenticalAcrossWorkerCounts) {
+  // Default options, so the fit stops on the scaled rule and balances ρ:
+  // every reduction those decisions read must be pool-size independent.
+  // 2500 bins span three ADMM chunks, so the pool really splits the work.
+  stats::Rng rng(23);
+  std::vector<double> counts(2500);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double level =
+        8.0 + 6.0 * std::sin(2.0 * M_PI * static_cast<double>(i % 96) / 96.0);
+    counts[i] = static_cast<double>(stats::SamplePoisson(&rng, level));
+  }
+  core::NhppConfig config;
+  config.dt = 60.0;
+  config.beta1 = 10.0;
+  config.beta2 = 50.0;
+  config.period = 96;
+
+  std::vector<std::vector<double>> fits;
+  std::vector<core::AdmmInfo> infos;
+  for (std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+    common::ThreadPool pool(workers);
+    core::AdmmOptions options;
+    options.pool = &pool;
+    core::AdmmInfo info;
+    auto model = core::FitNhpp(counts, config, options, &info);
+    ASSERT_TRUE(model.ok());
+    fits.push_back(model->log_intensity());
+    infos.push_back(info);
+  }
+  EXPECT_TRUE(infos[0].converged);
+  for (std::size_t i = 1; i < fits.size(); ++i) {
+    EXPECT_EQ(fits[0], fits[i]);
+    EXPECT_EQ(infos[0].iterations, infos[i].iterations);
+    EXPECT_EQ(infos[0].rho, infos[i].rho);
+    EXPECT_EQ(infos[0].primal_residual, infos[i].primal_residual);
+    EXPECT_EQ(infos[0].dual_residual, infos[i].dual_residual);
+  }
+}
+
 TEST(TrainingParityTest, FullPipelineIdenticalAcrossWorkerCounts) {
   auto synth = workload::MakeAlibabaLikeTrace();
   ASSERT_TRUE(synth.ok());

@@ -162,5 +162,44 @@ TEST(IntegrationTest, CrsLikePipelineDetectsWeeklyOrDailyStructure) {
       << "period detected: " << period_days << " days";
 }
 
+// The three paper scenarios (the bench harnesses' train splits, bin widths
+// and aggregation factors) must each stop on the scaled ADMM rule at
+// default options, well inside the iteration cap.
+struct PaperScenario {
+  const char* name;
+  Result<workload::SyntheticTrace> (*make)();
+  double train_s;
+  double dt;
+  std::size_t aggregate_factor;
+};
+
+TEST(IntegrationTest, PaperScenarioFitsConvergeAtDefaults) {
+  const PaperScenario scenarios[] = {
+      {"CRS", [] { return workload::MakeCrsLikeTrace(); }, 3.0 * 7.0 * 86400.0,
+       600.0, 6},
+      {"Google", [] { return workload::MakeGoogleLikeTrace(); },
+       18.0 * 3600.0, 60.0, 5},
+      {"Alibaba", [] { return workload::MakeAlibabaLikeTrace(); },
+       4.0 * 86400.0, 300.0, 1},
+  };
+  for (const PaperScenario& scenario : scenarios) {
+    auto synth = scenario.make();
+    ASSERT_TRUE(synth.ok()) << scenario.name;
+    auto train = synth->trace.SplitAt(scenario.train_s).first;
+    core::PipelineOptions options;
+    options.dt = scenario.dt;
+    options.periodicity.aggregate_factor = scenario.aggregate_factor;
+    options.forecast_horizon = 3600.0;
+    auto trained = TrainPipeline(train, options);
+    ASSERT_TRUE(trained.ok()) << scenario.name << ": "
+                              << trained.status().ToString();
+    const core::AdmmInfo& info = trained->admm_info;
+    EXPECT_TRUE(info.converged) << scenario.name;
+    EXPECT_LT(info.iterations, options.admm.max_iterations) << scenario.name;
+    EXPECT_LE(info.primal_residual, info.primal_epsilon) << scenario.name;
+    EXPECT_LE(info.dual_residual, info.dual_epsilon) << scenario.name;
+  }
+}
+
 }  // namespace
 }  // namespace rs::api

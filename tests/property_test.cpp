@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "rs/api/api.hpp"
 #include "rs/baselines/backup_pool.hpp"
 #include "rs/core/decision.hpp"
+#include "rs/core/kappa.hpp"
+#include "rs/core/pipeline.hpp"
 #include "rs/simulator/engine.hpp"
 #include "rs/simulator/metrics.hpp"
 #include "rs/stats/distributions.hpp"
@@ -525,6 +528,101 @@ TEST(CostConstraintTest, FreshSampleIdleMatchesBudget) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Adversarial training inputs: periodicity → ADMM → forecast → κ on count
+// series a production window can hold. Each must end in a clean error
+// Status or in a finite, non-negative forecast and an in-bounds κ — never
+// a crash, a NaN, or an unbounded loop.
+// ---------------------------------------------------------------------------
+
+struct AdversarialCase {
+  const char* name;
+  std::vector<double> counts;
+};
+
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<double> SineCounts(std::size_t bins, double level) {
+  std::vector<double> counts(bins);
+  for (std::size_t i = 0; i < bins; ++i) {
+    counts[i] = std::round(
+        level * (1.0 + 0.5 * std::sin(2.0 * M_PI *
+                                      static_cast<double>(i % 20) / 20.0)));
+  }
+  return counts;
+}
+
+std::vector<AdversarialCase> AdversarialCases() {
+  std::vector<double> spike(240, 0.0);
+  spike[117] = 5000.0;
+  std::vector<double> near_overflow = SineCounts(240, 1.0);
+  for (double& q : near_overflow) {
+    q *= 0.25 * std::numeric_limits<double>::max();
+  }
+  return {
+      {"all_zero", std::vector<double>(240, 0.0)},
+      {"constant", std::vector<double>(240, 7.0)},
+      {"single_spike", spike},
+      {"huge_counts", SineCounts(240, 1e9)},
+      {"shorter_than_one_period", SineCounts(12, 5.0)},
+      {"minimum_length", {0.0, 3.0, 1.0}},
+      {"too_short", {4.0, 2.0}},
+      {"near_overflow", near_overflow},
+  };
+}
+
+class AdversarialTrainingTest
+    : public ::testing::TestWithParam<AdversarialCase> {};
+
+TEST_P(AdversarialTrainingTest, CleanStatusOrFiniteInBoundsPlan) {
+  const AdversarialCase& c = GetParam();
+  ts::CountSeries counts;
+  counts.dt = 30.0;
+  counts.counts = c.counts;
+  core::PipelineOptions options;
+  options.forecast_horizon = 1800.0;
+  auto trained = core::TrainRobustScalerFromCounts(counts, options);
+  if (!trained.ok()) {
+    EXPECT_FALSE(trained.status().message().empty());
+    return;
+  }
+  const core::AdmmInfo& info = trained->admm_info;
+  EXPECT_LE(info.iterations, options.admm.max_iterations);
+  EXPECT_TRUE(std::isfinite(info.rho) && info.rho > 0.0) << info.rho;
+  for (double r : trained->model.log_intensity()) {
+    ASSERT_TRUE(std::isfinite(r));
+    ASSERT_LE(std::fabs(r), options.admm.r_clamp);
+  }
+  const auto& rates = trained->forecast.rates();
+  ASSERT_FALSE(rates.empty());
+  double lambda_bar = 0.0;
+  for (double rate : rates) {
+    ASSERT_TRUE(std::isfinite(rate) && rate >= 0.0) << rate;
+    lambda_bar = std::max(lambda_bar, rate);
+  }
+
+  // κ at the forecast's peak rate: exact (binary search) and Monte Carlo.
+  constexpr std::size_t kMaxKappa = 100000;
+  const auto check_kappa = [&](const Result<std::size_t>& kappa) {
+    if (kappa.ok()) {
+      EXPECT_LE(*kappa, kMaxKappa);
+    } else {
+      EXPECT_FALSE(kappa.status().message().empty());
+    }
+  };
+  check_kappa(core::ComputeKappaBinarySearch(0.1, lambda_bar, 13.0, kMaxKappa));
+  stats::Rng rng(5);
+  check_kappa(core::ComputeKappaMonteCarlo(
+      &rng, 0.1, lambda_bar, stats::DurationDistribution::Deterministic(13.0),
+      /*num_samples=*/200, kMaxKappa));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Traces, AdversarialTrainingTest, ::testing::ValuesIn(AdversarialCases()),
+    [](const ::testing::TestParamInfo<AdversarialCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Periodicity: a spike-train signal (narrow periodic bursts, the

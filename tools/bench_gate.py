@@ -15,7 +15,11 @@ the machine out and collapse only when the optimization itself regresses:
   fleet_scaling  : per-threads `speedup` over the run's own 1-thread
                    baseline;
   training_time  : per-scenario `decision_ms` (the paper's "< 5 ms per
-                   decision" claim; absolute, so give it a wider tolerance);
+                   decision" claim; absolute, so give it a wider tolerance),
+                   plus the ADMM fit's deterministic `admm_iterations` (may
+                   not grow by more than 2%, whatever --tolerance says: the
+                   slack absorbs libm ulp drift across runner images) and
+                   `converged` (may not turn false);
   freshness      : per-retrain_workers `detection_rate` (must not drop),
                    `throughput_vs_no_freshness` (the freshness loop's tax on
                    fleet planning, a within-run ratio), and for the
@@ -110,15 +114,19 @@ class Gate:
         return 0 if self.allow_missing else 1
 
     def compare(self, key, metric, baseline, current, gated,
-                higher_is_better=True):
-        """Records one metric comparison; returns True when it regressed."""
+                higher_is_better=True, tolerance=None):
+        """Records one metric comparison; returns True when it regressed.
+
+        `tolerance` overrides the run-wide --tolerance for this metric.
+        """
         if baseline is None or current is None or baseline <= 0:
             return False
+        tolerance = self.tolerance if tolerance is None else tolerance
         delta = (current - baseline) / baseline
         if higher_is_better:
-            regressed = gated and current < baseline * (1.0 - self.tolerance)
+            regressed = gated and current < baseline * (1.0 - tolerance)
         else:
-            regressed = gated and current > baseline * (1.0 + self.tolerance)
+            regressed = gated and current > baseline * (1.0 + tolerance)
         self.rows.append({
             "key": fmt_key(key),
             "metric": metric,
@@ -202,7 +210,7 @@ def gate_fleet(baseline, current, gate, gate_absolute):
 
 
 def gate_training(baseline, current, gate, gate_absolute):
-    del gate_absolute  # decision_ms is the only (absolute) gated metric.
+    del gate_absolute  # decision_ms is the only absolute gated metric.
     regressions = 0
     base_rows = index_rows(baseline.get("scenarios", []), ("trace",))
     cur_rows = index_rows(current.get("scenarios", []), ("trace",))
@@ -215,9 +223,25 @@ def gate_training(baseline, current, gate, gate_absolute):
                                     base.get("decision_ms"),
                                     cur.get("decision_ms"), gated=True,
                                     higher_is_better=False)
+        # The fit's iteration count and stopping outcome are deterministic:
+        # iterations may not grow past 2% and a converged fit must stay
+        # converged (1.0 vs 0.0 through the same comparison).
+        regressions += gate.compare(key, "admm_iterations",
+                                    base.get("admm_iterations"),
+                                    cur.get("admm_iterations"), gated=True,
+                                    higher_is_better=False, tolerance=0.02)
+        if "converged" in base:
+            regressions += gate.compare(
+                key, "converged", float(base["converged"]),
+                float(cur.get("converged", False)), gated=True,
+                tolerance=0.0)
         print(f"bench_gate: {fmt_key(key)}: "
               f"decision {cur.get('decision_ms', 0):.3f} ms "
-              f"(baseline {base.get('decision_ms', 0):.3f} ms)")
+              f"(baseline {base.get('decision_ms', 0):.3f} ms), "
+              f"ADMM {cur.get('admm_iterations', '?')} iterations, "
+              f"converged {cur.get('converged', '?')} "
+              f"(baseline {base.get('admm_iterations', '?')}, "
+              f"{base.get('converged', '?')})")
     return regressions
 
 

@@ -317,12 +317,14 @@ Status PrintPolicy(Reader* reader, int depth) {
   RS_ASSIGN_OR_RETURN(const double beta1, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const double beta2, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const double horizon, reader->ReadDouble());
-  // ADMM + periodicity knobs (rho, max_iterations, tolerances, r_clamp,
-  // aggregate_factor): skip to the detector/loop subset.
-  RS_RETURN_NOT_OK(reader->ReadDouble().status());
-  RS_RETURN_NOT_OK(reader->ReadU64().status());
-  for (int i = 0; i < 3; ++i) RS_RETURN_NOT_OK(reader->ReadDouble().status());
-  RS_RETURN_NOT_OK(reader->ReadU64().status());
+  RS_ASSIGN_OR_RETURN(const double rho, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const std::uint64_t max_iterations, reader->ReadU64());
+  // v2+: ε_abs/ε_rel of the scaled stopping rule. v1: raw residual-norm
+  // bounds, which the fleet replaces with the default ε_abs/ε_rel on load.
+  RS_ASSIGN_OR_RETURN(const double tolerance_a, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const double tolerance_b, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const double r_clamp, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const std::uint64_t aggregate, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t warmup, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const double min_rate, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const double delta, reader->ReadDouble());
@@ -335,6 +337,16 @@ Status PrintPolicy(Reader* reader, int depth) {
   std::cout << Indent(depth) << "FPOL freshness policy (version " << version
             << "): retrain dt = " << dt << " s, horizon = " << horizon
             << " s, beta = (" << beta1 << ", " << beta2 << ")\n"
+            << Indent(depth + 1) << "admm: rho0 = " << rho
+            << ", max_iterations = " << max_iterations;
+  if (version >= 2) {
+    std::cout << ", eps_abs = " << tolerance_a << ", eps_rel = " << tolerance_b;
+  } else {
+    std::cout << ", raw residual bounds (" << tolerance_a << ", "
+              << tolerance_b << ") load as the default eps_abs/eps_rel";
+  }
+  std::cout << ", r_clamp = " << r_clamp
+            << ", periodicity aggregate = " << aggregate << '\n'
             << Indent(depth + 1) << "detector: warmup = " << warmup
             << " bins, min_rate = " << min_rate << ", delta = " << delta
             << ", threshold = " << threshold << ", profile = ("

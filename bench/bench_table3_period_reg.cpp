@@ -15,6 +15,7 @@
 // holds a solver change to the committed reproduction.
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -92,13 +93,13 @@ int main(int argc, char** argv) {
     RS_CHECK(static_cast<bool>(out)) << "cannot open " << json_path;
     out.precision(6);
     out << "{\n  \"bench\": \"table3_period_reg\",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
       const Row& row = rows[i];
       out << "    {\"metric\": \"" << row.metric
           << "\", \"without_reg\": " << row.without_reg
           << ", \"with_reg\": " << row.with_reg << ", \"improvement_pct\": "
           << 100.0 * (1.0 - row.with_reg / row.without_reg) << "}"
-          << (i + 1 < 2 ? "," : "") << "\n";
+          << (i + 1 < std::size(rows) ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     RS_CHECK(static_cast<bool>(out)) << "write failed: " << json_path;

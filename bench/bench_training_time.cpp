@@ -6,7 +6,7 @@
 // (the fit is byte-identical for every pool size — asserted here — so the
 // workers column is purely wall time). Each scenario also reports the ADMM
 // fit's iteration count and whether it met the stopping rule: both are
-// deterministic, so CI gates them exactly.
+// deterministic, so CI gates them (tools/bench_gate.py).
 //
 // Usage:
 //   bench_training_time [--workers=0,4] [--json=BENCH_training.json]

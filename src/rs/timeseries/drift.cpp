@@ -181,10 +181,10 @@ Result<DriftDetector> DriftDetector::Deserialize(
     persist::Reader* reader, const DriftDetectorOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagDriftDetector));
   RS_ASSIGN_OR_RETURN(auto version, reader->ReadU32());
-  if (version > kDetectorVersion) {
+  if (version == 0 || version > kDetectorVersion) {
     return Status::Invalid("DriftDetector: snapshot detector version " +
-                           std::to_string(version) + " is newer than " +
-                           std::to_string(kDetectorVersion));
+                           std::to_string(version) + " is outside [1, " +
+                           std::to_string(kDetectorVersion) + "]");
   }
   DriftDetector detector;
   detector.options_ = options;

@@ -145,10 +145,10 @@ Result<TrainingSession> TrainingSession::Deserialize(
     persist::Reader* reader, const core::PipelineOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTrainSession));
   RS_ASSIGN_OR_RETURN(auto version, reader->ReadU32());
-  if (version > kSessionVersion) {
+  if (version == 0 || version > kSessionVersion) {
     return Status::Invalid("TrainingSession: snapshot session version " +
-                           std::to_string(version) + " is newer than " +
-                           std::to_string(kSessionVersion));
+                           std::to_string(version) + " is outside [1, " +
+                           std::to_string(kSessionVersion) + "]");
   }
   TrainingSession session;
   session.options_ = options;

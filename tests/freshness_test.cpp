@@ -278,6 +278,30 @@ TEST(TrainingSession, SnapshotCarriesWarmRhoAndReadsVersionOne) {
   EXPECT_EQ(legacy_refit->forecast.rates(), expected->forecast.rates());
 }
 
+TEST(TrainingSession, RejectsVersionZeroSection) {
+  // Version 0 was never written by any build: a section carrying it is
+  // corrupt input, rejected like every other section reader does.
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagTrainSession);
+  writer.WriteU32(0);
+  writer.WriteDouble(0.0);
+  writer.WriteDouble(60.0);
+  writer.WriteDoubleVector({1.0, 2.0});
+  writer.WriteDoubleVector({});
+  writer.WriteU64(0);
+  writer.WriteU64(0);
+  writer.EndSection();
+  std::stringstream buffer;
+  ASSERT_TRUE(writer.Finish(buffer).ok());
+  auto reader = persist::Reader::FromStream(buffer);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto session = train::TrainingSession::Deserialize(
+      &*reader, MakePipelineOptions(kPeriodS));
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+      << session.status().ToString();
+}
+
 TEST(TrainingSession, RefitIsDeterministic) {
   const auto trace = MakeSineTrace(23, 4.0 * kPeriodS, 1.0);
   const auto options = MakePipelineOptions(kPeriodS);
@@ -456,6 +480,36 @@ TEST(DriftDetector, FiresOnPeriodicityBreakNotRateShift) {
   detector->AdvanceTo(40.0);
   ASSERT_TRUE(detector->fired());
   EXPECT_EQ(ts::DriftKind::kPeriodicityBreak, detector->kind());
+}
+
+TEST(DriftDetector, RejectsVersionZeroSection) {
+  // A well-formed v1 payload behind a version-0 header: only the version
+  // is wrong, and it alone must make the reader refuse.
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagDriftDetector);
+  writer.WriteU32(0);
+  writer.WriteDouble(1.0);               // dt
+  writer.WriteDouble(0.0);               // origin
+  writer.WriteU64(2);                    // period
+  writer.WriteDoubleVector({2.0, 3.0});  // expected
+  writer.WriteU64(0);                    // bins closed
+  writer.WriteDouble(0.0);               // open count
+  writer.WriteDouble(0.0);               // g_up
+  writer.WriteDouble(0.0);               // g_down
+  writer.WriteDoubleVector({0.0, 0.0});  // ring
+  writer.WriteDouble(0.0);               // correlation CUSUM
+  writer.WriteU8(0);                     // kind
+  writer.WriteDouble(0.0);               // fired time
+  writer.EndSection();
+  std::stringstream buffer;
+  ASSERT_TRUE(writer.Finish(buffer).ok());
+  auto reader = persist::Reader::FromStream(buffer);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto detector =
+      ts::DriftDetector::Deserialize(&*reader, ts::DriftDetectorOptions{});
+  ASSERT_FALSE(detector.ok());
+  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument)
+      << detector.status().ToString();
 }
 
 TEST(DriftDetector, SnapshotRestoreContinuesByteIdentical) {

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <queue>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -42,61 +40,44 @@ Result<stats::DurationDistribution> ReadDuration(persist::Reader* reader) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Online serving state: a faithful mirror of the engine's Algorithm-1
-// accounting (sim/engine.cpp) minus the per-query outcome records. Event
-// ordering, cold-start handling, scale-in order, pending-time sampling and
-// decision-time charging all match, so with the same seeds (and, in
-// charge_decision_wall_time mode, equally-scripted DecisionClocks) the
-// strategy sees bit-identical contexts in replay and live-loop modes.
-//
-// Unlike one engine replay, the state is bounded: arrivals and the action
-// log live in windowed buffers that CompactServingState() trims once
-// entries age past the strategy's declared history_requirement().
+// Online serving state: the sim::EventLoop that sim::Simulate also drives,
+// plus what serving adds on top of it. The loop observer hooks below keep
+// the undrained Plan() buffer (with each creation's emission number, so a
+// cold start can retract exactly the creation it cancelled), the parity log
+// and the lifetime counters. Arrivals and the parity log live in windowed
+// buffers that CompactServingState() trims once entries age past the
+// strategy's declared history_requirement().
 // ---------------------------------------------------------------------------
-struct Scaler::Serving {
-  /// A future creation. `seq` is the emission order; together with
-  /// `drain_watermark` it tells exactly whether the caller has already
-  /// received this creation through Plan() — the cold-start retraction in
-  /// Observe() keys on that, not on (collision-prone) time values.
-  struct ScheduledCreation {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    bool operator>(const ScheduledCreation& other) const {
-      return time != other.time ? time > other.time : seq > other.seq;
-    }
-  };
+struct Scaler::Serving : sim::LoopObserver {
+  Serving(sim::Autoscaler* strategy, const sim::EngineOptions& options)
+      : loop(strategy, options) {}
 
-  explicit Serving(const sim::EngineOptions& opts)
-      : options(opts),
-        rng(opts.seed),
-        clock(opts.decision_clock != nullptr ? opts.decision_clock
-                                             : &own_clock) {}
+  void OnDecision(double time, sim::ScalingAction&& action) {
+    // The log records the raw action at the callback's event time (the
+    // parity contract compares raw actions; charged decision time only
+    // shifts execution).
+    creations_requested += action.creation_times.size();
+    deletions_requested += action.deletions;
+    log_times.push_back(time);
+    log.push_back(std::move(action));
+    ++total_callbacks;
+  }
+  void OnScheduled(double at, std::uint64_t seq) {
+    buffered.creation_times.push_back(at);
+    buffered_seqs.push_back(seq);
+  }
+  void OnDeleted(const sim::LiveInstance& /*instance*/, double /*time*/) {
+    // Only deletions the loop applied reach the caller: forwarding the
+    // excess would make the caller's fleet delete instances the loop kept.
+    ++buffered.deletions;
+  }
 
-  sim::EngineOptions options;
-  stats::Rng rng;
-  /// Decision-time source when charge_decision_wall_time is set; `clock`
-  /// points at `own_clock` unless the options injected one.
-  sim::SteadyDecisionClock own_clock;
-  sim::DecisionClock* clock;
-  /// Future creations, earliest first (ties: oldest emission first).
-  std::priority_queue<ScheduledCreation, std::vector<ScheduledCreation>,
-                      std::greater<>>
-      schedule;
-  /// Ready times of unconsumed instances, in creation order.
-  std::deque<double> live;
-  /// Windowed arrival history (ascending). `total_arrivals` counts every
-  /// arrival ever observed; compaction may drop the stale prefix here.
-  std::vector<double> arrivals;
-  std::size_t total_arrivals = 0;
-  double now = 0.0;
-  double next_tick = kInf;
-  bool started = false;
+  sim::EventLoop loop;
   std::size_t cold_starts = 0;
   std::size_t creations_requested = 0;
   std::size_t deletions_requested = 0;
-  /// Next creation emission number and the drain watermark: creations with
-  /// seq < drain_watermark have been handed to the caller by Plan().
-  std::uint64_t next_seq = 0;
+  /// Creations with seq < drain_watermark have been handed to the caller
+  /// by Plan().
   std::uint64_t drain_watermark = 0;
   /// Actions emitted since the last Plan() drain, plus the emission number
   /// of each not-yet-drained creation (parallel to buffered.creation_times).
@@ -120,7 +101,7 @@ Scaler::Scaler(core::TrainedPipeline trained,
       build_context_(build_context),
       strategy_name_(FormatStrategySpec(spec_)),
       serve_defaults_(serve_defaults),
-      serving_(std::make_unique<Serving>(serve_defaults)) {}
+      serving_(std::make_unique<Serving>(strategy_.get(), serve_defaults)) {}
 
 Scaler::Scaler(Scaler&&) noexcept = default;
 Scaler& Scaler::operator=(Scaler&&) noexcept = default;
@@ -146,10 +127,12 @@ Result<Scaler> Scaler::FromTrainedPipeline(core::TrainedPipeline trained,
 }
 
 const sim::EngineOptions& Scaler::serving_options() const {
-  return serving_->options;
+  return serving_->loop.options;
 }
-sim::DecisionClock* Scaler::serving_clock() const { return serving_->clock; }
-bool Scaler::serving_started() const { return serving_->started; }
+sim::DecisionClock* Scaler::serving_clock() const {
+  return serving_->loop.clock;
+}
+bool Scaler::serving_started() const { return serving_->loop.started; }
 
 // -- Batch replay -----------------------------------------------------------
 
@@ -177,98 +160,17 @@ Result<sim::Metrics> Scaler::Evaluate(const workload::Trace& test) {
 
 // -- Online serving ---------------------------------------------------------
 
-sim::SimContext Scaler::MakeContext(double now) const {
-  sim::SimContext ctx;
-  ctx.now = now;
-  ctx.queries_arrived = serving_->total_arrivals;
-  ctx.instances_alive = serving_->live.size();
-  ctx.instances_ready = static_cast<std::size_t>(
-      std::count_if(serving_->live.begin(), serving_->live.end(),
-                    [now](double ready) { return ready <= now; }));
-  ctx.scheduled_creations = serving_->schedule.size();
-  ctx.arrival_history = &serving_->arrivals;
-  return ctx;
-}
-
-void Scaler::ApplyAndBuffer(sim::ScalingAction action, double effective) {
-  // The log records the raw action at the callback's event time (the parity
-  // contract compares raw actions; `effective` only shifts execution when
-  // decision time is charged).
-  serving_->log.push_back(action);
-  serving_->log_times.push_back(serving_->now);
-  ++serving_->total_callbacks;
-  for (double t : action.creation_times) {
-    const double at = std::max(t, effective);
-    serving_->schedule.push({at, serving_->next_seq});
-    serving_->buffered.creation_times.push_back(at);
-    serving_->buffered_seqs.push_back(serving_->next_seq);
-    ++serving_->next_seq;
-  }
-  serving_->creations_requested += action.creation_times.size();
-  // Scale-in mirrors the engine: newest unconsumed instances first. Only
-  // deletions the mirror could actually apply are forwarded to the caller —
-  // the engine silently skips the excess too, so forwarding it would make
-  // the caller's fleet diverge by deleting instances the mirror kept.
-  const std::size_t applied =
-      std::min(action.deletions, serving_->live.size());
-  for (std::size_t k = 0; k < applied; ++k) {
-    serving_->live.pop_back();
-  }
-  serving_->buffered.deletions += applied;
-  serving_->deletions_requested += action.deletions;
-}
-
-void Scaler::ExecuteCreation(double t) {
-  double pending = serving_->options.pending.Sample(&serving_->rng);
-  if (serving_->options.pending_jitter > 0.0) {
-    pending *= 1.0 + serving_->options.pending_jitter *
-                         (2.0 * serving_->rng.NextDouble() - 1.0);
-    pending = std::max(0.0, pending);
-  }
-  serving_->live.push_back(t + serving_->options.creation_latency + pending);
-}
-
 void Scaler::EnsureStarted() {
-  if (serving_->started) return;
-  serving_->started = true;
-  const double tick = strategy_->planning_interval();
-  serving_->next_tick = tick > 0.0 ? 0.0 : kInf;
-  ApplyAndBuffer(strategy_->Initialize(MakeContext(0.0)), 0.0);
+  if (!serving_->loop.started) serving_->loop.Start(*serving_);
 }
 
 void Scaler::AdvanceTo(double t) {
-  const double tick = strategy_->planning_interval();
-  for (;;) {
-    const double next_creation =
-        serving_->schedule.empty() ? kInf : serving_->schedule.top().time;
-    const double next_event = std::min(serving_->next_tick, next_creation);
-    if (next_event > t) break;
-    if (serving_->next_tick <= next_creation) {
-      // Planning tick (ties: tick first, matching the engine). In real-
-      // environment mode the decision's wall time pushes the resulting
-      // creations to now + elapsed, through the same ChargedDecision
-      // bracket the engine uses.
-      const double now = serving_->next_tick;
-      serving_->now = now;
-      double effective = now;
-      sim::ScalingAction action = sim::ChargedDecision(
-          *serving_->clock, serving_->options.charge_decision_wall_time, now,
-          &effective,
-          [&] { return strategy_->OnPlanningTick(MakeContext(now)); });
-      ApplyAndBuffer(std::move(action), effective);
-      serving_->next_tick = now + tick;
-    } else {
-      serving_->now = next_creation;
-      serving_->schedule.pop();
-      ExecuteCreation(next_creation);
-    }
-  }
-  serving_->now = t;
+  serving_->loop.AdvanceTo(t, *serving_);
   CompactServingState();
 }
 
 Status Scaler::ConfigureServing(const sim::EngineOptions& options) {
-  if (serving_->started) {
+  if (serving_->loop.started) {
     return Status::Invalid(
         "Scaler::ConfigureServing: serving already started; call before the "
         "first Observe()/Plan() or after ResetServing()");
@@ -276,7 +178,7 @@ Status Scaler::ConfigureServing(const sim::EngineOptions& options) {
   // Same range checks the engine applies in Simulate(): the replay and
   // serving paths must reject exactly the same configurations.
   RS_RETURN_NOT_OK(sim::ValidateEngineOptions(options));
-  serving_ = std::make_unique<Serving>(options);
+  serving_ = std::make_unique<Serving>(strategy_.get(), options);
   return Status::OK();
 }
 
@@ -300,7 +202,7 @@ void Scaler::CompactServingState() {
   const double retention = EffectiveRetention();
   if (!(retention < kInf)) return;
   auto& s = *serving_;
-  const double cutoff = s.now - retention;
+  const double cutoff = s.loop.now - retention;
   // Entries strictly older than `cutoff` can no longer influence any
   // strategy decision (history_requirement is a lookback from `now`, and
   // the serving clock never rewinds). Trimming is amortized ring-buffer
@@ -318,7 +220,7 @@ void Scaler::CompactServingState() {
      ...);
     times.erase(times.begin(), first_live);
   };
-  trim(s.arrivals);
+  trim(s.loop.arrivals);
   trim(s.log_times, s.log);
 }
 
@@ -333,54 +235,44 @@ Result<Scaler::ObserveOutcome> Scaler::Observe(double arrival_time) {
     return Status::Invalid(msg.str());
   }
   EnsureStarted();
-  if (arrival_time < serving_->now) {
+  Serving& s = *serving_;
+  if (arrival_time < s.loop.now) {
     std::ostringstream msg;
     msg << "Scaler::Observe: arrival at " << arrival_time
-        << " s precedes the serving clock (" << serving_->now
+        << " s precedes the serving clock (" << s.loop.now
         << " s); arrivals must be reported in nondecreasing order";
     return Status::Invalid(msg.str());
   }
   AdvanceTo(arrival_time);
 
+  const sim::ArrivalOutcome arrival = s.loop.Arrive(arrival_time, s);
   ObserveOutcome outcome;
-  if (serving_->live.empty()) {
-    // Cold start: reactive creation, cancel the earliest scheduled creation
-    // (it was intended for this query) — Algorithm 1 line 7. The returned
-    // outcome instructs the caller to do the same to its real fleet.
-    ExecuteCreation(arrival_time);
-    outcome.cold_start = true;
-    if (!serving_->schedule.empty()) {
-      const Serving::ScheduledCreation cancelled = serving_->schedule.top();
-      serving_->schedule.pop();
-      if (cancelled.seq >= serving_->drain_watermark) {
-        // The caller has never seen this creation (it is still sitting in
-        // the undrained Plan() buffer): retract it from the buffer instead
-        // of asking the caller to cancel something it doesn't have. The
-        // match is by emission number, not by time value — the buffer may
-        // also hold an already-drained or already-executed creation with
-        // the same timestamp, which must NOT be retracted.
-        auto& seqs = serving_->buffered_seqs;
-        const auto it = std::find(seqs.begin(), seqs.end(), cancelled.seq);
-        if (it != seqs.end()) {
-          const auto idx = it - seqs.begin();
-          serving_->buffered.creation_times.erase(
-              serving_->buffered.creation_times.begin() + idx);
-          seqs.erase(it);
-        }
-      } else {
-        // Already delivered through Plan(): the caller holds it and must
-        // cancel it on its side.
-        outcome.cancel_earliest_scheduled = true;
+  outcome.cold_start = arrival.cold_start;
+  if (arrival.cold_start) ++s.cold_starts;
+  if (arrival.cancelled_seq.has_value()) {
+    // The cold start cancelled a scheduled creation (Algorithm 1 line 7);
+    // the returned outcome tells the caller to do the same to its fleet.
+    if (*arrival.cancelled_seq >= s.drain_watermark) {
+      // The caller has never seen this creation (it is still sitting in
+      // the undrained Plan() buffer): retract it from the buffer instead
+      // of asking the caller to cancel something it doesn't have. The
+      // match is by emission number, not by time value — the buffer may
+      // also hold an already-drained or already-executed creation with
+      // the same timestamp, which must NOT be retracted.
+      auto& seqs = s.buffered_seqs;
+      const auto it =
+          std::find(seqs.begin(), seqs.end(), *arrival.cancelled_seq);
+      if (it != seqs.end()) {
+        s.buffered.creation_times.erase(s.buffered.creation_times.begin() +
+                                        (it - seqs.begin()));
+        seqs.erase(it);
       }
+    } else {
+      // Already delivered through Plan(): the caller holds it and must
+      // cancel it on its side.
+      outcome.cancel_earliest_scheduled = true;
     }
-    ++serving_->cold_starts;
   }
-  serving_->live.pop_front();
-  serving_->arrivals.push_back(arrival_time);
-  ++serving_->total_arrivals;
-  ApplyAndBuffer(
-      strategy_->OnQueryArrival(MakeContext(arrival_time), outcome.cold_start),
-      arrival_time);
   CompactServingState();
   return outcome;
 }
@@ -394,10 +286,10 @@ Result<sim::ScalingAction> Scaler::Plan(double now) {
     return Status::Invalid(msg.str());
   }
   EnsureStarted();
-  if (now < serving_->now) {
+  if (now < serving_->loop.now) {
     std::ostringstream msg;
     msg << "Scaler::Plan: time " << now << " s precedes the serving clock ("
-        << serving_->now << " s)";
+        << serving_->loop.now << " s)";
     return Status::Invalid(msg.str());
   }
   AdvanceTo(now);
@@ -405,28 +297,27 @@ Result<sim::ScalingAction> Scaler::Plan(double now) {
   // watermark so a later cold start knows these creations must be cancelled
   // on the caller's side rather than silently retracted.
   serving_->buffered_seqs.clear();
-  serving_->drain_watermark = serving_->next_seq;
+  serving_->drain_watermark = serving_->loop.next_seq;
   return std::exchange(serving_->buffered, sim::ScalingAction{});
 }
 
 ServingSnapshot Scaler::Snapshot() const {
+  const Serving& s = *serving_;
   ServingSnapshot snap;
-  snap.started = serving_->started;
-  snap.now = serving_->now;
-  snap.queries_observed = serving_->total_arrivals;
-  snap.instances_alive = serving_->live.size();
-  snap.instances_ready = static_cast<std::size_t>(std::count_if(
-      serving_->live.begin(), serving_->live.end(),
-      [t = serving_->now](double ready) { return ready <= t; }));
-  snap.scheduled_creations = serving_->schedule.size();
-  snap.cold_starts = serving_->cold_starts;
-  snap.creations_requested = serving_->creations_requested;
-  snap.deletions_requested = serving_->deletions_requested;
-  snap.planning_rounds = serving_->total_callbacks;
+  snap.started = s.loop.started;
+  snap.now = s.loop.now;
+  snap.queries_observed = s.loop.total_arrivals;
+  snap.instances_alive = s.loop.live.size();
+  snap.instances_ready = s.loop.Context(s.loop.now).instances_ready;
+  snap.scheduled_creations = s.loop.schedule.size();
+  snap.cold_starts = s.cold_starts;
+  snap.creations_requested = s.creations_requested;
+  snap.deletions_requested = s.deletions_requested;
+  snap.planning_rounds = s.total_callbacks;
   snap.strategy = strategy_name_;
   snap.history_retention = EffectiveRetention();
-  snap.arrivals_retained = serving_->arrivals.size();
-  snap.actions_retained = serving_->log.size();
+  snap.arrivals_retained = s.loop.arrivals.size();
+  snap.actions_retained = s.log.size();
   snap.planning_workspace_bytes = strategy_->planning_workspace_bytes();
   return snap;
 }
@@ -436,7 +327,7 @@ const std::vector<sim::ScalingAction>& Scaler::ActionLog() const {
 }
 
 Status Scaler::ResetServing() {
-  serving_ = std::make_unique<Serving>(serving_->options);
+  serving_ = std::make_unique<Serving>(strategy_.get(), serving_->loop.options);
   return Status::OK();
 }
 
@@ -495,48 +386,49 @@ Status Scaler::SaveStateSection(persist::Writer* writer) const {
 
 Status Scaler::SaveServingState(persist::Writer* writer) const {
   const Serving& s = *serving_;
+  const sim::EventLoop& loop = s.loop;
   writer->BeginSection(persist::kTagMirror);
 
   // Engine options (the clock pointer itself cannot travel; a flag records
   // whether one was injected so restore can demand a replacement).
-  WriteDuration(writer, s.options.pending);
-  writer->WriteU64(s.options.seed);
-  writer->WriteBool(s.options.charge_decision_wall_time);
-  writer->WriteDouble(s.options.creation_latency);
-  writer->WriteDouble(s.options.pending_jitter);
-  writer->WriteBool(s.options.charge_idle_until_horizon);
-  writer->WriteBool(s.options.decision_clock != nullptr);
+  WriteDuration(writer, loop.options.pending);
+  writer->WriteU64(loop.options.seed);
+  writer->WriteBool(loop.options.charge_decision_wall_time);
+  writer->WriteDouble(loop.options.creation_latency);
+  writer->WriteDouble(loop.options.pending_jitter);
+  writer->WriteBool(loop.options.charge_idle_until_horizon);
+  writer->WriteBool(loop.options.decision_clock != nullptr);
   writer->WriteDouble(retention_override_);
 
   // Event-loop position and lifetime counters.
-  writer->WriteBool(s.started);
-  writer->WriteDouble(s.now);
-  writer->WriteDouble(s.next_tick);
-  writer->WriteU64(s.total_arrivals);
+  writer->WriteBool(loop.started);
+  writer->WriteDouble(loop.now);
+  writer->WriteDouble(loop.next_tick);
+  writer->WriteU64(loop.total_arrivals);
   writer->WriteU64(s.cold_starts);
   writer->WriteU64(s.creations_requested);
   writer->WriteU64(s.deletions_requested);
-  writer->WriteU64(s.next_seq);
+  writer->WriteU64(loop.next_seq);
   writer->WriteU64(s.drain_watermark);
   writer->WriteU64(s.total_callbacks);
 
-  // The mirror's own RNG (pending-time draws) and the decision clock's
-  // logical position (deterministic clocks only; a steady clock exports
-  // nothing and resumes on real wall time).
-  persist::WriteRngState(writer, s.rng);
+  // The loop's RNG (pending-time draws) and the decision clock's logical
+  // position (deterministic clocks only; a steady clock exports nothing
+  // and resumes on real wall time).
+  persist::WriteRngState(writer, loop.rng);
   double clock_time = 0.0;
   std::uint64_t clock_readings = 0;
   const bool has_clock_position =
-      s.clock->ExportPosition(&clock_time, &clock_readings);
+      loop.clock->ExportPosition(&clock_time, &clock_readings);
   writer->WriteBool(has_clock_position);
   writer->WriteDouble(clock_time);
   writer->WriteU64(clock_readings);
 
   // Scheduled future creations, drained from a copy in (time, seq) order.
-  auto schedule = s.schedule;
+  auto schedule = loop.schedule;
   writer->WriteU64(schedule.size());
   while (!schedule.empty()) {
-    const Serving::ScheduledCreation top = schedule.top();
+    const sim::ScheduledCreation top = schedule.top();
     schedule.pop();
     writer->WriteDouble(top.time);
     writer->WriteU64(top.seq);
@@ -544,9 +436,11 @@ Status Scaler::SaveServingState(persist::Writer* writer) const {
 
   // Live instances (ready times, creation order), retained arrival window,
   // the undrained Plan() buffer, and the retained parity-log suffix.
-  writer->WriteU64(s.live.size());
-  for (const double ready : s.live) writer->WriteDouble(ready);
-  writer->WriteDoubleVector(s.arrivals);
+  writer->WriteU64(loop.live.size());
+  for (const sim::LiveInstance& instance : loop.live) {
+    writer->WriteDouble(instance.ready_time);
+  }
+  writer->WriteDoubleVector(loop.arrivals);
   writer->WriteDoubleVector(s.buffered.creation_times);
   writer->WriteU64(s.buffered.deletions);
   writer->WriteU64Vector(s.buffered_seqs);
@@ -589,25 +483,26 @@ Status Scaler::LoadServingState(persist::Reader* reader,
   }
   retention_override_ = retention;
 
-  serving_ = std::make_unique<Serving>(options);
+  serving_ = std::make_unique<Serving>(strategy_.get(), options);
   Serving& s = *serving_;
-  RS_ASSIGN_OR_RETURN(s.started, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(s.now, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(s.next_tick, reader->ReadDouble());
+  sim::EventLoop& loop = s.loop;
+  RS_ASSIGN_OR_RETURN(loop.started, reader->ReadBool());
+  RS_ASSIGN_OR_RETURN(loop.now, reader->ReadDouble());
+  RS_ASSIGN_OR_RETURN(loop.next_tick, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const std::uint64_t total_arrivals, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t cold_starts, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t creations, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t deletions, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(s.next_seq, reader->ReadU64());
+  RS_ASSIGN_OR_RETURN(loop.next_seq, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(s.drain_watermark, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t callbacks, reader->ReadU64());
-  s.total_arrivals = static_cast<std::size_t>(total_arrivals);
+  loop.total_arrivals = static_cast<std::size_t>(total_arrivals);
   s.cold_starts = static_cast<std::size_t>(cold_starts);
   s.creations_requested = static_cast<std::size_t>(creations);
   s.deletions_requested = static_cast<std::size_t>(deletions);
   s.total_callbacks = static_cast<std::size_t>(callbacks);
 
-  RS_RETURN_NOT_OK(persist::ReadRngState(reader, &s.rng));
+  RS_RETURN_NOT_OK(persist::ReadRngState(reader, &loop.rng));
   RS_ASSIGN_OR_RETURN(const bool has_clock_position, reader->ReadBool());
   RS_ASSIGN_OR_RETURN(const double clock_time, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const std::uint64_t clock_readings, reader->ReadU64());
@@ -623,18 +518,19 @@ Status Scaler::LoadServingState(persist::Reader* reader,
 
   RS_ASSIGN_OR_RETURN(const std::uint64_t schedule_size, reader->ReadU64());
   for (std::uint64_t i = 0; i < schedule_size; ++i) {
-    Serving::ScheduledCreation entry;
+    sim::ScheduledCreation entry;
     RS_ASSIGN_OR_RETURN(entry.time, reader->ReadDouble());
     RS_ASSIGN_OR_RETURN(entry.seq, reader->ReadU64());
-    s.schedule.push(entry);
+    loop.schedule.push(entry);
   }
 
   RS_ASSIGN_OR_RETURN(const std::uint64_t live_size, reader->ReadU64());
   for (std::uint64_t i = 0; i < live_size; ++i) {
-    RS_ASSIGN_OR_RETURN(const double ready, reader->ReadDouble());
-    s.live.push_back(ready);
+    sim::LiveInstance instance;
+    RS_ASSIGN_OR_RETURN(instance.ready_time, reader->ReadDouble());
+    loop.live.push_back(instance);
   }
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.arrivals));
+  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&loop.arrivals));
   RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.buffered.creation_times));
   RS_ASSIGN_OR_RETURN(const std::uint64_t buffered_deletions,
                       reader->ReadU64());

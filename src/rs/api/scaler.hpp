@@ -147,12 +147,13 @@ class Scaler {
   // window (for dashboards) but never narrows it below the strategy's
   // floor.
   //
-  // Internally the scaler mirrors Algorithm 1's
-  // instance accounting (using the configured pending-time model) so its
-  // action sequence on a trace is identical to the batch replay path —
-  // asserted in tests/api_test.cpp. (Identical to a *fresh* replay: the
-  // strategy's Monte Carlo stream is shared between modes, so interleaving
-  // Replay() calls perturbs subsequent Plan()s; see Replay's note.)
+  // Internally the scaler runs the same sim::EventLoop that sim::Simulate
+  // drives (using the configured pending-time model), one Observe()/Plan()
+  // at a time, so its action sequence on a trace is identical to the batch
+  // replay path — asserted in tests/api_test.cpp. (Identical to a *fresh*
+  // replay: the strategy's Monte Carlo stream is shared between modes, so
+  // interleaving Replay() calls perturbs subsequent Plan()s; see Replay's
+  // note.)
 
   /// \brief Overrides the serving-time engine model (pending distribution,
   ///        seed, creation latency, decision-time charging). Must be called
@@ -160,10 +161,10 @@ class Scaler {
   ///
   /// Options are validated like registry parameters (creation_latency >= 0,
   /// pending_jitter in [0, 1]) — the same checks sim::Simulate applies.
-  /// With charge_decision_wall_time set, the mirror brackets every planning
+  /// With charge_decision_wall_time set, the loop brackets every planning
   /// tick with the configured sim::DecisionClock (a real steady clock by
-  /// default) and clamps the resulting creations to now + elapsed, exactly
-  /// like the engine's Table IV "real environment" mode; inject a
+  /// default) and clamps the resulting creations to now + elapsed (Table
+  /// IV's "real environment" mode); inject a
   /// FakeDecisionClock via EngineOptions::decision_clock to make the
   /// charged latencies deterministic. An injected clock must outlive the
   /// whole serving session — the options (clock pointer included) are kept
@@ -289,10 +290,8 @@ class Scaler {
                           sim::DecisionClock* restore_clock);
 
   void EnsureStarted();
+  /// Advances the serving loop to `t`, then compacts retained history.
   void AdvanceTo(double t);
-  void ApplyAndBuffer(sim::ScalingAction action, double effective);
-  void ExecuteCreation(double t);
-  sim::SimContext MakeContext(double now) const;
   double EffectiveRetention() const;
   void CompactServingState();
 

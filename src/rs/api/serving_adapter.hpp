@@ -2,9 +2,9 @@
 /// \brief Bridges between the batch simulator and the online Observe/Plan
 ///        serving interface:
 ///
-///  * OnlineServingAdapter — a sim::Autoscaler that forwards engine events
-///    into a Scaler's Observe()/Plan() loop, so sim::Simulate exercises the
-///    exact code path a production caller would drive.
+///  * OnlineServingAdapter — a sim::Autoscaler that forwards Simulate's
+///    events into a Scaler's Observe()/Plan(), so sim::Simulate exercises
+///    the exact code path a production caller would drive.
 ///  * RecordingAutoscaler — wraps any strategy and records every action it
 ///    emits; used to assert replay/serving parity in tests/api_test.cpp.
 #pragma once
@@ -17,13 +17,14 @@
 
 namespace rs::api {
 
-/// \brief Drives a Scaler's online serving interface from inside the
-///        simulation engine (replay and live-loop modes share the object).
+/// \brief Drives a Scaler's online serving interface from inside
+///        sim::Simulate.
 ///
-/// The engine executes the actions Plan() returns, while the Scaler's
-/// internal mirror performs the same accounting — with identical seeds the
-/// two views never diverge. A non-OK Status from the serving calls is
-/// latched in status() and subsequent actions are empty.
+/// Two sim::EventLoop instances see the same events: Simulate's, which
+/// executes the actions Plan() returns, and the Scaler's serving loop,
+/// which Observe()/Plan() advance. With identical engine options the two
+/// never diverge. A non-OK Status from the serving calls is latched in
+/// status() and subsequent actions are empty.
 class OnlineServingAdapter : public sim::Autoscaler {
  public:
   /// `scaler` must outlive the adapter and must not be driven elsewhere.

@@ -1,11 +1,10 @@
 /// \file decision_clock.hpp
 /// \brief Injectable clock used to charge decision wall time (Table IV's
-///        "real environment"). The engine and the online serving mirror
-///        both bracket every OnPlanningTick with two readings of the same
-///        abstraction, so replay/serving parity extends to
-///        charge_decision_wall_time runs: under a pair of FakeDecisionClock
-///        instances with identical scripts, the two paths charge identical
-///        decision latencies and schedule identical creation times.
+///        "real environment"). sim::EventLoop brackets every
+///        OnPlanningTick with two readings, so a run that charges decision
+///        time is deterministic under a FakeDecisionClock: a replay and a
+///        serving session on identically-scripted clocks charge identical
+///        latencies and schedule identical creation times.
 #pragma once
 
 #include <cstddef>
@@ -58,28 +57,6 @@ class DecisionClock {
   }
 };
 
-/// \brief Runs one planning decision, charging its wall time when enabled.
-///
-/// Returns the decision's action; `*effective_out` becomes the earliest
-/// time the action may take effect: now + max(0, elapsed) when charging,
-/// `now` unchanged otherwise (the clock is not read at all in that case).
-/// The engine and the serving mirror both charge through this single
-/// definition, so the replay/serving parity contract cannot drift between
-/// the two event loops.
-template <typename DecideFn>
-auto ChargedDecision(DecisionClock& clock, bool charge, double now,
-                     double* effective_out, DecideFn&& decide) {
-  const double start = charge ? clock.Now() : 0.0;
-  auto action = decide();
-  if (charge) {
-    const double elapsed = clock.Now() - start;
-    *effective_out = now + (elapsed > 0.0 ? elapsed : 0.0);
-  } else {
-    *effective_out = now;
-  }
-  return action;
-}
-
 /// Real wall clock (std::chrono::steady_clock) — the production default.
 class SteadyDecisionClock final : public DecisionClock {
  public:
@@ -91,7 +68,7 @@ class SteadyDecisionClock final : public DecisionClock {
 ///
 /// A decision bracketed by two readings is therefore charged exactly
 /// `step_seconds`, independent of the host machine — the property the
-/// engine/mirror parity tests rely on. Give each of the two compared runs
+/// replay/serving parity tests rely on. Give each of the two compared runs
 /// its own instance (they each read the clock independently).
 class FakeDecisionClock final : public DecisionClock {
  public:

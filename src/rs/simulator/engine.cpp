@@ -1,207 +1,65 @@
 #include "rs/simulator/engine.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
-#include <queue>
 #include <sstream>
-#include <vector>
-
-#include "rs/common/logging.hpp"
-#include "rs/stats/rng.hpp"
 
 namespace rs::sim {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Simulate's observer: one InstanceOutcome per executed creation, closed
+/// on scale-in.
+struct InstanceRecorder : LoopObserver {
+  std::vector<InstanceOutcome>* instances;
 
-/// An unconsumed instance in creation order.
-struct LiveInstance {
-  std::size_t id = 0;  ///< Index into SimulationResult::instances.
-  double ready_time = 0.0;
-};
-
-class EngineState {
- public:
-  EngineState(const workload::Trace& trace, Autoscaler* strategy,
-              const EngineOptions& options)
-      : trace_(trace),
-        strategy_(strategy),
-        options_(options),
-        rng_(options.seed),
-        clock_(options.decision_clock != nullptr ? options.decision_clock
-                                                 : &default_clock_),
-        arrivals_seen_() {
-    result_.horizon = trace.horizon();
-  }
-
-  Result<SimulationResult> Run() {
-    const auto& queries = trace_.queries();
-    const double horizon = trace_.horizon();
-    const double tick = strategy_->planning_interval();
-
-    // Initial planning at t = 0.
-    ApplyAction(strategy_->Initialize(MakeContext(0.0)), 0.0);
-
-    double next_tick = tick > 0.0 ? 0.0 : kInf;
-    std::size_t qi = 0;
-    for (;;) {
-      const double next_arrival =
-          qi < queries.size() ? queries[qi].arrival_time : kInf;
-      const double next_creation =
-          schedule_.empty() ? kInf : schedule_.top();
-      const double next_event =
-          std::min({next_arrival, next_creation, next_tick});
-      // Horizon boundary: the window is closed on the right — an event at
-      // exactly `horizon` is still processed, matching the serving mirror's
-      // Plan(t)-processes-the-tick-at-t semantics (tests/api_test.cpp pins
-      // a planning tick landing exactly on the horizon).
-      if (next_event == kInf || next_event > horizon) break;
-
-      if (next_tick <= next_creation && next_tick <= next_arrival) {
-        // Planning tick (ties: plan first so fresh decisions see state
-        // before this instant's creations/arrivals are processed — the
-        // decisions themselves cannot act before `now` anyway).
-        const double now = next_tick;
-        double effective = now;
-        ScalingAction action = ChargedDecision(
-            *clock_, options_.charge_decision_wall_time, now, &effective,
-            [&] { return strategy_->OnPlanningTick(MakeContext(now)); });
-        ApplyAction(std::move(action), effective);
-        next_tick = now + tick;
-        continue;
-      }
-      if (next_creation <= next_arrival) {
-        CreateInstance(next_creation);
-        schedule_.pop();
-        continue;
-      }
-      // Query arrival.
-      ProcessArrival(queries[qi]);
-      ++qi;
-    }
-
-    // Wind down: charge idle instances to the horizon.
-    if (options_.charge_idle_until_horizon) {
-      for (const auto& inst : live_) {
-        auto& rec = result_.instances[inst.id];
-        rec.end_time = horizon;
-        rec.lifecycle_cost = horizon - rec.creation_time;
-      }
-    }
-    return std::move(result_);
-  }
-
- private:
-  SimContext MakeContext(double now) {
-    SimContext ctx;
-    ctx.now = now;
-    ctx.queries_arrived = arrivals_seen_.size();
-    ctx.instances_alive = live_.size();
-    ctx.instances_ready = CountReady(now);
-    ctx.scheduled_creations = schedule_.size();
-    ctx.arrival_history = &arrivals_seen_;
-    return ctx;
-  }
-
-  std::size_t CountReady(double now) const {
-    std::size_t ready = 0;
-    for (const auto& inst : live_) {
-      if (inst.ready_time <= now) ++ready;
-    }
-    return ready;
-  }
-
-  void ApplyAction(ScalingAction action, double now) {
-    for (double t : action.creation_times) {
-      schedule_.push(std::max(t, now));
-    }
-    // Scale-in: drop latest-created unconsumed instances first (they have
-    // absorbed the least sunk cost).
-    for (std::size_t k = 0; k < action.deletions && !live_.empty(); ++k) {
-      const LiveInstance inst = live_.back();
-      live_.pop_back();
-      auto& rec = result_.instances[inst.id];
-      rec.end_time = now;
-      rec.lifecycle_cost = std::max(0.0, now - rec.creation_time);
-    }
-  }
-
-  /// Executes a creation action at time t: the instance becomes ready at
-  /// t + creation_latency + jittered pending time.
-  void CreateInstance(double t) {
+  std::size_t OnCreated(double time, double ready_time) {
     InstanceOutcome rec;
-    rec.creation_time = t;
-    double pending = options_.pending.Sample(&rng_);
-    if (options_.pending_jitter > 0.0) {
-      pending *= 1.0 + options_.pending_jitter * (2.0 * rng_.NextDouble() - 1.0);
-      pending = std::max(0.0, pending);
-    }
-    rec.ready_time = t + options_.creation_latency + pending;
-    rec.end_time = rec.ready_time;  // Updated on consumption / wind-down.
-    const std::size_t id = result_.instances.size();
-    result_.instances.push_back(rec);
-    live_.push_back({id, rec.ready_time});
+    rec.creation_time = time;
+    rec.ready_time = ready_time;
+    rec.end_time = ready_time;  // Updated on consumption / wind-down.
+    instances->push_back(rec);
+    return instances->size() - 1;
   }
 
-  void ProcessArrival(const workload::Query& query) {
-    const double xi = query.arrival_time;
-    QueryOutcome out;
-    out.arrival_time = xi;
-    out.processing_time = query.processing_time;
-
-    if (live_.empty()) {
-      // Cold start (Algorithm 1 line 7): create reactively and cancel the
-      // earliest still-scheduled creation — that creation was intended for
-      // this query.
-      CreateInstance(xi);
-      if (!schedule_.empty()) {
-        // The cancelled creation never materializes: drop it silently.
-        schedule_.pop();
-      }
-      out.cold_start = true;
-    }
-    const LiveInstance inst = live_.front();
-    live_.pop_front();
-    auto& rec = result_.instances[inst.id];
-    rec.served_query = true;
-
-    if (inst.ready_time <= xi) {
-      // Hit: processing starts immediately (Algorithm 1 line 3).
-      out.hit = true;
-      out.wait_time = 0.0;
-    } else {
-      // Pending: wait until the instance finishes startup (line 5).
-      out.hit = false;
-      out.wait_time = inst.ready_time - xi;
-    }
-    out.response_time = out.wait_time + out.processing_time;
-    // Lifecycle: creation -> processing completion (Section VI-A cost_i).
-    rec.end_time = xi + out.wait_time + out.processing_time;
-    rec.lifecycle_cost = rec.end_time - rec.creation_time;
-
-    arrivals_seen_.push_back(xi);
-    result_.queries.push_back(out);
-
-    ApplyAction(strategy_->OnQueryArrival(MakeContext(xi), out.cold_start), xi);
+  void OnDeleted(const LiveInstance& instance, double time) {
+    auto& rec = (*instances)[instance.id];
+    rec.end_time = time;
+    rec.lifecycle_cost = std::max(0.0, time - rec.creation_time);
   }
-
-  const workload::Trace& trace_;
-  Autoscaler* strategy_;
-  EngineOptions options_;
-  stats::Rng rng_;
-  SteadyDecisionClock default_clock_;
-  DecisionClock* clock_;
-
-  std::priority_queue<double, std::vector<double>, std::greater<>> schedule_;
-  std::deque<LiveInstance> live_;
-  std::vector<double> arrivals_seen_;
-  SimulationResult result_;
 };
 
 }  // namespace
+
+EventLoop::EventLoop(Autoscaler* strategy, const EngineOptions& options)
+    : options(options),
+      rng(options.seed),
+      clock(options.decision_clock != nullptr ? options.decision_clock
+                                              : &own_clock_),
+      strategy_(strategy) {}
+
+SimContext EventLoop::Context(double at) const {
+  SimContext ctx;
+  ctx.now = at;
+  ctx.queries_arrived = total_arrivals;
+  ctx.instances_alive = live.size();
+  std::size_t ready = 0;
+  for (const auto& instance : live) {
+    if (instance.ready_time <= at) ++ready;
+  }
+  ctx.instances_ready = ready;
+  ctx.scheduled_creations = schedule.size();
+  ctx.arrival_history = &arrivals;
+  return ctx;
+}
+
+double EventLoop::ReadyTime(double t) {
+  double pending = options.pending.Sample(&rng);
+  if (options.pending_jitter > 0.0) {
+    pending *= 1.0 + options.pending_jitter * (2.0 * rng.NextDouble() - 1.0);
+    pending = std::max(0.0, pending);
+  }
+  return t + options.creation_latency + pending;
+}
 
 Status ValidateEngineOptions(const EngineOptions& options) {
   if (!(options.creation_latency >= 0.0) ||
@@ -228,8 +86,47 @@ Result<SimulationResult> Simulate(const workload::Trace& trace,
     return Status::Invalid("Simulate: trace horizon must be positive");
   }
   RS_RETURN_NOT_OK(ValidateEngineOptions(options));
-  EngineState state(trace, strategy, options);
-  return state.Run();
+
+  SimulationResult result;
+  result.horizon = trace.horizon();
+  InstanceRecorder recorder;
+  recorder.instances = &result.instances;
+  EventLoop loop(strategy, options);
+  loop.Start(recorder);
+  for (const auto& query : trace.queries()) {
+    const double xi = query.arrival_time;
+    if (xi > result.horizon) break;
+    loop.AdvanceTo(xi, recorder);
+    const ArrivalOutcome arrival = loop.Arrive(xi, recorder);
+
+    QueryOutcome out;
+    out.arrival_time = xi;
+    out.processing_time = query.processing_time;
+    out.cold_start = arrival.cold_start;
+    // Hit: processing starts immediately (Algorithm 1 line 3). Otherwise
+    // the query waits until the instance finishes startup (line 5).
+    out.hit = arrival.instance.ready_time <= xi;
+    out.wait_time = out.hit ? 0.0 : arrival.instance.ready_time - xi;
+    out.response_time = out.wait_time + out.processing_time;
+    result.queries.push_back(out);
+
+    // Lifecycle: creation -> processing completion (Section VI-A cost_i).
+    auto& rec = result.instances[arrival.instance.id];
+    rec.served_query = true;
+    rec.end_time = xi + out.wait_time + out.processing_time;
+    rec.lifecycle_cost = rec.end_time - rec.creation_time;
+  }
+  loop.AdvanceTo(result.horizon, recorder);
+
+  // Wind down: charge idle instances to the horizon.
+  if (options.charge_idle_until_horizon) {
+    for (const auto& instance : loop.live) {
+      auto& rec = result.instances[instance.id];
+      rec.end_time = result.horizon;
+      rec.lifecycle_cost = result.horizon - rec.creation_time;
+    }
+  }
+  return result;
 }
 
 }  // namespace rs::sim

@@ -3,6 +3,7 @@
 // metrics, and the real-environment knobs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "rs/simulator/engine.hpp"
@@ -181,6 +182,17 @@ TEST(EngineTest, EmptyHorizonRejected) {
   workload::Trace trace({}, 0.0);
   NullScaler scaler;
   EXPECT_FALSE(Simulate(trace, &scaler).ok());
+}
+
+TEST(EngineTest, UnboundedHorizonEndsWhenNoEventRemains) {
+  // Without planning ticks the loop runs out of events: a run to an
+  // infinite horizon must stop there rather than tick at infinity.
+  workload::Trace trace({{5.0, 1.0}}, std::numeric_limits<double>::infinity());
+  ScriptedScaler scaler({1.0, 2.0});
+  auto result = Simulate(trace, &scaler, DetPending(2.0));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->queries.size(), 1u);
+  EXPECT_EQ(result->instances.size(), 2u);
 }
 
 TEST(EngineTest, CreationLatencyDelaysReady) {

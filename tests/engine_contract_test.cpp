@@ -1,6 +1,9 @@
 // Golden digests of the Algorithm-1 event loop: every SimulationResult field
 // of sim::Simulate, and the serving path's action stream, Snapshot()
 // counters and SaveState bytes, over a strategy x engine-option matrix.
+// The fleet cases at the end pin api::ScalerFleet the same way: PlanAll
+// results, Health() and Freshness() of every tenant, FleetSnapshot counters
+// and SaveFleet bytes over a scripted multi-tenant scenario.
 //
 // The digests are FNV-1a over IEEE-754 bit patterns (plus counts and
 // flags), so a one-ulp drift in any creation, ready, end or wait time fails
@@ -16,14 +19,18 @@
 // asks for more deletions than there are live instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rs/api/api.hpp"
@@ -31,6 +38,7 @@
 #include "rs/baselines/backup_pool.hpp"
 #include "rs/core/extensions.hpp"
 #include "rs/core/sequential_scaler.hpp"
+#include "rs/fault/fault.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/workload/nhpp_sampler.hpp"
@@ -419,7 +427,8 @@ std::uint64_t ServingDigest(const ServingCase& strategy,
   return d.value();
 }
 
-// -- Golden values (measured before the event loop was unified) --------------
+// -- Golden values (measured before the event loop was unified; the fleet
+// values before the fleet's per-tenant records were reshaped) -------------
 
 struct Golden {
   const char* key;
@@ -467,6 +476,12 @@ const Golden kGolden[] = {
     {"serving/scripted/stochastic", 0xd3aeac9713ad0065ULL},
     {"serving/scripted/latency_jitter", 0x5b798c82848ba497ULL},
     {"serving/scripted/charged", 0x0c0a4e774a9eeceaULL},
+    {"fleet/clean/stream", 0x2a40ff9c914278f3ULL},
+    {"fleet/clean/saves", 0x878a0c6a4be16776ULL},
+    {"fleet/clean/restart", 0xdbec2597acffd2c4ULL},
+    {"fleet/faults/stream", 0x7ef339a0952588ecULL},
+    {"fleet/faults/saves", 0x4cdbcbf4ecbc9281ULL},
+    {"fleet/faults/restart", 0xed565708644d8e46ULL},
 };
 
 std::uint64_t GoldenFor(const std::string& key) {
@@ -533,6 +548,396 @@ TEST(EngineContractTest, TraceReachesTheEdgeCases) {
   stress.OnPlanningTick(ctx);
   stress.OnPlanningTick(ctx);
   EXPECT_GT(stress.OnPlanningTick(ctx).deletions, ctx.instances_alive);
+}
+
+
+// -- Fleet -------------------------------------------------------------------
+//
+// One scripted ScalerFleet session: seven tenants, freshness on with inline
+// retrains, and every per-tenant record the fleet keeps driven through a
+// state change. "shift" changes regime (4x) so its detector latches, a
+// retrain runs and the refit model swaps in; "manual" gets a ReplaceModel
+// and "adapt" a ReplaceModelAtNextPlan; "forced" gets two RequestRetrain
+// calls, the first of which fails in train.refit under a retrain backoff;
+// "flaky" fails fleet.plan until its breaker trips, fails its first probe
+// and recovers on the second; "mover" migrates to a second fleet without
+// freshness and back; "steady" and "adapt" each refuse one Observe. The
+// digests cover every PlanAll result, Health() and Freshness() of every
+// tenant at every boundary, FleetSnapshot counters, SaveFleet bytes at
+// three cuts, and the continuation of a LoadFleet + EnableFreshness
+// restart from the middle cut. They must not depend on the worker count.
+
+constexpr double kFleetServe = 1200.0;
+constexpr double kFleetTick = 5.0;
+constexpr double kFleetPeriod = 600.0;
+constexpr double kFleetCuts[] = {300.0, 600.0, 1000.0};
+constexpr double kFleetRestartCut = 600.0;
+
+workload::Trace FleetTrace(std::uint64_t seed, double horizon, double qps,
+                           double shift_at) {
+  std::vector<double> rates;
+  for (double t = 0.5 * kDt; t < horizon; t += kDt) {
+    double rate = qps * (1.0 + 0.4 * std::sin(2.0 * M_PI * t / kFleetPeriod));
+    if (shift_at >= 0.0 && t >= shift_at) rate *= 4.0;
+    rates.push_back(rate);
+  }
+  stats::Rng rng(seed);
+  return *workload::MakeTraceFromIntensity(
+      &rng, *workload::PiecewiseConstantIntensity::Make(rates, kDt),
+      stats::DurationDistribution::Exponential(15.0));
+}
+
+api::Scaler FleetScaler(std::uint64_t seed, const char* spec) {
+  const auto train = FleetTrace(seed, 4.0 * kFleetPeriod, 0.5, -1.0);
+  auto scaler = api::ScalerBuilder()
+                    .WithTrace(train)
+                    .WithBinWidth(kDt)
+                    .WithForecastHorizon(kFleetServe + 600.0)
+                    .WithStrategy(*api::ParseStrategySpec(spec))
+                    .WithPlanningInterval(kFleetTick)
+                    .WithMcSamples(40)
+                    .Build();
+  EXPECT_TRUE(scaler.ok()) << scaler.status().ToString();
+  return std::move(scaler).ValueOrDie();
+}
+
+struct FleetTenantCase {
+  const char* name;
+  const char* spec;
+  std::uint64_t train_seed;
+  double qps;
+  double shift_at;  ///< Serving time of the 4x regime change (-1: none).
+};
+
+const FleetTenantCase kFleetTenants[] = {
+    {"shift", "robust_hp:target=0.9", 101, 1.0, 400.0},
+    {"steady", "backup_pool", 102, 0.5, -1.0},
+    {"adapt", "adaptive_backup_pool", 103, 0.5, -1.0},
+    {"manual", "robust_rt", 104, 0.5, -1.0},
+    {"flaky", "robust_hp:target=0.9", 105, 0.5, -1.0},
+    {"forced", "backup_pool", 106, 0.5, -1.0},
+    {"mover", "robust_cost", 107, 0.5, -1.0},  // Registered after freshness.
+};
+
+api::RobustnessPolicy FleetRobustness() {
+  api::RobustnessPolicy policy;
+  policy.breaker_threshold = 3;
+  policy.backoff_base = 10.0;
+  policy.backoff_max = 100.0;
+  policy.retrain_backoff_base = 100.0;
+  policy.retrain_backoff_max = 400.0;
+  return policy;
+}
+
+api::FreshnessPolicy FleetFreshness() {
+  api::FreshnessPolicy policy;
+  policy.pipeline.dt = kDt;
+  policy.pipeline.forecast_horizon = kFleetServe;
+  policy.min_retrain_interval = 60.0;
+  policy.retrain_workers = 0;
+  return policy;
+}
+
+fault::FaultPlan FleetFaultPlan() {
+  fault::FaultPlan plan;
+  // fleet.plan hits of "flaky": 40-42 trip the breaker (threshold 3), 43 is
+  // the first half-open probe (re-opens with a doubled backoff), 44 is the
+  // probe that recovers.
+  for (std::uint64_t hit = 40; hit <= 43; ++hit) {
+    fault::FaultRule rule;
+    rule.site = "fleet.plan";
+    rule.scope = "flaky";
+    rule.hit = hit;
+    plan.rules.push_back(std::move(rule));
+  }
+  fault::FaultRule refit;
+  refit.site = "train.refit";
+  refit.scope = "forced";
+  refit.hit = 1;
+  plan.rules.push_back(std::move(refit));
+  return plan;
+}
+
+void DigestStatus(const Status& status, Digest* d) {
+  d->Byte(static_cast<std::uint8_t>(status.code()));
+  d->Str(status.message());
+}
+
+void DigestPlans(const std::vector<api::ScalerFleet::TenantPlan>& plans,
+                 Digest* d) {
+  d->U64(plans.size());
+  for (const auto& plan : plans) {
+    d->Str(plan.tenant);
+    DigestStatus(plan.status, d);
+    d->Bool(plan.degraded);
+    d->Action(plan.action);
+  }
+}
+
+void DigestHealth(const api::TenantHealthInfo& h, Digest* d) {
+  d->Byte(static_cast<std::uint8_t>(h.health));
+  d->U64(h.consecutive_plan_failures);
+  d->U64(h.plan_failures);
+  d->U64(h.fallbacks_served);
+  d->U64(h.rejected_observations);
+  d->U64(h.breaker_opens);
+  d->U64(h.probes);
+  d->U64(h.deadline_overruns);
+  d->U64(h.consecutive_retrain_failures);
+  d->U64(h.freshness_errors);
+  d->F64(h.retry_at);
+  d->F64(h.retrain_retry_at);
+  DigestStatus(h.last_error, d);
+}
+
+void DigestTenants(const api::ScalerFleet& fleet, Digest* d) {
+  for (const auto& name : fleet.Tenants()) {
+    d->Str(name);
+    auto health = fleet.Health(name);
+    EXPECT_TRUE(health.ok()) << health.status().ToString();
+    if (health.ok()) DigestHealth(*health, d);
+    auto f = fleet.Freshness(name);
+    EXPECT_TRUE(f.ok()) << f.status().ToString();
+    if (!f.ok()) continue;
+    d->Bool(f->enabled);
+    d->Byte(static_cast<std::uint8_t>(f->drift));
+    d->F64(f->drift_time);
+    d->Bool(f->retrain_inflight);
+    d->U64(f->drift_events);
+    d->U64(f->retrains_completed);
+    d->U64(f->retrain_failures);
+    d->U64(f->swaps_applied);
+    d->F64(f->last_swap_time);
+    d->F64(f->model_origin);
+    d->F64(f->window_end);
+  }
+}
+
+void DigestFleetSnapshot(const api::FleetSnapshot& s, Digest* d) {
+  d->U64(s.tenants);
+  d->U64(s.tenants_started);
+  d->U64(s.queries_observed);
+  d->U64(s.instances_alive);
+  d->U64(s.instances_ready);
+  d->U64(s.scheduled_creations);
+  d->U64(s.cold_starts);
+  d->U64(s.creations_requested);
+  d->U64(s.deletions_requested);
+  d->U64(s.planning_rounds);
+  d->U64(s.arrivals_retained);
+  d->U64(s.actions_retained);
+  d->U64(s.planning_workspace_bytes);
+  d->U64(s.tenants_healthy);
+  d->U64(s.tenants_degraded);
+  d->U64(s.tenants_quarantined);
+  d->U64(s.rejected_observations);
+  d->U64(s.plan_failures);
+  d->U64(s.fallbacks_served);
+  d->U64(s.breaker_opens);
+  for (const auto& [name, snap] : s.per_tenant) {
+    d->Str(name);
+    DigestSnapshot(snap, d);
+  }
+  for (const auto& [name, health] : s.per_tenant_health) {
+    d->Str(name);
+    DigestHealth(health, d);
+  }
+}
+
+/// Arrival events of every tenant, merged in time order.
+std::vector<std::pair<double, std::string>> FleetEvents() {
+  std::vector<std::pair<double, std::string>> events;
+  std::uint64_t seed = 201;
+  for (const auto& tenant : kFleetTenants) {
+    const auto trace =
+        FleetTrace(seed++, kFleetServe, tenant.qps, tenant.shift_at);
+    for (const double t : trace.ArrivalTimes()) {
+      events.emplace_back(t, tenant.name);
+    }
+  }
+  std::sort(events.begin(), events.end());
+  return events;
+}
+
+void ObserveInto(api::ScalerFleet* fleet, const std::string& tenant, double t,
+                 Digest* d) {
+  auto outcome = fleet->Observe(tenant, t);
+  d->Bool(outcome.ok());
+  if (outcome.ok()) {
+    d->Bool(outcome->cold_start);
+    d->Bool(outcome->cancel_earliest_scheduled);
+  } else {
+    DigestStatus(outcome.status(), d);
+  }
+}
+
+struct FleetDigests {
+  std::uint64_t stream = 0;
+  std::uint64_t saves = 0;
+  std::uint64_t restart = 0;
+  /// Final Health() and Freshness() of every tenant of the main fleet, for
+  /// the coverage check.
+  std::map<std::string, std::pair<api::TenantHealthInfo, api::TenantFreshness>>
+      final_state;
+};
+
+FleetDigests FleetScenarioDigests(std::size_t workers, bool faults) {
+  const auto events = FleetEvents();
+  api::ScalerFleet fleet(workers);
+  api::ScalerFleet aside(workers);  // Where "mover" spends the middle third.
+  fleet.ConfigureRobustness(FleetRobustness());
+  aside.ConfigureRobustness(FleetRobustness());
+  for (const auto& tenant : kFleetTenants) {
+    if (std::string(tenant.name) == "mover") {
+      // The loop attaches to the first six here and to "mover" at Register.
+      EXPECT_TRUE(fleet.EnableFreshness(FleetFreshness()).ok());
+    }
+    EXPECT_TRUE(
+        fleet.Register(tenant.name, FleetScaler(tenant.train_seed, tenant.spec))
+            .ok());
+  }
+  std::optional<fault::ScopedFaultInjection> inject;
+  if (faults) inject.emplace(FleetFaultPlan());
+
+  Digest stream, saves;
+  std::string restart_bytes;
+  bool mover_aside = false;
+  std::size_t next = 0;
+  const auto steps = static_cast<int>(kFleetServe / kFleetTick);
+  for (int k = 1; k <= steps; ++k) {
+    const double now = k * kFleetTick;
+    for (; next < events.size() && events[next].first < now; ++next) {
+      const auto& [t, tenant] = events[next];
+      const bool away = mover_aside && tenant == "mover";
+      ObserveInto(away ? &aside : &fleet, tenant, t, &stream);
+    }
+    if (now == 100.0) {
+      ObserveInto(&fleet, "steady", std::nan(""), &stream);
+      ObserveInto(&fleet, "adapt", 1.0, &stream);  // Regressive.
+    } else if (now == 250.0) {
+      DigestStatus(fleet.ReplaceModel("manual", FleetScaler(111, "robust_rt")),
+                   &stream);
+    } else if (now == 300.0 || now == 700.0) {
+      DigestStatus(fleet.RequestRetrain("forced"), &stream);
+    } else if (now == 450.0) {
+      DigestStatus(fleet.ReplaceModelAtNextPlan(
+                       "adapt", FleetScaler(113, "adaptive_backup_pool")),
+                   &stream);
+    } else if (now == 500.0) {
+      DigestStatus(fleet.MigrateTenant("mover", &aside), &stream);
+      mover_aside = true;
+    } else if (now == 800.0) {
+      DigestStatus(aside.MigrateTenant("mover", &fleet), &stream);
+      mover_aside = false;
+    }
+    DigestPlans(fleet.PlanAll(now), &stream);
+    DigestPlans(aside.PlanAll(now), &stream);
+    DigestTenants(fleet, &stream);
+    DigestTenants(aside, &stream);
+    if (k % 20 == 0) DigestFleetSnapshot(fleet.Snapshot(), &stream);
+    for (const double cut : kFleetCuts) {
+      if (now != cut) continue;
+      std::ostringstream out;
+      EXPECT_TRUE(fleet.SaveFleet(out).ok());
+      saves.Str(out.str());
+      if (cut == kFleetRestartCut) restart_bytes = out.str();
+    }
+  }
+  inject.reset();
+  DigestFleetSnapshot(fleet.Snapshot(), &stream);
+  DigestFleetSnapshot(aside.Snapshot(), &stream);
+
+  // The restart path: LoadFleet + EnableFreshness at the middle cut, then
+  // the rest of the arrivals of every tenant the cut holds.
+  Digest restart;
+  std::istringstream in(restart_bytes);
+  api::FleetRestoreOptions options;
+  options.worker_threads = workers;
+  auto loaded = api::ScalerFleet::LoadFleet(in, options);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (loaded.ok()) {
+    EXPECT_TRUE(loaded->EnableFreshness(FleetFreshness()).ok());
+    std::size_t i = 0;
+    while (i < events.size() && events[i].first < kFleetRestartCut) ++i;
+    for (int k = static_cast<int>(kFleetRestartCut / kFleetTick) + 1;
+         k <= steps; ++k) {
+      const double now = k * kFleetTick;
+      for (; i < events.size() && events[i].first < now; ++i) {
+        const auto& [t, tenant] = events[i];
+        if (loaded->Find(tenant) != nullptr) {
+          ObserveInto(&*loaded, tenant, t, &restart);
+        }
+      }
+      DigestPlans(loaded->PlanAll(now), &restart);
+      DigestTenants(*loaded, &restart);
+    }
+    DigestFleetSnapshot(loaded->Snapshot(), &restart);
+    std::ostringstream out;
+    EXPECT_TRUE(loaded->SaveFleet(out).ok());
+    restart.Str(out.str());
+  }
+  FleetDigests digests;
+  digests.stream = stream.value();
+  digests.saves = saves.value();
+  digests.restart = restart.value();
+  for (const auto& name : fleet.Tenants()) {
+    digests.final_state[name] = {*fleet.Health(name), *fleet.Freshness(name)};
+  }
+  return digests;
+}
+
+void ExpectFleetGolden(const char* variant, bool faults) {
+  for (const std::size_t workers : {0u, 1u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const FleetDigests digests = FleetScenarioDigests(workers, faults);
+    const std::string prefix = std::string("fleet/") + variant + "/";
+    ExpectGolden(prefix + "stream", digests.stream);
+    ExpectGolden(prefix + "saves", digests.saves);
+    ExpectGolden(prefix + "restart", digests.restart);
+  }
+}
+
+TEST(EngineContractTest, FleetDigestsMatchGolden) {
+  ExpectFleetGolden("clean", /*faults=*/false);
+}
+
+TEST(EngineContractTest, FleetDigestsWithFaultsMatchGolden) {
+#if defined(RS_NO_FAULT_INJECTION)
+  GTEST_SKIP() << "needs the fleet.plan and train.refit fault sites";
+#else
+  ExpectFleetGolden("faults", /*faults=*/true);
+#endif
+}
+
+TEST(EngineContractTest, FleetScenarioReachesEveryRecord) {
+  // Guards the fleet digests' coverage: each scripted event really moved
+  // the record it is meant to move.
+#if defined(RS_NO_FAULT_INJECTION)
+  GTEST_SKIP() << "needs the fleet.plan and train.refit fault sites";
+#else
+  const FleetDigests digests = FleetScenarioDigests(0, /*faults=*/true);
+  const auto& state = digests.final_state;
+  ASSERT_EQ(state.size(), 7u);
+  const auto& shift = state.at("shift").second;
+  EXPECT_TRUE(shift.enabled);
+  EXPECT_GE(shift.drift_events, 1u);
+  EXPECT_GE(shift.retrains_completed, 1u);
+  EXPECT_GT(shift.model_origin, 0.0) << "a background swap moves the origin";
+  EXPECT_GE(state.at("manual").second.swaps_applied, 1u);
+  EXPECT_EQ(state.at("adapt").second.swaps_applied, 1u);
+  EXPECT_EQ(state.at("adapt").first.rejected_observations, 1u);
+  EXPECT_EQ(state.at("steady").first.rejected_observations, 1u);
+  const auto& forced = state.at("forced");
+  EXPECT_EQ(forced.second.retrain_failures, 1u);
+  EXPECT_EQ(forced.second.retrains_completed, 1u);
+  EXPECT_EQ(forced.first.consecutive_retrain_failures, 0u);
+  const auto& flaky = state.at("flaky").first;
+  EXPECT_EQ(flaky.plan_failures, 4u);
+  EXPECT_EQ(flaky.breaker_opens, 2u);
+  EXPECT_EQ(flaky.probes, 2u);
+  EXPECT_EQ(flaky.health, api::TenantHealth::kHealthy);
+  EXPECT_TRUE(state.at("mover").second.enabled) << "migrated back and rebound";
+#endif
 }
 
 }  // namespace

@@ -166,26 +166,22 @@ Result<FreshnessPolicy> ReadPolicy(persist::Reader* reader) {
   return policy;
 }
 
-/// HealthState → its public TenantHealthInfo projection (template so the
-/// private nested type needs no name here).
-template <typename HealthT>
-TenantHealthInfo ProjectHealth(const HealthT& h) {
-  TenantHealthInfo info;
-  info.health = h.health;
-  info.consecutive_plan_failures = h.consecutive_plan_failures;
-  info.plan_failures = h.plan_failures;
-  info.fallbacks_served = h.fallbacks_served;
-  info.rejected_observations = h.rejected_observations;
-  info.breaker_opens = h.breaker_opens;
-  info.probes = h.probes;
-  info.deadline_overruns = h.deadline_overruns;
-  info.consecutive_retrain_failures = h.consecutive_retrain_failures;
-  info.freshness_errors = h.freshness_errors;
-  info.retry_at = h.retry_at;
-  info.retrain_retry_at = h.retrain_retry_at;
-  info.last_error = h.last_error;
-  return info;
-}
+/// One tenant's degradation record: the public TenantHealthInfo, which
+/// Health() and Snapshot() hand out by slicing, plus the breaker's private
+/// state. Mutated only on the caller thread (BreakerGate before the
+/// fan-out, NotePlanOutcome after the join) except for deadline_overruns,
+/// which the owning worker bumps — per-tenant safe.
+struct HealthState : TenantHealthInfo {
+  /// Consecutive breaker opens without an intervening success (drives the
+  /// exponential backoff).
+  std::uint64_t open_count = 0;
+  /// Per-tenant SplitMix64 stream for backoff jitter (seeded from
+  /// RobustnessPolicy::jitter_seed mixed with the tenant name).
+  std::uint64_t jitter_rng = 0;
+  /// A half-open probe is in flight this boundary: its outcome decides
+  /// recovery vs. re-open.
+  bool probe_inflight = false;
+};
 
 }  // namespace
 
@@ -216,33 +212,39 @@ struct ScalerFleet::RetrainJob {
   double base = 0.0;
 };
 
+/// One tenant's freshness loop: exists exactly while the loop is attached
+/// (AttachFreshness builds it; a restored tenant brings it from its FRSH
+/// section).
 struct ScalerFleet::FreshState {
   ts::DriftDetector detector;
   train::TrainingSession session;
   /// Session (trace) time = fleet serving time + shift. Fixed at attach:
-  /// fleet time `base` maps to the session window's end.
+  /// fleet time Tenant::base maps to the session window's end.
   double shift = 0.0;
-  /// Fleet serving time of the live model's forecast origin. The tenant's
-  /// Scaler is driven at `fleet_time - base`; creation times come back
-  /// rebased by `+ base`. 0 until the first background swap.
-  double base = 0.0;
   double last_attempt = -std::numeric_limits<double>::infinity();
   bool drift_counted = false;  ///< Current latch already in drift_events.
-  /// True once AttachFreshness built the detector + session (a state
-  /// created only to hold a deferred manual replacement has neither).
-  bool loop_attached = false;
-  std::size_t drift_events = 0;
-  std::size_t retrains_completed = 0;
-  std::size_t retrain_failures = 0;
-  std::size_t swaps_applied = 0;
-  double last_swap_time = 0.0;
+  /// The lifetime counters Freshness() reports (drift_events,
+  /// retrains_completed, retrain_failures, swaps_applied, last_swap_time);
+  /// its other fields are derived on read.
+  TenantFreshness counters;
   std::shared_ptr<RetrainJob> job;  ///< In-flight retrain, if any.
-  std::optional<Scaler> pending_manual;  ///< Deferred ReplaceModelAtNextPlan.
 };
 
-ScalerFleet::Tenant::Tenant(std::string n, Scaler s)
-    : name(std::move(n)), scaler(std::move(s)) {}
-ScalerFleet::Tenant::~Tenant() = default;
+struct ScalerFleet::Tenant {
+  std::string name;
+  Scaler scaler;
+  /// Fleet serving time of the live model's forecast origin. The scaler is
+  /// driven at `fleet_time - base`; creation times come back rebased by
+  /// `+ base`. 0 until the first background swap.
+  double base = 0.0;
+  std::optional<Scaler> pending_manual;  ///< Deferred ReplaceModelAtNextPlan.
+  std::unique_ptr<FreshState> fresh;     ///< Null while the loop is detached.
+  HealthState health;
+
+  Tenant(std::string n, Scaler s) : name(std::move(n)), scaler(std::move(s)) {}
+  /// The tenant's position on the fleet serving clock.
+  double now() const { return scaler.Snapshot().now + base; }
+};
 
 ScalerFleet::ScalerFleet(std::size_t worker_threads)
     : pool_(std::make_unique<common::ThreadPool>(worker_threads)) {}
@@ -281,20 +283,11 @@ Status ScalerFleet::RegisterTenant(std::unique_ptr<Tenant> tenant) {
     entry->health.jitter_rng = JitterSeed(robustness_.jitter_seed, entry->name);
   }
   if (policy_.has_value()) {
-    if (entry->fresh != nullptr && entry->fresh->loop_attached) {
-      // A restored tenant brought its own loop state; rebind the knobs to
-      // this fleet's policy without touching the statistics.
-      entry->fresh->session.set_options(policy_->pipeline);
-      entry->fresh->detector.set_options(policy_->detector);
-    } else {
-      const double base = entry->fresh != nullptr ? entry->fresh->base : 0.0;
-      Status attached =
-          AttachFreshness(entry, entry->scaler.Snapshot().now + base);
-      if (!attached.ok()) {
-        index_.erase(entry->name);
-        tenants_.pop_back();
-        return attached;
-      }
+    Status bound = BindFreshness(entry);
+    if (!bound.ok()) {
+      index_.erase(entry->name);
+      tenants_.pop_back();
+      return bound;
     }
   }
   if (tap_ != nullptr) tap_->OnRegister(entry->name, entry->scaler);
@@ -320,11 +313,9 @@ Status ScalerFleet::Retire(const std::string& tenant) {
 Status ScalerFleet::ReplaceModel(const std::string& tenant, Scaler scaler) {
   const std::size_t i = FindIndex(tenant);
   if (i == tenants_.size()) return UnknownTenant("ReplaceModel", tenant);
-  const FreshState* fresh = tenants_[i]->fresh.get();
-  const double now =
-      tenants_[i]->scaler.Snapshot().now + (fresh != nullptr ? fresh->base : 0);
   RS_RETURN_NOT_OK(InstallReplacement(i, std::move(scaler), /*new_base=*/0.0,
-                                      now, /*reset_session=*/true));
+                                      tenants_[i]->now(),
+                                      /*reset_session=*/true));
   if (tap_ != nullptr) {
     // Post-install, post-carry: exactly the state a re-drive swaps in.
     tap_->OnReplaceModel(tenant, tenants_[i]->scaler, /*at_next_plan=*/false);
@@ -339,12 +330,9 @@ Status ScalerFleet::ReplaceModelAtNextPlan(const std::string& tenant,
     return UnknownTenant("ReplaceModelAtNextPlan", tenant);
   }
   Tenant& entry = *tenants_[i];
-  // A bare FreshState can hold the pending swap even with freshness off.
-  if (entry.fresh == nullptr) entry.fresh = std::make_unique<FreshState>();
-  entry.fresh->pending_manual = std::move(scaler);
+  entry.pending_manual = std::move(scaler);
   if (tap_ != nullptr) {
-    tap_->OnReplaceModel(tenant, *entry.fresh->pending_manual,
-                         /*at_next_plan=*/true);
+    tap_->OnReplaceModel(tenant, *entry.pending_manual, /*at_next_plan=*/true);
   }
   return Status::OK();
 }
@@ -376,33 +364,29 @@ Status ScalerFleet::EnableFreshness(const FreshnessPolicy& policy) {
   // Recreating the pool joins any old one first; results of old-policy
   // jobs stay published in their RetrainJob slots and still swap in.
   retrain_pool_ = std::make_unique<common::ThreadPool>(policy.retrain_workers);
-  for (auto& entry : tenants_) {
-    if (entry->fresh != nullptr && entry->fresh->loop_attached) {
-      entry->fresh->session.set_options(policy_->pipeline);
-      entry->fresh->detector.set_options(policy_->detector);
-      continue;
-    }
-    const double base = entry->fresh != nullptr ? entry->fresh->base : 0.0;
-    RS_RETURN_NOT_OK(
-        AttachFreshness(entry.get(), entry->scaler.Snapshot().now + base));
-  }
+  for (auto& entry : tenants_) RS_RETURN_NOT_OK(BindFreshness(entry.get()));
+  return Status::OK();
+}
+
+Status ScalerFleet::BindFreshness(Tenant* tenant) {
+  if (tenant->fresh == nullptr) return AttachFreshness(tenant, tenant->now());
+  tenant->fresh->session.set_options(policy_->pipeline);
+  tenant->fresh->detector.set_options(policy_->detector);
   return Status::OK();
 }
 
 Status ScalerFleet::AttachFreshness(Tenant* tenant, double now) {
-  if (tenant->fresh == nullptr) {
-    tenant->fresh = std::make_unique<FreshState>();
-  }
+  RS_ASSIGN_OR_RETURN(auto detector,
+                      MakeDetectorFor(policy_->detector,
+                                      tenant->scaler.trained(), tenant->base,
+                                      now));
+  if (tenant->fresh == nullptr) tenant->fresh = std::make_unique<FreshState>();
   FreshState& fresh = *tenant->fresh;
+  fresh.detector = std::move(detector);
   fresh.session = train::TrainingSession::FromTrained(tenant->scaler.trained(),
                                                       policy_->pipeline);
   // Fleet time `base` corresponds to the end of the trained window.
-  fresh.shift = fresh.session.window_end() - fresh.base;
-  RS_ASSIGN_OR_RETURN(fresh.detector,
-                      MakeDetectorFor(policy_->detector,
-                                      tenant->scaler.trained(), fresh.base,
-                                      now));
-  fresh.loop_attached = true;
+  fresh.shift = fresh.session.window_end() - tenant->base;
   return Status::OK();
 }
 
@@ -410,27 +394,19 @@ Result<TenantFreshness> ScalerFleet::Freshness(
     const std::string& tenant) const {
   const std::size_t i = FindIndex(tenant);
   if (i == tenants_.size()) return UnknownTenant("Freshness", tenant);
-  TenantFreshness out;
   const FreshState* fresh = tenants_[i]->fresh.get();
-  if (fresh == nullptr) return out;
-  out.enabled = policy_.has_value() && fresh->loop_attached;
-  if (fresh->loop_attached) {
-    out.drift = fresh->detector.kind();
-    out.drift_time = fresh->detector.fired_time();
-    out.window_end = fresh->session.window_end() - fresh->shift;
-  }
+  if (fresh == nullptr) return TenantFreshness{};
+  TenantFreshness out = fresh->counters;
+  out.enabled = policy_.has_value();
+  out.drift = fresh->detector.kind();
+  out.drift_time = fresh->detector.fired_time();
   out.retrain_inflight = fresh->job != nullptr;
-  out.drift_events = fresh->drift_events;
-  if (fresh->loop_attached && fresh->detector.fired() &&
-      !fresh->drift_counted) {
+  if (fresh->detector.fired() && !fresh->drift_counted) {
     // The pre-plan pass has not folded the current latch in yet.
     out.drift_events += 1;
   }
-  out.retrains_completed = fresh->retrains_completed;
-  out.retrain_failures = fresh->retrain_failures;
-  out.swaps_applied = fresh->swaps_applied;
-  out.last_swap_time = fresh->last_swap_time;
-  out.model_origin = fresh->base;
+  out.model_origin = tenants_[i]->base;
+  out.window_end = fresh->session.window_end() - fresh->shift;
   return out;
 }
 
@@ -443,29 +419,21 @@ Status ScalerFleet::RequestRetrain(const std::string& tenant) {
         "EnableFreshness first)");
   }
   Tenant& entry = *tenants_[i];
-  if (entry.fresh == nullptr || !entry.fresh->loop_attached) {
-    const double base = entry.fresh != nullptr ? entry.fresh->base : 0.0;
-    RS_RETURN_NOT_OK(
-        AttachFreshness(&entry, entry.scaler.Snapshot().now + base));
-  }
+  RS_RETURN_NOT_OK(BindFreshness(&entry));
   FreshState& fresh = *entry.fresh;
-  const double now = entry.scaler.Snapshot().now + fresh.base;
+  const double now = entry.now();
   RS_RETURN_NOT_OK(fresh.session.ExtendTo(now + fresh.shift));
   MaybeEnqueueRetrain(i, now, /*forced=*/true);
   return Status::OK();
 }
 
 void ScalerFleet::FreshnessPrePlan(std::size_t i, double now) {
-  FreshState* fresh = tenants_[i]->fresh.get();
-  if (fresh == nullptr) return;
   // Order matters: a finished result swaps in first (the boundary is the
   // earliest tear-free point), then the detector closes the bins up to the
   // boundary so silence counts as evidence, then drift may enqueue.
   MaybeApplySwap(i, now);
-  fresh = tenants_[i]->fresh.get();
-  if (fresh == nullptr || !fresh->loop_attached || !policy_.has_value()) {
-    return;
-  }
+  FreshState* fresh = tenants_[i]->fresh.get();
+  if (fresh == nullptr || !policy_.has_value()) return;
   fresh->detector.AdvanceTo(now);
   if (!fresh->session.ExtendTo(now + fresh->shift).ok()) {
     ++tenants_[i]->health.freshness_errors;
@@ -474,14 +442,15 @@ void ScalerFleet::FreshnessPrePlan(std::size_t i, double now) {
 }
 
 void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
-  FreshState& fresh = *tenants_[i]->fresh;
-  HealthState& health = tenants_[i]->health;
+  Tenant& tenant = *tenants_[i];
+  HealthState& health = tenant.health;
   // A failed retrain never evicts the last-good model: the tenant keeps
   // serving whatever it has, the failure is counted, and the next attempt
   // waits out a capped exponential backoff (off by default — base 0 keeps
-  // the pre-existing retry-at-next-boundary behavior).
+  // the pre-existing retry-at-next-boundary behavior). Only an attached
+  // loop can fail a swap, so `fresh` is set whenever this runs.
   const auto note_retrain_failure = [&](const Status& st) {
-    ++fresh.retrain_failures;
+    ++tenant.fresh->counters.retrain_failures;
     ++health.consecutive_retrain_failures;
     health.last_error = st;
     if (robustness_.retrain_backoff_base > 0.0) {
@@ -493,18 +462,19 @@ void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
                              std::ldexp(1.0, doublings));
     }
   };
-  if (fresh.pending_manual.has_value()) {
+  if (tenant.pending_manual.has_value()) {
     // A deferred manual replacement outranks a background result (the
     // caller decided; the stale background fit is dropped with the job).
-    Scaler replacement = std::move(*fresh.pending_manual);
-    fresh.pending_manual.reset();
-    fresh.job.reset();
+    Scaler replacement = std::move(*tenant.pending_manual);
+    tenant.pending_manual.reset();
+    if (tenant.fresh != nullptr) tenant.fresh->job.reset();
     Status st = InstallReplacement(i, std::move(replacement), /*new_base=*/0.0,
                                    now, /*reset_session=*/true);
     if (!st.ok()) note_retrain_failure(st);
     return;
   }
-  if (fresh.job == nullptr) return;
+  if (tenant.fresh == nullptr || tenant.fresh->job == nullptr) return;
+  FreshState& fresh = *tenant.fresh;
   core::TrainedPipeline trained;
   double base = 0.0;
   Status job_status = Status::OK();
@@ -527,7 +497,7 @@ void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
   // The live session adopts the fit's iterate so the *next* refit warm-starts
   // from it, while keeping the arrivals accumulated since the job's copy.
   fresh.session.AdoptFit(trained);
-  Scaler& retiring = tenants_[i]->scaler;
+  Scaler& retiring = tenant.scaler;
   auto built = Scaler::FromTrainedPipeline(
       std::move(trained), retiring.spec_, retiring.build_context_);
   if (!built.ok()) {
@@ -549,16 +519,15 @@ void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
     note_retrain_failure(installed);
     return;
   }
-  ++tenants_[i]->fresh->retrains_completed;
+  ++fresh.counters.retrains_completed;
   health.consecutive_retrain_failures = 0;
   health.retrain_retry_at = -std::numeric_limits<double>::infinity();
 }
 
 void ScalerFleet::MaybeEnqueueRetrain(std::size_t i, double now, bool forced) {
   FreshState& fresh = *tenants_[i]->fresh;
-  if (!policy_.has_value() || !fresh.loop_attached) return;
   if (fresh.detector.fired() && !fresh.drift_counted) {
-    ++fresh.drift_events;
+    ++fresh.counters.drift_events;
     fresh.drift_counted = true;
   }
   if (fresh.job != nullptr) return;  // One in-flight job per tenant.
@@ -621,11 +590,11 @@ Status ScalerFleet::InstallReplacement(std::size_t i, Scaler replacement,
   Tenant& tenant = *tenants_[i];
   CarryServingConfig(tenant.scaler, &replacement);
   tenant.scaler = std::move(replacement);
+  tenant.base = new_base;
   if (tenant.fresh == nullptr) return Status::OK();
   FreshState& fresh = *tenant.fresh;
-  fresh.base = new_base;
-  fresh.swaps_applied += 1;
-  fresh.last_swap_time = now;
+  fresh.counters.swaps_applied += 1;
+  fresh.counters.last_swap_time = now;
   fresh.drift_counted = false;
   if (!policy_.has_value()) return Status::OK();
   if (reset_session) {
@@ -673,7 +642,7 @@ void ScalerFleet::ConfigureRobustness(const RobustnessPolicy& policy) {
 Result<TenantHealthInfo> ScalerFleet::Health(const std::string& tenant) const {
   const std::size_t i = FindIndex(tenant);
   if (i == tenants_.size()) return UnknownTenant("Health", tenant);
-  return ProjectHealth(tenants_[i]->health);
+  return static_cast<const TenantHealthInfo&>(tenants_[i]->health);
 }
 
 bool ScalerFleet::BreakerGate(std::size_t i, double now, TenantPlan* plan) {
@@ -698,7 +667,7 @@ bool ScalerFleet::BreakerGate(std::size_t i, double now, TenantPlan* plan) {
 
 void ScalerFleet::PlanTenant(std::size_t i, double now, TenantPlan* plan) {
   Tenant& tenant = *tenants_[i];
-  const double base = tenant.fresh != nullptr ? tenant.fresh->base : 0.0;
+  const double base = tenant.base;
   const bool timed = std::isfinite(robustness_.plan_deadline);
   const auto started = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
@@ -890,9 +859,7 @@ Result<Scaler::ObserveOutcome> ScalerFleet::Observe(const std::string& tenant,
     }
   }
 #endif
-  FreshState* fresh = entry.fresh.get();
-  const double base = fresh != nullptr ? fresh->base : 0.0;
-  auto outcome = entry.scaler.Observe(arrival_time - base);
+  auto outcome = entry.scaler.Observe(arrival_time - entry.base);
   if (!outcome.ok()) {
     // Malformed arrival (NaN, ±inf, regressive time): the scaler rejected
     // it before its mirror was touched — count and refuse. One bad input
@@ -901,7 +868,8 @@ Result<Scaler::ObserveOutcome> ScalerFleet::Observe(const std::string& tenant,
     entry.health.last_error = outcome.status();
     return outcome;
   }
-  if (fresh != nullptr && fresh->loop_attached && policy_.has_value()) {
+  if (FreshState* fresh = entry.fresh.get();
+      fresh != nullptr && policy_.has_value()) {
     // The same arrival feeds the drift statistics and the retrain window.
     fresh->detector.Observe(arrival_time);
     if (!fresh->session.AppendArrival(arrival_time + fresh->shift).ok()) {
@@ -1005,7 +973,7 @@ FleetSnapshot ScalerFleet::Snapshot() const {
     fleet.plan_failures += health.plan_failures;
     fleet.fallbacks_served += health.fallbacks_served;
     fleet.breaker_opens += health.breaker_opens;
-    fleet.per_tenant_health.emplace_back(entry->name, ProjectHealth(health));
+    fleet.per_tenant_health.emplace_back(entry->name, health);
   }
   return fleet;
 }
@@ -1018,22 +986,22 @@ Status ScalerFleet::WriteTenantRecord(persist::Writer* writer,
   writer->BeginSection(persist::kTagTenant);
   writer->WriteString(tenant.name);
   RS_RETURN_NOT_OK(tenant.scaler.SaveStateSection(writer));
-  if (tenant.fresh != nullptr && tenant.fresh->loop_attached) {
+  if (tenant.fresh != nullptr) {
     // In-flight jobs and pending manual replacements are deliberately not
     // persisted: a latched drift survives, so a restored fleet simply
     // re-enqueues the retrain at its first plan boundary.
     const FreshState& fresh = *tenant.fresh;
     writer->BeginSection(persist::kTagFreshness);
     writer->WriteU32(kFreshnessVersion);
-    writer->WriteDouble(fresh.base);
+    writer->WriteDouble(tenant.base);
     writer->WriteDouble(fresh.shift);
     writer->WriteDouble(fresh.last_attempt);
     writer->WriteBool(fresh.drift_counted);
-    writer->WriteU64(fresh.drift_events);
-    writer->WriteU64(fresh.retrains_completed);
-    writer->WriteU64(fresh.retrain_failures);
-    writer->WriteU64(fresh.swaps_applied);
-    writer->WriteDouble(fresh.last_swap_time);
+    writer->WriteU64(fresh.counters.drift_events);
+    writer->WriteU64(fresh.counters.retrains_completed);
+    writer->WriteU64(fresh.counters.retrain_failures);
+    writer->WriteU64(fresh.counters.swaps_applied);
+    writer->WriteDouble(fresh.counters.last_swap_time);
     fresh.detector.Serialize(writer);
     fresh.session.Serialize(writer);
     writer->EndSection();
@@ -1094,19 +1062,16 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
                                " is newer than this build understands");
       }
       auto fresh = std::make_unique<FreshState>();
-      RS_ASSIGN_OR_RETURN(fresh->base, reader->ReadDouble());
+      TenantFreshness& counters = fresh->counters;
+      RS_ASSIGN_OR_RETURN(tenant->base, reader->ReadDouble());
       RS_ASSIGN_OR_RETURN(fresh->shift, reader->ReadDouble());
       RS_ASSIGN_OR_RETURN(fresh->last_attempt, reader->ReadDouble());
       RS_ASSIGN_OR_RETURN(fresh->drift_counted, reader->ReadBool());
-      RS_ASSIGN_OR_RETURN(const std::uint64_t drift_events, reader->ReadU64());
-      fresh->drift_events = static_cast<std::size_t>(drift_events);
-      RS_ASSIGN_OR_RETURN(const std::uint64_t completed, reader->ReadU64());
-      fresh->retrains_completed = static_cast<std::size_t>(completed);
-      RS_ASSIGN_OR_RETURN(const std::uint64_t failures, reader->ReadU64());
-      fresh->retrain_failures = static_cast<std::size_t>(failures);
-      RS_ASSIGN_OR_RETURN(const std::uint64_t swaps, reader->ReadU64());
-      fresh->swaps_applied = static_cast<std::size_t>(swaps);
-      RS_ASSIGN_OR_RETURN(fresh->last_swap_time, reader->ReadDouble());
+      RS_ASSIGN_OR_RETURN(counters.drift_events, reader->ReadU64());
+      RS_ASSIGN_OR_RETURN(counters.retrains_completed, reader->ReadU64());
+      RS_ASSIGN_OR_RETURN(counters.retrain_failures, reader->ReadU64());
+      RS_ASSIGN_OR_RETURN(counters.swaps_applied, reader->ReadU64());
+      RS_ASSIGN_OR_RETURN(counters.last_swap_time, reader->ReadDouble());
       const ts::DriftDetectorOptions detector_options =
           policy != nullptr ? policy->detector : ts::DriftDetectorOptions{};
       RS_ASSIGN_OR_RETURN(
@@ -1117,7 +1082,6 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
       RS_ASSIGN_OR_RETURN(
           fresh->session,
           train::TrainingSession::Deserialize(reader, pipeline_options));
-      fresh->loop_attached = true;
       RS_RETURN_NOT_OK(reader->ExitSection());
       tenant->fresh = std::move(fresh);
     }

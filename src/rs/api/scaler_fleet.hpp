@@ -467,64 +467,32 @@ class ScalerFleet {
                        const TenantRestoreOptions& options = {});
 
  private:
-  /// Output slot of one background retrain (shared with the pool task; the
-  /// mutex publishes the result to the swap boundary's reader).
-  struct RetrainJob;
-  /// Per-tenant freshness state: detector, live training session, time
-  /// rebase, counters, the in-flight job, a pending deferred replacement.
+  // The per-tenant records live in scaler_fleet.cpp: Tenant (name, scaler,
+  // serving-clock base, a deferred manual replacement), its health record
+  // (TenantHealthInfo plus the breaker's private state), and FreshState,
+  // which exists exactly while the tenant's freshness loop is attached.
+  struct Tenant;
   struct FreshState;
-
-  /// The full (private) per-tenant degradation record; TenantHealthInfo is
-  /// its public projection. Mutated only on the caller thread (BreakerGate
-  /// before the fan-out, NotePlanOutcome after the join) except for
-  /// deadline_overruns, which the owning worker bumps — per-tenant safe.
-  struct HealthState {
-    TenantHealth health = TenantHealth::kHealthy;
-    std::uint64_t consecutive_plan_failures = 0;
-    std::uint64_t plan_failures = 0;
-    std::uint64_t fallbacks_served = 0;
-    std::uint64_t rejected_observations = 0;
-    std::uint64_t breaker_opens = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t deadline_overruns = 0;
-    std::uint64_t consecutive_retrain_failures = 0;
-    /// Consecutive breaker opens without an intervening success (drives the
-    /// exponential backoff).
-    std::uint64_t open_count = 0;
-    std::uint64_t freshness_errors = 0;
-    double retry_at = -std::numeric_limits<double>::infinity();
-    double retrain_retry_at = -std::numeric_limits<double>::infinity();
-    /// Per-tenant SplitMix64 stream for backoff jitter (seeded from
-    /// RobustnessPolicy::jitter_seed mixed with the tenant name).
-    std::uint64_t jitter_rng = 0;
-    /// A half-open probe is in flight this boundary: its outcome decides
-    /// recovery vs. re-open.
-    bool probe_inflight = false;
-    Status last_error;
-  };
-
-  struct Tenant {
-    std::string name;
-    Scaler scaler;
-    std::unique_ptr<FreshState> fresh;  ///< Null until freshness attaches.
-    HealthState health;
-    // Out of line: FreshState is complete only in scaler_fleet.cpp.
-    Tenant(std::string n, Scaler s);
-    ~Tenant();
-  };
+  /// Output slot of one background retrain (shared with the pool task).
+  struct RetrainJob;
 
   /// Index into tenants_, or tenants_.size() if unknown.
   std::size_t FindIndex(const std::string& tenant) const;
 
   /// Appends a fully-formed tenant (Register and the restore paths share
-  /// this): validates the name, indexes it, and attaches/rebinds freshness
-  /// state per the policy.
+  /// this): validates the name, indexes it, and binds its freshness loop
+  /// to the policy.
   Status RegisterTenant(std::unique_ptr<Tenant> tenant);
+
+  /// Binds `tenant`'s freshness loop to policy_: loop state the tenant
+  /// already has (restored, or attached under an earlier policy) keeps its
+  /// statistics and takes the policy's knobs; otherwise AttachFreshness
+  /// builds it at the tenant's current serving time.
+  Status BindFreshness(Tenant* tenant);
 
   /// (Re)builds `tenant`'s freshness loop state from its current trained
   /// model, with the detector resuming at the first forecast bin boundary
-  /// at or after serving time `now`. Preserves counters and any pending
-  /// deferred replacement already in the state.
+  /// at or after serving time `now`. Preserves the loop's counters.
   Status AttachFreshness(Tenant* tenant, double now);
 
   /// The caller-thread pre-plan pass for tenant `i` at boundary `now`:

@@ -885,6 +885,44 @@ TEST(ReplaceModel, CarriesRetentionWideningAndDecisionClockPosition) {
   EXPECT_GT(new_clock.readings(), readings_at_swap);
 }
 
+TEST(FleetFreshness, DetachedTenantReportsNoFreshnessCounters) {
+  // Freshness state exists only while the loop is attached: with freshness
+  // off, neither kind of manual swap shows up in Freshness(), and enabling
+  // the loop afterwards starts every counter at zero.
+  const double horizon = 2.0 * kPeriodS;
+  const auto train = MakeSineTrace(81, 4.0 * kPeriodS, 1.0);
+  ScalerFleet fleet(0);
+  ASSERT_TRUE(fleet.Register("now", BuildScaler(train, horizon, "backup_pool"))
+                  .ok());
+  ASSERT_TRUE(
+      fleet.Register("later", BuildScaler(train, horizon, "backup_pool")).ok());
+  ASSERT_TRUE(fleet.Plan("now", 10.0).ok());
+  ASSERT_TRUE(fleet.Plan("later", 10.0).ok());
+  ASSERT_TRUE(
+      fleet.ReplaceModel("now", BuildScaler(train, horizon, "backup_pool"))
+          .ok());
+  ASSERT_TRUE(fleet
+                  .ReplaceModelAtNextPlan(
+                      "later", BuildScaler(train, horizon, "backup_pool"))
+                  .ok());
+  ASSERT_TRUE(fleet.Plan("later", 20.0).ok());
+  for (const char* name : {"now", "later"}) {
+    auto f = fleet.Freshness(name);
+    ASSERT_TRUE(f.ok());
+    EXPECT_FALSE(f->enabled) << name;
+    EXPECT_EQ(f->swaps_applied, 0u) << name;
+    EXPECT_EQ(f->last_swap_time, 0.0) << name;
+    EXPECT_EQ(f->model_origin, 0.0) << name;
+  }
+  ASSERT_TRUE(fleet.EnableFreshness(MakePolicy(horizon)).ok());
+  for (const char* name : {"now", "later"}) {
+    auto f = fleet.Freshness(name);
+    ASSERT_TRUE(f.ok());
+    EXPECT_TRUE(f->enabled) << name;
+    EXPECT_EQ(f->swaps_applied, 0u) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Freshness state through SaveFleet/LoadFleet.
 // ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ constexpr std::uint32_t kFreshnessVersion = 1;
 constexpr std::uint32_t kPolicyVersion = 2;
 /// Payload layout inside kTagHealth (per-tenant degradation state).
 constexpr std::uint32_t kHealthVersion = 1;
+/// Largest FreshnessPolicy::retrain_workers EnableFreshness accepts, so a
+/// hand-built policy section cannot make LoadFleet spawn 2^40 threads.
+constexpr std::size_t kMaxRetrainWorkers = 256;
 
 /// SplitMix64 step — the per-tenant backoff-jitter stream. Self-contained so
 /// the jitter sequence is pinned by this file, not by a library's
@@ -95,6 +98,35 @@ Result<ts::DriftDetector> MakeDetectorFor(const ts::DriftDetectorOptions& opts,
   const double origin = base + static_cast<double>(skip) * dt;
   return ts::DriftDetector::Make(opts, std::move(expected), dt,
                                  trained.period.period, origin);
+}
+
+/// Every check a FreshnessPolicy must pass before EnableFreshness changes
+/// anything. The detector knobs go through DriftDetector::Make on a
+/// placeholder forecast: every trained forecast is a valid intensity, so
+/// attaching a tenant under a validated policy cannot fail, and rebinding
+/// restored loop state installs only knobs a fresh attach would accept.
+Status ValidatePolicy(const FreshnessPolicy& policy) {
+  if (!(policy.pipeline.dt > 0.0)) {
+    return Status::Invalid("ScalerFleet::EnableFreshness: pipeline.dt <= 0");
+  }
+  if (!std::isfinite(policy.min_retrain_interval) ||
+      policy.min_retrain_interval < 0.0) {
+    return Status::Invalid(
+        "ScalerFleet::EnableFreshness: min_retrain_interval must be finite "
+        "and >= 0");
+  }
+  if (policy.retrain_workers > kMaxRetrainWorkers) {
+    return Status::Invalid(
+        "ScalerFleet::EnableFreshness: retrain_workers " +
+        std::to_string(policy.retrain_workers) + " exceeds the cap of " +
+        std::to_string(kMaxRetrainWorkers));
+  }
+  auto detector = ts::DriftDetector::Make(policy.detector, {1.0}, 1.0, 0, 0.0);
+  if (!detector.ok()) {
+    return Status::Invalid("ScalerFleet::EnableFreshness: " +
+                           detector.status().message());
+  }
+  return Status::OK();
 }
 
 void WritePolicy(persist::Writer* writer, const FreshnessPolicy& policy) {
@@ -346,15 +378,7 @@ Status ScalerFleet::EnableFreshness(const FreshnessPolicy& policy) {
         "retrains finish at wall-time-dependent moments that no recorded "
         "event stream could re-drive deterministically (DetachTap first)");
   }
-  if (!(policy.pipeline.dt > 0.0)) {
-    return Status::Invalid("ScalerFleet::EnableFreshness: pipeline.dt <= 0");
-  }
-  if (!std::isfinite(policy.min_retrain_interval) ||
-      policy.min_retrain_interval < 0.0) {
-    return Status::Invalid(
-        "ScalerFleet::EnableFreshness: min_retrain_interval must be finite "
-        "and >= 0");
-  }
+  RS_RETURN_NOT_OK(ValidatePolicy(policy));
   policy_ = policy;
   // Refits run on the retrain pool's threads (or inline at the enqueue
   // point); a caller-supplied training pool must not leak into them.

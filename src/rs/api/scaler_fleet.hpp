@@ -204,7 +204,8 @@ struct FreshnessPolicy {
   double min_retrain_interval = 0.0;
   /// Threads of the dedicated retrain pool — NOT the planning pool, so
   /// retrains never contend with Plan(t). 0 fits inline at the enqueue
-  /// point: fully deterministic, which is what the parity tests pin.
+  /// point: fully deterministic, which is what the parity tests pin. At
+  /// most 256; EnableFreshness (and so LoadFleet) rejects more.
   std::size_t retrain_workers = 0;
 };
 
@@ -317,7 +318,8 @@ class ScalerFleet {
 
   /// Enables the freshness loop for all current and future tenants.
   /// Call again to replace the policy (in-flight retrain results of the
-  /// old policy are still swapped in).
+  /// old policy are still swapped in). The whole policy is validated
+  /// first: an Invalid return leaves the fleet exactly as it was.
   Status EnableFreshness(const FreshnessPolicy& policy);
 
   bool freshness_enabled() const { return policy_.has_value(); }

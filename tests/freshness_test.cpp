@@ -923,6 +923,83 @@ TEST(FleetFreshness, DetachedTenantReportsNoFreshnessCounters) {
   }
 }
 
+TEST(FleetFreshness, BadDetectorKnobIsRejectedForRestoredAndLiveTenants) {
+  // A detector knob a fresh attach rejects must not slip in through the
+  // rebind of a tenant that already has loop state; the failed call leaves
+  // the old policy in place, byte for byte.
+  const double horizon = 2.0 * kPeriodS;
+  const auto train = MakeSineTrace(82, 4.0 * kPeriodS, 1.0);
+  ScalerFleet fleet(0);
+  ASSERT_TRUE(fleet.EnableFreshness(MakePolicy(horizon)).ok());
+  ASSERT_TRUE(
+      fleet.Register("svc", BuildScaler(train, horizon, "backup_pool")).ok());
+  std::stringstream before;
+  ASSERT_TRUE(fleet.SaveFleet(before).ok());
+
+  const std::vector<std::function<void(ts::DriftDetectorOptions*)>> breakers =
+      {[](ts::DriftDetectorOptions* o) { o->threshold = 0.0; },
+       [](ts::DriftDetectorOptions* o) { o->min_rate = 0.0; },
+       [](ts::DriftDetectorOptions* o) { o->profile_cusum_threshold = 0.0; }};
+  for (const auto& breaker : breakers) {
+    api::FreshnessPolicy bad = MakePolicy(horizon);
+    breaker(&bad.detector);
+    const Status st = fleet.EnableFreshness(bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    std::stringstream after;
+    ASSERT_TRUE(fleet.SaveFleet(after).ok());
+    EXPECT_EQ(before.str(), after.str()) << "the old policy stays";
+
+    // The same knob on a fleet restored with loop state.
+    std::stringstream copy(before.str());
+    auto restored = ScalerFleet::LoadFleet(copy);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->EnableFreshness(bad).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FleetFreshness, LoadFleetRejectsAnOversizedRetrainPool) {
+  // A hand-built FLET record whose policy asks for 2^40 retrain threads.
+  const api::FreshnessPolicy policy = MakePolicy(kPeriodS);
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagFleet);
+  writer.WriteU32(3);  // FLET layout version.
+  writer.WriteBool(true);
+  writer.BeginSection(persist::kTagFreshnessPolicy);
+  writer.WriteU32(2);  // FPOL layout version.
+  writer.WriteDouble(policy.pipeline.dt);
+  writer.WriteDouble(policy.pipeline.beta1);
+  writer.WriteDouble(policy.pipeline.beta2);
+  writer.WriteDouble(policy.pipeline.forecast_horizon);
+  writer.WriteDouble(policy.pipeline.admm.rho);
+  writer.WriteU64(policy.pipeline.admm.max_iterations);
+  writer.WriteDouble(policy.pipeline.admm.abs_tolerance);
+  writer.WriteDouble(policy.pipeline.admm.rel_tolerance);
+  writer.WriteDouble(policy.pipeline.admm.r_clamp);
+  writer.WriteU64(policy.pipeline.periodicity.aggregate_factor);
+  writer.WriteU64(policy.detector.warmup_bins);
+  writer.WriteDouble(policy.detector.min_rate);
+  writer.WriteDouble(policy.detector.delta);
+  writer.WriteDouble(policy.detector.threshold);
+  writer.WriteDouble(policy.detector.min_profile_correlation);
+  writer.WriteDouble(policy.detector.profile_cusum_threshold);
+  writer.WriteBool(policy.detector.check_periodicity);
+  writer.WriteDouble(policy.min_retrain_interval);
+  writer.WriteU64(std::uint64_t{1} << 40);
+  writer.EndSection();
+  writer.WriteU64(0);  // No tenants.
+  writer.EndSection();
+  std::stringstream bytes;
+  ASSERT_TRUE(writer.Finish(bytes).ok());
+
+  auto loaded = ScalerFleet::LoadFleet(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("retrain_workers"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Freshness state through SaveFleet/LoadFleet.
 // ---------------------------------------------------------------------------

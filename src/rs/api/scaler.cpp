@@ -729,12 +729,10 @@ Result<Scaler> ScalerBuilder::RestoreState(std::istream& in,
 Result<Scaler> ScalerBuilder::RestoreStateSection(
     persist::Reader* reader, const ScalerRestoreOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagScaler));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t layer_version, reader->ReadU32());
-  if (layer_version == 0 || layer_version > kScalerLayerVersion) {
-    return Status::Invalid("Scaler snapshot record version " +
-                           std::to_string(layer_version) +
-                           " is newer than this build understands");
-  }
+  std::uint32_t layer_version = 0;
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("Scaler snapshot record",
+                                            kScalerLayerVersion,
+                                            &layer_version));
 
   // SPEC: the structured strategy spec.
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagSpec));

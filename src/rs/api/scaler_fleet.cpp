@@ -157,12 +157,9 @@ void WritePolicy(persist::Writer* writer, const FreshnessPolicy& policy) {
 
 Result<FreshnessPolicy> ReadPolicy(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshnessPolicy));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kPolicyVersion) {
-    return Status::Invalid("fleet snapshot freshness-policy version " +
-                           std::to_string(version) +
-                           " is newer than this build understands");
-  }
+  std::uint32_t version = 0;
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("fleet snapshot freshness-policy",
+                                            kPolicyVersion, &version));
   FreshnessPolicy policy;
   RS_ASSIGN_OR_RETURN(policy.pipeline.dt, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(policy.pipeline.beta1, reader->ReadDouble());
@@ -1079,12 +1076,8 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
     auto tag = reader->PeekSectionTag();
     if (tag.ok() && tag.ValueOrDie() == persist::kTagFreshness) {
       RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshness));
-      RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-      if (version == 0 || version > kFreshnessVersion) {
-        return Status::Invalid("tenant snapshot freshness version " +
-                               std::to_string(version) +
-                               " is newer than this build understands");
-      }
+      RS_RETURN_NOT_OK(reader->ReadLayerVersion("tenant snapshot freshness",
+                                                kFreshnessVersion));
       auto fresh = std::make_unique<FreshState>();
       TenantFreshness& counters = fresh->counters;
       RS_ASSIGN_OR_RETURN(tenant->base, reader->ReadDouble());
@@ -1114,12 +1107,8 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
     auto tag = reader->PeekSectionTag();
     if (tag.ok() && tag.ValueOrDie() == persist::kTagHealth) {
       RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagHealth));
-      RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-      if (version == 0 || version > kHealthVersion) {
-        return Status::Invalid("tenant snapshot health version " +
-                               std::to_string(version) +
-                               " is newer than this build understands");
-      }
+      RS_RETURN_NOT_OK(reader->ReadLayerVersion("tenant snapshot health",
+                                                kHealthVersion));
       HealthState& health = tenant->health;
       RS_ASSIGN_OR_RETURN(const std::uint8_t state, reader->ReadU8());
       if (state > static_cast<std::uint8_t>(TenantHealth::kQuarantined)) {
@@ -1203,12 +1192,10 @@ Status ScalerFleet::SaveFleetToFile(const std::string& path) const {
 Result<ScalerFleet> ScalerFleet::LoadFleetSection(
     persist::Reader* reader, const FleetRestoreOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFleet));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t layer_version, reader->ReadU32());
-  if (layer_version == 0 || layer_version > kFleetLayerVersion) {
-    return Status::Invalid("fleet snapshot record version " +
-                           std::to_string(layer_version) +
-                           " is newer than this build understands");
-  }
+  std::uint32_t layer_version = 0;
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("fleet snapshot record",
+                                            kFleetLayerVersion,
+                                            &layer_version));
   ScalerFleet fleet(options.worker_threads);
   if (layer_version >= 2) {
     RS_ASSIGN_OR_RETURN(const bool has_freshness, reader->ReadBool());

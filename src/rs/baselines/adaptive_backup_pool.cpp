@@ -73,12 +73,8 @@ Status AdaptiveBackupPool::SerializeModel(persist::Writer* writer) const {
 
 Status AdaptiveBackupPool::DeserializeModel(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagAdaptiveModel));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kModelVersion) {
-    return Status::Invalid("AdapBP model record version " +
-                           std::to_string(version) +
-                           " is newer than this build understands");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("AdapBP model record",
+                                            kModelVersion));
   RS_ASSIGN_OR_RETURN(multiplier_, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(update_interval_, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(estimate_window_, reader->ReadDouble());

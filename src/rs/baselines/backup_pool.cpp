@@ -41,12 +41,7 @@ Status BackupPool::SerializeModel(persist::Writer* writer) const {
 
 Status BackupPool::DeserializeModel(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagBackupPoolModel));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kModelVersion) {
-    return Status::Invalid("BP model record version " +
-                           std::to_string(version) +
-                           " is newer than this build understands");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("BP model record", kModelVersion));
   RS_ASSIGN_OR_RETURN(const std::uint64_t pool_size, reader->ReadU64());
   if (pool_size != pool_size_) {
     return Status::Invalid(

@@ -56,12 +56,8 @@ Status RobustScalerPolicy::SerializeModel(persist::Writer* writer) const {
 
 Status RobustScalerPolicy::DeserializeModel(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagRobustModel));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kRobustModelVersion) {
-    return Status::Invalid("RobustScaler model record version " +
-                           std::to_string(version) +
-                           " is newer than this build understands");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("RobustScaler model record",
+                                            kRobustModelVersion));
   RS_ASSIGN_OR_RETURN(const std::uint8_t variant_byte, reader->ReadU8());
   if (variant_byte > static_cast<std::uint8_t>(ScalerVariant::kCost)) {
     return Status::Invalid("corrupt RobustScaler variant byte " +
@@ -117,12 +113,8 @@ Status HpCountScaler::SerializeModel(persist::Writer* writer) const {
 
 Status HpCountScaler::DeserializeModel(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagHpCountModel));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kHpCountModelVersion) {
-    return Status::Invalid("HP-count model record version " +
-                           std::to_string(version) +
-                           " is newer than this build understands");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("HP-count model record",
+                                            kHpCountModelVersion));
   RS_ASSIGN_OR_RETURN(options_.alpha, reader->ReadDouble());
   RS_ASSIGN_OR_RETURN(const std::uint64_t m, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(const std::uint64_t mc_samples, reader->ReadU64());

@@ -219,13 +219,8 @@ Result<Reader> Reader::FromBytes(std::string bytes) {
             "format"));
   }
   reader.version_ = read_u32(4);
-  if (reader.version_ == 0 || reader.version_ > kFormatVersion) {
-    return Status::Invalid(
-        Cat("unsupported snapshot format version ", reader.version_,
-            " (this build reads versions 1..", kFormatVersion,
-            "); the snapshot was written by a newer rs::persist — upgrade "
-            "the reader instead of discarding the snapshot"));
-  }
+  RS_RETURN_NOT_OK(
+      CheckLayerVersion("snapshot format", reader.version_, kFormatVersion));
   const std::uint32_t stored_crc = read_u32(reader.payload_end_);
   const std::uint32_t actual_crc =
       Crc32(reader.bytes_.data(), reader.payload_end_);
@@ -275,6 +270,27 @@ Result<std::uint32_t> Reader::ReadU32() {
 }
 
 Result<std::uint64_t> Reader::ReadU64() { return ReadRaw(8); }
+
+Status CheckLayerVersion(std::string_view what, std::uint32_t version,
+                         std::uint32_t newest) {
+  if (version == 0) {
+    return Status::Invalid(
+        Cat(what, " version 0 is never written; the data is corrupt"));
+  }
+  if (version > newest) {
+    return Status::Invalid(Cat(what, " version ", version,
+                               " is newer than this build understands",
+                               " (reads 1..", newest, "); upgrade the reader"));
+  }
+  return Status::OK();
+}
+
+Status Reader::ReadLayerVersion(std::string_view what, std::uint32_t newest,
+                                std::uint32_t* version) {
+  RS_ASSIGN_OR_RETURN(const std::uint32_t read, ReadU32());
+  if (version != nullptr) *version = read;
+  return CheckLayerVersion(what, read, newest);
+}
 
 Result<double> Reader::ReadDouble() {
   RS_ASSIGN_OR_RETURN(const std::uint64_t raw, ReadRaw(8));

@@ -138,6 +138,13 @@ class Writer {
   std::vector<std::size_t> open_;  ///< Offsets of unpatched section lengths.
 };
 
+/// The one layout-version check of every versioned record: `version` must
+/// lie in [1, newest]. No build writes version 0, so 0 reports corrupt
+/// input; a higher version reports a record written by a newer build.
+/// `what` names the record in the message (e.g. "BP model record").
+Status CheckLayerVersion(std::string_view what, std::uint32_t version,
+                         std::uint32_t newest);
+
 /// \brief Bounds-checked snapshot decoder.
 ///
 /// FromStream() loads the whole snapshot, then validates magic, format
@@ -164,6 +171,11 @@ class Reader {
   Result<std::string> ReadString();
   Status ReadDoubleVector(std::vector<double>* out);
   Status ReadU64Vector(std::vector<std::uint64_t>* out);
+
+  /// Reads a record's u32 layout version and checks it with
+  /// CheckLayerVersion; `version`, when set, receives it.
+  Status ReadLayerVersion(std::string_view what, std::uint32_t newest,
+                          std::uint32_t* version = nullptr);
 
   /// Tag of the next section without consuming it.
   Result<std::uint32_t> PeekSectionTag() const;

@@ -180,12 +180,8 @@ void DriftDetector::Serialize(persist::Writer* writer) const {
 Result<DriftDetector> DriftDetector::Deserialize(
     persist::Reader* reader, const DriftDetectorOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagDriftDetector));
-  RS_ASSIGN_OR_RETURN(auto version, reader->ReadU32());
-  if (version == 0 || version > kDetectorVersion) {
-    return Status::Invalid("DriftDetector: snapshot detector version " +
-                           std::to_string(version) + " is outside [1, " +
-                           std::to_string(kDetectorVersion) + "]");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("DriftDetector snapshot",
+                                            kDetectorVersion));
   DriftDetector detector;
   detector.options_ = options;
   RS_ASSIGN_OR_RETURN(detector.dt_, reader->ReadDouble());

@@ -200,13 +200,9 @@ Status Capture::SaveSection(persist::Writer* writer) const {
 
 Result<Capture> Capture::LoadSection(persist::Reader* reader) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTraceCapture));
-  RS_ASSIGN_OR_RETURN(const std::uint32_t version, reader->ReadU32());
-  if (version == 0 || version > kTraceLayerVersion) {
-    return Status::Invalid(
-        "trace capture layer version " + std::to_string(version) +
-        " is newer than this build understands (reads 1.." +
-        std::to_string(kTraceLayerVersion) + "); upgrade the reader");
-  }
+  std::uint32_t version = 0;
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("trace capture layer",
+                                            kTraceLayerVersion, &version));
   Capture capture;
 
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTraceMeta));

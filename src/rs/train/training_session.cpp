@@ -144,12 +144,9 @@ void TrainingSession::Serialize(persist::Writer* writer) const {
 Result<TrainingSession> TrainingSession::Deserialize(
     persist::Reader* reader, const core::PipelineOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTrainSession));
-  RS_ASSIGN_OR_RETURN(auto version, reader->ReadU32());
-  if (version == 0 || version > kSessionVersion) {
-    return Status::Invalid("TrainingSession: snapshot session version " +
-                           std::to_string(version) + " is outside [1, " +
-                           std::to_string(kSessionVersion) + "]");
-  }
+  std::uint32_t version = 0;
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("TrainingSession snapshot",
+                                            kSessionVersion, &version));
   TrainingSession session;
   session.options_ = options;
   RS_ASSIGN_OR_RETURN(session.counts_.start, reader->ReadDouble());

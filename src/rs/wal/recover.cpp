@@ -31,13 +31,9 @@ struct CheckpointMeta {
 
 Status ParseCheckpointMeta(persist::Reader* reader, CheckpointMeta* out) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagWalCheckpoint));
-  RS_ASSIGN_OR_RETURN(out->version, reader->ReadU32());
-  if (out->version == 0 || out->version > internal::kWalLayerVersion) {
-    return Status::Invalid(
-        "checkpoint layout version " + std::to_string(out->version) +
-        " is newer than this build understands (reads 1.." +
-        std::to_string(internal::kWalLayerVersion) + "); upgrade the reader");
-  }
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion("checkpoint layout",
+                                            internal::kWalLayerVersion,
+                                            &out->version));
   RS_ASSIGN_OR_RETURN(out->lsn, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(out->next_id, reader->ReadU64());
   // Tenant ids are u32 on the wire (docs/TRACE_FORMAT.md).

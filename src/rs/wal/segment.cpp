@@ -79,14 +79,8 @@ Result<SegmentScan> ScanSegmentBytes(
         << " (expected \"RSWJ\")";
     return Status::Invalid(msg.str());
   }
-  const std::uint32_t version = ReadU32Le(bytes.data() + 4);
-  if (version == 0 || version > kWalLayerVersion) {
-    std::ostringstream msg;
-    msg << "journal segment layout version " << version
-        << " is newer than this build understands (reads 1.."
-        << kWalLayerVersion << "); upgrade the reader";
-    return Status::Invalid(msg.str());
-  }
+  RS_RETURN_NOT_OK(persist::CheckLayerVersion(
+      "journal segment layout", ReadU32Le(bytes.data() + 4), kWalLayerVersion));
   SegmentScan scan;
   scan.first_lsn = ReadU64Le(bytes.data() + 8);
   if (expected_first_lsn != 0 && scan.first_lsn != expected_first_lsn) {

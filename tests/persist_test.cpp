@@ -231,6 +231,33 @@ TEST(PersistVersionTest, RejectsFutureFormatVersionsDescriptively) {
   EXPECT_TRUE(persist::Reader::FromBytes(bytes).ok());
 }
 
+TEST(PersistVersionTest, LayerVersionZeroIsCorruptAndHigherIsNewer) {
+  // Every section reader shares one check: version 0 is never written, so
+  // it reports corruption; a higher version reports a newer writer.
+  const auto restore_with_version = [](std::uint32_t version) {
+    persist::Writer writer;
+    writer.BeginSection(persist::kTagScaler);
+    writer.WriteU32(version);
+    writer.EndSection();
+    std::stringstream buffer;
+    EXPECT_TRUE(writer.Finish(buffer).ok());
+    auto reader = persist::Reader::FromStream(buffer);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    return api::ScalerBuilder::RestoreStateSection(&*reader, {}).status();
+  };
+  const Status zero = restore_with_version(0);
+  EXPECT_EQ(zero.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(zero.message(),
+            "Scaler snapshot record version 0 is never written; the data is "
+            "corrupt");
+  const Status newer = restore_with_version(1000);
+  EXPECT_EQ(newer.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(newer.message().find("Scaler snapshot record version 1000 is "
+                                 "newer than this build understands"),
+            std::string::npos)
+      << newer.ToString();
+}
+
 TEST(PersistCorruptionTest, EveryTruncationFailsCleanly) {
   const std::string bytes = MakeValidSnapshotBytes();
   for (std::size_t n = 0; n < bytes.size(); ++n) {

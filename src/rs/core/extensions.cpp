@@ -76,62 +76,4 @@ sim::ScalingAction MeanRateScaler::OnPlanningTick(const sim::SimContext& ctx) {
   return action;
 }
 
-RefittingPolicy::RefittingPolicy(workload::Trace training,
-                                 stats::DurationDistribution pending,
-                                 RefittingOptions options)
-    : training_(std::move(training)), pending_(pending), options_(options) {
-  RS_CHECK(options_.refit_interval > 0.0)
-      << "RefittingPolicy: refit_interval must be > 0";
-}
-
-Status RefittingPolicy::Refit(double now,
-                              const std::vector<double>& observed_arrivals) {
-  // Extended history: the original training window plus everything observed
-  // since simulation start (shifted onto the training clock).
-  workload::Trace extended = training_;
-  const double offset = training_.horizon();
-  for (double t : observed_arrivals) {
-    extended.Append({t + offset, 0.0});
-  }
-  extended.set_horizon(offset + now);
-  extended.SortByArrival();
-
-  PipelineOptions pipeline = options_.pipeline;
-  // The forecast must cover the remaining replay; callers set
-  // pipeline.forecast_horizon to at least the test horizon and we keep it.
-  RS_ASSIGN_OR_RETURN(auto trained, TrainRobustScaler(extended, pipeline));
-
-  SequentialScalerOptions scaler = options_.scaler;
-  scaler.forecast_origin = now;  // Forecast local time 0 == sim time `now`.
-  delegate_ = std::make_unique<RobustScalerPolicy>(trained.forecast, pending_,
-                                                   scaler);
-  last_refit_ = now;
-  ++refit_count_;
-  return Status::OK();
-}
-
-sim::ScalingAction RefittingPolicy::Initialize(const sim::SimContext& ctx) {
-  const Status status = Refit(ctx.now, {});
-  if (!status.ok()) {
-    RS_LOG(Warning) << "RefittingPolicy: initial fit failed: "
-                    << status.ToString();
-    return {};
-  }
-  return delegate_->Initialize(ctx);
-}
-
-sim::ScalingAction RefittingPolicy::OnPlanningTick(const sim::SimContext& ctx) {
-  if (ctx.now - last_refit_ >= options_.refit_interval &&
-      ctx.arrival_history != nullptr) {
-    const Status status = Refit(ctx.now, *ctx.arrival_history);
-    if (!status.ok()) {
-      RS_LOG(Warning) << "RefittingPolicy: refit failed (keeping previous "
-                         "model): "
-                      << status.ToString();
-    }
-  }
-  if (delegate_ == nullptr) return {};
-  return delegate_->OnPlanningTick(ctx);
-}
-
 }  // namespace rs::core

@@ -11,16 +11,24 @@
 ///    pending time. Shows the value of the stochastic constraints.
 ///  * RefittingPolicy — Section VII-B2's deployment mode: the NHPP model is
 ///    refit at a low frequency (e.g., every half hour) on the training data
-///    plus arrivals observed so far, so the forecast tracks drift.
+///    plus arrivals observed so far, so the forecast tracks drift. It keeps
+///    one train::TrainingSession open on that window and bins only the
+///    arrivals since the previous refit, so it is defined one layer up, in
+///    src/rs/train/refitting_policy.cpp (link rs_train to use it).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "rs/core/pipeline.hpp"
 #include "rs/core/sequential_scaler.hpp"
 #include "rs/simulator/autoscaler.hpp"
 #include "rs/workload/trace.hpp"
+
+namespace rs::train {
+class TrainingSession;
+}  // namespace rs::train
 
 namespace rs::core {
 
@@ -102,6 +110,10 @@ struct RefittingOptions {
 ///        original training trace plus all arrivals observed during the
 ///        replay, rebuilds the forecast anchored at the refit time, and
 ///        delegates scaling to a fresh RobustScalerPolicy.
+///
+/// Every refit is a cold TrainingSession::Fit of the whole window, so the
+/// model is byte-identical to TrainRobustScaler on the training trace plus
+/// the observed arrivals; only the binning is incremental.
 class RefittingPolicy : public sim::Autoscaler {
  public:
   /// \param training  historical trace; its horizon is where simulation
@@ -109,13 +121,14 @@ class RefittingPolicy : public sim::Autoscaler {
   RefittingPolicy(workload::Trace training,
                   stats::DurationDistribution pending,
                   RefittingOptions options);
+  ~RefittingPolicy() override;
 
   const char* name() const override { return "RobustScaler-refit"; }
   double planning_interval() const override {
     return options_.scaler.planning_interval;
   }
-  /// Refits consume the entire observed history (training + everything
-  /// since): serving state must not compact it.
+  /// Refits read the observed history by position from the last refit on:
+  /// serving state must not compact it.
   double history_requirement() const override {
     return sim::kUnboundedHistory;
   }
@@ -127,12 +140,22 @@ class RefittingPolicy : public sim::Autoscaler {
   std::size_t refit_count() const { return refit_count_; }
 
  private:
-  /// Refits on training + observed arrivals and rebuilds the delegate.
+  /// Bins the arrivals observed since the last refit, refits the window
+  /// ending at `now` and rebuilds the delegate.
   Status Refit(double now, const std::vector<double>& observed_arrivals);
 
-  workload::Trace training_;
+  /// Training horizon: simulation time t is session time t + offset_.
+  double offset_;
   stats::DurationDistribution pending_;
   RefittingOptions options_;
+  /// The training window plus every arrival binned so far (null when the
+  /// training trace could not open one; every refit then reports why).
+  std::unique_ptr<train::TrainingSession> session_;
+  Status session_status_;
+  /// Session-time arrivals not binned yet: those at the window end, which
+  /// a refit's binning drops and the next one counts.
+  std::vector<double> unbinned_;
+  std::size_t observed_binned_ = 0;  ///< Observed arrivals moved to the session.
   std::unique_ptr<RobustScalerPolicy> delegate_;
   double last_refit_ = 0.0;
   std::size_t refit_count_ = 0;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,9 +22,11 @@
 #include "rs/api/api.hpp"
 #include "rs/common/kernels.hpp"
 #include "rs/core/admm.hpp"
+#include "rs/core/extensions.hpp"
 #include "rs/core/pipeline.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
+#include "rs/simulator/engine.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/timeseries/drift.hpp"
 #include "rs/train/training_session.hpp"
@@ -355,6 +358,109 @@ TEST(TrainingSession, SingleEventAppendMatchesBatchAppend) {
   for (std::size_t i = 0; i < fit_batch->forecast.rates().size(); ++i) {
     EXPECT_EQ(fit_batch->forecast.rates()[i], fit_single->forecast.rates()[i])
         << "forecast bin " << i;
+  }
+}
+
+/// The batch refit core::RefittingPolicy used before it kept a session:
+/// every refit re-bins the training trace plus every observed arrival.
+class BatchRefitReference : public sim::Autoscaler {
+ public:
+  BatchRefitReference(workload::Trace training,
+                      stats::DurationDistribution pending,
+                      core::RefittingOptions options)
+      : training_(std::move(training)), pending_(pending), options_(options) {}
+  const char* name() const override { return "batch-refit"; }
+  double planning_interval() const override {
+    return options_.scaler.planning_interval;
+  }
+  double history_requirement() const override {
+    return sim::kUnboundedHistory;
+  }
+  sim::ScalingAction Initialize(const sim::SimContext& ctx) override {
+    Refit(ctx.now, {});
+    return delegate_->Initialize(ctx);
+  }
+  sim::ScalingAction OnPlanningTick(const sim::SimContext& ctx) override {
+    if (ctx.now - last_refit_ >= options_.refit_interval) {
+      Refit(ctx.now, *ctx.arrival_history);
+    }
+    return delegate_->OnPlanningTick(ctx);
+  }
+  std::size_t refits() const { return refits_; }
+
+ private:
+  void Refit(double now, const std::vector<double>& observed) {
+    workload::Trace extended = training_;
+    const double offset = training_.horizon();
+    for (double t : observed) extended.Append({t + offset, 0.0});
+    extended.set_horizon(offset + now);
+    extended.SortByArrival();
+    auto trained = core::TrainRobustScaler(extended, options_.pipeline);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    core::SequentialScalerOptions scaler = options_.scaler;
+    scaler.forecast_origin = now;
+    delegate_ = std::make_unique<core::RobustScalerPolicy>(trained->forecast,
+                                                           pending_, scaler);
+    last_refit_ = now;
+    ++refits_;
+  }
+
+  workload::Trace training_;
+  stats::DurationDistribution pending_;
+  core::RefittingOptions options_;
+  std::unique_ptr<core::RobustScalerPolicy> delegate_;
+  double last_refit_ = 0.0;
+  std::size_t refits_ = 0;
+};
+
+TEST(RefittingPolicy, SessionRefitsMatchBatchRefitsBitwise) {
+  // Arrivals sit exactly on window ends: one training arrival at the
+  // training horizon and observed arrivals at the refit instants, where
+  // the window end is a whole number of bins. Both binnings drop such an
+  // arrival at that refit and count it at the next.
+  const double train_horizon = 3.0 * kPeriodS;
+  const double serve_horizon = 2.0 * kPeriodS;
+  const double refit_interval = 300.0;
+  auto base_train = MakeSineTrace(25, train_horizon, 1.0);
+  std::vector<workload::Query> train_queries = base_train.queries();
+  train_queries.push_back({train_horizon, 1.0});
+  const workload::Trace train(std::move(train_queries), train_horizon);
+  auto base_serve = MakeSineTrace(26, serve_horizon, 1.0, kPeriodS,
+                                  serve_horizon / 3.0, 3.0);
+  std::vector<workload::Query> serve_queries = base_serve.queries();
+  for (double t = refit_interval; t < serve_horizon; t += refit_interval) {
+    serve_queries.push_back({t, 1.0});
+  }
+  const workload::Trace serve(std::move(serve_queries), serve_horizon);
+
+  core::RefittingOptions options;
+  options.refit_interval = refit_interval;
+  options.pipeline = MakePipelineOptions(serve_horizon);
+  options.scaler.alpha = 0.1;
+  options.scaler.mc_samples = 50;
+  options.scaler.planning_interval = 5.0;
+  const auto pending = stats::DurationDistribution::Deterministic(13.0);
+  sim::EngineOptions engine;
+  engine.pending = pending;
+
+  core::RefittingPolicy session_policy(train, pending, options);
+  BatchRefitReference batch_policy(train, pending, options);
+  auto with_session = sim::Simulate(serve, &session_policy, engine);
+  auto with_batch = sim::Simulate(serve, &batch_policy, engine);
+  ASSERT_TRUE(with_session.ok()) << with_session.status().ToString();
+  ASSERT_TRUE(with_batch.ok()) << with_batch.status().ToString();
+  EXPECT_EQ(session_policy.refit_count(), batch_policy.refits());
+  EXPECT_GE(session_policy.refit_count(), 4u);
+  ASSERT_EQ(with_session->instances.size(), with_batch->instances.size());
+  for (std::size_t i = 0; i < with_batch->instances.size(); ++i) {
+    EXPECT_EQ(with_session->instances[i].creation_time,
+              with_batch->instances[i].creation_time)
+        << "instance " << i;
+  }
+  ASSERT_EQ(with_session->queries.size(), with_batch->queries.size());
+  for (std::size_t i = 0; i < with_batch->queries.size(); ++i) {
+    EXPECT_EQ(with_session->queries[i].hit, with_batch->queries[i].hit)
+        << "query " << i;
   }
 }
 

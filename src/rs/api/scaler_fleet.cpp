@@ -266,7 +266,9 @@ struct ScalerFleet::Tenant {
   /// driven at `fleet_time - base`; creation times come back rebased by
   /// `+ base`. 0 until the first background swap.
   double base = 0.0;
-  std::optional<Scaler> pending_manual;  ///< Deferred ReplaceModelAtNextPlan.
+  /// Deferred ReplaceModelAtNextPlan (a pointer: the slot is almost always
+  /// empty, and a Scaler is large).
+  std::unique_ptr<Scaler> pending_manual;
   std::unique_ptr<FreshState> fresh;     ///< Null while the loop is detached.
   HealthState health;
 
@@ -359,7 +361,7 @@ Status ScalerFleet::ReplaceModelAtNextPlan(const std::string& tenant,
     return UnknownTenant("ReplaceModelAtNextPlan", tenant);
   }
   Tenant& entry = *tenants_[i];
-  entry.pending_manual = std::move(scaler);
+  entry.pending_manual = std::make_unique<Scaler>(std::move(scaler));
   if (tap_ != nullptr) {
     tap_->OnReplaceModel(tenant, *entry.pending_manual, /*at_next_plan=*/true);
   }
@@ -483,7 +485,7 @@ void ScalerFleet::MaybeApplySwap(std::size_t i, double now) {
                              std::ldexp(1.0, doublings));
     }
   };
-  if (tenant.pending_manual.has_value()) {
+  if (tenant.pending_manual != nullptr) {
     // A deferred manual replacement outranks a background result (the
     // caller decided; the stale background fit is dropped with the job).
     Scaler replacement = std::move(*tenant.pending_manual);

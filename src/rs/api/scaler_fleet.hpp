@@ -324,7 +324,10 @@ class ScalerFleet {
 
   bool freshness_enabled() const { return policy_.has_value(); }
 
-  /// One tenant's freshness status.
+  /// One tenant's freshness status. A tenant without loop state (freshness
+  /// never enabled for it) reports all defaults, whatever manual swaps it
+  /// took; loop state restored into a fleet without freshness reports its
+  /// counters with `enabled` false.
   Result<TenantFreshness> Freshness(const std::string& tenant) const;
 
   /// Enqueues a retrain for `tenant` now, drift or not (subject to one

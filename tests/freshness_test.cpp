@@ -1042,13 +1042,12 @@ TEST(FleetFreshness, BadDetectorKnobIsRejectedForRestoredAndLiveTenants) {
   std::stringstream before;
   ASSERT_TRUE(fleet.SaveFleet(before).ok());
 
-  const std::vector<std::function<void(ts::DriftDetectorOptions*)>> breakers =
-      {[](ts::DriftDetectorOptions* o) { o->threshold = 0.0; },
-       [](ts::DriftDetectorOptions* o) { o->min_rate = 0.0; },
-       [](ts::DriftDetectorOptions* o) { o->profile_cusum_threshold = 0.0; }};
-  for (const auto& breaker : breakers) {
+  for (int knob = 0; knob < 3; ++knob) {
     api::FreshnessPolicy bad = MakePolicy(horizon);
-    breaker(&bad.detector);
+    if (knob == 0) bad.detector.threshold = 0.0;
+    if (knob == 1) bad.detector.min_rate = 0.0;
+    if (knob == 2) bad.detector.profile_cusum_threshold = 0.0;
+    SCOPED_TRACE("knob " + std::to_string(knob));
     const Status st = fleet.EnableFreshness(bad);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
     std::stringstream after;

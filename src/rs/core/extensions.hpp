@@ -155,7 +155,7 @@ class RefittingPolicy : public sim::Autoscaler {
   /// Session-time arrivals not binned yet: those at the window end, which
   /// a refit's binning drops and the next one counts.
   std::vector<double> unbinned_;
-  std::size_t observed_binned_ = 0;  ///< Observed arrivals moved to the session.
+  std::size_t observed_binned_ = 0;  ///< Observed arrivals already moved.
   std::unique_ptr<RobustScalerPolicy> delegate_;
   double last_refit_ = 0.0;
   std::size_t refit_count_ = 0;

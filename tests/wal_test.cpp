@@ -18,6 +18,9 @@
 //  * the append path: every segment file equals, byte for byte, the frames
 //    a fresh-encoder-per-record oracle builds for the same session, and a
 //    steady-state Observe append makes zero heap allocations;
+//  * layout version 1 stays readable: the committed v1 example segment
+//    decodes to pinned events, and a v1 journal with a checkpoint recovers
+//    and continues byte-identically;
 //  * fail-stop degradation under injected wal.append / wal.fsync / wal.rotate
 //    faults: status() goes sticky-broken, serving continues, and the durable
 //    prefix still recovers;
@@ -231,29 +234,30 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
   return paths;
 }
 
-/// Runs a journaled session that "crashes" (drops fleet + journal with no
-/// shutdown, no detach, no checkpoint-at-exit) after `crash_step`, recovers
-/// with `recover_workers`, and serves through `last_step`. Returns the
-/// post-crash fingerprints.
-std::vector<std::string> CrashAndContinue(const std::string& dir,
-                                          const JournalPolicy& policy,
-                                          int crash_step, int last_step,
-                                          std::size_t recover_workers,
-                                          bool checkpoint_midway = false) {
-  {
-    FleetJournal journal;
-    EXPECT_TRUE(journal.Open(dir, policy).ok());
-    ScalerFleet fleet(0);
-    RegisterTenants(&fleet);
-    EXPECT_TRUE(EnableJournal(&fleet, &journal).ok());
-    ServeSteps(&fleet, 1, crash_step / 2);
-    if (checkpoint_midway) {
-      EXPECT_TRUE(journal.Checkpoint("midway").ok());
-    }
-    ServeSteps(&fleet, crash_step / 2 + 1, crash_step);
-    EXPECT_TRUE(journal.status().ok()) << journal.status().ToString();
-    // Crash: both objects die here without Detach or Checkpoint.
+/// Runs a journaled session through `crash_step` that "crashes" (drops
+/// fleet + journal with no shutdown, no detach, no checkpoint-at-exit).
+void JournalThenCrash(const std::string& dir, const JournalPolicy& policy,
+                      int crash_step, bool checkpoint_midway) {
+  FleetJournal journal;
+  EXPECT_TRUE(journal.Open(dir, policy).ok());
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  EXPECT_TRUE(EnableJournal(&fleet, &journal).ok());
+  ServeSteps(&fleet, 1, crash_step / 2);
+  if (checkpoint_midway) {
+    EXPECT_TRUE(journal.Checkpoint("midway").ok());
   }
+  ServeSteps(&fleet, crash_step / 2 + 1, crash_step);
+  EXPECT_TRUE(journal.status().ok()) << journal.status().ToString();
+  // Crash: both objects die here without Detach or Checkpoint.
+}
+
+/// Recovers the journal in `dir` with `recover_workers`, re-attaches it and
+/// serves steps (crash_step, last_step]. Returns their fingerprints.
+std::vector<std::string> RecoverAndContinue(const std::string& dir,
+                                            const JournalPolicy& policy,
+                                            int crash_step, int last_step,
+                                            std::size_t recover_workers) {
   FleetJournal journal;
   EXPECT_TRUE(journal.Open(dir, policy).ok());
   RecoverOptions options;
@@ -268,6 +272,18 @@ std::vector<std::string> CrashAndContinue(const std::string& dir,
   auto out = ServeSteps(&*fleet, crash_step + 1, last_step);
   journal.Detach();
   return out;
+}
+
+/// JournalThenCrash, then RecoverAndContinue. Returns the post-crash
+/// fingerprints.
+std::vector<std::string> CrashAndContinue(const std::string& dir,
+                                          const JournalPolicy& policy,
+                                          int crash_step, int last_step,
+                                          std::size_t recover_workers,
+                                          bool checkpoint_midway = false) {
+  JournalThenCrash(dir, policy, crash_step, checkpoint_midway);
+  return RecoverAndContinue(dir, policy, crash_step, last_step,
+                            recover_workers);
 }
 
 // ---------------------------------------------------------------------------
@@ -846,6 +862,117 @@ TEST(WalAppendTest, RecordLargerThanTheSegmentGrowsTheMapping) {
   FleetJournal reopened;
   ASSERT_TRUE(reopened.Open(dir, policy).ok());
   EXPECT_EQ(reopened.last_lsn(), records);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Layout version 1 stays readable.
+// ---------------------------------------------------------------------------
+
+/// A committed test artifact under tests/data/.
+std::string DataFile(const char* name) {
+  return (std::filesystem::path(__FILE__).parent_path() / "data" / name)
+      .string();
+}
+
+/// FNV-1a 64 over `bytes`, chained through `hash`.
+std::uint64_t Fnv1a(std::string_view bytes,
+                    std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// The segment header's layout version word.
+std::uint64_t SegmentVersion(const std::string& path) {
+  return ReadLe(Slurp(path), 4, 4);
+}
+
+/// Rewrites every segment in `dir` in layout version 1, built from
+/// docs/WAL_FORMAT.md: each v1 payload is a complete rs::persist container
+/// ("RSNP", format 1, the bare event, CRC trailer) under a re-computed
+/// frame CRC. Segments already in version 1 are left alone; the segments
+/// must be cleanly closed (no padding).
+void RewriteSegmentsAsV1(const std::string& dir) {
+  for (const std::string& path : SegmentFiles(dir)) {
+    const std::string bytes = Slurp(path);
+    if (ReadLe(bytes, 4, 4) == 1) continue;
+    std::string out = bytes.substr(0, 4);
+    AppendLe(&out, 1, 4);
+    out += bytes.substr(8, 8);
+    for (std::size_t offset = 16; offset + 16 <= bytes.size();) {
+      const std::size_t len = ReadLe(bytes, offset + 8, 4);
+      std::string payload = "RSNP";
+      AppendLe(&payload, 1, 4);
+      payload += bytes.substr(offset + 16, len);
+      AppendLe(&payload, persist::Crc32(payload.data(), payload.size()), 4);
+      const std::size_t frame = out.size();
+      out += bytes.substr(offset, 8);
+      AppendLe(&out, payload.size(), 4);
+      std::uint32_t crc = persist::Crc32(out.data() + frame, 12);
+      crc = persist::Crc32(payload.data(), payload.size(), crc);
+      AppendLe(&out, crc, 4);
+      out += payload;
+      offset += 16 + len;
+    }
+    Spit(path, out);
+  }
+}
+
+TEST(WalFormatV1Test, CommittedV1SegmentDecodesToPinnedEvents) {
+  // tests/data/example_v1.rswal is the example segment exactly as the
+  // version-1 writer left it (rs_crashtest gen-example), never regenerated.
+  const std::string fixture = DataFile("example_v1.rswal");
+  ASSERT_EQ(SegmentVersion(fixture), 1u);
+  auto report = InspectSegmentFile(fixture);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->first_lsn, 1u);
+  EXPECT_EQ(report->last_lsn, 8u);
+  EXPECT_EQ(report->records, 8u);
+  EXPECT_EQ(report->bytes, std::filesystem::file_size(fixture));
+  EXPECT_EQ(report->torn_tail_bytes + report->padding_bytes, 0u);
+
+  // The decode: a journal over a copy of the segment holds its events as
+  // its tail (no checkpoint covers any of them).
+  const std::string dir = TempDir("v1_fixture");
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(fixture, dir + "/wal-0000000000000001.rswal");
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir).ok());
+  EXPECT_EQ(journal.last_lsn(), 8u);
+  std::uint64_t digest = Fnv1a("");
+  std::string kinds;
+  for (const trace::Event& event : journal.tail()) {
+    kinds += trace::EventKindName(event.kind);
+    kinds += ' ';
+    digest = Fnv1a(EncodedEvent(event), digest);
+  }
+  EXPECT_EQ(kinds,
+            "register register observe observe plan-all observe observe "
+            "plan-all ");
+  EXPECT_EQ(digest, 0x64700f9b549b0146ULL) << std::hex << "digest 0x" << digest;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalFormatV1Test, V1JournalWithCheckpointContinuesByteIdentically) {
+  ScalerFleet control(0);
+  RegisterTenants(&control);
+  ServeSteps(&control, 1, 20);
+  const auto control_tail = ServeSteps(&control, 21, 30);
+
+  const std::string dir = TempDir("v1_checkpointed");
+  JournalThenCrash(dir, JournalPolicy{}, /*crash_step=*/20,
+                   /*checkpoint_midway=*/true);
+  RewriteSegmentsAsV1(dir);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/checkpoint.rsnp"));
+  for (const std::string& segment : SegmentFiles(dir)) {
+    ASSERT_EQ(SegmentVersion(segment), 1u) << segment;
+  }
+  EXPECT_EQ(RecoverAndContinue(dir, JournalPolicy{}, /*crash_step=*/20,
+                               /*last_step=*/30, /*recover_workers=*/0),
+            control_tail);
   std::filesystem::remove_all(dir);
 }
 

@@ -1063,15 +1063,16 @@ TEST(FleetFreshness, BadDetectorKnobIsRejectedForRestoredAndLiveTenants) {
   }
 }
 
-TEST(FleetFreshness, LoadFleetRejectsAnOversizedRetrainPool) {
-  // A hand-built FLET record whose policy asks for 2^40 retrain threads.
-  const api::FreshnessPolicy policy = MakePolicy(kPeriodS);
+/// A hand-built SaveFleet container: an empty FLET v3 fleet with freshness
+/// on, whose FPOL section is written in layout `fpol_version` from `policy`.
+std::string HandBuiltFleet(std::uint32_t fpol_version,
+                           const api::FreshnessPolicy& policy) {
   persist::Writer writer;
   writer.BeginSection(persist::kTagFleet);
   writer.WriteU32(3);  // FLET layout version.
   writer.WriteBool(true);
   writer.BeginSection(persist::kTagFreshnessPolicy);
-  writer.WriteU32(2);  // FPOL layout version.
+  writer.WriteU32(fpol_version);
   writer.WriteDouble(policy.pipeline.dt);
   writer.WriteDouble(policy.pipeline.beta1);
   writer.WriteDouble(policy.pipeline.beta2);
@@ -1090,12 +1091,18 @@ TEST(FleetFreshness, LoadFleetRejectsAnOversizedRetrainPool) {
   writer.WriteDouble(policy.detector.profile_cusum_threshold);
   writer.WriteBool(policy.detector.check_periodicity);
   writer.WriteDouble(policy.min_retrain_interval);
-  writer.WriteU64(std::uint64_t{1} << 40);
+  writer.WriteU64(policy.retrain_workers);
   writer.EndSection();
   writer.WriteU64(0);  // No tenants.
   writer.EndSection();
-  std::stringstream bytes;
-  ASSERT_TRUE(writer.Finish(bytes).ok());
+  return std::string(writer.Finish());
+}
+
+TEST(FleetFreshness, LoadFleetRejectsAnOversizedRetrainPool) {
+  // A hand-built FLET record whose policy asks for 2^40 retrain threads.
+  api::FreshnessPolicy policy = MakePolicy(kPeriodS);
+  policy.retrain_workers = std::size_t{1} << 40;
+  std::stringstream bytes(HandBuiltFleet(2, policy));
 
   auto loaded = ScalerFleet::LoadFleet(bytes);
   ASSERT_FALSE(loaded.ok());
@@ -1103,6 +1110,46 @@ TEST(FleetFreshness, LoadFleetRejectsAnOversizedRetrainPool) {
   EXPECT_NE(loaded.status().message().find("retrain_workers"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+TEST(FleetFreshness, V1PolicyLoadsWithDefaultTolerancesAndV2KeepsItsOwn) {
+  // Every field away from its default, so a field read from the wrong
+  // slot shows.
+  api::FreshnessPolicy written = MakePolicy(kPeriodS);
+  written.pipeline.admm.rho = 2.5;
+  written.pipeline.admm.max_iterations = 77;
+  written.pipeline.admm.abs_tolerance = 0.25;
+  written.pipeline.admm.rel_tolerance = 0.5;
+  written.pipeline.admm.r_clamp = 20.0;
+  written.detector.warmup_bins += 3;
+  written.detector.min_rate *= 2.0;
+  written.detector.delta *= 0.5;
+  written.detector.threshold *= 1.5;
+  written.detector.min_profile_correlation = 0.6;
+  written.detector.profile_cusum_threshold *= 2.0;
+  written.detector.check_periodicity = !written.detector.check_periodicity;
+  written.min_retrain_interval = 45.0;
+  written.retrain_workers = 3;
+
+  // A v1 section held raw residual-norm bounds in the tolerance slots; they
+  // load as the current defaults. A v2 section keeps its tolerances.
+  const core::AdmmOptions defaults;
+  api::FreshnessPolicy v1_expected = written;
+  v1_expected.pipeline.admm.abs_tolerance = defaults.abs_tolerance;
+  v1_expected.pipeline.admm.rel_tolerance = defaults.rel_tolerance;
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("FPOL version " + std::to_string(version));
+    std::stringstream bytes(HandBuiltFleet(version, written));
+    auto loaded = ScalerFleet::LoadFleet(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded->freshness_enabled());
+    // SaveFleet writes the loaded policy back in the current layout, so
+    // every field it holds shows in the bytes.
+    std::stringstream saved;
+    ASSERT_TRUE(loaded->SaveFleet(saved).ok());
+    EXPECT_EQ(saved.str(),
+              HandBuiltFleet(2, version == 1 ? v1_expected : written));
+  }
 }
 
 // ---------------------------------------------------------------------------

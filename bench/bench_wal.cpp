@@ -10,7 +10,9 @@
 //                      ratio, machine cancelled;
 //   bytes_per_event  — on-disk journal bytes / events appended (the wire
 //                      format's cost; moves only when the encoding or the
-//                      framing changes);
+//                      framing changes). Segment layout 2 frames the bare
+//                      trace event: 78.7 B here, 12 B per record below
+//                      layout 1's nested persist container (90.7 B);
 //   fsyncs           — how many fsync(2) calls the policy actually issued
 //                      (every-record ~= records, every-64 ~= records/64,
 //                      none = rotations + the final explicit Sync only).

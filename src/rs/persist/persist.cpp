@@ -112,6 +112,18 @@ void Writer::Reset() {
   AppendLe(&buffer_, kFormatVersion, 4);
 }
 
+void Writer::ResetBare() {
+  buffer_.clear();
+  open_.clear();
+}
+
+void Writer::PatchU32(std::size_t offset, std::uint32_t value) {
+  RS_CHECK(offset + 4 <= buffer_.size()) << "PatchU32 past the encoded bytes";
+  for (std::size_t i = 0; i < 4; ++i) {
+    buffer_[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
+}
+
 void Writer::swap(Writer& other) noexcept {
   buffer_.swap(other.buffer_);
   open_.swap(other.open_);
@@ -234,16 +246,23 @@ Result<Reader> Reader::FromBytes(std::string bytes) {
   return reader;
 }
 
+Reader Reader::OverBytes(std::string_view bytes) {
+  Reader reader;
+  reader.borrowed_ = bytes.data();
+  reader.payload_end_ = bytes.size();
+  return reader;
+}
+
 Result<std::uint64_t> Reader::ReadRaw(std::size_t width) {
   if (limit() - cursor_ < width) {
     return Status::Invalid(Cat("snapshot section underflow: need ", width,
                                " bytes but only ", limit() - cursor_,
                                " remain before the section boundary"));
   }
+  const char* bytes = data() + cursor_;
   std::uint64_t value = 0;
   for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes_[cursor_ + i]))
+    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
              << (8 * i);
   }
   cursor_ += width;
@@ -304,7 +323,7 @@ Result<std::string> Reader::ReadString() {
                                " bytes claimed but only ", limit() - cursor_,
                                " remain in the section"));
   }
-  std::string out = bytes_.substr(cursor_, length);
+  std::string out(data() + cursor_, length);
   cursor_ += length;
   return out;
 }
@@ -351,7 +370,7 @@ Result<std::uint32_t> Reader::PeekSectionTag() const {
   std::uint32_t tag = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     tag |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[cursor_ + i]))
+               static_cast<unsigned char>(data()[cursor_ + i]))
            << (8 * i);
   }
   return tag;

@@ -94,8 +94,13 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 /// the whole snapshot to the output stream in one pass — a failed or
 /// interrupted write can therefore never leave a half-written header that
 /// looks valid. One writer encodes one container per Finish(); Reset()
-/// starts the next one in the same buffer, so an encoder reused for many
-/// small containers (one journal record each) stops allocating once warm.
+/// starts the next one in the same buffer, so a reused encoder stops
+/// allocating once warm.
+///
+/// ResetBare() instead starts a bare byte run: the same field encodings
+/// with no container header and no CRC trailer, for a caller that frames
+/// and checksums the bytes itself (an rs::wal journal record). A bare run
+/// is read with Reader::OverBytes and is never Finish()ed.
 class Writer {
  public:
   Writer();
@@ -103,6 +108,10 @@ class Writer {
   /// Discards the encoded bytes and rewrites the container header, keeping
   /// the buffer's capacity.
   void Reset();
+
+  /// Discards the encoded bytes and starts a bare byte run (no header),
+  /// keeping the buffer's capacity.
+  void ResetBare();
 
   /// Exchanges contents and buffers with `other` (swapping with a fresh
   /// Writer frees this one's capacity).
@@ -128,6 +137,13 @@ class Writer {
 
   /// Finish(), then writes the container to `out`.
   Status Finish(std::ostream& out);
+
+  /// Overwrites the u32 at byte `offset` of the encoded bytes (a bare
+  /// run's caller fills in fields it reserved before the payload).
+  void PatchU32(std::size_t offset, std::uint32_t value);
+
+  /// The encoded bytes so far, valid until the next write or Reset().
+  std::string_view bytes() const { return buffer_; }
 
   /// Encoded size so far (header + sections, plus the CRC trailer once
   /// finished).
@@ -159,6 +175,11 @@ class Reader {
 
   /// Same validation over an in-memory snapshot (tests, inspector).
   static Result<Reader> FromBytes(std::string bytes);
+
+  /// Reads a bare byte run (Writer::ResetBare) in place: there is no
+  /// header or CRC to validate, and nothing is copied, so `bytes` must
+  /// outlive the reader. version() is 0.
+  static Reader OverBytes(std::string_view bytes);
 
   /// Format version of the loaded snapshot (<= kFormatVersion).
   std::uint32_t version() const { return version_; }
@@ -198,8 +219,12 @@ class Reader {
   std::size_t limit() const {
     return ends_.empty() ? payload_end_ : ends_.back();
   }
+  const char* data() const {
+    return borrowed_ != nullptr ? borrowed_ : bytes_.data();
+  }
 
-  std::string bytes_;
+  std::string bytes_;               ///< The container (FromBytes).
+  const char* borrowed_ = nullptr;  ///< The bare run (OverBytes).
   std::size_t cursor_ = 0;
   std::size_t payload_end_ = 0;  ///< bytes_.size() minus the CRC trailer.
   std::uint32_t version_ = 0;

@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "rs/common/status.hpp"
+#include "rs/persist/persist.hpp"
 
 namespace rs::trace {
 struct Event;
@@ -25,9 +26,14 @@ inline constexpr std::uint32_t kSegmentMagic =
     (static_cast<std::uint32_t>('W') << 16) |
     (static_cast<std::uint32_t>('J') << 24);
 
-/// Journal layout version. Bump for incompatible header/frame changes;
-/// readers reject newer versions with a descriptive Status.
-inline constexpr std::uint32_t kWalLayerVersion = 1;
+/// Segment layout version the writer uses. Version 2 frames the bare
+/// trace event; version 1 (still read) framed a complete rs::persist
+/// container holding it. Readers reject newer versions with a descriptive
+/// Status.
+inline constexpr std::uint32_t kSegmentLayoutVersion = 2;
+
+/// WCKP checkpoint layout version, independent of the segment layout.
+inline constexpr std::uint32_t kCheckpointLayoutVersion = 1;
 
 /// Segment header: magic u32 + version u32 + first_lsn u64.
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
@@ -36,24 +42,31 @@ inline constexpr std::size_t kSegmentHeaderBytes = 16;
 /// covers the 12 bytes of (lsn, payload_len) followed by the payload.
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
-/// Smallest payload: an empty rs::persist container (8-byte header + CRC).
-inline constexpr std::size_t kMinPayloadBytes = 12;
+/// Smallest payload of a segment layout: a bare retire event (kind u8 +
+/// id u32) in version 2; in version 1, an empty rs::persist container
+/// (8-byte header + CRC).
+constexpr std::size_t MinPayloadBytes(std::uint32_t layout_version) {
+  return layout_version == 1 ? 12 : 5;
+}
 
 std::uint32_t ReadU32Le(const char* p);
 std::uint64_t ReadU64Le(const char* p);
-void AppendU32Le(std::string* out, std::uint32_t value);
-void AppendU64Le(std::string* out, std::uint64_t value);
 
-/// Frames one record into `frame` (cleared first, capacity kept):
-/// [lsn u64][len u32][crc u32][payload].
-void BuildFrame(std::uint64_t lsn, std::string_view payload,
-                std::string* frame);
+/// Starts a record frame in `frame` (a bare run, capacity kept): the
+/// 16-byte frame header with `lsn`, its length and CRC left for SealFrame.
+/// The caller then encodes the payload into `frame`.
+void BeginFrame(std::uint64_t lsn, persist::Writer* frame);
+
+/// Fills in the length and CRC of the frame BeginFrame started, over
+/// everything encoded after its header: [lsn u64][len u32][crc u32][payload].
+void SealFrame(persist::Writer* frame);
 
 /// Renders the 16-byte segment header for a segment starting at `first_lsn`.
 std::string BuildSegmentHeader(std::uint64_t first_lsn);
 
 /// One segment's scan summary.
 struct SegmentScan {
+  std::uint32_t version = 0;    ///< Layout version, from the header.
   std::uint64_t first_lsn = 0;  ///< From the header.
   std::size_t records = 0;
   std::uint64_t last_lsn = 0;   ///< 0 when the segment holds no records.
@@ -74,17 +87,21 @@ struct SegmentScan {
 /// on are reported as torn_bytes up to the last non-zero byte and as
 /// padding_bytes after it; without it (a segment that is not the journal's
 /// last) any break, padding included, is a hard error.
-/// `expected_first_lsn` 0 accepts any header LSN. An `on_record` error
-/// aborts the scan as corruption, never a torn tail.
+/// `expected_first_lsn` 0 accepts any header LSN. `on_record` receives the
+/// segment's layout version with each payload, a view into `bytes`. An
+/// `on_record` error aborts the scan as corruption, never a torn tail.
 Result<SegmentScan> ScanSegmentBytes(
     std::string_view bytes, bool allow_torn_tail,
     std::uint64_t expected_first_lsn,
-    const std::function<Status(std::uint64_t lsn, std::string_view payload)>&
-        on_record);
+    const std::function<Status(std::uint64_t lsn, std::uint32_t version,
+                               std::string_view payload)>& on_record);
 
-/// Decodes one record payload (an rs::persist container holding exactly one
-/// trace event); trailing bytes after the event are an error.
-Status DecodePayload(std::string_view payload, trace::Event* event);
+/// Decodes one record payload of segment layout `version` into `event`:
+/// the bare trace event, read in place (version 2), or an rs::persist
+/// container holding it (version 1). Trailing bytes after the event are an
+/// error.
+Status DecodePayload(std::uint32_t version, std::string_view payload,
+                     trace::Event* event);
 
 /// Reads a whole file into `out` (binary). IoError when unopenable.
 Status ReadFileBytes(const std::string& path, std::string* out);

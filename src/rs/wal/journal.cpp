@@ -234,16 +234,17 @@ Status FleetJournal::Open(const std::string& dir,
   segments_.clear();
   tail_.clear();
   std::uint64_t expected = 0;
+  std::uint32_t last_version = internal::kSegmentLayoutVersion;
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string path = dir_ + "/" + names[i];
     std::string bytes;
     RS_RETURN_NOT_OK(internal::ReadFileBytes(path, &bytes));
     const bool last = i + 1 == names.size();
-    const auto on_record = [this](std::uint64_t lsn,
+    const auto on_record = [this](std::uint64_t lsn, std::uint32_t version,
                                   std::string_view payload) -> Status {
       if (lsn <= checkpoint_lsn_) return Status::OK();  // snapshot covers it
       trace::Event event;
-      RS_RETURN_NOT_OK(internal::DecodePayload(payload, &event));
+      RS_RETURN_NOT_OK(internal::DecodePayload(version, payload, &event));
       // The journal tail extends the checkpoint's intern table through the
       // same rule the live callbacks built it with.
       Intern(event);
@@ -284,6 +285,7 @@ Status FleetJournal::Open(const std::string& dir,
     if (last) {
       active_size_ = scan->valid_bytes;
       active_records_ = scan->records;
+      last_version = scan->version;
       open_report_.truncated_bytes = scan->torn_bytes;
     }
   }
@@ -308,15 +310,27 @@ Status FleetJournal::Open(const std::string& dir,
     }
     // A torn tail from a crash mid-append is cut back to the last intact
     // record, durably. Zero padding alone needs no repair: appends go over
-    // it.
-    if (open_report_.truncated_bytes > 0 &&
+    // it. A segment in an older layout is closed for good: cut to its data
+    // end, padding included, since it is about to stop being the last.
+    const bool older = last_version != internal::kSegmentLayoutVersion;
+    if ((open_report_.truncated_bytes > 0 || older) &&
         (::ftruncate(fd_, static_cast<off_t>(active_size_)) != 0 ||
          ::fsync(fd_) != 0)) {
-      return Errno("FleetJournal::Open: cannot cut the torn tail of " +
-                   active_path_);
+      return Errno("FleetJournal::Open: cannot cut " + active_path_ +
+                   " to its last intact record");
     }
-    map_bytes_ = std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
-    RS_RETURN_NOT_OK(MapSegment(fd_, map_bytes_, active_path_, &map_));
+    if (older) {
+      // Appends continue in a fresh segment of the current layout. An empty
+      // older segment carries the new one's name, so it is replaced.
+      ::close(fd_);
+      fd_ = -1;
+      if (active_records_ == 0) segments_.pop_back();
+      RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/false));
+    } else {
+      map_bytes_ =
+          std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
+      RS_RETURN_NOT_OK(MapSegment(fd_, map_bytes_, active_path_, &map_));
+    }
   }
 
   records_since_fsync_ = 0;
@@ -335,7 +349,8 @@ Status FleetJournal::AppendAttempt() {
   // the retry loop like a real failed append.
   RS_RETURN_NOT_OK(fault::Hit("wal.append"));
   CrashPoint("wal.append.head");
-  const std::uint64_t end = active_size_ + frame_.size();
+  const std::string_view frame = frame_.bytes();
+  const std::uint64_t end = active_size_ + frame.size();
   if (end > map_bytes_) {
     // Only a record larger than the segment's preallocation gets here.
     char* grown = nullptr;
@@ -347,7 +362,7 @@ Status FleetJournal::AppendAttempt() {
   // The store lands in the page cache, as a write() would: it survives the
   // process, and fsync(fd_) writes it back. A crash mid-copy leaves part of
   // the frame before zeros, which Open cuts back as a torn tail.
-  std::memcpy(map_ + active_size_, frame_.data(), frame_.size());
+  std::memcpy(map_ + active_size_, frame.data(), frame.size());
   CrashPoint("wal.append.done");
   return Status::OK();
 }
@@ -461,17 +476,15 @@ Status FleetJournal::Rotate() {
 
 void FleetJournal::Emit(trace::Event&& event) {
   if (!opened_ || !status_.ok()) return;
-  // The payload is a complete rs::persist container holding the one event
-  // (the reader revalidates magic/version/CRC for free), encoded and framed
-  // in buffers reused from the previous record.
-  encoder_.Reset();
-  trace::EncodeEvent(&encoder_, event);
-  internal::BuildFrame(next_lsn_, encoder_.Finish(), &frame_);
+  // The payload is the bare trace event, encoded straight after the frame
+  // header in the buffer the previous record used; one CRC pass seals it.
+  internal::BeginFrame(next_lsn_, &frame_);
+  trace::EncodeEvent(&frame_, event);
+  internal::SealFrame(&frame_);
   AppendFrame();
   if (frame_.size() > kRetainedRecordBytes) {
-    // Swap, not assign: assigning an empty std::string keeps the capacity.
-    persist::Writer().swap(encoder_);
-    std::string().swap(frame_);
+    // Swap, not assign: clearing a buffer keeps its capacity.
+    persist::Writer().swap(frame_);
   }
 }
 
@@ -548,7 +561,7 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
 
   persist::Writer writer;
   writer.BeginSection(persist::kTagWalCheckpoint);
-  writer.WriteU32(internal::kWalLayerVersion);
+  writer.WriteU32(internal::kCheckpointLayoutVersion);
   writer.WriteU64(lsn);
   writer.WriteU64(next_id_);
   // Intern table sorted by id: a deterministic encoding, and recovery

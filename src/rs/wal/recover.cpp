@@ -31,9 +31,8 @@ struct CheckpointMeta {
 
 Status ParseCheckpointMeta(persist::Reader* reader, CheckpointMeta* out) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagWalCheckpoint));
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("checkpoint layout",
-                                            internal::kWalLayerVersion,
-                                            &out->version));
+  RS_RETURN_NOT_OK(reader->ReadLayerVersion(
+      "checkpoint layout", internal::kCheckpointLayoutVersion, &out->version));
   RS_ASSIGN_OR_RETURN(out->lsn, reader->ReadU64());
   RS_ASSIGN_OR_RETURN(out->next_id, reader->ReadU64());
   // Tenant ids are u32 on the wire (docs/TRACE_FORMAT.md).
@@ -174,10 +173,10 @@ Result<api::ScalerFleet> FleetJournal::Recover(const RecoverOptions& options,
 Result<SegmentReport> InspectSegmentFile(const std::string& path) {
   std::string bytes;
   RS_RETURN_NOT_OK(internal::ReadFileBytes(path, &bytes));
-  const auto on_record = [](std::uint64_t lsn,
+  const auto on_record = [](std::uint64_t lsn, std::uint32_t version,
                             std::string_view payload) -> Status {
     trace::Event event;
-    const Status decoded = internal::DecodePayload(payload, &event);
+    const Status decoded = internal::DecodePayload(version, payload, &event);
     if (decoded.ok()) return decoded;
     return Status(decoded.code(), "record LSN " + std::to_string(lsn) + ": " +
                                       decoded.message());
@@ -192,6 +191,7 @@ Result<SegmentReport> InspectSegmentFile(const std::string& path) {
                                             scan.status().message());
   }
   SegmentReport result;
+  result.version = scan->version;
   result.first_lsn = scan->first_lsn;
   result.last_lsn = scan->last_lsn;
   result.records = scan->records;

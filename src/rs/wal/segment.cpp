@@ -1,7 +1,7 @@
 /// \file segment.cpp
 /// \brief Segment frame codec + scanner + payload decoder (shared by Open
-///        repair and InspectSegmentFile). docs/WAL_FORMAT.md is the
-///        normative spec.
+///        repair and InspectSegmentFile), for both segment layouts.
+///        docs/WAL_FORMAT.md is the normative spec.
 #include <fstream>
 #include <sstream>
 
@@ -29,43 +29,35 @@ std::uint64_t ReadU64Le(const char* p) {
   return value;
 }
 
-void AppendU32Le(std::string* out, std::uint32_t value) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
+void BeginFrame(std::uint64_t lsn, persist::Writer* frame) {
+  frame->ResetBare();
+  frame->WriteU64(lsn);
+  frame->WriteU64(0);  // Length and CRC, filled in by SealFrame.
 }
 
-void AppendU64Le(std::string* out, std::uint64_t value) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void BuildFrame(std::uint64_t lsn, std::string_view payload,
-                std::string* frame) {
-  frame->clear();
-  AppendU64Le(frame, lsn);
-  AppendU32Le(frame, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = persist::Crc32(frame->data(), 12);
-  crc = persist::Crc32(payload.data(), payload.size(), crc);
-  AppendU32Le(frame, crc);
-  frame->append(payload);
+void SealFrame(persist::Writer* frame) {
+  const std::string_view bytes = frame->bytes();
+  const std::size_t len = bytes.size() - kFrameHeaderBytes;
+  frame->PatchU32(8, static_cast<std::uint32_t>(len));
+  std::uint32_t crc = persist::Crc32(bytes.data(), 12);
+  crc = persist::Crc32(bytes.data() + kFrameHeaderBytes, len, crc);
+  frame->PatchU32(12, crc);
 }
 
 std::string BuildSegmentHeader(std::uint64_t first_lsn) {
-  std::string header;
-  header.reserve(kSegmentHeaderBytes);
-  AppendU32Le(&header, kSegmentMagic);
-  AppendU32Le(&header, kWalLayerVersion);
-  AppendU64Le(&header, first_lsn);
-  return header;
+  persist::Writer header;
+  header.ResetBare();
+  header.WriteU32(kSegmentMagic);
+  header.WriteU32(kSegmentLayoutVersion);
+  header.WriteU64(first_lsn);
+  return std::string(header.bytes());
 }
 
 Result<SegmentScan> ScanSegmentBytes(
     std::string_view bytes, bool allow_torn_tail,
     std::uint64_t expected_first_lsn,
-    const std::function<Status(std::uint64_t lsn, std::string_view payload)>&
-        on_record) {
+    const std::function<Status(std::uint64_t lsn, std::uint32_t version,
+                               std::string_view payload)>& on_record) {
   if (bytes.size() < kSegmentHeaderBytes) {
     std::ostringstream msg;
     msg << "journal segment is " << bytes.size() << " bytes, smaller than the "
@@ -79,9 +71,11 @@ Result<SegmentScan> ScanSegmentBytes(
         << " (expected \"RSWJ\")";
     return Status::Invalid(msg.str());
   }
-  RS_RETURN_NOT_OK(persist::CheckLayerVersion(
-      "journal segment layout", ReadU32Le(bytes.data() + 4), kWalLayerVersion));
   SegmentScan scan;
+  scan.version = ReadU32Le(bytes.data() + 4);
+  RS_RETURN_NOT_OK(persist::CheckLayerVersion(
+      "journal segment layout", scan.version, kSegmentLayoutVersion));
+  const std::size_t min_payload = MinPayloadBytes(scan.version);
   scan.first_lsn = ReadU64Le(bytes.data() + 8);
   if (expected_first_lsn != 0 && scan.first_lsn != expected_first_lsn) {
     std::ostringstream msg;
@@ -126,7 +120,7 @@ Result<SegmentScan> ScanSegmentBytes(
     if (lsn != expected) {
       return broken("record LSN breaks the contiguous sequence");
     }
-    if (len < kMinPayloadBytes || len > remaining - kFrameHeaderBytes) {
+    if (len < min_payload || len > remaining - kFrameHeaderBytes) {
       return broken("record length field exceeds the segment");
     }
     std::uint32_t crc = persist::Crc32(bytes.data() + offset, 12);
@@ -134,8 +128,8 @@ Result<SegmentScan> ScanSegmentBytes(
     if (crc != stored_crc) {
       return broken("record CRC mismatch");
     }
-    RS_RETURN_NOT_OK(
-        on_record(lsn, bytes.substr(offset + kFrameHeaderBytes, len)));
+    RS_RETURN_NOT_OK(on_record(lsn, scan.version,
+                               bytes.substr(offset + kFrameHeaderBytes, len)));
     ++scan.records;
     scan.last_lsn = lsn;
     expected = lsn + 1;
@@ -145,16 +139,30 @@ Result<SegmentScan> ScanSegmentBytes(
   return scan;
 }
 
-Status DecodePayload(std::string_view payload, trace::Event* event) {
-  RS_ASSIGN_OR_RETURN(persist::Reader reader,
-                      persist::Reader::FromBytes(std::string(payload)));
-  RS_RETURN_NOT_OK(trace::DecodeEvent(&reader, event));
-  if (reader.remaining() != 0) {
+namespace {
+
+/// Decodes the one event `reader` holds; trailing bytes are an error.
+Status DecodeOnlyEvent(persist::Reader* reader, trace::Event* event) {
+  RS_RETURN_NOT_OK(trace::DecodeEvent(reader, event));
+  if (reader->remaining() != 0) {
     return Status::Invalid("journal record payload carries " +
-                           std::to_string(reader.remaining()) +
+                           std::to_string(reader->remaining()) +
                            " trailing bytes after the event");
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status DecodePayload(std::uint32_t version, std::string_view payload,
+                     trace::Event* event) {
+  if (version == 1) {
+    RS_ASSIGN_OR_RETURN(persist::Reader container,
+                        persist::Reader::FromBytes(std::string(payload)));
+    return DecodeOnlyEvent(&container, event);
+  }
+  persist::Reader bare = persist::Reader::OverBytes(payload);
+  return DecodeOnlyEvent(&bare, event);
 }
 
 Status ReadFileBytes(const std::string& path, std::string* out) {

@@ -136,6 +136,7 @@ struct RecoveryReport {
 
 /// One segment file's verification summary (rs_snapshot --verify).
 struct SegmentReport {
+  std::uint32_t version = 0;         ///< Segment layout version (1 or 2).
   std::uint64_t first_lsn = 0;
   std::uint64_t last_lsn = 0;        ///< 0 when the segment holds no records.
   std::size_t records = 0;
@@ -146,10 +147,11 @@ struct SegmentReport {
                                      ///< tail (a killed writer leaves it).
 };
 
-/// \brief Verifies one journal segment file: header magic/version, per-
-///        record CRC + length framing, and LSN contiguity. A torn tail is
-///        reported, not an error (recovery truncates it); corruption
-///        *before* the tail is an error.
+/// \brief Verifies one journal segment file of either layout version:
+///        header magic/version, per-record CRC + length framing, LSN
+///        contiguity, and that every payload decodes to one event. A torn
+///        tail is reported, not an error (recovery truncates it);
+///        corruption *before* the tail is an error.
 Result<SegmentReport> InspectSegmentFile(const std::string& path);
 
 /// \brief Test-only crash-point hook: called at every named crash window
@@ -254,9 +256,9 @@ class FleetJournal final : public trace::EventTap {
   const std::vector<trace::Event>& tail() const { return tail_; }
 
  private:
-  /// Encodes + frames one event into frame_ and appends it; on exhausted
+  /// Encodes one event as a frame in frame_ and appends it; on exhausted
   /// retries flips status_ to broken. The journal's single write path, and
-  /// allocation-free once the reused buffers are warm.
+  /// allocation-free once the reused buffer is warm.
   void Emit(trace::Event&& event) override;
   /// Rotates if frame_ does not fit, appends it with retries, then applies
   /// the fsync policy; any exhausted step fail-stops the journal.
@@ -296,9 +298,9 @@ class FleetJournal final : public trace::EventTap {
   std::uint64_t fsyncs_ = 0;
   std::uint64_t records_since_fsync_ = 0;
   std::chrono::steady_clock::time_point last_fsync_{};
-  /// Emit's reused record payload encoder and frame buffer.
-  persist::Writer encoder_;
-  std::string frame_;
+  /// Emit's reused frame buffer: a bare run holding the frame header and
+  /// the event encoded after it.
+  persist::Writer frame_;
   Status status_ = Status::OK();
   OpenReport open_report_;
   std::uint64_t checkpoint_lsn_ = 0;

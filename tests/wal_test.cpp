@@ -19,8 +19,9 @@
 //    a fresh-encoder-per-record oracle builds for the same session, and a
 //    steady-state Observe append makes zero heap allocations;
 //  * layout version 1 stays readable: the committed v1 example segment
-//    decodes to pinned events, and a v1 journal with a checkpoint recovers
-//    and continues byte-identically;
+//    decodes to pinned events, a v1 journal with a checkpoint recovers and
+//    continues byte-identically, and so does a directory the current
+//    writer continued in v2 segments after v1 ones;
 //  * fail-stop degradation under injected wal.append / wal.fsync / wal.rotate
 //    faults: status() goes sticky-broken, serving continues, and the durable
 //    prefix still recovers;
@@ -692,11 +693,19 @@ TEST(WalTapTest, JournalTailEqualsRecorderCaptureEventForEvent) {
 // The append path: same bytes as a fresh encoder per record, no allocation.
 // ---------------------------------------------------------------------------
 
-/// The byte oracle: one record framed the way the journal first wrote it —
-/// a fresh persist::Writer finished through an ostringstream (EncodedEvent),
-/// then [lsn u64][len u32][crc u32] + a copy of that payload.
+/// The bare EncodeEvent bytes: a fresh persist::Writer's container, finished
+/// through an ostringstream (EncodedEvent), without its 8-byte header and
+/// 4-byte CRC trailer.
+std::string BareEvent(const trace::Event& event) {
+  const std::string container = EncodedEvent(event);
+  return container.substr(8, container.size() - 12);
+}
+
+/// The byte oracle: one layout-version-2 record built by hand,
+/// [lsn u64][len u32][crc u32] + the bare event bytes, the CRC chained over
+/// the 12 header bytes and then the payload.
 std::string OracleFrame(std::uint64_t lsn, const trace::Event& event) {
-  const std::string payload = EncodedEvent(event);
+  const std::string payload = BareEvent(event);
   std::string frame;
   AppendLe(&frame, lsn, 8);
   AppendLe(&frame, payload.size(), 4);
@@ -725,7 +734,7 @@ TEST(WalAppendTest, SegmentFilesEqualTheFreshEncoderOracleByteForByte) {
     ASSERT_EQ(journal.last_lsn(), capture.events.size());
   }
 
-  // Expected segments: "RSWJ", version 1, first LSN, then whole frames; a
+  // Expected segments: "RSWJ", version 2, first LSN, then whole frames; a
   // frame that would overflow a non-empty segment starts the next one.
   std::vector<std::string> expected;
   std::size_t records = 0;
@@ -736,7 +745,7 @@ TEST(WalAppendTest, SegmentFilesEqualTheFreshEncoderOracleByteForByte) {
         (records > 0 &&
          expected.back().size() + frame.size() > policy.segment_bytes)) {
       expected.emplace_back("RSWJ");
-      AppendLe(&expected.back(), 1, 4);
+      AppendLe(&expected.back(), 2, 4);
       AppendLe(&expected.back(), lsn, 8);
       records = 0;
     }
@@ -973,6 +982,72 @@ TEST(WalFormatV1Test, V1JournalWithCheckpointContinuesByteIdentically) {
   EXPECT_EQ(RecoverAndContinue(dir, JournalPolicy{}, /*crash_step=*/20,
                                /*last_step=*/30, /*recover_workers=*/0),
             control_tail);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalFormatV1Test, V1JournalReopenedByTheV2WriterRecoversAcrossBoth) {
+  ScalerFleet control(0);
+  RegisterTenants(&control);
+  ServeSteps(&control, 1, 20);
+  const auto control_tail = ServeSteps(&control, 21, 30);
+
+  JournalPolicy policy;
+  policy.segment_bytes = 4096;  // Several segments of each layout.
+  const std::string dir = TempDir("v1_then_v2");
+  JournalThenCrash(dir, policy, /*crash_step=*/10, /*checkpoint_midway=*/true);
+  RewriteSegmentsAsV1(dir);
+  const std::size_t v1_segments = SegmentFiles(dir).size();
+  // The current writer recovers the v1 journal, journals steps 11..20 in
+  // fresh segments, and crashes.
+  RecoverAndContinue(dir, policy, /*crash_step=*/10, /*last_step=*/20,
+                     /*recover_workers=*/0);
+  std::vector<std::uint64_t> versions;
+  for (const std::string& segment : SegmentFiles(dir)) {
+    versions.push_back(SegmentVersion(segment));
+    auto inspected = InspectSegmentFile(segment);
+    ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
+    EXPECT_EQ(inspected->version, versions.back()) << segment;
+  }
+  ASSERT_GT(versions.size(), v1_segments);
+  EXPECT_EQ(versions.front(), 1u);
+  EXPECT_EQ(versions.back(), 2u);
+  EXPECT_TRUE(std::is_sorted(versions.begin(), versions.end()))
+      << "v1 segments, then v2 segments";
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{8}}) {
+    const std::string copy =
+        TempDir(("v1_then_v2_w" + std::to_string(workers)).c_str());
+    std::filesystem::copy(dir, copy);
+    EXPECT_EQ(RecoverAndContinue(copy, policy, /*crash_step=*/20,
+                                 /*last_step=*/30, workers),
+              control_tail)
+        << workers << " workers";
+    std::filesystem::remove_all(copy);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalFormatV1Test, EmptyV1SegmentIsReplacedUnderItsOwnName) {
+  ScalerFleet control(0);
+  RegisterTenants(&control);
+  ServeSteps(&control, 1, 10);
+  const auto control_tail = ServeSteps(&control, 11, 16);
+
+  const std::string dir = TempDir("v1_empty");
+  {
+    FleetJournal journal;  // Leaves one empty segment.
+    ASSERT_TRUE(journal.Open(dir).ok());
+  }
+  RewriteSegmentsAsV1(dir);
+  ASSERT_EQ(SegmentFiles(dir).size(), 1u);
+  ASSERT_EQ(SegmentVersion(SegmentFiles(dir)[0]), 1u);
+  EXPECT_EQ(CrashAndContinue(dir, JournalPolicy{}, /*crash_step=*/10,
+                             /*last_step=*/16, /*recover_workers=*/0),
+            control_tail);
+  const auto segments = SegmentFiles(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(SegmentVersion(segments[0]), 2u);
   std::filesystem::remove_all(dir);
 }
 

@@ -6,9 +6,10 @@
 /// Usage:  rs_snapshot [--verify] <snapshot-or-journal-file>
 ///
 /// Also understands rs::wal artifacts: journal segment files (magic
-/// "RSWJ") are walked record-by-record (CRC, framing, LSN contiguity —
-/// torn tails and padding reported, pre-tail corruption fails), and journal
-/// checkpoints print their WCKP metadata before the embedded fleet.
+/// "RSWJ", either layout version) are walked record-by-record (CRC,
+/// framing, LSN contiguity, one event per payload — torn tails and padding
+/// reported, pre-tail corruption fails), and journal checkpoints print
+/// their WCKP metadata before the embedded fleet.
 ///
 /// The inspector understands the current section layouts but degrades
 /// gracefully: unknown top-level tags are skipped wholesale, and known
@@ -619,8 +620,8 @@ int main(int argc, char** argv) {
       std::cerr << "rs_snapshot: " << report.status().message() << '\n';
       return 1;
     }
-    std::cout << path << ": journal segment, " << report->records
-              << " record(s)";
+    std::cout << path << ": journal segment (layout v" << report->version
+              << "), " << report->records << " record(s)";
     if (report->records > 0) {
       std::cout << ", LSN " << report->first_lsn << ".." << report->last_lsn;
     } else {

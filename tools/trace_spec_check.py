@@ -10,9 +10,9 @@ Usage: trace_spec_check.py <capture.rstrace|segment.rswal> [more...]
 
 Files are dispatched on their leading magic: "RSNP" containers get the
 capture walk, "RSWJ" files get the journal-segment walk (header, then
-per-record LSN/length/CRC framing with each payload decoded as a
-single-event container; the first invalid record ends the scan, per the
-spec's crash rule). What follows it is a torn tail through its last
+per-record LSN/length/CRC framing with each payload decoded as one bare
+event in segment layout 2, or as a single-event container in layout 1;
+the first invalid record ends the scan, per the spec's crash rule). What follows it is a torn tail through its last
 non-zero byte and zero padding after that, both legal only in the
 journal's last segment: a file named wal-<16 hex digits>.rswal with a
 later-named segment beside it is rejected for either.
@@ -31,10 +31,11 @@ MAGIC = 0x504E5352  # "RSNP" little-endian
 CONTAINER_VERSION = 1
 TRACE_LAYER_VERSION = 1
 WAL_MAGIC = int.from_bytes(b"RSWJ", "little")
-WAL_LAYER_VERSION = 1
 WAL_SEGMENT_HEADER = 16  # magic u32 + version u32 + first_lsn u64
 WAL_FRAME_HEADER = 16    # lsn u64 + payload_len u32 + crc u32
-WAL_MIN_PAYLOAD = 12     # container header (8) + CRC trailer (4)
+# Smallest payload per segment layout version: a bare retire event
+# (kind u8 + id u32) in v2; container header (8) + CRC trailer (4) in v1.
+WAL_MIN_PAYLOAD = {1: 12, 2: 5}
 WAL_SEGMENT_NAME = re.compile(r"wal-[0-9a-f]{16}\.rswal")
 
 # Section tags are fourCCs stored little-endian: tag('T','R','C','E')
@@ -174,12 +175,17 @@ def read_event(cur):
     return kind
 
 
-def check_event_payload(blob, what):
-    """One journal-record payload: a complete RSNP container holding
-    exactly one trace event (no section wrapper — the journal's framing
-    replaces it)."""
-    if len(blob) < WAL_MIN_PAYLOAD:
-        raise SpecError(f"{what}: payload shorter than header + trailer")
+def check_event_payload(blob, version, what):
+    """One journal-record payload: exactly one bare trace event (layout 2),
+    or a complete RSNP container holding exactly one (layout 1). Neither
+    has a section wrapper — the journal's framing replaces it."""
+    if version == 2:
+        cur = Cursor(blob, 0, len(blob), what)
+        kind = read_event(cur)
+        if cur.remaining() != 0:
+            raise SpecError(
+                f"{what}: {cur.remaining()} stray bytes after the event")
+        return kind
     (crc,) = struct.unpack("<I", blob[-4:])
     if crc != zlib.crc32(blob[:-4]) & 0xFFFFFFFF:
         raise SpecError(f"{what}: payload container CRC mismatch")
@@ -214,9 +220,9 @@ def check_wal_segment(path, blob):
                                               blob[:WAL_SEGMENT_HEADER])
     if magic != WAL_MAGIC:
         raise SpecError("bad segment magic (not an rs::wal segment)")
-    if version != WAL_LAYER_VERSION:
-        raise SpecError(f"segment layer version {version}, this checker "
-                        f"reads {WAL_LAYER_VERSION}")
+    if version not in WAL_MIN_PAYLOAD:
+        raise SpecError(f"segment layout version {version}, this checker "
+                        f"reads {sorted(WAL_MIN_PAYLOAD)}")
     pos = WAL_SEGMENT_HEADER
     expected = first_lsn
     records = 0
@@ -226,7 +232,8 @@ def check_wal_segment(path, blob):
         if remaining < WAL_FRAME_HEADER:
             break  # truncated frame header: a crash mid-append
         lsn, length, crc = struct.unpack("<QII", blob[pos:pos + 16])
-        if length < WAL_MIN_PAYLOAD or length > remaining - WAL_FRAME_HEADER:
+        if (length < WAL_MIN_PAYLOAD[version]
+                or length > remaining - WAL_FRAME_HEADER):
             break
         actual = zlib.crc32(blob[pos:pos + 12])
         actual = zlib.crc32(blob[pos + 16:pos + 16 + length],
@@ -239,7 +246,7 @@ def check_wal_segment(path, blob):
             raise SpecError(f"record at offset {pos} carries LSN {lsn}, "
                             f"expected {expected}")
         kind = check_event_payload(blob[pos + 16:pos + 16 + length],
-                                   f"record LSN {lsn}")
+                                   version, f"record LSN {lsn}")
         histogram[kind] = histogram.get(kind, 0) + 1
         pos += WAL_FRAME_HEADER + length
         expected += 1
@@ -254,7 +261,8 @@ def check_wal_segment(path, blob):
                         for k, n in sorted(histogram.items()))
     tail = f"; torn tail {torn} bytes" if torn else ""
     tail += f"; zero padding {padding} bytes" if padding else ""
-    print(f"{path}: OK (journal segment, {records} records, LSN "
+    print(f"{path}: OK (journal segment layout v{version}, {records} "
+          f"records, LSN "
           f"{first_lsn}..{first_lsn + records - 1}: {summary or 'none'}"
           f"{tail})")
 

@@ -226,7 +226,8 @@ class Reader {
   std::string bytes_;               ///< The container (FromBytes).
   const char* borrowed_ = nullptr;  ///< The bare run (OverBytes).
   std::size_t cursor_ = 0;
-  std::size_t payload_end_ = 0;  ///< bytes_.size() minus the CRC trailer.
+  std::size_t payload_end_ = 0;  ///< End of the readable bytes (before a
+                                 ///< container's CRC trailer).
   std::uint32_t version_ = 0;
   std::vector<std::size_t> ends_;  ///< End offsets of open sections.
 };

@@ -327,8 +327,7 @@ Status FleetJournal::Open(const std::string& dir,
       if (active_records_ == 0) segments_.pop_back();
       RS_RETURN_NOT_OK(CreateSegment(/*rotating=*/false));
     } else {
-      map_bytes_ =
-          std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
+      map_bytes_ = std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
       RS_RETURN_NOT_OK(MapSegment(fd_, map_bytes_, active_path_, &map_));
     }
   }

@@ -30,7 +30,6 @@ double TimeDecisionRound(double lambda, rs::core::ScalerVariant variant,
   const double tau = 13.0;
   auto intensity = *rs::workload::PiecewiseConstantIntensity::Make(
       std::vector<double>(64, lambda), 60.0);
-  auto pending = rs::stats::DurationDistribution::Deterministic(tau);
   rs::stats::Rng rng(1234 + static_cast<std::uint64_t>(lambda * 100));
 
   auto kappa = rs::core::ComputeKappaBinarySearch(0.1, lambda, tau, 2000000);

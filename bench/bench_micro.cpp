@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "rs/common/radix_sort.hpp"
@@ -101,6 +102,8 @@ void BM_HpQuantileDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_HpQuantileDecision)->Arg(1000)->Arg(10000);
 
+// Warm path: after the first iteration every quantile comes from this
+// thread's κ memo.
 void BM_KappaBinarySearch(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0));
   for (auto _ : state) {
@@ -109,6 +112,19 @@ void BM_KappaBinarySearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KappaBinarySearch)->Arg(1)->Arg(100)->Arg(10000);
+
+// Cold path: a fresh α every iteration, so every quantile the bisection
+// visits misses the memo and runs a Newton solve.
+void BM_KappaBinarySearchCold(benchmark::State& state) {
+  const double lambda = static_cast<double>(state.range(0));
+  double alpha = 0.1;
+  for (auto _ : state) {
+    alpha = std::nextafter(alpha, 1.0);
+    benchmark::DoNotOptimize(
+        rs::core::ComputeKappaBinarySearch(alpha, lambda, 13.0));
+  }
+}
+BENCHMARK(BM_KappaBinarySearchCold)->Arg(1)->Arg(100)->Arg(10000);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,10 @@
 #include "rs/core/kappa.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "rs/stats/empirical.hpp"
@@ -32,6 +36,57 @@ Result<std::size_t> ComputeKappaDeterministicTau(double alpha,
   return kappa;
 }
 
+namespace {
+
+/// This thread's memo of GammaQuantile(i, 1, α), one ladder per α. Slot 0
+/// holds the most recently used α; a new α replaces the least recently used
+/// one. `q[i]` is the quantile at index i, NaN while unfilled. Per thread,
+/// so pooled planners share no state and take no lock, and the footprint
+/// scales with threads, never with tenants.
+class GammaQuantileMemo {
+ public:
+  /// The ladder for `alpha`, emptied if `alpha` was not held.
+  std::vector<double>& Ladder(double alpha) {
+    auto slot = std::find_if(slots_.begin(), slots_.end(),
+                             [&](const Slot& s) { return s.alpha == alpha; });
+    if (slot == slots_.end()) {
+      slot = slots_.end() - 1;
+      slot->alpha = alpha;
+      slot->q.clear();
+    }
+    std::rotate(slots_.begin(), slot, slot + 1);
+    return slots_.front().q;
+  }
+
+ private:
+  struct Slot {
+    double alpha = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> q;
+  };
+  std::array<Slot, kKappaMemoAlphas> slots_;
+};
+
+/// GammaQuantile(i, 1, α) through `ladder`: computed on the first visit to
+/// an index up to kKappaMemoMaxIndex, read back after that.
+Result<double> LadderQuantile(std::vector<double>* ladder, double alpha,
+                              std::size_t i) {
+  if (i > kKappaMemoMaxIndex) {
+    return stats::GammaQuantile(static_cast<double>(i), 1.0, alpha);
+  }
+  if (i >= ladder->size()) {
+    ladder->resize(std::min(std::bit_ceil(i + 1), kKappaMemoMaxIndex + 1),
+                   std::numeric_limits<double>::quiet_NaN());
+  }
+  double& q = (*ladder)[i];
+  if (std::isnan(q)) {
+    RS_ASSIGN_OR_RETURN(
+        q, stats::GammaQuantile(static_cast<double>(i), 1.0, alpha));
+  }
+  return q;
+}
+
+}  // namespace
+
 Result<std::size_t> ComputeKappaBinarySearch(double alpha, double lambda_bar,
                                              double tau,
                                              std::size_t max_kappa) {
@@ -43,9 +98,10 @@ Result<std::size_t> ComputeKappaBinarySearch(double alpha, double lambda_bar,
   }
   if (tau < 0.0) return Status::Invalid("ComputeKappa: tau must be >= 0");
   const double threshold = lambda_bar * tau;
+  thread_local GammaQuantileMemo memo;
+  std::vector<double>& ladder = memo.Ladder(alpha);
   auto below = [&](std::size_t i) -> Result<bool> {
-    RS_ASSIGN_OR_RETURN(const double q,
-                        stats::GammaQuantile(static_cast<double>(i), 1.0, alpha));
+    RS_ASSIGN_OR_RETURN(const double q, LadderQuantile(&ladder, alpha, i));
     return q < threshold;
   };
   RS_ASSIGN_OR_RETURN(const bool first_below, below(1));

@@ -25,9 +25,22 @@ Result<std::size_t> ComputeKappaDeterministicTau(double alpha,
                                                  double lambda_bar, double tau,
                                                  std::size_t max_kappa = 100000);
 
+/// Distinct α values the κ quantile memo holds per thread.
+inline constexpr std::size_t kKappaMemoAlphas = 4;
+/// Largest index i whose GammaQuantile(i, 1, α) the κ memo holds.
+inline constexpr std::size_t kKappaMemoMaxIndex = 4096;
+
 /// \brief Exact κ by binary search on the Gamma quantile (O(log max_kappa)
-///        quantile evaluations) — fast enough to recompute at every planning
-///        round with the local intensity, as Section VII-A1 prescribes.
+///        quantile evaluations), recomputed at every planning round with the
+///        local intensity, as Section VII-A1 prescribes.
+///
+/// GammaQuantile(i, 1, α) depends only on (i, α), so each thread memoizes it:
+/// up to kKappaMemoAlphas α values (least recently used evicted), each for
+/// indices 1..kKappaMemoMaxIndex; larger indices are computed every time. A
+/// warm call reads each of its O(log κ) probes from the table instead of
+/// running a Newton solve. The bisection visits the same indices and
+/// compares the same doubles as an uncached one, so the memo never changes
+/// a result, and no result depends on which thread computed it.
 Result<std::size_t> ComputeKappaBinarySearch(double alpha, double lambda_bar,
                                              double tau,
                                              std::size_t max_kappa = 1000000);

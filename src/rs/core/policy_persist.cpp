@@ -91,8 +91,6 @@ Status RobustScalerPolicy::DeserializeModel(persist::Reader* reader) {
   options_.mc_samples = static_cast<std::size_t>(mc_samples);
   options_.max_creations_per_round = static_cast<std::size_t>(max_creations);
   RS_RETURN_NOT_OK(persist::ReadRngState(reader, &rng_));
-  // The κ memo keys on option values that may have just changed.
-  kappa_cache_valid_ = false;
   return reader->ExitSection();
 }
 

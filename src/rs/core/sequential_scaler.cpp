@@ -429,26 +429,19 @@ std::size_t RobustScalerPolicy::CommitDepth(double now) {
   const double alpha = options_.variant == ScalerVariant::kHittingProbability
                            ? options_.alpha
                            : options_.kappa_alpha;
-  // κ depends on λ̄ through the smooth threshold λ̄·τ, so memoize on λ̄
-  // quantized to 2% steps — the planning loop calls this every Δ seconds
-  // and λ̄ drifts slowly between bins.
+  // κ depends on λ̄ through the smooth threshold λ̄·τ; it is defined at λ̄
+  // quantized to 2% steps, so λ̄ drifting within a forecast bin does not
+  // move it.
   const double quantized =
       std::exp(std::round(std::log(lambda_bar) * 50.0) / 50.0);
   std::size_t kappa = 0;
-  if (kappa_cache_valid_ && quantized == kappa_cache_lambda_) {
-    kappa = kappa_cache_value_;
+  auto result = ComputeKappaBinarySearch(alpha, quantized, pending_.Mean(),
+                                         options_.max_creations_per_round);
+  if (result.ok()) {
+    kappa = result.ValueOrDie();
   } else {
-    auto result = ComputeKappaBinarySearch(alpha, quantized, pending_.Mean(),
-                                           options_.max_creations_per_round);
-    if (result.ok()) {
-      kappa = result.ValueOrDie();
-      kappa_cache_lambda_ = quantized;
-      kappa_cache_value_ = kappa;
-      kappa_cache_valid_ = true;
-    } else {
-      RS_LOG(Warning) << "RobustScalerPolicy: kappa failed: "
-                      << result.status().ToString();
-    }
+    RS_LOG(Warning) << "RobustScalerPolicy: kappa failed: "
+                    << result.status().ToString();
   }
   // m: expected arrivals within one planning interval, at least one.
   const auto m = static_cast<std::size_t>(

@@ -142,10 +142,12 @@ class RobustScalerPolicy : public sim::Autoscaler {
   ///        model is its RNG position; option scalars ride along so restore
   ///        can cross-check them against the rebuilt spec.
   ///
-  /// The PlanWorkspace (γ paths, solve scratch, hp_cuts warm pivots) and
-  /// the κ memo are pure scratch — they change planning *speed*, never the
-  /// emitted actions (the reference-kernel parity tests pin this) — so
-  /// they are deliberately not persisted and restart cold.
+  /// The PlanWorkspace (γ paths, solve scratch, hp_cuts warm pivots) is
+  /// pure scratch — it changes planning *speed*, never the emitted actions
+  /// (the reference-kernel parity tests pin this) — so it is deliberately
+  /// not persisted and restarts cold. The policy holds no κ state: κ is
+  /// recomputed every round, through the per-thread Gamma-quantile memo of
+  /// ComputeKappaBinarySearch, which lives outside every policy.
   Status SerializeModel(persist::Writer* writer) const override;
   Status DeserializeModel(persist::Reader* reader) override;
 
@@ -163,10 +165,6 @@ class RobustScalerPolicy : public sim::Autoscaler {
   SequentialScalerOptions options_;
   stats::Rng rng_;
   PlanWorkspace workspace_;
-  // Memoized κ for the last (quantized) local intensity (see CommitDepth).
-  bool kappa_cache_valid_ = false;
-  double kappa_cache_lambda_ = 0.0;
-  std::size_t kappa_cache_value_ = 0;
 };
 
 /// Options for the literal Algorithm 4 (query-count planning).

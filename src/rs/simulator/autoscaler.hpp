@@ -93,7 +93,7 @@ class Autoscaler {
   /// re-creates the strategy from its StrategySpec before deserializing),
   /// so implementations persist exactly what a freshly constructed instance
   /// would not already have. Purely derived caches and planning scratch
-  /// (kappa memoization, Monte Carlo workspaces) must NOT be serialized:
+  /// (Monte Carlo workspaces, warm solver pivots) must NOT be serialized:
   /// they only affect speed, never the emitted actions. The default refuses
   /// with NotImplemented so strategies that opt out fail loudly at snapshot
   /// time, never silently restoring half a model.

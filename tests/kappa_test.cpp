@@ -2,6 +2,11 @@
 // qualitative behavior in λ̄, τ, and α.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <thread>
+#include <vector>
+
 #include "rs/core/kappa.hpp"
 #include "rs/stats/special_functions.hpp"
 
@@ -112,6 +117,127 @@ TEST(KappaTest, RejectsBadInputs) {
   EXPECT_FALSE(ComputeKappaMonteCarlo(nullptr, 0.1, 1.0, pending).ok());
   EXPECT_FALSE(ComputeKappaMonteCarlo(&rng, 0.1, -1.0, pending).ok());
   EXPECT_FALSE(ComputeKappaMonteCarlo(&rng, 0.1, 1.0, pending, 0).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The per-thread Gamma-quantile memo inside ComputeKappaBinarySearch must
+// never change a result: cold, warm, evicted, or on another thread.
+
+constexpr double kMemoTau = 13.0;
+constexpr std::size_t kMemoMaxKappa = 20000;
+
+using KappaTable = std::vector<std::vector<std::size_t>>;  // [λ̄][α]
+
+struct MemoCase {
+  /// Ascending λ̄. The top point puts κ past kKappaMemoMaxIndex, where the
+  /// bisection leaves the memo.
+  std::vector<double> lambdas;
+  /// α ∈ {0.01, 0.1, 0.5}, then enough more that the α values outnumber
+  /// the memo's slots, so a sweep that interleaves them evicts on every call.
+  std::vector<double> alphas;
+  KappaTable cold;    ///< Each entry computed on a thread of its own.
+  KappaTable linear;  ///< ComputeKappaDeterministicTau's uncached scan.
+};
+
+std::size_t KappaOrZero(const Result<std::size_t>& kappa) {
+  EXPECT_TRUE(kappa.ok()) << kappa.status().ToString();
+  return kappa.ok() ? *kappa : 0;
+}
+
+const MemoCase& Case() {
+  static const MemoCase c = [] {
+    MemoCase m;
+    for (double l = 0.02; l < 40.0; l *= 1.13) m.lambdas.push_back(l);
+    m.lambdas.push_back(400.0);
+    m.alphas = {0.01, 0.1, 0.5};
+    for (std::size_t k = 0; k < 2 * kKappaMemoAlphas; ++k) {
+      m.alphas.push_back(0.02 + 0.05 * static_cast<double>(k));
+    }
+    for (double lambda : m.lambdas) {
+      auto& cold = m.cold.emplace_back();
+      auto& linear = m.linear.emplace_back();
+      for (double alpha : m.alphas) {
+        // A new thread's memo is empty.
+        std::thread([&] {
+          cold.push_back(KappaOrZero(ComputeKappaBinarySearch(
+              alpha, lambda, kMemoTau, kMemoMaxKappa)));
+        }).join();
+        linear.push_back(KappaOrZero(ComputeKappaDeterministicTau(
+            alpha, lambda, kMemoTau, kMemoMaxKappa)));
+      }
+    }
+    return m;
+  }();
+  return c;
+}
+
+/// λ̄ indices up the sweep and back down.
+std::vector<std::size_t> UpThenDown() {
+  std::vector<std::size_t> order;
+  const std::size_t n = Case().lambdas.size();
+  for (std::size_t l = 0; l < n; ++l) order.push_back(l);
+  for (std::size_t l = n; l-- > 0;) order.push_back(l);
+  return order;
+}
+
+void ExpectMemoExact(std::size_t l, std::size_t a, const char* pass) {
+  const MemoCase& c = Case();
+  const std::size_t kappa = KappaOrZero(ComputeKappaBinarySearch(
+      c.alphas[a], c.lambdas[l], kMemoTau, kMemoMaxKappa));
+  EXPECT_EQ(kappa, c.cold[l][a])
+      << pass << " vs cold at lambda " << c.lambdas[l] << ", alpha "
+      << c.alphas[a];
+  EXPECT_EQ(kappa, c.linear[l][a])
+      << pass << " vs linear scan at lambda " << c.lambdas[l] << ", alpha "
+      << c.alphas[a];
+}
+
+/// Up-then-down sweeps, first into an empty memo and then warm, with every
+/// α at each λ̄ (α inner: every call evicts).
+void SweepInterleaved() {
+  for (const char* pass : {"cold pass", "warm pass"}) {
+    for (std::size_t l : UpThenDown()) {
+      for (std::size_t a = 0; a < Case().alphas.size(); ++a) {
+        ExpectMemoExact(l, a, pass);
+      }
+    }
+  }
+}
+
+TEST(KappaMemoTest, SweepReachesPastTheMemoBounds) {
+  static_assert(kKappaMemoMaxIndex < kMemoMaxKappa);
+  EXPECT_GT(Case().alphas.size(), kKappaMemoAlphas);
+  std::size_t deepest = 0;
+  for (const auto& row : Case().linear) {
+    for (std::size_t kappa : row) deepest = std::max(deepest, kappa);
+  }
+  EXPECT_GT(deepest, kKappaMemoMaxIndex);
+  EXPECT_LT(deepest, kMemoMaxKappa);
+}
+
+TEST(KappaMemoTest, ColdBisectionMatchesLinearScan) {
+  EXPECT_EQ(Case().cold, Case().linear);
+}
+
+TEST(KappaMemoTest, SweepsMatchColdUnderEviction) {
+  std::thread(SweepInterleaved).join();
+}
+
+TEST(KappaMemoTest, SweepsMatchColdOneAlphaAtATime) {
+  // α outer: each α's ladder stays resident for its whole sweep.
+  std::thread([] {
+    for (std::size_t a = 0; a < Case().alphas.size(); ++a) {
+      for (const char* pass : {"cold pass", "warm pass"}) {
+        for (std::size_t l : UpThenDown()) ExpectMemoExact(l, a, pass);
+      }
+    }
+  }).join();
+}
+
+TEST(KappaMemoTest, ConcurrentSweepsMatchCold) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) workers.emplace_back(SweepInterleaved);
+  for (auto& worker : workers) worker.join();
 }
 
 }  // namespace

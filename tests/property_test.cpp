@@ -81,7 +81,9 @@ TEST_P(EngineInvariantTest, AccountingIdentitiesHold) {
     EXPECT_EQ(q.hit, q.wait_time == 0.0);
     // A cold start always pays the full pending time (it waits for its own
     // instance), so it can never be a hit.
-    if (q.cold_start) EXPECT_FALSE(q.hit);
+    if (q.cold_start) {
+      EXPECT_FALSE(q.hit);
+    }
   }
 }
 
@@ -202,7 +204,9 @@ TEST_P(ServingParityTest, MirrorMatchesEngineActionSequence) {
   // Both paths consulted their decision clocks equally often (and not at
   // all unless charging was requested).
   EXPECT_EQ(batch_clock.readings(), online_clock.readings());
-  if (!param.charge) EXPECT_EQ(batch_clock.readings(), 0u);
+  if (!param.charge) {
+    EXPECT_EQ(batch_clock.readings(), 0u);
+  }
 
   // Strategies with a finite declared lookback must have been compacted on
   // a trace this long (the bounded-serving-state guarantee).

@@ -104,12 +104,18 @@ Result<std::size_t> ComputeKappaBinarySearch(double alpha, double lambda_bar,
     RS_ASSIGN_OR_RETURN(const double q, LadderQuantile(&ladder, alpha, i));
     return q < threshold;
   };
+  if (max_kappa == 0) return static_cast<std::size_t>(0);
   RS_ASSIGN_OR_RETURN(const bool first_below, below(1));
   if (!first_below) return static_cast<std::size_t>(0);
-  // Invariant: quantile(lo) < threshold <= quantile(hi) (monotone in i).
+  // Invariant: quantile(lo) < threshold, and hi is max_kappa + 1 or
+  // threshold <= quantile(hi) (monotone in i); index max_kappa + 1 counts
+  // as "not below" without being probed.
   std::size_t lo = 1, hi = 2;
   for (;;) {
-    if (hi > max_kappa) return max_kappa;
+    if (hi > max_kappa) {
+      hi = max_kappa + 1;
+      break;
+    }
     RS_ASSIGN_OR_RETURN(const bool b, below(hi));
     if (!b) break;
     lo = hi;

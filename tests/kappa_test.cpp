@@ -119,6 +119,28 @@ TEST(KappaTest, RejectsBadInputs) {
   EXPECT_FALSE(ComputeKappaMonteCarlo(&rng, 0.1, 1.0, pending, 0).ok());
 }
 
+TEST(KappaTest, BisectionMatchesLinearScanUnderEveryCap) {
+  // A cap between the doubling probes must still be bisected to: with
+  // α = 0.01, λ̄ = 0.42, τ = 13 the uncapped κ is 12, so cap 14 gives 12.
+  EXPECT_EQ(12u, *ComputeKappaBinarySearch(0.01, 0.42, 13.0, 14));
+  for (const double alpha : {0.01, 0.1, 0.5}) {
+    for (const double lambda_bar : {0.05, 0.42, 1.3, 3.0}) {
+      for (const double tau : {2.0, 13.0, 40.0}) {
+        for (std::size_t cap = 0; cap <= 64; ++cap) {
+          const auto linear =
+              ComputeKappaDeterministicTau(alpha, lambda_bar, tau, cap);
+          const auto bisection =
+              ComputeKappaBinarySearch(alpha, lambda_bar, tau, cap);
+          ASSERT_TRUE(linear.ok() && bisection.ok());
+          EXPECT_EQ(*linear, *bisection)
+              << "alpha=" << alpha << " lambda_bar=" << lambda_bar
+              << " tau=" << tau << " cap=" << cap;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The per-thread Gamma-quantile memo inside ComputeKappaBinarySearch must
 // never change a result: cold, warm, evicted, or on another thread.

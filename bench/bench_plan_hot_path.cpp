@@ -1,12 +1,13 @@
 // Planning hot-path throughput: decisions/sec and ns/decision for one
-// RobustScaler Plan(t) round, optimized kernels vs the RS_REFERENCE_KERNELS
-// fallback, across Monte Carlo sample counts R and decision variants.
+// RobustScaler Plan(t) round, the optimized round the policy runs vs the
+// core::RunReferenceRound oracle, across Monte Carlo sample counts R and
+// decision variants.
 //
-// The harness is also the parity proof the optimization rests on: before
-// timing, it drives the reference and optimized planners through identical
-// round schedules under a fixed seed and aborts unless the two emit
-// byte-identical action sequences, and it trains the same pipeline under
-// 0/1/8 workers and aborts unless the fitted forecasts are byte-identical.
+// The harness is also the parity proof the optimization rests on: it runs
+// the policy's own round schedule through both entry points under a fixed
+// seed and aborts unless the two emit byte-identical action sequences, and
+// it trains the same pipeline under 0/1/8 workers and aborts unless the
+// fitted forecasts are byte-identical.
 //
 // Usage:
 //   bench_plan_hot_path [--mc=100,1000,10000] [--rounds=50] [--qps=2]
@@ -29,7 +30,6 @@
 
 #include "bench_common.hpp"
 #include "rs/api/api.hpp"
-#include "rs/common/kernels.hpp"
 #include "rs/common/logging.hpp"
 #include "rs/common/stopwatch.hpp"
 #include "rs/common/thread_pool.hpp"
@@ -132,11 +132,13 @@ struct RunResult {
 };
 
 /// Drives `rounds` planning rounds with nothing outstanding (every round
-/// commits a full depth of decisions — the steady worst case).
+/// commits a full depth of decisions — the steady worst case). With
+/// `reference`, each of the policy's rounds runs through RunReferenceRound
+/// on a master generator seeded like the policy's instead.
 RunResult DriveRounds(const workload::PiecewiseConstantIntensity& forecast,
                       core::ScalerVariant variant, std::size_t mc_samples,
                       std::size_t rounds, std::uint64_t seed,
-                      double planning_interval) {
+                      double planning_interval, bool reference = false) {
   core::SequentialScalerOptions options;
   options.variant = variant;
   options.mc_samples = mc_samples;
@@ -151,15 +153,24 @@ RunResult DriveRounds(const workload::PiecewiseConstantIntensity& forecast,
   sim::SimContext ctx;
   ctx.arrival_history = &history;
 
+  stats::Rng oracle_master(seed);
+  const auto plan = [&](bool first) {
+    if (reference) {
+      return core::RunReferenceRound(policy.PlanningRound(ctx),
+                                     &oracle_master);
+    }
+    return first ? policy.Initialize(ctx) : policy.OnPlanningTick(ctx);
+  };
+
   RunResult run;
   run.rounds = rounds;
   run.actions.reserve(rounds + 1);
-  // Warmup (not timed): first-touch buffer growth in both kernel modes.
-  run.actions.push_back(policy.Initialize(ctx));
+  // Warmup (not timed): first-touch buffer growth.
+  run.actions.push_back(plan(true));
   Stopwatch watch;
   for (std::size_t i = 1; i <= rounds; ++i) {
     ctx.now = static_cast<double>(i) * planning_interval;
-    run.actions.push_back(policy.OnPlanningTick(ctx));
+    run.actions.push_back(plan(false));
     run.decisions += run.actions.back().creation_times.size();
   }
   run.seconds = watch.ElapsedSeconds();
@@ -294,14 +305,13 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   for (auto variant : options.variants) {
     for (std::size_t mc : options.mc) {
-      common::SetReferenceKernels(true);
-      const auto reference = DriveRounds(forecast, variant, mc, options.rounds,
-                                         options.seed, planning_interval);
-      common::SetReferenceKernels(false);
+      const auto reference =
+          DriveRounds(forecast, variant, mc, options.rounds, options.seed,
+                      planning_interval, /*reference=*/true);
       const auto optimized = DriveRounds(forecast, variant, mc, options.rounds,
                                          options.seed, planning_interval);
-      // The parity self-check: same seed, same schedule — the two kernel
-      // paths must have emitted byte-identical action sequences.
+      // The parity self-check: same seed, same schedule — the two rounds
+      // must have emitted byte-identical action sequences.
       CheckActionParity(reference, optimized, VariantKey(variant));
       RS_CHECK(optimized.decisions > 0) << "no decisions committed";
 
@@ -328,7 +338,7 @@ int main(int argc, char** argv) {
   }
 
   const auto train_seconds = CheckTrainingWorkerParity(options, forecast);
-  std::printf("\nparity: reference vs optimized kernels identical; "
+  std::printf("\nparity: reference vs optimized rounds identical; "
               "training byte-identical across workers {");
   for (std::size_t i = 0; i < options.workers.size(); ++i) {
     std::printf("%zu%s", options.workers[i],

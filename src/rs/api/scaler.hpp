@@ -235,9 +235,8 @@ class Scaler {
   /// The contract: ScalerBuilder::RestoreState of this snapshot in a fresh
   /// process continues the serving session with a byte-identical action
   /// sequence to this instance never having stopped, under any planning-
-  /// pool size and with RS_REFERENCE_KERNELS on or off (both are wall-time
-  /// knobs, never behavior). Const: taking a snapshot perturbs nothing, so
-  /// it can run on a live scaler between events.
+  /// pool size (a wall-time knob, never behavior). Const: taking a snapshot
+  /// perturbs nothing, so it can run on a live scaler between events.
   ///
   /// Size scales with the retained serving window (see
   /// ConfigureHistoryRetention) plus the forecast length. Training

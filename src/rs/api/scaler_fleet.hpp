@@ -308,8 +308,7 @@ class ScalerFleet {
   // the swap happens only between plans, never inside one, so each
   // tenant's action stream is byte-identical to an unswapped control up to
   // the boundary and to a fresh-model control after it — under any fleet
-  // worker count and both RS_REFERENCE_KERNELS modes
-  // (tests/freshness_test.cpp pins this).
+  // worker count (tests/freshness_test.cpp pins this).
   //
   // After a swap the tenant's plans are served by the refit model, whose
   // forecast starts at the end of the refit window. The fleet rebases

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "rs/common/kernels.hpp"
 #include "rs/common/logging.hpp"
 #include "rs/stats/empirical.hpp"
 
@@ -134,16 +133,11 @@ Result<Decision> SolveHpConstrained(const McSamples& samples, double alpha) {
   for (std::size_t r = 0; r < slack.size(); ++r) {
     slack[r] = samples.xi[r] - samples.tau[r];
   }
-  double x_star = 0.0;
-  if (common::UseReferenceKernels()) {
-    // The reference fallback keeps the pre-optimization full sort so
-    // RS_REFERENCE_KERNELS measures the historical cost profile; the value
-    // is bitwise-identical to the selection path.
-    std::sort(slack.begin(), slack.end());
-    RS_ASSIGN_OR_RETURN(x_star, stats::QuantileSorted(slack, alpha));
-  } else {
-    RS_ASSIGN_OR_RETURN(x_star, stats::QuantileInPlace(&slack, alpha));
-  }
+  // A full sort, as audited against Eq. 3; DecisionKernel::SolveHp selects
+  // the same two order statistics without one.
+  std::sort(slack.begin(), slack.end());
+  RS_ASSIGN_OR_RETURN(const double x_star,
+                      stats::QuantileSorted(slack, alpha));
   Decision d;
   d.feasible = x_star >= 0.0;
   d.creation_time = std::max(x_star, 0.0);

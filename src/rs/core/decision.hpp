@@ -7,12 +7,15 @@
 ///
 /// Two forms are provided. The free functions are the reference
 /// implementations: allocate, sort, solve — simple enough to audit against
-/// the paper. DecisionKernel is the hot-path form: it binds to one sample
-/// set, shares a single O(R log R) preprocessing pass (sorted slack ξ−τ,
-/// sorted ξ, prefix sums) across the three solvers and the Ê/Ĝ curve
-/// queries, and reuses its buffers across bind cycles so a steady planning
-/// loop allocates nothing. Every DecisionKernel solver returns a Decision
-/// bitwise-identical to its reference free function.
+/// the paper. The RobustScaler planning round does not call them;
+/// core::RunReferenceRound does, as the oracle that tests and
+/// bench_plan_hot_path hold that round to. DecisionKernel is the hot-path
+/// form: it binds to one sample set, shares a single O(R log R)
+/// preprocessing pass (sorted slack ξ−τ, sorted ξ, prefix sums) across the
+/// three solvers and the Ê/Ĝ curve queries, and reuses its buffers across
+/// bind cycles so a steady planning loop allocates nothing. Every
+/// DecisionKernel solver returns a Decision bitwise-identical to its
+/// reference free function.
 #pragma once
 
 #include <cstddef>

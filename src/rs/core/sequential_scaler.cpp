@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rs/common/kernels.hpp"
 #include "rs/common/logging.hpp"
 #include "rs/core/kappa.hpp"
 
@@ -129,24 +128,6 @@ Result<Decision> SolveHpDeterministicTau(
   return d;
 }
 
-/// Everything one planning round needs, shared by both planners and both
-/// kernel modes.
-struct RoundParams {
-  const workload::PiecewiseConstantIntensity* forecast = nullptr;
-  const stats::DurationDistribution* pending = nullptr;
-  ScalerVariant variant = ScalerVariant::kHittingProbability;
-  double alpha = 0.1;
-  double rt_excess = 0.0;
-  double idle_budget = 0.0;
-  double now = 0.0;          ///< Forecast-local decision time.
-  double emit_origin = 0.0;  ///< Clock the creation times are emitted on.
-  std::size_t r_count = 0;
-  std::size_t skip = 0;   ///< Upcoming queries already covered this round.
-  std::size_t count = 0;  ///< Decisions to commit this round.
-  bool stop_on_unbounded = false;
-  const char* who = "RobustScaler";
-};
-
 bool DeterministicTau(const RoundParams& p) {
   return p.pending->kind() ==
          stats::DurationDistribution::Kind::kDeterministic;
@@ -170,18 +151,17 @@ void DrawWarmup(const RoundParams& p, const stats::Rng& draw_base,
   }
 }
 
-/// \brief Draw phase of one query: advances ws->gamma to γ_j by query j's
-///        Exp(1) increments and, for stochastic τ, writes its pending
-///        samples into `tau`.
+/// \brief Draw phase of one query: advances `gamma` to γ_j by query j's
+///        Exp(1) increments (drawn into the `increments` scratch) and, for
+///        stochastic τ, writes its pending samples into `tau`.
 ///
 /// Block b of round-relative query j draws its increments from
 /// draw_base.SubstreamAt(1 + 2j).SubstreamAt(b) and its τ samples from
 /// draw_base.SubstreamAt(2 + 2j).SubstreamAt(b), so the drawn bytes depend
 /// only on (j, r_count), never on what was drawn or solved before.
 void DrawQuery(const RoundParams& p, const stats::Rng& draw_base,
-               std::size_t j, PlanWorkspace* ws, double* tau) {
+               std::size_t j, double* gamma, double* increments, double* tau) {
   const std::size_t r_count = p.r_count;
-  double* increments = ws->targets.data();
   for (std::size_t begin = 0, block = 0; begin < r_count;
        begin += kPlanRngBlock, ++block) {
     const std::size_t len = std::min(kPlanRngBlock, r_count - begin);
@@ -195,7 +175,6 @@ void DrawQuery(const RoundParams& p, const stats::Rng& draw_base,
       }
     }
   }
-  double* gamma = ws->gamma.data();
   for (std::size_t r = 0; r < r_count; ++r) gamma[r] += increments[r];
 }
 
@@ -276,14 +255,24 @@ Result<Decision> SolveReference(const RoundParams& p, const double* gamma,
   return Status::Invalid("RobustScalerPolicy: unknown variant");
 }
 
-/// \brief One planning round: draw, solve and emit one query at a time,
-///        stopping at the first failure (or unbounded decision, when
-///        requested).
-///
-/// The master generator advances by exactly one raw draw per round (the
-/// substream epoch), so failures and early stops never shift later rounds'
-/// draws. The reference-kernel mode consumes the same drawn bytes through
-/// the naive solvers.
+/// Appends a successful decision to `action`; returns false when the round
+/// ends here (a failed decision, or an unbounded one when requested).
+bool EmitDecision(const RoundParams& p, std::size_t j,
+                  const Result<Decision>& decision,
+                  sim::ScalingAction* action) {
+  if (!decision.ok()) {
+    RS_LOG(Warning) << p.who << ": decision for upcoming query "
+                    << p.skip + j + 1
+                    << " failed: " << decision.status().ToString();
+    return false;
+  }
+  if (p.stop_on_unbounded && decision->unbounded) return false;
+  action->creation_times.push_back(p.emit_origin + decision->creation_time);
+  return true;
+}
+
+}  // namespace
+
 sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
                                       stats::Rng* master, PlanWorkspace* ws) {
   sim::ScalingAction action;
@@ -291,7 +280,6 @@ sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
   const std::size_t r_count = p.r_count;
   ws->EnsureSize(r_count);
   const double base = ws->CumulativeAt(*p.forecast, p.now);
-  const bool reference = common::UseReferenceKernels();
   const bool stochastic_tau = !DeterministicTau(p);
   if (!stochastic_tau && p.variant == ScalerVariant::kHittingProbability &&
       ws->hp_cuts.size() < p.skip + p.count) {
@@ -303,37 +291,47 @@ sim::ScalingAction RunMonteCarloRound(const RoundParams& p,
   const stats::Rng draw_base = *master;
   master->NextUint64();
 
-  // Reference mode keeps the historical cost profile: fresh sample buffers
-  // every round, scalar inversions, per-solve sorts.
-  McSamples reference_samples;
-  if (reference) {
-    reference_samples.xi.resize(r_count);
-    reference_samples.tau.resize(r_count);
+  double* tau = nullptr;
+  if (stochastic_tau) {
+    ws->samples.tau.resize(r_count);
+    tau = ws->samples.tau.data();
   }
-  McSamples& samples = reference ? reference_samples : ws->samples;
-  if (stochastic_tau) samples.tau.resize(r_count);
-
   DrawWarmup(p, draw_base, ws->gamma.data());
   for (std::size_t j = 0; j < p.count; ++j) {
-    DrawQuery(p, draw_base, j, ws,
-              stochastic_tau ? samples.tau.data() : nullptr);
-    const Result<Decision> decision =
-        reference ? SolveReference(p, ws->gamma.data(), &samples, base)
-                  : SolveOptimized(p, ws, p.skip + j, base);
-    if (!decision.ok()) {
-      RS_LOG(Warning) << p.who << ": decision for upcoming query "
-                      << p.skip + j + 1
-                      << " failed: " << decision.status().ToString();
+    DrawQuery(p, draw_base, j, ws->gamma.data(), ws->targets.data(), tau);
+    if (!EmitDecision(p, j, SolveOptimized(p, ws, p.skip + j, base),
+                      &action)) {
       return action;
     }
-    // Later queries are even more slack, so the round is done.
-    if (p.stop_on_unbounded && decision->unbounded) return action;
-    action.creation_times.push_back(p.emit_origin + decision->creation_time);
   }
   return action;
 }
 
-}  // namespace
+sim::ScalingAction RunReferenceRound(const RoundParams& p,
+                                     stats::Rng* master) {
+  sim::ScalingAction action;
+  if (p.count == 0) return action;
+  const std::size_t r_count = p.r_count;
+  const double base = p.forecast->Cumulative(p.now);
+  const stats::Rng draw_base = *master;
+  master->NextUint64();
+
+  std::vector<double> gamma(r_count);
+  std::vector<double> increments(r_count);
+  McSamples samples;
+  samples.xi.resize(r_count);
+  samples.tau.resize(r_count);
+  double* tau = DeterministicTau(p) ? nullptr : samples.tau.data();
+  DrawWarmup(p, draw_base, gamma.data());
+  for (std::size_t j = 0; j < p.count; ++j) {
+    DrawQuery(p, draw_base, j, gamma.data(), increments.data(), tau);
+    if (!EmitDecision(p, j, SolveReference(p, gamma.data(), &samples, base),
+                      &action)) {
+      return action;
+    }
+  }
+  return action;
+}
 
 void PlanWorkspace::EnsureSize(std::size_t r) {
   FitVector(&gamma, r);
@@ -393,29 +391,17 @@ const char* RobustScalerPolicy::name() const {
   return "RobustScaler";
 }
 
-Result<Decision> RobustScalerPolicy::SolveOne(const McSamples& samples) const {
-  switch (options_.variant) {
-    case ScalerVariant::kHittingProbability:
-      return SolveHpConstrained(samples, options_.alpha);
-    case ScalerVariant::kResponseTime:
-      return SolveRtConstrained(samples, options_.rt_excess);
-    case ScalerVariant::kCost:
-      return SolveCostConstrained(samples, options_.idle_budget);
-  }
-  return Status::Invalid("RobustScalerPolicy: unknown variant");
-}
-
 sim::ScalingAction RobustScalerPolicy::Initialize(const sim::SimContext& ctx) {
-  return PlanWindow(ctx);
+  return RunMonteCarloRound(PlanningRound(ctx), &rng_, &workspace_);
 }
 
 sim::ScalingAction RobustScalerPolicy::OnPlanningTick(
     const sim::SimContext& ctx) {
-  return PlanWindow(ctx);
+  return RunMonteCarloRound(PlanningRound(ctx), &rng_, &workspace_);
 }
 
-std::size_t RobustScalerPolicy::CommitDepth(double now) {
-  // `now` is already on the forecast-local clock (PlanWindow converts).
+std::size_t RobustScalerPolicy::CommitDepth(double now) const {
+  // `now` is already on the forecast-local clock (PlanningRound converts).
   // Section VII-A1: κ is time-dependent, computed from the local intensity.
   // λ̄ = max forecast rate over [now, now + window] so an imminent spike is
   // provisioned for.
@@ -450,7 +436,8 @@ std::size_t RobustScalerPolicy::CommitDepth(double now) {
                   options_.max_creations_per_round);
 }
 
-sim::ScalingAction RobustScalerPolicy::PlanWindow(const sim::SimContext& ctx) {
+RoundParams RobustScalerPolicy::PlanningRound(
+    const sim::SimContext& ctx) const {
   // Forecast queries run on the forecast-local clock; scheduled creation
   // times stay on the simulation clock (the offset cancels in x_rel).
   const double now = ctx.now - options_.forecast_origin;
@@ -465,7 +452,6 @@ sim::ScalingAction RobustScalerPolicy::PlanWindow(const sim::SimContext& ctx) {
   // query advances every Monte Carlo path by an Exp(1) increment and maps
   // to arrival time via time rescaling ξ = Λ⁻¹(Λ(now) + γ) − now.
   const std::size_t depth = CommitDepth(now);
-  if (outstanding >= depth) return {};
 
   RoundParams params;
   params.forecast = &forecast_;
@@ -478,10 +464,10 @@ sim::ScalingAction RobustScalerPolicy::PlanWindow(const sim::SimContext& ctx) {
   params.emit_origin = ctx.now;
   params.r_count = options_.mc_samples;
   params.skip = outstanding;
-  params.count = depth - outstanding;
+  params.count = outstanding < depth ? depth - outstanding : 0;
   params.stop_on_unbounded = true;
   params.who = name();
-  return RunMonteCarloRound(params, &rng_, &workspace_);
+  return params;
 }
 
 HpCountScaler::HpCountScaler(workload::PiecewiseConstantIntensity forecast,

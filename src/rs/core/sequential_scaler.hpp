@@ -17,10 +17,10 @@
 /// never inside one plan. Every draw comes from a counter-based substream
 /// of the round's master state keyed on (query index, path block) — see
 /// stats::Rng::SubstreamAt — so a round draws, solves and emits one query
-/// at a time. Setting RS_REFERENCE_KERNELS (see rs/common/kernels.hpp)
-/// routes the solve phase through the naive reference kernels instead;
-/// under a fixed seed the two paths emit byte-identical action sequences —
-/// the guarantee that keeps the hot path safe to optimize.
+/// at a time. RunReferenceRound replays a round on the same draws through
+/// scalar inversions and the free-function solvers of decision.hpp; it
+/// emits byte-identical actions, which is the guarantee that keeps the hot
+/// path safe to optimize, and tests and bench_plan_hot_path check it.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +81,46 @@ struct PlanWorkspace {
   bool cache_valid_ = false;
 };
 
+/// \brief One Monte Carlo planning round: the decisions for upcoming
+///        queries skip+1 … skip+count, each from r_count sample paths.
+struct RoundParams {
+  const workload::PiecewiseConstantIntensity* forecast = nullptr;
+  const stats::DurationDistribution* pending = nullptr;
+  ScalerVariant variant = ScalerVariant::kHittingProbability;
+  double alpha = 0.1;
+  double rt_excess = 0.0;
+  double idle_budget = 0.0;
+  double now = 0.0;          ///< Forecast-local decision time.
+  double emit_origin = 0.0;  ///< Clock the creation times are emitted on.
+  std::size_t r_count = 0;
+  std::size_t skip = 0;   ///< Upcoming queries already covered this round.
+  std::size_t count = 0;  ///< Decisions to commit this round.
+  /// Ends the round at the first unbounded decision (later queries are
+  /// even more slack).
+  bool stop_on_unbounded = false;
+  const char* who = "RobustScaler";  ///< Log prefix for failed decisions.
+};
+
+/// \brief The planning round both planners run: draws, solves through the
+///        workspace's optimized kernels and emits one query at a time,
+///        stopping at the first failed (or, if requested, unbounded)
+///        decision.
+///
+/// A round with count > 0 advances `master` by exactly one raw draw (the
+/// substream epoch), so failures and early stops never shift later rounds'
+/// draws; a round with count == 0 touches nothing.
+sim::ScalingAction RunMonteCarloRound(const RoundParams& p, stats::Rng* master,
+                                      PlanWorkspace* ws);
+
+/// \brief Reference oracle for RunMonteCarloRound: the same draws and the
+///        same `master` advance, solved with scalar InverseCumulative calls
+///        and the free-function solvers in buffers allocated per call.
+///
+/// Emits byte-identical actions. No planner calls it; tests and
+/// bench_plan_hot_path run it beside the optimized round on the same
+/// schedule.
+sim::ScalingAction RunReferenceRound(const RoundParams& p, stats::Rng* master);
+
 /// Options for RobustScalerPolicy.
 struct SequentialScalerOptions {
   ScalerVariant variant = ScalerVariant::kHittingProbability;
@@ -134,9 +174,9 @@ class RobustScalerPolicy : public sim::Autoscaler {
   sim::ScalingAction Initialize(const sim::SimContext& ctx) override;
   sim::ScalingAction OnPlanningTick(const sim::SimContext& ctx) override;
 
-  /// Decision rule applied to one upcoming query's samples (exposed so
-  /// benches can time a single decision update — Fig. 8).
-  Result<Decision> SolveOne(const McSamples& samples) const;
+  /// The round Initialize/OnPlanningTick run at `ctx` (count == 0 when
+  /// nothing is due), so RunReferenceRound can replay the same schedule.
+  RoundParams PlanningRound(const sim::SimContext& ctx) const;
 
   /// \brief Durable-snapshot support (rs::persist): the policy's mutable
   ///        model is its RNG position; option scalars ride along so restore
@@ -144,7 +184,7 @@ class RobustScalerPolicy : public sim::Autoscaler {
   ///
   /// The PlanWorkspace (γ paths, solve scratch, hp_cuts warm pivots) is
   /// pure scratch — it changes planning *speed*, never the emitted actions
-  /// (the reference-kernel parity tests pin this) — so it is deliberately
+  /// (the RunReferenceRound parity tests pin this) — so it is deliberately
   /// not persisted and restarts cold. The policy holds no κ state: κ is
   /// recomputed every round, through the per-thread Gamma-quantile memo of
   /// ComputeKappaBinarySearch, which lives outside every policy.
@@ -154,11 +194,9 @@ class RobustScalerPolicy : public sim::Autoscaler {
   const SequentialScalerOptions& options() const { return options_; }
 
  private:
-  sim::ScalingAction PlanWindow(const sim::SimContext& ctx);
-
   /// Committed look-ahead depth κ + m for the local intensity at
   /// forecast-local time `now`.
-  std::size_t CommitDepth(double now);
+  std::size_t CommitDepth(double now) const;
 
   workload::PiecewiseConstantIntensity forecast_;
   stats::DurationDistribution pending_;

@@ -4,8 +4,7 @@
 // (rate-shift CUSUM, periodicity check, snapshot continuation), and the
 // ScalerFleet freshness loop — drift → background retrain → tear-free hot
 // swap at a plan boundary, with byte-identical parity against unswapped and
-// fresh-model controls across worker counts, kernel modes, and all registry
-// strategies. The TSan CI job runs this whole suite.
+// fresh-model controls across worker counts and all registry strategies. The TSan CI job runs this whole suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "rs/api/api.hpp"
-#include "rs/common/kernels.hpp"
 #include "rs/core/admm.hpp"
 #include "rs/core/extensions.hpp"
 #include "rs/core/pipeline.hpp"
@@ -793,7 +791,7 @@ TEST(FleetFreshness, DriftTriggersRetrainAndSwapWithoutDisturbingNeighbors) {
                          "steady tenant vs control");
 }
 
-TEST(FleetFreshness, LoopIsByteIdenticalAcrossWorkersAndKernelModes) {
+TEST(FleetFreshness, LoopIsByteIdenticalAcrossWorkers) {
   const double train_horizon = 4.0 * kPeriodS;
   const double serve_horizon = 1.5 * kPeriodS;
   const double shift_at = serve_horizon / 3.0;
@@ -806,8 +804,7 @@ TEST(FleetFreshness, LoopIsByteIdenticalAcrossWorkersAndKernelModes) {
   };
   const auto events = MergeEvents(serve);
 
-  auto run = [&](std::size_t workers, bool reference) {
-    common::ScopedReferenceKernels mode(reference);
+  auto run = [&](std::size_t workers) {
     ScalerFleet fleet(workers);
     EXPECT_TRUE(fleet.EnableFreshness(MakePolicy(serve_horizon)).ok());
     EXPECT_TRUE(
@@ -825,30 +822,28 @@ TEST(FleetFreshness, LoopIsByteIdenticalAcrossWorkersAndKernelModes) {
     return drive;
   };
 
-  const auto baseline = run(0, false);
+  // The baseline's own worker count runs again too: a rerun on the same
+  // thread must not depend on anything the first run left behind.
+  const auto baseline = run(0);
   for (std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    for (bool reference : {false, true}) {
-      if (workers == 0 && !reference) continue;
-      const auto got = run(workers, reference);
-      const std::string label = "workers=" + std::to_string(workers) +
-                                (reference ? " reference" : " optimized");
-      for (std::size_t i = 0; i < tenants.size(); ++i) {
-        ExpectActionsIdentical(baseline.actions[i], got.actions[i],
-                               label + ", tenant " + tenants[i]);
-      }
+    const auto got = run(workers);
+    const std::string label = "workers=" + std::to_string(workers);
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      ExpectActionsIdentical(baseline.actions[i], got.actions[i],
+                             label + ", tenant " + tenants[i]);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Mid-plan hot-swap parity: for every registry strategy, worker count, and
-// kernel mode, a ReplaceModelAtNextPlan issued between plan boundaries
-// leaves the in-flight plan byte-identical to a never-swapped control, and
-// every post-boundary plan byte-identical to a control fleet that served
-// the fresh model from the boundary on.
+// Mid-plan hot-swap parity: for every registry strategy and worker count,
+// a ReplaceModelAtNextPlan issued between plan boundaries leaves the
+// in-flight plan byte-identical to a never-swapped control, and every
+// post-boundary plan byte-identical to a control fleet that served the
+// fresh model from the boundary on.
 // ---------------------------------------------------------------------------
 
-TEST(HotSwapParity, DeferredSwapTearsNothingAcrossStrategiesWorkersKernels) {
+TEST(HotSwapParity, DeferredSwapTearsNothingAcrossStrategiesWorkers) {
   const double train_horizon = 4.0 * kPeriodS;
   const double serve_horizon = 400.0;
   const double request_at = 201.0;              // Between boundaries.
@@ -870,67 +865,60 @@ TEST(HotSwapParity, DeferredSwapTearsNothingAcrossStrategiesWorkersKernels) {
   };
 
   for (const char* spec : specs) {
-    for (bool reference : {false, true}) {
-      common::ScopedReferenceKernels mode(reference);
-      const std::string ctx = std::string(spec) +
-                              (reference ? " reference" : " optimized");
+    // Control 1: never swapped.
+    ScalerFleet control_old(0);
+    ASSERT_TRUE(
+        control_old
+            .Register("tenant", BuildScaler(train_old, serve_horizon, spec))
+            .ok());
+    const auto unswapped =
+        DriveFleet(&control_old, tenants, events, serve_horizon);
 
-      // Control 1: never swapped.
-      ScalerFleet control_old(0);
-      ASSERT_TRUE(control_old
-                      .Register("tenant",
-                                BuildScaler(train_old, serve_horizon, spec))
+    // Control 2: the fresh model serving from the boundary on, seeing
+    // only post-boundary traffic (exactly what a swapped tenant sees).
+    ScalerFleet control_new(0);
+    ASSERT_TRUE(
+        control_new
+            .Register("tenant", BuildScaler(train_new, serve_horizon, spec))
+            .ok());
+    const auto fresh_only = DriveFleet(&control_new, tenants, events,
+                                       serve_horizon, /*from=*/boundary);
+
+    for (std::size_t workers :
+         {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+      ScalerFleet fleet(workers);
+      ASSERT_TRUE(
+          fleet.Register("tenant", BuildScaler(train_old, serve_horizon, spec))
+              .ok());
+      bool requested = false;
+      const auto swapped = DriveFleet(
+          &fleet, tenants, events, serve_horizon, /*from=*/0.0,
+          [&](ScalerFleet* f, double now) {
+            if (!requested && now > request_at) {
+              requested = true;
+              ASSERT_TRUE(
+                  f->ReplaceModelAtNextPlan(
+                       "tenant", BuildScaler(train_new, serve_horizon, spec))
                       .ok());
-      const auto unswapped =
-          DriveFleet(&control_old, tenants, events, serve_horizon);
+            }
+          });
+      ASSERT_TRUE(requested);
+      const std::string label =
+          std::string(spec) + " workers=" + std::to_string(workers);
 
-      // Control 2: the fresh model serving from the boundary on, seeing
-      // only post-boundary traffic (exactly what a swapped tenant sees).
-      ScalerFleet control_new(0);
-      ASSERT_TRUE(control_new
-                      .Register("tenant",
-                                BuildScaler(train_new, serve_horizon, spec))
-                      .ok());
-      const auto fresh_only = DriveFleet(&control_new, tenants, events,
-                                         serve_horizon, /*from=*/boundary);
-
-      for (std::size_t workers :
-           {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-        ScalerFleet fleet(workers);
-        ASSERT_TRUE(
-            fleet.Register("tenant",
-                           BuildScaler(train_old, serve_horizon, spec))
-                .ok());
-        bool requested = false;
-        const auto swapped = DriveFleet(
-            &fleet, tenants, events, serve_horizon, /*from=*/0.0,
-            [&](ScalerFleet* f, double now) {
-              if (!requested && now > request_at) {
-                requested = true;
-                ASSERT_TRUE(
-                    f->ReplaceModelAtNextPlan(
-                         "tenant", BuildScaler(train_new, serve_horizon, spec))
-                        .ok());
-              }
-            });
-        ASSERT_TRUE(requested);
-        const std::string label =
-            ctx + " workers=" + std::to_string(workers);
-
-        // Split the swapped run at the boundary and compare both legs.
-        std::vector<sim::ScalingAction> before, after;
-        for (const auto& [now, row] : swapped.batches) {
-          (now < boundary ? before : after).push_back(row[0]);
-        }
-        std::vector<sim::ScalingAction> control_before;
-        for (const auto& [now, row] : unswapped.batches) {
-          if (now < boundary) control_before.push_back(row[0]);
-        }
-        ExpectActionsIdentical(control_before, before,
-                               label + ", pre-boundary vs unswapped control");
-        ExpectActionsIdentical(fresh_only.actions[0], after,
-                               label + ", post-boundary vs fresh control");
+      // Split the swapped run at the boundary and compare both legs.
+      std::vector<sim::ScalingAction> before, after;
+      for (const auto& [now, row] : swapped.batches) {
+        (now < boundary ? before : after).push_back(row[0]);
       }
+      std::vector<sim::ScalingAction> control_before;
+      for (const auto& [now, row] : unswapped.batches) {
+        if (now < boundary) control_before.push_back(row[0]);
+      }
+      ExpectActionsIdentical(control_before, before,
+                             label + ", pre-boundary vs unswapped control");
+      ExpectActionsIdentical(fresh_only.actions[0], after,
+                             label + ", post-boundary vs fresh control");
     }
   }
 }

@@ -3,14 +3,13 @@
 // (bitwise) equivalent to their naive reference implementations, and the
 // pool-parallel training passes must be byte-identical for any worker
 // count. These are the invariants that make the hot path safe to keep
-// optimizing (see rs/common/kernels.hpp).
+// optimizing; the planning round itself is held to core::RunReferenceRound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "rs/common/kernels.hpp"
 #include "rs/common/thread_pool.hpp"
 #include "rs/core/admm.hpp"
 #include "rs/core/decision.hpp"
@@ -338,44 +337,52 @@ TEST(DecisionKernelTest, CurveQueriesMatchNaiveEstimators) {
   }
 }
 
-// --- Planner parity: optimized vs reference kernels ------------------------
+// --- Planner parity: the optimized round vs the reference oracle -----------
 
-std::vector<sim::ScalingAction> DrivePolicy(core::RobustScalerPolicy* policy,
-                                            double planning_interval,
-                                            std::size_t rounds) {
-  std::vector<sim::ScalingAction> actions;
+void ExpectSameAction(const sim::ScalingAction& expected,
+                      const sim::ScalingAction& got, std::size_t round) {
+  ASSERT_EQ(expected.creation_times.size(), got.creation_times.size())
+      << "round " << round;
+  for (std::size_t k = 0; k < expected.creation_times.size(); ++k) {
+    EXPECT_EQ(expected.creation_times[k], got.creation_times[k])
+        << "round " << round << ", creation " << k;
+  }
+  EXPECT_EQ(expected.deletions, got.deletions) << "round " << round;
+}
+
+/// Drives `policy` through Initialize and `rounds` planning ticks and, in
+/// lockstep, replays each tick's PlanningRound through RunReferenceRound on
+/// a master generator seeded like the policy's. The policy keeps one
+/// workspace across its rounds, so the HP warm pivots (hp_cuts) are in play
+/// from the second round on.
+void ExpectPolicyMatchesOracle(core::RobustScalerPolicy* policy,
+                               std::size_t rounds) {
+  const double interval = policy->planning_interval();
+  stats::Rng oracle_master(policy->options().seed);
   std::vector<double> history;
   sim::SimContext ctx;
   ctx.arrival_history = &history;
-  actions.push_back(policy->Initialize(ctx));
-  std::size_t outstanding = actions.back().creation_times.size();
-  for (std::size_t i = 1; i <= rounds; ++i) {
-    ctx.now = static_cast<double>(i) * planning_interval;
-    // Exercise both the outstanding > 0 (Gamma draw) and the cold paths.
-    ctx.instances_alive = i % 3 == 0 ? 0 : outstanding / 2;
-    ctx.scheduled_creations = i % 3 == 2 ? outstanding / 4 : 0;
-    actions.push_back(policy->OnPlanningTick(ctx));
-    outstanding =
-        std::max<std::size_t>(actions.back().creation_times.size(), 1);
-  }
-  return actions;
-}
-
-void ExpectSameActions(const std::vector<sim::ScalingAction>& a,
-                       const std::vector<sim::ScalingAction>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].creation_times.size(), b[i].creation_times.size())
-        << "round " << i;
-    for (std::size_t k = 0; k < a[i].creation_times.size(); ++k) {
-      EXPECT_EQ(a[i].creation_times[k], b[i].creation_times[k])
-          << "round " << i << ", creation " << k;
+  std::size_t outstanding = 0;
+  for (std::size_t i = 0; i <= rounds; ++i) {
+    ctx.now = static_cast<double>(i) * interval;
+    if (i > 0) {
+      // Exercise both the outstanding > 0 (Gamma warm-up, skip > 0) and the
+      // cold paths.
+      ctx.instances_alive = i % 3 == 0 ? 0 : outstanding / 2;
+      ctx.scheduled_creations = i % 3 == 2 ? outstanding / 4 : 0;
     }
-    EXPECT_EQ(a[i].deletions, b[i].deletions);
+    const auto expected =
+        core::RunReferenceRound(policy->PlanningRound(ctx), &oracle_master);
+    const auto got =
+        i == 0 ? policy->Initialize(ctx) : policy->OnPlanningTick(ctx);
+    ExpectSameAction(expected, got, i);
+    outstanding = std::max<std::size_t>(got.creation_times.size(), 1);
   }
 }
 
-TEST(PlannerParityTest, ReferenceAndOptimizedKernelsEmitIdenticalActions) {
+TEST(PlannerParityTest, PolicyRoundsMatchReferenceOracle) {
+  // Every pending kind × variant, with R below and above one 128-path draw
+  // block.
   stats::Rng rng(31337);
   const auto intensity = RandomIntensity(&rng, 64, false, 2.0);
   const std::vector<stats::DurationDistribution> pendings = {
@@ -390,60 +397,51 @@ TEST(PlannerParityTest, ReferenceAndOptimizedKernelsEmitIdenticalActions) {
   };
   for (const auto& pending : pendings) {
     for (auto variant : variants) {
-      core::SequentialScalerOptions options;
-      options.variant = variant;
-      options.mc_samples = 120;
-      options.planning_interval = 4.0;
-      options.seed = 20260730;
-      options.rt_excess = 0.5;
-      options.idle_budget = 1.0;
-
-      common::ScopedReferenceKernels as_reference(true);
-      core::RobustScalerPolicy reference(intensity, pending, options);
-      const auto ref_actions = DrivePolicy(&reference, 4.0, 24);
-
-      common::SetReferenceKernels(false);
-      core::RobustScalerPolicy optimized(intensity, pending, options);
-      const auto opt_actions = DrivePolicy(&optimized, 4.0, 24);
-
-      ExpectSameActions(ref_actions, opt_actions);
+      for (std::size_t mc : {std::size_t{64}, std::size_t{300}}) {
+        SCOPED_TRACE(::testing::Message() << "variant "
+                                          << static_cast<int>(variant)
+                                          << ", R=" << mc);
+        core::SequentialScalerOptions options;
+        options.variant = variant;
+        options.mc_samples = mc;
+        options.planning_interval = 4.0;
+        options.seed = 20260730;
+        options.rt_excess = 0.5;
+        options.idle_budget = 1.0;
+        core::RobustScalerPolicy policy(intensity, pending, options);
+        ExpectPolicyMatchesOracle(&policy, 16);
+        EXPECT_GT(policy.planning_workspace_bytes(), 0u)
+            << "planning scratch must be retained for the next round";
+      }
     }
   }
 }
 
-TEST(PlannerParityTest, ShortRoundsMatchReferenceAndRetainWorkspace) {
-  // Short rounds (R below one draw block) must match the reference kernels
-  // for every variant under both deterministic and stochastic τ, and leave
-  // planning scratch behind for the next round.
-  stats::Rng rng(90210);
-  const auto intensity = RandomIntensity(&rng, 48, false, 2.0);
-  const std::vector<stats::DurationDistribution> pendings = {
-      stats::DurationDistribution::Deterministic(4.0),
-      stats::DurationDistribution::Exponential(3.0),
-  };
-  const std::vector<core::ScalerVariant> variants = {
-      core::ScalerVariant::kHittingProbability,
-      core::ScalerVariant::kResponseTime,
-      core::ScalerVariant::kCost,
-  };
-  for (const auto& pending : pendings) {
-    for (auto variant : variants) {
-      core::SequentialScalerOptions options;
-      options.variant = variant;
-      options.mc_samples = 64;
-      options.planning_interval = 4.0;
-      options.seed = 20260730;
-      options.rt_excess = 0.5;
-      options.idle_budget = 1.0;
-
-      common::ScopedReferenceKernels as_reference(true);
-      core::RobustScalerPolicy reference(intensity, pending, options);
-      const auto ref_actions = DrivePolicy(&reference, 4.0, 8);
-      common::SetReferenceKernels(false);
-
-      core::RobustScalerPolicy optimized(intensity, pending, options);
-      ExpectSameActions(ref_actions, DrivePolicy(&optimized, 4.0, 8));
-      EXPECT_GT(optimized.planning_workspace_bytes(), 0u);
+TEST(PlannerParityTest, SkippedRoundsMatchReferenceOracle) {
+  // HpCountScaler's shape: rounds that plan the (κ+1)-th … (κ+m)-th
+  // upcoming queries (skip = κ > 0) through one workspace, so the same
+  // query indices recur and hit their warm pivots.
+  stats::Rng rng(40);
+  const auto intensity = RandomIntensity(&rng, 48, false, 1.5);
+  for (const auto& pending : {stats::DurationDistribution::Deterministic(13.0),
+                              stats::DurationDistribution::Exponential(7.0)}) {
+    core::RoundParams round;
+    round.forecast = &intensity;
+    round.pending = &pending;
+    round.alpha = 0.1;
+    round.r_count = 150;
+    stats::Rng master(4711), oracle_master(4711);
+    core::PlanWorkspace ws;
+    for (std::size_t i = 0; i < 12; ++i) {
+      round.now = round.emit_origin = static_cast<double>(i) * 1.7;
+      round.skip = i == 0 ? 0 : 9;
+      round.count = i == 0 ? 11 : 2;
+      ExpectSameAction(core::RunReferenceRound(round, &oracle_master),
+                       core::RunMonteCarloRound(round, &master, &ws), i);
+    }
+    EXPECT_EQ(master.NextUint64(), oracle_master.NextUint64());
+    if (pending.kind() == stats::DurationDistribution::Kind::kDeterministic) {
+      EXPECT_GT(ws.hp_cuts.at(9), 0.0) << "warm pivot of a recurring index";
     }
   }
 }
@@ -476,34 +474,6 @@ TEST(PlannerParityTest, WorkspaceShrinksWhenRDrops) {
   // Shrink-to-fit: a tenant whose R drops must stop pinning peak memory.
   EXPECT_LT(shrunk, warm / 10);
   EXPECT_GT(shrunk, 0u);
-}
-
-TEST(PlannerParityTest, HpCountScalerParity) {
-  stats::Rng rng(40);
-  const auto intensity = RandomIntensity(&rng, 48, false, 1.5);
-  for (const auto& pending : {stats::DurationDistribution::Deterministic(13.0),
-                              stats::DurationDistribution::Exponential(7.0)}) {
-    core::HpCountScalerOptions options;
-    options.mc_samples = 150;
-    options.m = 2;
-    options.seed = 4711;
-
-    const auto drive = [&](bool reference) {
-      common::ScopedReferenceKernels mode(reference);
-      core::HpCountScaler scaler(intensity, pending, options);
-      std::vector<sim::ScalingAction> actions;
-      std::vector<double> history;
-      sim::SimContext ctx;
-      ctx.arrival_history = &history;
-      actions.push_back(scaler.Initialize(ctx));
-      for (std::size_t i = 0; i < 12; ++i) {
-        ctx.now = static_cast<double>(i) * 1.7;
-        actions.push_back(scaler.OnQueryArrival(ctx, false));
-      }
-      return actions;
-    };
-    ExpectSameActions(drive(true), drive(false));
-  }
 }
 
 // --- Training parity across worker counts ----------------------------------

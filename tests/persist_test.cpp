@@ -8,8 +8,7 @@
 //  * the headline continuation guarantee: for every registry strategy and
 //    snapshot points from pre-start through the last step, a restored
 //    Scaler's action sequence is byte-identical to an uninterrupted one,
-//    under 0/1/8 planning-pool workers and across optimized/reference
-//    kernel modes;
+//    under 0/1/8 planning-pool workers;
 //  * fleet durability: SaveFleet/LoadFleet, tenant snapshot/restore, and
 //    live MigrateTenant between two serving fleets mid-stream.
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "rs/api/api.hpp"
-#include "rs/common/kernels.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
 #include "rs/stats/rng.hpp"
@@ -544,39 +542,6 @@ TEST(PersistScalerParityTest, MidPlanSnapshotPoints) {
     CheckContinuationParity(w, "adaptive_backup_pool:multiplier=1.5,"
                                "update_interval=60,estimate_window=120",
                             cut);
-  }
-}
-
-TEST(PersistScalerParityTest, SnapshotsCrossKernelModes) {
-  // A snapshot taken under the optimized kernels restores identically under
-  // the reference kernels and vice versa — persisted state must not encode
-  // anything kernel-mode-specific.
-  const Workload w = MakePersistWorkload(45);
-  const auto script = MakeScript(w.test);
-  const std::size_t mid = script.size() / 2;
-
-  Scaler control = BuildScaler(w, "robust_hp:target=0.9");
-  Outcomes expected;
-  RunSteps(&control, script, 0, script.size(), &expected);
-
-  for (const bool snapshot_reference : {false, true}) {
-    std::stringstream snapshot;
-    Outcomes got;
-    {
-      common::ScopedReferenceKernels mode(snapshot_reference);
-      Scaler first = BuildScaler(w, "robust_hp:target=0.9");
-      RunSteps(&first, script, 0, mid, &got);
-      ASSERT_TRUE(first.SaveState(snapshot).ok());
-    }
-    {
-      common::ScopedReferenceKernels mode(!snapshot_reference);
-      auto restored = ScalerBuilder::RestoreState(snapshot);
-      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-      RunSteps(&restored.ValueOrDie(), script, mid, script.size(), &got);
-    }
-    EXPECT_TRUE(expected == got)
-        << "snapshot under " << (snapshot_reference ? "reference" : "optimized")
-        << " kernels";
   }
 }
 

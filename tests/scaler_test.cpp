@@ -241,20 +241,5 @@ TEST(ScalerTest, CoarserPlanningIsCostlierAtSameRtTarget) {
   EXPECT_GT(costs[1], costs[0] * 0.95);
 }
 
-TEST(ScalerTest, SolveOneDispatchesVariant) {
-  auto intensity = ConstantIntensity(1.0, 100.0);
-  auto pending = stats::DurationDistribution::Deterministic(0.0);
-  SequentialScalerOptions opts;
-  opts.variant = ScalerVariant::kHittingProbability;
-  opts.alpha = 0.5;
-  RobustScalerPolicy policy(intensity, pending, opts);
-  McSamples s;
-  s.xi = {1.0, 2.0, 3.0, 4.0, 5.0};
-  s.tau = {0.0, 0.0, 0.0, 0.0, 0.0};
-  auto d = policy.SolveOne(s);
-  ASSERT_TRUE(d.ok());
-  EXPECT_NEAR(d->creation_time, 3.0, 1e-9);  // Median of xi.
-}
-
 }  // namespace
 }  // namespace rs::core

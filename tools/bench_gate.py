@@ -10,8 +10,10 @@ Shared CI runners make absolute throughput noisy, so the *gated* metrics are
 ratios measured within one run of one binary on one machine — they cancel
 the machine out and collapse only when the optimization itself regresses:
 
-  plan_hot_path  : per-(variant, R) `speedup` (reference kernels vs
-                   optimized kernels);
+  plan_hot_path  : per-(variant, R) `speedup` (wall time of the
+                   core::RunReferenceRound oracle over that of the
+                   optimized planning round, both run by the bench over
+                   the same round schedule);
   fleet_scaling  : per-threads `speedup` over the run's own 1-thread
                    baseline;
   training_time  : per-scenario `decision_ms` (the paper's "< 5 ms per

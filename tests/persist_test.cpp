@@ -16,6 +16,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -766,6 +769,53 @@ TEST(PersistFleetTest, FailedMigrationLeavesBothFleetsUnchanged) {
   EXPECT_EQ(source.size(), 0u);
   EXPECT_EQ(target.size(), 2u);
   EXPECT_NE(target.Find("svc-moved"), nullptr);
+}
+
+// tests/data/example_fleet.rsnp is a SaveFleet container written by the
+// codec before its records moved onto field lists, and is never
+// regenerated. The golden digests only prove that a decoder reads what the
+// matching encoder writes; this fixture proves the decoder still reads what
+// the old encoder wrote, and that re-encoding gives back the same bytes.
+//
+// Recipe: five tenants, one per registered strategy ("drift" robust_hp with
+// target=0.9, "rt" robust_rt, "cost" robust_cost, "quarantined"
+// backup_pool, "adapt" adaptive_backup_pool), each trained on 3600 s of a
+// sine-modulated 0.2 qps trace (60 s bins, period 1200 s) with a 1800 s
+// forecast, 20 Monte Carlo samples and a 60 s planning interval. The fleet
+// enables freshness (dt 60 s, horizon 1800 s, min retrain interval 60 s,
+// inline retrains) and serves a 0.2 qps stream per tenant with PlanAll
+// every 60 s through t = 1320 s. The "drift" tenant's rate quadruples at
+// 600 s, so its detector latches, and every train.refit fails for it, so
+// the latch and the warm start the session carries from training both
+// stay. Every fleet.plan of "quarantined" from its 20th fails, so its
+// breaker is open (quarantined, retry pending) at the cut.
+TEST(PersistFleetTest, CommittedFleetFixtureReencodesByteForByte) {
+  const std::string path =
+      (std::filesystem::path(__FILE__).parent_path() / "data" /
+       "example_fleet.rsnp")
+          .string();
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file) << path;
+  const std::string fixture((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+  std::istringstream in(fixture);
+  auto loaded = ScalerFleet::LoadFleet(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Tenants(), (std::vector<std::string>{
+                                   "drift", "rt", "cost", "quarantined",
+                                   "adapt"}));
+  auto drift = loaded->Freshness("drift");
+  ASSERT_TRUE(drift.ok());
+  EXPECT_EQ(drift->drift, ts::DriftKind::kRateShift);
+  auto health = loaded->Health("quarantined");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(health->health, TenantHealth::kQuarantined);
+
+  std::ostringstream out;
+  ASSERT_TRUE(loaded->SaveFleet(out).ok());
+  EXPECT_TRUE(out.str() == fixture)
+      << "re-encoded " << out.str().size() << " bytes differ from the "
+      << fixture.size() << "-byte fixture";
 }
 
 }  // namespace

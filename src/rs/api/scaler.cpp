@@ -8,9 +8,35 @@
 #include <utility>
 #include <vector>
 
-#include "rs/persist/persist.hpp"
+#include "rs/baselines/adaptive_backup_pool.hpp"
+#include "rs/baselines/backup_pool.hpp"
+#include "rs/core/sequential_scaler.hpp"
+#include "rs/persist/fields.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/train/training_session.hpp"
+
+namespace rs::workload {
+
+// A forecast is one field of the TRND record: its bin width, then its
+// rates. Decoding re-runs Make's domain validation.
+static void Put(persist::Writer* w, const PiecewiseConstantIntensity& f) {
+  w->WriteDouble(f.dt());
+  w->WriteDoubleVector(f.rates());
+}
+
+static Status Get(persist::Reader* r, PiecewiseConstantIntensity* f) {
+  RS_ASSIGN_OR_RETURN(const double dt, r->ReadDouble());
+  std::vector<double> rates;
+  RS_RETURN_NOT_OK(r->ReadDoubleVector(&rates));
+  return persist::Store(PiecewiseConstantIntensity::Make(std::move(rates), dt),
+                        f);
+}
+
+static void Show(std::ostream& os, const PiecewiseConstantIntensity& f) {
+  os << f.rates().size() << " bins x " << f.dt() << " s";
+}
+
+}  // namespace rs::workload
 
 namespace rs::api {
 
@@ -23,18 +49,108 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// branch on the read value to migrate old snapshots.
 constexpr std::uint32_t kScalerLayerVersion = 1;
 
-void WriteDuration(persist::Writer* writer,
-                   const stats::DurationDistribution& d) {
-  writer->WriteU8(static_cast<std::uint8_t>(d.kind()));
-  writer->WriteDouble(d.param1());
-  writer->WriteDouble(d.param2());
+/// The head of the SCLR record: its layout version, then SPEC (the
+/// structured strategy spec: bit-exact parameter values, where the
+/// formatted name string is lossy), CTXT (the builder-time factory
+/// defaults Build() fed the registry) and TRND (the forecast, the only
+/// training artifact serving reads, plus the detected period for reports).
+/// The strategy's model record and the serving mirror follow.
+template <class Io, class Spec, class Context, class Trained>
+Status ScalerHeadFields(Io& io, Spec& spec, Context& context,
+                        Trained& trained) {
+  io.Version("Scaler snapshot record", kScalerLayerVersion);
+  io.Section("strategy spec", persist::kTagSpec, [&] {
+    io("name", spec.name);
+    io("params", spec.params);
+  });
+  io.Section("build defaults", persist::kTagBuildContext, [&] {
+    io("pending", context.pending);
+    io("mc_samples", context.mc_samples);
+    io("planning_interval", context.planning_interval);
+    io("seed", context.seed);
+  });
+  io.Section("trained model", persist::kTagTrained, [&] {
+    io("forecast", trained.forecast);
+    io("period", trained.period.period);
+    io("acf_value", trained.period.acf_value);
+    io("p_value", trained.period.p_value);
+  });
+  return io.status();
 }
 
-Result<stats::DurationDistribution> ReadDuration(persist::Reader* reader) {
-  RS_ASSIGN_OR_RETURN(const std::uint8_t kind, reader->ReadU8());
-  RS_ASSIGN_OR_RETURN(const double p1, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const double p2, reader->ReadDouble());
-  return stats::DurationDistribution::FromRawParams(kind, p1, p2);
+/// The leading scalars of the MIRR section; its schedule, live set and
+/// retained windows follow them, written by hand.
+struct MirrorScalars {
+  /// The clock pointer cannot travel; `injected_clock` records whether one
+  /// was set, so restore can demand a replacement.
+  sim::EngineOptions options;
+  bool injected_clock = false;
+  double retention_override = 0.0;
+  // Event-loop position and lifetime counters.
+  bool started = false;
+  double now = 0.0;
+  double next_tick = 0.0;
+  std::size_t total_arrivals = 0;
+  std::size_t cold_starts = 0;
+  std::size_t creations_requested = 0;
+  std::size_t deletions_requested = 0;
+  std::uint64_t next_seq = 0;
+  std::uint64_t drain_watermark = 0;
+  std::size_t total_callbacks = 0;
+  /// The loop's RNG (pending-time draws) and the decision clock's logical
+  /// position (deterministic clocks only; a steady clock exports nothing
+  /// and resumes on real wall time).
+  stats::Rng rng;
+  bool has_clock_position = false;
+  double clock_time = 0.0;
+  std::uint64_t clock_readings = 0;
+};
+
+template <class Io, class Rec>
+Status MirrorFields(Io& io, Rec& m) {
+  io("pending", m.options.pending);
+  io("seed", m.options.seed);
+  io("charge_decision_wall_time", m.options.charge_decision_wall_time);
+  io("creation_latency", m.options.creation_latency);
+  io("pending_jitter", m.options.pending_jitter);
+  io("charge_idle_until_horizon", m.options.charge_idle_until_horizon);
+  io("injected_clock", m.injected_clock);
+  io("retention_override", m.retention_override);
+  io("started", m.started);
+  io("now", m.now);
+  io("next_tick", m.next_tick);
+  io("arrivals", m.total_arrivals);
+  io("cold_starts", m.cold_starts);
+  io("creations_requested", m.creations_requested);
+  io("deletions_requested", m.deletions_requested);
+  io("next_seq", m.next_seq);
+  io("drain_watermark", m.drain_watermark);
+  io("callbacks", m.total_callbacks);
+  io("rng", m.rng);
+  io("clock_position", m.has_clock_position);
+  io("clock_time", m.clock_time);
+  io("clock_readings", m.clock_readings);
+  return io.status();
+}
+
+/// STRA holds the strategy's own model record: the built-in strategies
+/// print theirs, any other prints as its tag and size.
+Status DescribeStrategyModel(persist::Printer* printer) {
+  persist::Reader* reader = printer->reader();
+  if (reader->remaining() == 0) return Status::OK();
+  RS_ASSIGN_OR_RETURN(const std::uint32_t tag, reader->PeekSectionTag());
+  switch (tag) {
+    case persist::kTagRobustModel:
+      return core::RobustScalerPolicy::DescribeModel(printer);
+    case persist::kTagBackupPoolModel:
+      return baseline::BackupPool::DescribeModel(printer);
+    case persist::kTagAdaptiveModel:
+      return baseline::AdaptiveBackupPool::DescribeModel(printer);
+    default:
+      printer->Line("model") << persist::TagToString(tag) << " ("
+                             << reader->remaining() << " bytes)\n";
+      return Status::OK();
+  }
 }
 
 }  // namespace
@@ -341,36 +457,8 @@ Status Scaler::SaveState(std::ostream& out) const {
 
 Status Scaler::SaveStateSection(persist::Writer* writer) const {
   writer->BeginSection(persist::kTagScaler);
-  writer->WriteU32(kScalerLayerVersion);
-
-  // SPEC: the structured strategy spec (bit-exact parameter values; the
-  // formatted name string is lossy).
-  writer->BeginSection(persist::kTagSpec);
-  writer->WriteString(spec_.name);
-  writer->WriteU64(spec_.params.size());
-  for (const auto& [key, value] : spec_.params) {
-    writer->WriteString(key);
-    writer->WriteDouble(value);
-  }
-  writer->EndSection();
-
-  // CTXT: the builder-time factory defaults Build() fed the registry.
-  writer->BeginSection(persist::kTagBuildContext);
-  WriteDuration(writer, build_context_.pending);
-  writer->WriteU64(build_context_.mc_samples);
-  writer->WriteDouble(build_context_.planning_interval);
-  writer->WriteU64(build_context_.seed);
-  writer->EndSection();
-
-  // TRND: the forecast (the only training artifact serving reads) plus the
-  // detected period for reports.
-  writer->BeginSection(persist::kTagTrained);
-  writer->WriteDouble(trained_.forecast.dt());
-  writer->WriteDoubleVector(trained_.forecast.rates());
-  writer->WriteU64(trained_.period.period);
-  writer->WriteDouble(trained_.period.acf_value);
-  writer->WriteDouble(trained_.period.p_value);
-  writer->EndSection();
+  persist::Encoder io(writer);
+  ScalerHeadFields(io, spec_, build_context_, trained_);
 
   // STRA: the strategy's mutable model state.
   writer->BeginSection(persist::kTagStrategyModel);
@@ -384,45 +472,46 @@ Status Scaler::SaveStateSection(persist::Writer* writer) const {
   return Status::OK();
 }
 
+Status Scaler::DescribeState(persist::Printer* printer) {
+  printer->Section("scaler", persist::kTagScaler, [printer] {
+    StrategySpec spec;
+    StrategyBuildContext build_context;
+    core::TrainedPipeline trained;
+    ScalerHeadFields(*printer, spec, build_context, trained);
+    printer->Section("strategy model", persist::kTagStrategyModel, [printer] {
+      printer->Latch(DescribeStrategyModel(printer));
+    });
+    // The schedule, live set and windows after the scalars are skipped.
+    MirrorScalars mirror;
+    printer->Section("serving mirror", persist::kTagMirror,
+                     [&] { MirrorFields(*printer, mirror); });
+  });
+  return printer->status();
+}
+
 Status Scaler::SaveServingState(persist::Writer* writer) const {
   const Serving& s = *serving_;
   const sim::EventLoop& loop = s.loop;
+  MirrorScalars m;
+  m.options = loop.options;
+  m.injected_clock = loop.options.decision_clock != nullptr;
+  m.retention_override = retention_override_;
+  m.started = loop.started;
+  m.now = loop.now;
+  m.next_tick = loop.next_tick;
+  m.total_arrivals = loop.total_arrivals;
+  m.cold_starts = s.cold_starts;
+  m.creations_requested = s.creations_requested;
+  m.deletions_requested = s.deletions_requested;
+  m.next_seq = loop.next_seq;
+  m.drain_watermark = s.drain_watermark;
+  m.total_callbacks = s.total_callbacks;
+  m.rng = loop.rng;
+  m.has_clock_position =
+      loop.clock->ExportPosition(&m.clock_time, &m.clock_readings);
   writer->BeginSection(persist::kTagMirror);
-
-  // Engine options (the clock pointer itself cannot travel; a flag records
-  // whether one was injected so restore can demand a replacement).
-  WriteDuration(writer, loop.options.pending);
-  writer->WriteU64(loop.options.seed);
-  writer->WriteBool(loop.options.charge_decision_wall_time);
-  writer->WriteDouble(loop.options.creation_latency);
-  writer->WriteDouble(loop.options.pending_jitter);
-  writer->WriteBool(loop.options.charge_idle_until_horizon);
-  writer->WriteBool(loop.options.decision_clock != nullptr);
-  writer->WriteDouble(retention_override_);
-
-  // Event-loop position and lifetime counters.
-  writer->WriteBool(loop.started);
-  writer->WriteDouble(loop.now);
-  writer->WriteDouble(loop.next_tick);
-  writer->WriteU64(loop.total_arrivals);
-  writer->WriteU64(s.cold_starts);
-  writer->WriteU64(s.creations_requested);
-  writer->WriteU64(s.deletions_requested);
-  writer->WriteU64(loop.next_seq);
-  writer->WriteU64(s.drain_watermark);
-  writer->WriteU64(s.total_callbacks);
-
-  // The loop's RNG (pending-time draws) and the decision clock's logical
-  // position (deterministic clocks only; a steady clock exports nothing
-  // and resumes on real wall time).
-  persist::WriteRngState(writer, loop.rng);
-  double clock_time = 0.0;
-  std::uint64_t clock_readings = 0;
-  const bool has_clock_position =
-      loop.clock->ExportPosition(&clock_time, &clock_readings);
-  writer->WriteBool(has_clock_position);
-  writer->WriteDouble(clock_time);
-  writer->WriteU64(clock_readings);
+  persist::Encoder io(writer);
+  MirrorFields(io, m);
 
   // Scheduled future creations, drained from a copy in (time, seq) order.
   auto schedule = loop.schedule;
@@ -458,62 +547,46 @@ Status Scaler::SaveServingState(persist::Writer* writer) const {
 Status Scaler::LoadServingState(persist::Reader* reader,
                                 sim::DecisionClock* restore_clock) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagMirror));
-
-  sim::EngineOptions options;
-  RS_ASSIGN_OR_RETURN(options.pending, ReadDuration(reader));
-  RS_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(options.charge_decision_wall_time, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(options.creation_latency, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(options.pending_jitter, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(options.charge_idle_until_horizon, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(const bool had_injected_clock, reader->ReadBool());
-  if (had_injected_clock && restore_clock == nullptr) {
+  MirrorScalars m;
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(MirrorFields(io, m));
+  if (m.injected_clock && restore_clock == nullptr) {
     return Status::Invalid(
         "snapshot was taken with an injected DecisionClock; pass a "
         "replacement via ScalerRestoreOptions::decision_clock (restoring "
         "onto wall time would silently break the deterministic "
         "continuation)");
   }
-  options.decision_clock = restore_clock;
-  RS_RETURN_NOT_OK(sim::ValidateEngineOptions(options));
-  RS_ASSIGN_OR_RETURN(const double retention, reader->ReadDouble());
-  if (std::isnan(retention) || retention < 0.0) {
+  m.options.decision_clock = restore_clock;
+  RS_RETURN_NOT_OK(sim::ValidateEngineOptions(m.options));
+  if (std::isnan(m.retention_override) || m.retention_override < 0.0) {
     return Status::Invalid(
         "snapshot carries a negative or NaN history-retention override");
   }
-  retention_override_ = retention;
+  retention_override_ = m.retention_override;
 
-  serving_ = std::make_unique<Serving>(strategy_.get(), options);
+  serving_ = std::make_unique<Serving>(strategy_.get(), m.options);
   Serving& s = *serving_;
   sim::EventLoop& loop = s.loop;
-  RS_ASSIGN_OR_RETURN(loop.started, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(loop.now, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(loop.next_tick, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t total_arrivals, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t cold_starts, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t creations, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t deletions, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(loop.next_seq, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(s.drain_watermark, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t callbacks, reader->ReadU64());
-  loop.total_arrivals = static_cast<std::size_t>(total_arrivals);
-  s.cold_starts = static_cast<std::size_t>(cold_starts);
-  s.creations_requested = static_cast<std::size_t>(creations);
-  s.deletions_requested = static_cast<std::size_t>(deletions);
-  s.total_callbacks = static_cast<std::size_t>(callbacks);
-
-  RS_RETURN_NOT_OK(persist::ReadRngState(reader, &loop.rng));
-  RS_ASSIGN_OR_RETURN(const bool has_clock_position, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(const double clock_time, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t clock_readings, reader->ReadU64());
-  if (has_clock_position) {
+  loop.started = m.started;
+  loop.now = m.now;
+  loop.next_tick = m.next_tick;
+  loop.total_arrivals = m.total_arrivals;
+  s.cold_starts = m.cold_starts;
+  s.creations_requested = m.creations_requested;
+  s.deletions_requested = m.deletions_requested;
+  loop.next_seq = m.next_seq;
+  s.drain_watermark = m.drain_watermark;
+  s.total_callbacks = m.total_callbacks;
+  loop.rng = m.rng;
+  if (m.has_clock_position) {
     if (restore_clock == nullptr) {
       return Status::Invalid(
           "snapshot carries a decision-clock position but no clock flag; "
           "the file is corrupt");
     }
     RS_RETURN_NOT_OK(
-        restore_clock->ImportPosition(clock_time, clock_readings));
+        restore_clock->ImportPosition(m.clock_time, m.clock_readings));
   }
 
   RS_ASSIGN_OR_RETURN(const std::uint64_t schedule_size, reader->ReadU64());
@@ -729,52 +802,17 @@ Result<Scaler> ScalerBuilder::RestoreState(std::istream& in,
 Result<Scaler> ScalerBuilder::RestoreStateSection(
     persist::Reader* reader, const ScalerRestoreOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagScaler));
-  std::uint32_t layer_version = 0;
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("Scaler snapshot record",
-                                            kScalerLayerVersion,
-                                            &layer_version));
-
-  // SPEC: the structured strategy spec.
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagSpec));
   StrategySpec spec;
-  RS_ASSIGN_OR_RETURN(spec.name, reader->ReadString());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t param_count, reader->ReadU64());
-  for (std::uint64_t i = 0; i < param_count; ++i) {
-    RS_ASSIGN_OR_RETURN(std::string key, reader->ReadString());
-    RS_ASSIGN_OR_RETURN(const double value, reader->ReadDouble());
-    spec.params[std::move(key)] = value;
-  }
-  RS_RETURN_NOT_OK(reader->ExitSection());
-
-  // CTXT: factory defaults.
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagBuildContext));
   Scaler::StrategyBuildContext build_context;
-  RS_ASSIGN_OR_RETURN(build_context.pending, ReadDuration(reader));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t mc_samples, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(build_context.planning_interval, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(build_context.seed, reader->ReadU64());
-  if (mc_samples == 0 || !(build_context.planning_interval > 0.0)) {
+  core::TrainedPipeline trained;
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(ScalerHeadFields(io, spec, build_context, trained));
+  if (build_context.mc_samples == 0 ||
+      !(build_context.planning_interval > 0.0)) {
     return Status::Invalid(
         "snapshot carries out-of-domain strategy build defaults "
         "(mc_samples must be >= 1, planning interval > 0 s)");
   }
-  build_context.mc_samples = static_cast<std::size_t>(mc_samples);
-  RS_RETURN_NOT_OK(reader->ExitSection());
-
-  // TRND: the forecast. Make() re-runs the full domain validation.
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTrained));
-  core::TrainedPipeline trained;
-  RS_ASSIGN_OR_RETURN(const double dt, reader->ReadDouble());
-  std::vector<double> rates;
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&rates));
-  RS_ASSIGN_OR_RETURN(
-      trained.forecast,
-      workload::PiecewiseConstantIntensity::Make(std::move(rates), dt));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t detected_period, reader->ReadU64());
-  trained.period.period = static_cast<std::size_t>(detected_period);
-  RS_ASSIGN_OR_RETURN(trained.period.acf_value, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(trained.period.p_value, reader->ReadDouble());
-  RS_RETURN_NOT_OK(reader->ExitSection());
 
   // Rebuild the strategy through the registry (re-running every factory
   // validation), then overlay the snapshot's mutable model state.

@@ -244,6 +244,9 @@ class Scaler {
   /// persisted — serving only needs the forecast; retrain if you need them.
   Status SaveState(std::ostream& out) const;
 
+  /// Prints a SCLR section field by field (the rs_snapshot inspector).
+  static Status DescribeState(persist::Printer* printer);
+
  private:
   friend class ScalerBuilder;
   friend class ScalerFleet;  // Nests SaveStateSection into fleet records.

@@ -13,7 +13,7 @@
 #include "rs/api/serving_tap.hpp"
 #include "rs/fault/fault.hpp"
 #include "rs/persist/atomic_file.hpp"
-#include "rs/persist/persist.hpp"
+#include "rs/persist/fields.hpp"
 
 namespace rs::api {
 
@@ -129,70 +129,103 @@ Status ValidatePolicy(const FreshnessPolicy& policy) {
   return Status::OK();
 }
 
-void WritePolicy(persist::Writer* writer, const FreshnessPolicy& policy) {
-  writer->BeginSection(persist::kTagFreshnessPolicy);
-  writer->WriteU32(kPolicyVersion);
-  // Pipeline subset: exactly the knobs the background refit consumes.
-  writer->WriteDouble(policy.pipeline.dt);
-  writer->WriteDouble(policy.pipeline.beta1);
-  writer->WriteDouble(policy.pipeline.beta2);
-  writer->WriteDouble(policy.pipeline.forecast_horizon);
-  writer->WriteDouble(policy.pipeline.admm.rho);
-  writer->WriteU64(policy.pipeline.admm.max_iterations);
-  writer->WriteDouble(policy.pipeline.admm.abs_tolerance);
-  writer->WriteDouble(policy.pipeline.admm.rel_tolerance);
-  writer->WriteDouble(policy.pipeline.admm.r_clamp);
-  writer->WriteU64(policy.pipeline.periodicity.aggregate_factor);
-  writer->WriteU64(policy.detector.warmup_bins);
-  writer->WriteDouble(policy.detector.min_rate);
-  writer->WriteDouble(policy.detector.delta);
-  writer->WriteDouble(policy.detector.threshold);
-  writer->WriteDouble(policy.detector.min_profile_correlation);
-  writer->WriteDouble(policy.detector.profile_cusum_threshold);
-  writer->WriteBool(policy.detector.check_periodicity);
-  writer->WriteDouble(policy.min_retrain_interval);
-  writer->WriteU64(policy.retrain_workers);
-  writer->EndSection();
+/// The FPOL record: exactly the pipeline knobs the background refit
+/// consumes, the detector knobs and the retrain cadence.
+template <class Io, class Rec>
+Status PolicyFields(Io& io, Rec& policy) {
+  auto& pipeline = policy.pipeline;
+  auto& detector = policy.detector;
+  io.Section("freshness policy", persist::kTagFreshnessPolicy, [&] {
+    const std::uint32_t version =
+        io.Version("fleet snapshot freshness-policy", kPolicyVersion);
+    io("dt", pipeline.dt);
+    io("beta1", pipeline.beta1);
+    io("beta2", pipeline.beta2);
+    io("forecast_horizon", pipeline.forecast_horizon);
+    io("admm.rho", pipeline.admm.rho);
+    io("admm.max_iterations", pipeline.admm.max_iterations);
+    if (version >= 2) {
+      io("admm.abs_tolerance", pipeline.admm.abs_tolerance);
+      io("admm.rel_tolerance", pipeline.admm.rel_tolerance);
+    } else {
+      // v1's raw residual-norm bounds: read and dropped, so the policy
+      // keeps the default ε_abs/ε_rel.
+      double raw_bound = 0.0;
+      io("admm.v1_abs_bound", raw_bound);
+      io("admm.v1_rel_bound", raw_bound);
+    }
+    io("admm.r_clamp", pipeline.admm.r_clamp);
+    io("periodicity.aggregate_factor", pipeline.periodicity.aggregate_factor);
+    io("detector.warmup_bins", detector.warmup_bins);
+    io("detector.min_rate", detector.min_rate);
+    io("detector.delta", detector.delta);
+    io("detector.threshold", detector.threshold);
+    io("detector.min_profile_correlation", detector.min_profile_correlation);
+    io("detector.profile_cusum_threshold", detector.profile_cusum_threshold);
+    io("detector.check_periodicity", detector.check_periodicity);
+    io("min_retrain_interval", policy.min_retrain_interval);
+    io("retrain_workers", policy.retrain_workers);
+  });
+  return io.status();
 }
 
-Result<FreshnessPolicy> ReadPolicy(persist::Reader* reader) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshnessPolicy));
-  std::uint32_t version = 0;
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("fleet snapshot freshness-policy",
-                                            kPolicyVersion, &version));
+/// What the FLET record holds ahead of its TENT records.
+struct FleetHead {
+  bool freshness = false;
   FreshnessPolicy policy;
-  RS_ASSIGN_OR_RETURN(policy.pipeline.dt, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.pipeline.beta1, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.pipeline.beta2, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.pipeline.forecast_horizon, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.pipeline.admm.rho, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t max_iter, reader->ReadU64());
-  policy.pipeline.admm.max_iterations = static_cast<std::size_t>(max_iter);
-  RS_ASSIGN_OR_RETURN(const double abs_tolerance, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const double rel_tolerance, reader->ReadDouble());
-  if (version >= 2) {
-    policy.pipeline.admm.abs_tolerance = abs_tolerance;
-    policy.pipeline.admm.rel_tolerance = rel_tolerance;
-  }
-  RS_ASSIGN_OR_RETURN(policy.pipeline.admm.r_clamp, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t aggregate, reader->ReadU64());
-  policy.pipeline.periodicity.aggregate_factor =
-      static_cast<std::size_t>(aggregate);
-  RS_ASSIGN_OR_RETURN(const std::uint64_t warmup, reader->ReadU64());
-  policy.detector.warmup_bins = static_cast<std::size_t>(warmup);
-  RS_ASSIGN_OR_RETURN(policy.detector.min_rate, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.detector.delta, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.detector.threshold, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.detector.min_profile_correlation,
-                      reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.detector.profile_cusum_threshold,
-                      reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(policy.detector.check_periodicity, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(policy.min_retrain_interval, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const std::uint64_t workers, reader->ReadU64());
-  policy.retrain_workers = static_cast<std::size_t>(workers);
-  RS_RETURN_NOT_OK(reader->ExitSection());
-  return policy;
+  std::uint64_t tenants = 0;
+};
+
+/// The FLET record's head: the layout version, the freshness policy when
+/// the loop is on (v2+), and the number of TENT records that follow.
+template <class Io, class Rec>
+Status FleetHeadFields(Io& io, Rec& head) {
+  const std::uint32_t version =
+      io.Version("fleet snapshot record", kFleetLayerVersion);
+  if (version >= 2) io("freshness", head.freshness);
+  if (head.freshness) PolicyFields(io, head.policy);
+  io("tenants", head.tenants);
+  return io.status();
+}
+
+/// The FRSH record's scalars (per-tenant loop state); the DRFT and TSES
+/// records follow them in the same section.
+template <class Io, class Base, class Fresh>
+Status FreshnessFields(Io& io, Base& base, Fresh& fresh) {
+  io.Version("tenant snapshot freshness", kFreshnessVersion);
+  io("model_origin", base);
+  io("shift", fresh.shift);
+  io("last_attempt", fresh.last_attempt);
+  io("drift_counted", fresh.drift_counted);
+  io("drift_events", fresh.counters.drift_events);
+  io("retrains_completed", fresh.counters.retrains_completed);
+  io("retrain_failures", fresh.counters.retrain_failures);
+  io("swaps_applied", fresh.counters.swaps_applied);
+  io("last_swap_time", fresh.counters.last_swap_time);
+  return io.status();
+}
+
+/// The HLTH record.
+template <class Io, class Rec>
+Status HealthFields(Io& io, Rec& h) {
+  io.Section("health", persist::kTagHealth, [&] {
+    io.Version("tenant snapshot health", kHealthVersion);
+    io("state", h.health, TenantHealth::kQuarantined);
+    io("consecutive_plan_failures", h.consecutive_plan_failures);
+    io("plan_failures", h.plan_failures);
+    io("fallbacks_served", h.fallbacks_served);
+    io("rejected_observations", h.rejected_observations);
+    io("breaker_opens", h.breaker_opens);
+    io("probes", h.probes);
+    io("deadline_overruns", h.deadline_overruns);
+    io("consecutive_retrain_failures", h.consecutive_retrain_failures);
+    io("open_count", h.open_count);
+    io("freshness_errors", h.freshness_errors);
+    io("retry_at", h.retry_at);
+    io("retrain_retry_at", h.retrain_retry_at);
+    io("jitter_rng", h.jitter_rng);
+  });
+  return io.status();
 }
 
 /// One tenant's degradation record: the public TenantHealthInfo, which
@@ -1009,52 +1042,24 @@ Status ScalerFleet::WriteTenantRecord(persist::Writer* writer,
   writer->BeginSection(persist::kTagTenant);
   writer->WriteString(tenant.name);
   RS_RETURN_NOT_OK(tenant.scaler.SaveStateSection(writer));
+  persist::Encoder io(writer);
   if (tenant.fresh != nullptr) {
     // In-flight jobs and pending manual replacements are deliberately not
     // persisted: a latched drift survives, so a restored fleet simply
     // re-enqueues the retrain at its first plan boundary.
-    const FreshState& fresh = *tenant.fresh;
     writer->BeginSection(persist::kTagFreshness);
-    writer->WriteU32(kFreshnessVersion);
-    writer->WriteDouble(tenant.base);
-    writer->WriteDouble(fresh.shift);
-    writer->WriteDouble(fresh.last_attempt);
-    writer->WriteBool(fresh.drift_counted);
-    writer->WriteU64(fresh.counters.drift_events);
-    writer->WriteU64(fresh.counters.retrains_completed);
-    writer->WriteU64(fresh.counters.retrain_failures);
-    writer->WriteU64(fresh.counters.swaps_applied);
-    writer->WriteDouble(fresh.counters.last_swap_time);
-    fresh.detector.Serialize(writer);
-    fresh.session.Serialize(writer);
+    FreshnessFields(io, tenant.base, *tenant.fresh);
+    tenant.fresh->detector.Serialize(writer);
+    tenant.fresh->session.Serialize(writer);
     writer->EndSection();
   }
-  {
-    // Health rides along so a restored fleet resumes its degradation state
-    // machine mid-backoff instead of amnesically re-probing everything.
-    // probe_inflight and last_error are transient within one boundary /
-    // diagnostic-only and are deliberately not persisted; RobustnessPolicy
-    // is runtime configuration (like worker_threads) and is re-applied by
-    // the operator after LoadFleet.
-    const HealthState& health = tenant.health;
-    writer->BeginSection(persist::kTagHealth);
-    writer->WriteU32(kHealthVersion);
-    writer->WriteU8(static_cast<std::uint8_t>(health.health));
-    writer->WriteU64(health.consecutive_plan_failures);
-    writer->WriteU64(health.plan_failures);
-    writer->WriteU64(health.fallbacks_served);
-    writer->WriteU64(health.rejected_observations);
-    writer->WriteU64(health.breaker_opens);
-    writer->WriteU64(health.probes);
-    writer->WriteU64(health.deadline_overruns);
-    writer->WriteU64(health.consecutive_retrain_failures);
-    writer->WriteU64(health.open_count);
-    writer->WriteU64(health.freshness_errors);
-    writer->WriteDouble(health.retry_at);
-    writer->WriteDouble(health.retrain_retry_at);
-    writer->WriteU64(health.jitter_rng);
-    writer->EndSection();
-  }
+  // Health rides along so a restored fleet resumes its degradation state
+  // machine mid-backoff instead of amnesically re-probing everything.
+  // probe_inflight and last_error are transient within one boundary /
+  // diagnostic-only and are deliberately not persisted; RobustnessPolicy
+  // is runtime configuration (like worker_threads) and is re-applied by
+  // the operator after LoadFleet.
+  HealthFields(io, tenant.health);
   writer->EndSection();
   return Status::OK();
 }
@@ -1074,69 +1079,52 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
   RS_ASSIGN_OR_RETURN(Scaler scaler,
                       ScalerBuilder::RestoreStateSection(reader, restore));
   auto tenant = std::make_unique<Tenant>(std::move(name), std::move(scaler));
-  if (reader->remaining() > 0) {
-    auto tag = reader->PeekSectionTag();
-    if (tag.ok() && tag.ValueOrDie() == persist::kTagFreshness) {
-      RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshness));
-      RS_RETURN_NOT_OK(reader->ReadLayerVersion("tenant snapshot freshness",
-                                                kFreshnessVersion));
-      auto fresh = std::make_unique<FreshState>();
-      TenantFreshness& counters = fresh->counters;
-      RS_ASSIGN_OR_RETURN(tenant->base, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(fresh->shift, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(fresh->last_attempt, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(fresh->drift_counted, reader->ReadBool());
-      RS_ASSIGN_OR_RETURN(counters.drift_events, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(counters.retrains_completed, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(counters.retrain_failures, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(counters.swaps_applied, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(counters.last_swap_time, reader->ReadDouble());
-      const ts::DriftDetectorOptions detector_options =
-          policy != nullptr ? policy->detector : ts::DriftDetectorOptions{};
-      RS_ASSIGN_OR_RETURN(
-          fresh->detector,
-          ts::DriftDetector::Deserialize(reader, detector_options));
-      const core::PipelineOptions pipeline_options =
-          policy != nullptr ? policy->pipeline : core::PipelineOptions{};
-      RS_ASSIGN_OR_RETURN(
-          fresh->session,
-          train::TrainingSession::Deserialize(reader, pipeline_options));
-      RS_RETURN_NOT_OK(reader->ExitSection());
-      tenant->fresh = std::move(fresh);
-    }
+  persist::Decoder io(reader);
+  // FRSH (fleet layer v2+) and HLTH (v3+) are optional, in this order.
+  if (reader->AtSection(persist::kTagFreshness)) {
+    RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshness));
+    auto fresh = std::make_unique<FreshState>();
+    RS_RETURN_NOT_OK(FreshnessFields(io, tenant->base, *fresh));
+    const ts::DriftDetectorOptions detector_options =
+        policy != nullptr ? policy->detector : ts::DriftDetectorOptions{};
+    RS_ASSIGN_OR_RETURN(fresh->detector, ts::DriftDetector::Deserialize(
+                                             reader, detector_options));
+    const core::PipelineOptions pipeline_options =
+        policy != nullptr ? policy->pipeline : core::PipelineOptions{};
+    RS_ASSIGN_OR_RETURN(
+        fresh->session,
+        train::TrainingSession::Deserialize(reader, pipeline_options));
+    RS_RETURN_NOT_OK(reader->ExitSection());
+    tenant->fresh = std::move(fresh);
   }
-  if (reader->remaining() > 0) {
-    auto tag = reader->PeekSectionTag();
-    if (tag.ok() && tag.ValueOrDie() == persist::kTagHealth) {
-      RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagHealth));
-      RS_RETURN_NOT_OK(reader->ReadLayerVersion("tenant snapshot health",
-                                                kHealthVersion));
-      HealthState& health = tenant->health;
-      RS_ASSIGN_OR_RETURN(const std::uint8_t state, reader->ReadU8());
-      if (state > static_cast<std::uint8_t>(TenantHealth::kQuarantined)) {
-        return Status::Invalid("tenant snapshot carries unknown health state " +
-                               std::to_string(state));
-      }
-      health.health = static_cast<TenantHealth>(state);
-      RS_ASSIGN_OR_RETURN(health.consecutive_plan_failures, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.plan_failures, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.fallbacks_served, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.rejected_observations, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.breaker_opens, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.probes, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.deadline_overruns, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.consecutive_retrain_failures,
-                          reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.open_count, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.freshness_errors, reader->ReadU64());
-      RS_ASSIGN_OR_RETURN(health.retry_at, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(health.retrain_retry_at, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(health.jitter_rng, reader->ReadU64());
-      RS_RETURN_NOT_OK(reader->ExitSection());
-    }
+  if (reader->AtSection(persist::kTagHealth)) {
+    RS_RETURN_NOT_OK(HealthFields(io, tenant->health));
   }
   RS_RETURN_NOT_OK(reader->ExitSection());
   return tenant;
+}
+
+Status ScalerFleet::DescribeTenantRecord(persist::Printer* printer) {
+  printer->Section("tenant", persist::kTagTenant, [printer] {
+    std::string name;
+    (*printer)("name", name);
+    printer->Latch(Scaler::DescribeState(printer));
+    persist::Reader* reader = printer->reader();
+    if (printer->ok() && reader->AtSection(persist::kTagFreshness)) {
+      double base = 0.0;
+      FreshState fresh;
+      printer->Section("freshness state", persist::kTagFreshness, [&] {
+        FreshnessFields(*printer, base, fresh);
+        printer->Latch(ts::DriftDetector::Describe(printer));
+        printer->Latch(train::TrainingSession::Describe(printer));
+      });
+    }
+    if (printer->ok() && reader->AtSection(persist::kTagHealth)) {
+      HealthState health;
+      HealthFields(*printer, health);
+    }
+  });
+  return printer->status();
 }
 
 Status ScalerFleet::SnapshotTenant(const std::string& tenant,
@@ -1164,11 +1152,13 @@ Status ScalerFleet::RestoreTenant(std::istream& in,
 }
 
 Status ScalerFleet::SaveFleetSection(persist::Writer* writer) const {
+  FleetHead head;
+  head.freshness = policy_.has_value();
+  if (head.freshness) head.policy = *policy_;
+  head.tenants = tenants_.size();
   writer->BeginSection(persist::kTagFleet);
-  writer->WriteU32(kFleetLayerVersion);
-  writer->WriteBool(policy_.has_value());
-  if (policy_.has_value()) WritePolicy(writer, *policy_);
-  writer->WriteU64(tenants_.size());
+  persist::Encoder io(writer);
+  FleetHeadFields(io, head);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     RS_RETURN_NOT_OK(WriteTenantRecord(writer, i));
   }
@@ -1194,22 +1184,14 @@ Status ScalerFleet::SaveFleetToFile(const std::string& path) const {
 Result<ScalerFleet> ScalerFleet::LoadFleetSection(
     persist::Reader* reader, const FleetRestoreOptions& options) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFleet));
-  std::uint32_t layer_version = 0;
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("fleet snapshot record",
-                                            kFleetLayerVersion,
-                                            &layer_version));
+  FleetHead head;
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(FleetHeadFields(io, head));
   ScalerFleet fleet(options.worker_threads);
-  if (layer_version >= 2) {
-    RS_ASSIGN_OR_RETURN(const bool has_freshness, reader->ReadBool());
-    if (has_freshness) {
-      RS_ASSIGN_OR_RETURN(FreshnessPolicy policy, ReadPolicy(reader));
-      // Enable before registering, so every restored tenant's loop state
-      // binds to the policy as it lands.
-      RS_RETURN_NOT_OK(fleet.EnableFreshness(policy));
-    }
-  }
-  RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  for (std::uint64_t i = 0; i < count; ++i) {
+  // Enable before registering, so every restored tenant's loop state binds
+  // to the policy as it lands.
+  if (head.freshness) RS_RETURN_NOT_OK(fleet.EnableFreshness(head.policy));
+  for (std::uint64_t i = 0; i < head.tenants; ++i) {
     RS_ASSIGN_OR_RETURN(
         auto tenant,
         ReadTenantRecord(reader, options.decision_clock_for,
@@ -1219,6 +1201,17 @@ Result<ScalerFleet> ScalerFleet::LoadFleetSection(
   }
   RS_RETURN_NOT_OK(reader->ExitSection());
   return fleet;
+}
+
+Status ScalerFleet::DescribeFleetSection(persist::Printer* printer) {
+  printer->Section("fleet", persist::kTagFleet, [printer] {
+    FleetHead head;
+    FleetHeadFields(*printer, head);
+    for (std::uint64_t i = 0; i < head.tenants && printer->ok(); ++i) {
+      printer->Latch(DescribeTenantRecord(printer));
+    }
+  });
+  return printer->status();
 }
 
 Result<ScalerFleet> ScalerFleet::LoadFleet(std::istream& in,

@@ -461,6 +461,11 @@ class ScalerFleet {
   static Result<ScalerFleet> LoadFleetSection(
       persist::Reader* reader, const FleetRestoreOptions& options = {});
 
+  /// Print a FLET section (SaveFleet) or a TENT section (SnapshotTenant)
+  /// field by field (the rs_snapshot inspector).
+  static Status DescribeFleetSection(persist::Printer* printer);
+  static Status DescribeTenantRecord(persist::Printer* printer);
+
   /// \brief Moves one tenant to another live fleet: snapshot → restore into
   ///        `target` → retire here. The tenant's action sequence continues
   ///        byte-identically across the cut (same guarantee as

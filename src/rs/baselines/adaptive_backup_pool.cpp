@@ -5,13 +5,26 @@
 #include <string>
 
 #include "rs/common/logging.hpp"
-#include "rs/persist/persist.hpp"
+#include "rs/persist/fields.hpp"
 
 namespace rs::baseline {
 
 namespace {
 constexpr std::uint32_t kModelVersion = 1;
 }  // namespace
+
+/// The ABPM record.
+template <class Io, class Rec>
+Status AdaptiveModelFields(Io& io, Rec& pool) {
+  io.Section("adaptive backup pool model", persist::kTagAdaptiveModel, [&] {
+    io.Version("AdapBP model record", kModelVersion);
+    io("multiplier", pool.multiplier_);
+    io("update_interval", pool.update_interval_);
+    io("estimate_window", pool.estimate_window_);
+    io("target", pool.target_);
+  });
+  return io.status();
+}
 
 AdaptiveBackupPool::AdaptiveBackupPool(double multiplier,
                                        double update_interval,
@@ -61,32 +74,25 @@ sim::ScalingAction AdaptiveBackupPool::OnQueryArrival(
 }
 
 Status AdaptiveBackupPool::SerializeModel(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagAdaptiveModel);
-  writer->WriteU32(kModelVersion);
-  writer->WriteDouble(multiplier_);
-  writer->WriteDouble(update_interval_);
-  writer->WriteDouble(estimate_window_);
-  writer->WriteU64(target_);
-  writer->EndSection();
-  return Status::OK();
+  persist::Encoder io(writer);
+  return AdaptiveModelFields(io, *this);
 }
 
 Status AdaptiveBackupPool::DeserializeModel(persist::Reader* reader) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagAdaptiveModel));
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("AdapBP model record",
-                                            kModelVersion));
-  RS_ASSIGN_OR_RETURN(multiplier_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(update_interval_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(estimate_window_, reader->ReadDouble());
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(AdaptiveModelFields(io, *this));
   if (!(multiplier_ >= 0.0) || !(update_interval_ > 0.0) ||
       !(estimate_window_ > 0.0)) {
     return Status::Invalid(
         "AdapBP snapshot carries out-of-domain parameters (multiplier must "
         "be >= 0, intervals positive)");
   }
-  RS_ASSIGN_OR_RETURN(const std::uint64_t target, reader->ReadU64());
-  target_ = static_cast<std::size_t>(target);
-  return reader->ExitSection();
+  return Status::OK();
+}
+
+Status AdaptiveBackupPool::DescribeModel(persist::Printer* printer) {
+  AdaptiveBackupPool scratch(0.0);
+  return AdaptiveModelFields(*printer, scratch);
 }
 
 }  // namespace rs::baseline

@@ -31,11 +31,16 @@ class AdaptiveBackupPool : public sim::Autoscaler {
   /// OnPlanningTick resize); parameters ride along for the inspector.
   Status SerializeModel(persist::Writer* writer) const override;
   Status DeserializeModel(persist::Reader* reader) override;
+  /// Prints a kTagAdaptiveModel section field by field (rs_snapshot).
+  static Status DescribeModel(persist::Printer* printer);
 
   /// Pool size currently targeted (for tests).
   std::size_t current_target() const { return target_; }
 
  private:
+  template <class Io, class Rec>
+  friend Status AdaptiveModelFields(Io& io, Rec& pool);
+
   double multiplier_;
   double update_interval_;
   double estimate_window_;

@@ -2,13 +2,23 @@
 
 #include <string>
 
-#include "rs/persist/persist.hpp"
+#include "rs/persist/fields.hpp"
 
 namespace rs::baseline {
 
 namespace {
 constexpr std::uint32_t kModelVersion = 1;
 }  // namespace
+
+/// The BPMD record.
+template <class Io, class Rec>
+Status PoolModelFields(Io& io, Rec& pool) {
+  io.Section("backup pool model", persist::kTagBackupPoolModel, [&] {
+    io.Version("BP model record", kModelVersion);
+    io("pool_size", pool.pool_size_);
+  });
+  return io.status();
+}
 
 sim::ScalingAction BackupPool::Initialize(const sim::SimContext& ctx) {
   sim::ScalingAction action;
@@ -32,24 +42,26 @@ sim::ScalingAction BackupPool::OnQueryArrival(const sim::SimContext& ctx,
 }
 
 Status BackupPool::SerializeModel(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagBackupPoolModel);
-  writer->WriteU32(kModelVersion);
-  writer->WriteU64(pool_size_);
-  writer->EndSection();
-  return Status::OK();
+  persist::Encoder io(writer);
+  return PoolModelFields(io, *this);
 }
 
 Status BackupPool::DeserializeModel(persist::Reader* reader) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagBackupPoolModel));
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("BP model record", kModelVersion));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t pool_size, reader->ReadU64());
-  if (pool_size != pool_size_) {
+  BackupPool snapshot(0);
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(PoolModelFields(io, snapshot));
+  if (snapshot.pool_size_ != pool_size_) {
     return Status::Invalid(
         "BP snapshot/spec mismatch: snapshot was taken with pool_size=" +
-        std::to_string(pool_size) + " but the spec rebuilt pool_size=" +
-        std::to_string(pool_size_));
+        std::to_string(snapshot.pool_size_) +
+        " but the spec rebuilt pool_size=" + std::to_string(pool_size_));
   }
-  return reader->ExitSection();
+  return Status::OK();
+}
+
+Status BackupPool::DescribeModel(persist::Printer* printer) {
+  BackupPool scratch(0);
+  return PoolModelFields(*printer, scratch);
 }
 
 }  // namespace rs::baseline

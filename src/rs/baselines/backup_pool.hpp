@@ -28,10 +28,15 @@ class BackupPool : public sim::Autoscaler {
   /// against the rebuilt spec.
   Status SerializeModel(persist::Writer* writer) const override;
   Status DeserializeModel(persist::Reader* reader) override;
+  /// Prints a kTagBackupPoolModel section field by field (rs_snapshot).
+  static Status DescribeModel(persist::Printer* printer);
 
   std::size_t pool_size() const { return pool_size_; }
 
  private:
+  template <class Io, class Rec>
+  friend Status PoolModelFields(Io& io, Rec& pool);
+
   std::size_t pool_size_;
 };
 

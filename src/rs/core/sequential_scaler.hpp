@@ -190,6 +190,8 @@ class RobustScalerPolicy : public sim::Autoscaler {
   /// ComputeKappaBinarySearch, which lives outside every policy.
   Status SerializeModel(persist::Writer* writer) const override;
   Status DeserializeModel(persist::Reader* reader) override;
+  /// Prints a kTagRobustModel section field by field (rs_snapshot).
+  static Status DescribeModel(persist::Printer* printer);
 
   const SequentialScalerOptions& options() const { return options_; }
 
@@ -237,12 +239,6 @@ class HpCountScaler : public sim::Autoscaler {
 
   /// The κ computed at initialization (for tests).
   std::size_t kappa() const { return kappa_; }
-
-  /// Durable-snapshot support: RNG position plus the committed κ and the
-  /// arrivals-since-plan counter (both fix *when* the next plan fires, so
-  /// they are model state, not scratch). The workspace restarts cold.
-  Status SerializeModel(persist::Writer* writer) const override;
-  Status DeserializeModel(persist::Reader* reader) override;
 
  private:
   /// Plans x for the (first_j)-th … (first_j + count − 1)-th upcoming

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "rs/common/logging.hpp"
+#include "rs/persist/fields.hpp"
 
 namespace rs::persist {
 
@@ -376,6 +377,11 @@ Result<std::uint32_t> Reader::PeekSectionTag() const {
   return tag;
 }
 
+bool Reader::AtSection(std::uint32_t tag) const {
+  const Result<std::uint32_t> next = PeekSectionTag();
+  return next.ok() && *next == tag;
+}
+
 Status Reader::EnterSection(std::uint32_t expected) {
   RS_ASSIGN_OR_RETURN(const std::uint32_t tag, ReadU32());
   if (tag != expected) {
@@ -426,6 +432,62 @@ Status ReadRngState(Reader* reader, stats::Rng* rng) {
   RS_ASSIGN_OR_RETURN(state.cached_gaussian, reader->ReadDouble());
   rng->RestoreState(state);
   return Status::OK();
+}
+
+// -- Field types (fields.hpp) ----------------------------------------------
+
+void Put(Writer* w, const std::map<std::string, double>& v) {
+  w->WriteU64(v.size());
+  for (const auto& [key, value] : v) {
+    w->WriteString(key);
+    w->WriteDouble(value);
+  }
+}
+
+Status Get(Reader* r, std::map<std::string, double>* v) {
+  RS_ASSIGN_OR_RETURN(const std::uint64_t count, r->ReadU64());
+  v->clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    RS_ASSIGN_OR_RETURN(std::string key, r->ReadString());
+    RS_ASSIGN_OR_RETURN((*v)[std::move(key)], r->ReadDouble());
+  }
+  return Status::OK();
+}
+
+void Show(std::ostream& os, const std::map<std::string, double>& v) {
+  const char* sep = "{";
+  for (const auto& [key, value] : v) {
+    os << sep << key << ": " << value;
+    sep = ", ";
+  }
+  os << (v.empty() ? "{}" : "}");
+}
+
+void Put(Writer* w, const stats::DurationDistribution& v) {
+  w->WriteU8(static_cast<std::uint8_t>(v.kind()));
+  w->WriteDouble(v.param1());
+  w->WriteDouble(v.param2());
+}
+
+Status Get(Reader* r, stats::DurationDistribution* v) {
+  RS_ASSIGN_OR_RETURN(const std::uint8_t kind, r->ReadU8());
+  RS_ASSIGN_OR_RETURN(const double p1, r->ReadDouble());
+  RS_ASSIGN_OR_RETURN(const double p2, r->ReadDouble());
+  return Store(stats::DurationDistribution::FromRawParams(kind, p1, p2), v);
+}
+
+void Show(std::ostream& os, const stats::DurationDistribution& v) {
+  static const char* const kNames[] = {"deterministic", "exponential",
+                                       "lognormal", "weibull", "uniform"};
+  os << kNames[static_cast<int>(v.kind())] << '(' << v.param1() << ", "
+     << v.param2() << ')';
+}
+
+void Show(std::ostream& os, const stats::Rng& v) {
+  const stats::Rng::State state = v.SaveState();
+  os << std::hex << state.s[0] << ' ' << state.s[1] << ' ' << state.s[2]
+     << ' ' << state.s[3] << std::dec;
+  if (state.have_cached_gaussian) os << " + gaussian " << state.cached_gaussian;
 }
 
 }  // namespace rs::persist

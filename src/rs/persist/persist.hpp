@@ -69,7 +69,6 @@ inline constexpr std::uint32_t kTagFleet = MakeTag('F', 'L', 'E', 'T');
 inline constexpr std::uint32_t kTagRobustModel = MakeTag('R', 'O', 'B', 'S');
 inline constexpr std::uint32_t kTagBackupPoolModel = MakeTag('B', 'P', 'M', 'D');
 inline constexpr std::uint32_t kTagAdaptiveModel = MakeTag('A', 'B', 'P', 'M');
-inline constexpr std::uint32_t kTagHpCountModel = MakeTag('H', 'P', 'C', 'M');
 inline constexpr std::uint32_t kTagFreshnessPolicy = MakeTag('F', 'P', 'O', 'L');
 inline constexpr std::uint32_t kTagFreshness = MakeTag('F', 'R', 'S', 'H');
 inline constexpr std::uint32_t kTagDriftDetector = MakeTag('D', 'R', 'F', 'T');
@@ -82,6 +81,8 @@ inline constexpr std::uint32_t kTagTraceMeta = MakeTag('T', 'M', 'E', 'T');
 inline constexpr std::uint32_t kTagTraceEvents = MakeTag('T', 'E', 'V', 'T');
 // rs::wal journal checkpoint container (docs/WAL_FORMAT.md).
 inline constexpr std::uint32_t kTagWalCheckpoint = MakeTag('W', 'C', 'K', 'P');
+
+class Printer;  // fields.hpp: the field-list printer describe entries take.
 
 /// CRC-32 (IEEE reflected, poly 0xEDB88320) over `n` bytes; chainable via
 /// `seed`. Exposed for the snapshot inspector and corruption tests.
@@ -200,6 +201,10 @@ class Reader {
 
   /// Tag of the next section without consuming it.
   Result<std::uint32_t> PeekSectionTag() const;
+
+  /// True when the innermost section's next bytes open a `tag` section
+  /// (false at its end or before anything else).
+  bool AtSection(std::uint32_t tag) const;
 
   /// Opens the next section, which must carry `expected` as its tag.
   Status EnterSection(std::uint32_t expected);

@@ -13,6 +13,7 @@
 namespace rs::persist {
 class Writer;
 class Reader;
+class Printer;
 }  // namespace rs::persist
 
 namespace rs::sim {

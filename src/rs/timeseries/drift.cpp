@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "rs/persist/fields.hpp"
+
 namespace rs::ts {
 
 namespace {
@@ -35,6 +37,26 @@ double Correlation(const std::vector<double>& a, const std::vector<double>& b) {
   return sab / std::sqrt(saa * sbb);
 }
 
+/// The geometry checks a built and a restored detector share. A non-finite
+/// origin makes AdvanceTo loop forever; an empty reference is read past
+/// its end.
+Status CheckGeometry(const std::vector<double>& expected_rates, double dt,
+                     double origin) {
+  if (!(dt > 0.0)) return Status::Invalid("DriftDetector: dt must be > 0");
+  if (!std::isfinite(origin)) {
+    return Status::Invalid("DriftDetector: origin must be finite");
+  }
+  if (expected_rates.empty()) {
+    return Status::Invalid("DriftDetector: expected_rates must be non-empty");
+  }
+  for (double r : expected_rates) {
+    if (!std::isfinite(r) || r < 0.0) {
+      return Status::Invalid("DriftDetector: expected rates must be finite");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* DriftKindToString(DriftKind kind) {
@@ -49,14 +71,32 @@ const char* DriftKindToString(DriftKind kind) {
   return "unknown";
 }
 
+/// The DRFT record.
+template <class Io, class Rec>
+Status DetectorFields(Io& io, Rec& d) {
+  io.Section("drift detector", persist::kTagDriftDetector, [&] {
+    io.Version("DriftDetector snapshot", kDetectorVersion);
+    io("dt", d.dt_);
+    io("origin", d.origin_);
+    io("period", d.period_);
+    io("expected", d.expected_);
+    io("bins_closed", d.bins_closed_);
+    io("open_count", d.open_count_);
+    io("g_up", d.g_up_);
+    io("g_down", d.g_down_);
+    io("ring", d.ring_);
+    io("corr_cusum", d.corr_cusum_);
+    io("kind", d.kind_, DriftKind::kPeriodicityBreak);
+    io("fired_time", d.fired_time_);
+  });
+  return io.status();
+}
+
 Result<DriftDetector> DriftDetector::Make(const DriftDetectorOptions& options,
                                           std::vector<double> expected_rates,
                                           double dt, std::size_t period_bins,
                                           double origin) {
-  if (!(dt > 0.0)) return Status::Invalid("DriftDetector: dt must be > 0");
-  if (expected_rates.empty()) {
-    return Status::Invalid("DriftDetector: expected_rates must be non-empty");
-  }
+  RS_RETURN_NOT_OK(CheckGeometry(expected_rates, dt, origin));
   if (!(options.threshold > 0.0)) {
     return Status::Invalid("DriftDetector: threshold must be > 0");
   }
@@ -66,11 +106,6 @@ Result<DriftDetector> DriftDetector::Make(const DriftDetectorOptions& options,
   if (!(options.profile_cusum_threshold > 0.0)) {
     return Status::Invalid(
         "DriftDetector: profile_cusum_threshold must be > 0");
-  }
-  for (double r : expected_rates) {
-    if (!std::isfinite(r) || r < 0.0) {
-      return Status::Invalid("DriftDetector: expected rates must be finite");
-    }
   }
   DriftDetector detector;
   detector.options_ = options;
@@ -160,57 +195,28 @@ void DriftDetector::AdvanceTo(double now) {
 }
 
 void DriftDetector::Serialize(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagDriftDetector);
-  writer->WriteU32(kDetectorVersion);
-  writer->WriteDouble(dt_);
-  writer->WriteDouble(origin_);
-  writer->WriteU64(period_);
-  writer->WriteDoubleVector(expected_);
-  writer->WriteU64(bins_closed_);
-  writer->WriteDouble(open_count_);
-  writer->WriteDouble(g_up_);
-  writer->WriteDouble(g_down_);
-  writer->WriteDoubleVector(ring_);
-  writer->WriteDouble(corr_cusum_);
-  writer->WriteU8(static_cast<std::uint8_t>(kind_));
-  writer->WriteDouble(fired_time_);
-  writer->EndSection();
+  persist::Encoder io(writer);
+  DetectorFields(io, *this);
 }
 
 Result<DriftDetector> DriftDetector::Deserialize(
     persist::Reader* reader, const DriftDetectorOptions& options) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagDriftDetector));
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("DriftDetector snapshot",
-                                            kDetectorVersion));
   DriftDetector detector;
   detector.options_ = options;
-  RS_ASSIGN_OR_RETURN(detector.dt_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(detector.origin_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(auto period, reader->ReadU64());
-  detector.period_ = static_cast<std::size_t>(period);
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&detector.expected_));
-  RS_ASSIGN_OR_RETURN(auto bins, reader->ReadU64());
-  detector.bins_closed_ = static_cast<std::size_t>(bins);
-  RS_ASSIGN_OR_RETURN(detector.open_count_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(detector.g_up_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(detector.g_down_, reader->ReadDouble());
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&detector.ring_));
-  RS_ASSIGN_OR_RETURN(detector.corr_cusum_, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(auto kind, reader->ReadU8());
-  detector.kind_ = static_cast<DriftKind>(kind);
-  RS_ASSIGN_OR_RETURN(detector.fired_time_, reader->ReadDouble());
-  RS_RETURN_NOT_OK(reader->ExitSection());
-  if (!(detector.dt_ > 0.0)) {
-    return Status::Invalid("DriftDetector: snapshot dt must be > 0");
-  }
-  if (detector.expected_.empty()) {
-    return Status::Invalid("DriftDetector: snapshot expected rates empty");
-  }
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(DetectorFields(io, detector));
+  RS_RETURN_NOT_OK(
+      CheckGeometry(detector.expected_, detector.dt_, detector.origin_));
   if (detector.period_ > detector.expected_.size() ||
       detector.ring_.size() != detector.period_) {
     return Status::Invalid("DriftDetector: snapshot period inconsistent");
   }
   return detector;
+}
+
+Status DriftDetector::Describe(persist::Printer* printer) {
+  DriftDetector scratch;
+  return DetectorFields(*printer, scratch);
 }
 
 }  // namespace rs::ts

@@ -118,7 +118,13 @@ class DriftDetector {
   static Result<DriftDetector> Deserialize(persist::Reader* reader,
                                            const DriftDetectorOptions& options);
 
+  /// Prints a kTagDriftDetector section field by field (rs_snapshot).
+  static Status Describe(persist::Printer* printer);
+
  private:
+  template <class Io, class Rec>
+  friend Status DetectorFields(Io& io, Rec& detector);
+
   void CloseBin();
   double ExpectedRate(std::size_t bin) const;
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "rs/persist/fields.hpp"
+
 namespace rs::train {
 
 namespace {
@@ -13,6 +15,23 @@ namespace {
 constexpr std::uint32_t kSessionVersion = 2;
 
 }  // namespace
+
+/// The TSES record.
+template <class Io, class Rec>
+Status SessionFields(Io& io, Rec& s) {
+  io.Section("training session", persist::kTagTrainSession, [&] {
+    const std::uint32_t version =
+        io.Version("TrainingSession snapshot", kSessionVersion);
+    io("start", s.counts_.start);
+    io("dt", s.counts_.dt);
+    io("counts", s.counts_.counts);
+    io("warm_start", s.warm_);
+    io("fits", s.fits_);
+    io("last_iterations", s.last_iterations_);
+    if (version >= 2) io("warm_rho", s.warm_rho_);
+  });
+  return io.status();
+}
 
 Result<TrainingSession> TrainingSession::FromTrace(
     const workload::Trace& trace, const core::PipelineOptions& options) {
@@ -129,40 +148,31 @@ void TrainingSession::AdoptFit(const core::TrainedPipeline& trained) {
 }
 
 void TrainingSession::Serialize(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagTrainSession);
-  writer->WriteU32(kSessionVersion);
-  writer->WriteDouble(counts_.start);
-  writer->WriteDouble(counts_.dt);
-  writer->WriteDoubleVector(counts_.counts);
-  writer->WriteDoubleVector(warm_);
-  writer->WriteU64(fits_);
-  writer->WriteU64(last_iterations_);
-  writer->WriteDouble(warm_rho_);
-  writer->EndSection();
+  persist::Encoder io(writer);
+  SessionFields(io, *this);
 }
 
 Result<TrainingSession> TrainingSession::Deserialize(
     persist::Reader* reader, const core::PipelineOptions& options) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTrainSession));
-  std::uint32_t version = 0;
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("TrainingSession snapshot",
-                                            kSessionVersion, &version));
   TrainingSession session;
   session.options_ = options;
-  RS_ASSIGN_OR_RETURN(session.counts_.start, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(session.counts_.dt, reader->ReadDouble());
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&session.counts_.counts));
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&session.warm_));
-  RS_ASSIGN_OR_RETURN(session.fits_, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(session.last_iterations_, reader->ReadU64());
-  if (version >= 2) {
-    RS_ASSIGN_OR_RETURN(session.warm_rho_, reader->ReadDouble());
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(SessionFields(io, session));
+  // AppendArrival casts (t - start) / dt to a bin index: both must be
+  // finite for that to be defined.
+  if (!std::isfinite(session.counts_.start)) {
+    return Status::Invalid("TrainingSession: snapshot start must be finite");
   }
-  RS_RETURN_NOT_OK(reader->ExitSection());
-  if (!(session.counts_.dt > 0.0)) {
-    return Status::Invalid("TrainingSession: snapshot dt must be > 0");
+  if (!(session.counts_.dt > 0.0) || !std::isfinite(session.counts_.dt)) {
+    return Status::Invalid(
+        "TrainingSession: snapshot dt must be finite and > 0");
   }
   return session;
+}
+
+Status TrainingSession::Describe(persist::Printer* printer) {
+  TrainingSession scratch;
+  return SessionFields(*printer, scratch);
 }
 
 }  // namespace rs::train

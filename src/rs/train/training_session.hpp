@@ -102,7 +102,13 @@ class TrainingSession {
   static Result<TrainingSession> Deserialize(
       persist::Reader* reader, const core::PipelineOptions& options);
 
+  /// Prints a kTagTrainSession section field by field (rs_snapshot).
+  static Status Describe(persist::Printer* printer);
+
  private:
+  template <class Io, class Rec>
+  friend Status SessionFields(Io& io, Rec& session);
+
   core::PipelineOptions options_;
   ts::CountSeries counts_;
   std::vector<double> warm_;  ///< Previous fit's log-intensity iterate.

@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "rs/common/status.hpp"
 #include "rs/persist/persist.hpp"
@@ -105,5 +106,37 @@ Status DecodePayload(std::uint32_t version, std::string_view payload,
 
 /// Reads a whole file into `out` (binary). IoError when unopenable.
 Status ReadFileBytes(const std::string& path, std::string* out);
+
+/// One tenant-id intern table entry of a checkpoint.
+struct CheckpointTenant {
+  std::uint32_t id = 0;
+  std::string name;
+  bool live = false;  ///< Registered at checkpoint time.
+};
+
+/// The checkpoint's WCKP fields ahead of the embedded FLET fleet section.
+struct CheckpointMeta {
+  std::uint64_t lsn = 0;
+  std::uint64_t next_id = 1;
+  /// Ascending by id: a deterministic encoding, and recovery learns dead
+  /// ids without replaying pre-checkpoint events.
+  std::vector<CheckpointTenant> tenants;
+  std::string user_meta;
+};
+
+/// The WCKP record's metadata (the FLET section follows it).
+template <class Io, class Rec>
+Status CheckpointFields(Io& io, Rec& meta) {
+  io.Version("checkpoint layout", kCheckpointLayoutVersion);
+  io("lsn", meta.lsn);
+  io("next_id", meta.next_id);
+  io.Each("tenants", meta.tenants, [](auto& field, auto& tenant) {
+    field("id", tenant.id);
+    field("name", tenant.name);
+    field("live", tenant.live);
+  });
+  io("user_meta", meta.user_meta);
+  return io.status();
+}
 
 }  // namespace rs::wal::internal

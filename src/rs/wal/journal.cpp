@@ -23,6 +23,7 @@
 
 #include "rs/fault/fault.hpp"
 #include "rs/persist/atomic_file.hpp"
+#include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/wal/internal.hpp"
 #include "rs/wal/wal.hpp"
@@ -558,24 +559,21 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
   CrashPoint("wal.checkpoint.begin");
   const std::uint64_t lsn = last_lsn();
 
+  internal::CheckpointMeta meta;
+  meta.lsn = lsn;
+  meta.next_id = next_id_;
+  for (const auto& [id, name] : names_) {
+    const auto live = ids_.find(name);
+    meta.tenants.push_back(
+        {id, name, live != ids_.end() && live->second == id});
+  }
+  std::sort(meta.tenants.begin(), meta.tenants.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  meta.user_meta = user_meta;
   persist::Writer writer;
   writer.BeginSection(persist::kTagWalCheckpoint);
-  writer.WriteU32(internal::kCheckpointLayoutVersion);
-  writer.WriteU64(lsn);
-  writer.WriteU64(next_id_);
-  // Intern table sorted by id: a deterministic encoding, and recovery
-  // learns dead ids (live=false) without replaying pre-checkpoint events.
-  std::vector<std::pair<std::uint32_t, std::string>> entries(names_.begin(),
-                                                             names_.end());
-  std::sort(entries.begin(), entries.end());
-  writer.WriteU64(entries.size());
-  for (const auto& [id, name] : entries) {
-    writer.WriteU32(id);
-    writer.WriteString(name);
-    const auto live = ids_.find(name);
-    writer.WriteBool(live != ids_.end() && live->second == id);
-  }
-  writer.WriteString(user_meta);
+  persist::Encoder io(&writer);
+  internal::CheckpointFields(io, meta);
   RS_RETURN_NOT_OK(fleet_->SaveFleetSection(&writer));
   writer.EndSection();
   const std::string_view encoded = writer.Finish();

@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/wal/internal.hpp"
 #include "rs/wal/wal.hpp"
@@ -18,49 +18,31 @@ namespace rs::wal {
 
 namespace {
 
-/// The checkpoint's WCKP fields up to (not including) the embedded FLET
-/// fleet section; parsing stops positioned at FLET with WCKP still open.
-struct CheckpointMeta {
-  std::uint32_t version = 0;
-  std::uint64_t lsn = 0;
-  std::uint64_t next_id = 1;
-  /// (id, tenant name, live at checkpoint time), ascending by id.
-  std::vector<std::tuple<std::uint32_t, std::string, bool>> entries;
-  std::string user_meta;
-};
-
-Status ParseCheckpointMeta(persist::Reader* reader, CheckpointMeta* out) {
+/// Opens the WCKP section and decodes its metadata, leaving the reader at
+/// the embedded FLET fleet section with WCKP still open.
+Status ParseCheckpointMeta(persist::Reader* reader,
+                           internal::CheckpointMeta* meta) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagWalCheckpoint));
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion(
-      "checkpoint layout", internal::kCheckpointLayoutVersion, &out->version));
-  RS_ASSIGN_OR_RETURN(out->lsn, reader->ReadU64());
-  RS_ASSIGN_OR_RETURN(out->next_id, reader->ReadU64());
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(internal::CheckpointFields(io, *meta));
   // Tenant ids are u32 on the wire (docs/TRACE_FORMAT.md).
-  if (out->next_id == 0 || out->next_id > UINT32_MAX) {
-    return Status::Invalid("next tenant id " + std::to_string(out->next_id) +
+  if (meta->next_id == 0 || meta->next_id > UINT32_MAX) {
+    return Status::Invalid("next tenant id " + std::to_string(meta->next_id) +
                            " is outside the 32-bit id range [1, 2^32)");
   }
-  RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t id = 0;
-    std::string name;
-    bool live = false;
-    RS_ASSIGN_OR_RETURN(id, reader->ReadU32());
-    RS_ASSIGN_OR_RETURN(name, reader->ReadString());
-    RS_ASSIGN_OR_RETURN(live, reader->ReadBool());
-    if (id == 0 || id >= out->next_id) {
+  for (std::size_t i = 0; i < meta->tenants.size(); ++i) {
+    const internal::CheckpointTenant& tenant = meta->tenants[i];
+    if (tenant.id == 0 || tenant.id >= meta->next_id) {
       return Status::Invalid("intern table entry " + std::to_string(i) +
-                             " carries id " + std::to_string(id) +
+                             " carries id " + std::to_string(tenant.id) +
                              ", outside the issued range [1, " +
-                             std::to_string(out->next_id) + ")");
+                             std::to_string(meta->next_id) + ")");
     }
-    if (name.empty()) {
+    if (tenant.name.empty()) {
       return Status::Invalid("intern table entry " + std::to_string(i) +
                              " has an empty tenant name");
     }
-    out->entries.emplace_back(id, std::move(name), live);
   }
-  RS_ASSIGN_OR_RETURN(out->user_meta, reader->ReadString());
   return Status::OK();
 }
 
@@ -72,13 +54,13 @@ Status FleetJournal::LoadCheckpointMeta(const std::string& path) {
   const auto parse = [&]() -> Status {
     RS_ASSIGN_OR_RETURN(persist::Reader reader,
                         persist::Reader::FromBytes(std::move(bytes)));
-    CheckpointMeta meta;
+    internal::CheckpointMeta meta;
     RS_RETURN_NOT_OK(ParseCheckpointMeta(&reader, &meta));
     checkpoint_lsn_ = meta.lsn;
     next_id_ = static_cast<std::uint32_t>(meta.next_id);
-    for (auto& [id, name, live] : meta.entries) {
-      names_[id] = name;
-      if (live) ids_[std::move(name)] = id;
+    for (auto& tenant : meta.tenants) {
+      names_[tenant.id] = tenant.name;
+      if (tenant.live) ids_[std::move(tenant.name)] = tenant.id;
     }
     // The embedded FLET fleet section follows; Open() needs only the
     // metadata, so ExitSection skips it (Recover() re-reads the file).
@@ -123,7 +105,7 @@ Result<api::ScalerFleet> FleetJournal::Recover(const RecoverOptions& options,
     RS_RETURN_NOT_OK(internal::ReadFileBytes(path, &bytes));
     RS_ASSIGN_OR_RETURN(persist::Reader reader,
                         persist::Reader::FromBytes(std::move(bytes)));
-    CheckpointMeta meta;
+    internal::CheckpointMeta meta;
     {
       const Status parsed = ParseCheckpointMeta(&reader, &meta);
       if (!parsed.ok()) {
@@ -168,6 +150,17 @@ Result<api::ScalerFleet> FleetJournal::Recover(const RecoverOptions& options,
 
   if (report != nullptr) *report = local;
   return std::move(*fleet);
+}
+
+Status DescribeCheckpoint(persist::Printer* printer) {
+  printer->Section("journal checkpoint", persist::kTagWalCheckpoint,
+                   [printer] {
+                     internal::CheckpointMeta meta;
+                     internal::CheckpointFields(*printer, meta);
+                     printer->Latch(
+                         api::ScalerFleet::DescribeFleetSection(printer));
+                   });
+  return printer->status();
 }
 
 Result<SegmentReport> InspectSegmentFile(const std::string& path) {

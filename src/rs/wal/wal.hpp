@@ -154,6 +154,10 @@ struct SegmentReport {
 ///        corruption *before* the tail is an error.
 Result<SegmentReport> InspectSegmentFile(const std::string& path);
 
+/// Prints a WCKP checkpoint section field by field, then its embedded fleet
+/// (the rs_snapshot inspector).
+Status DescribeCheckpoint(persist::Printer* printer);
+
 /// \brief Test-only crash-point hook: called at every named crash window
 ///        (wal.append.head, wal.append.done, wal.fsync.before, ...) so a
 ///        kill-point harness can _Exit mid-operation. Null disarms.

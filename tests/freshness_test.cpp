@@ -303,6 +303,52 @@ TEST(TrainingSession, RejectsVersionZeroSection) {
       << session.status().ToString();
 }
 
+/// A hand-built v2 TSES record over a three-bin window.
+Result<train::TrainingSession> LoadSessionRecord(double start, double dt) {
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagTrainSession);
+  writer.WriteU32(2);
+  writer.WriteDouble(start);
+  writer.WriteDouble(dt);
+  writer.WriteDoubleVector({1.0, 2.0, 3.0});
+  writer.WriteDoubleVector({});
+  writer.WriteU64(0);
+  writer.WriteU64(0);
+  writer.WriteDouble(0.0);
+  writer.EndSection();
+  RS_ASSIGN_OR_RETURN(auto reader,
+                      persist::Reader::FromBytes(std::string(writer.Finish())));
+  return train::TrainingSession::Deserialize(&reader,
+                                             MakePipelineOptions(kPeriodS));
+}
+
+TEST(TrainingSession, HandBuiltRecordLoads) {
+  auto session = LoadSessionRecord(0.0, 60.0);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session->window_end(), 180.0);
+  EXPECT_TRUE(session->AppendArrival(200.0).ok());
+}
+
+TEST(TrainingSession, RejectsANonFiniteStart) {
+  // AppendArrival casts (t − start) / dt to a bin index: ±inf or NaN there
+  // is undefined behaviour.
+  auto session =
+      LoadSessionRecord(std::numeric_limits<double>::infinity(), 60.0);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(session.status().message().find("start"), std::string::npos)
+      << session.status().ToString();
+}
+
+TEST(TrainingSession, RejectsANonFiniteDt) {
+  auto session =
+      LoadSessionRecord(0.0, std::numeric_limits<double>::infinity());
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(session.status().message().find("dt"), std::string::npos)
+      << session.status().ToString();
+}
+
 TEST(TrainingSession, RefitIsDeterministic) {
   const auto trace = MakeSineTrace(23, 4.0 * kPeriodS, 1.0);
   const auto options = MakePipelineOptions(kPeriodS);
@@ -614,6 +660,77 @@ TEST(DriftDetector, RejectsVersionZeroSection) {
   ASSERT_FALSE(detector.ok());
   EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument)
       << detector.status().ToString();
+}
+
+/// A hand-built v1 DRFT record: a two-bin reference of period 2, nothing
+/// observed yet, with one field overridden by the caller.
+struct DetectorRecord {
+  double dt = 1.0;
+  double origin = 0.0;
+  std::vector<double> expected = {2.0, 3.0};
+  std::uint8_t kind = 0;
+};
+
+Result<ts::DriftDetector> LoadDetectorRecord(const DetectorRecord& record) {
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagDriftDetector);
+  writer.WriteU32(1);
+  writer.WriteDouble(record.dt);
+  writer.WriteDouble(record.origin);
+  writer.WriteU64(2);  // period
+  writer.WriteDoubleVector(record.expected);
+  writer.WriteU64(0);                    // bins closed
+  writer.WriteDouble(0.0);               // open count
+  writer.WriteDouble(0.0);               // g_up
+  writer.WriteDouble(0.0);               // g_down
+  writer.WriteDoubleVector({0.0, 0.0});  // ring
+  writer.WriteDouble(0.0);               // correlation CUSUM
+  writer.WriteU8(record.kind);
+  writer.WriteDouble(0.0);  // fired time
+  writer.EndSection();
+  RS_ASSIGN_OR_RETURN(auto reader,
+                      persist::Reader::FromBytes(std::string(writer.Finish())));
+  return ts::DriftDetector::Deserialize(&reader, ts::DriftDetectorOptions{});
+}
+
+TEST(DriftDetector, HandBuiltRecordLoads) {
+  // The baseline the rejection cases below each change one field of.
+  auto detector = LoadDetectorRecord({});
+  ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+  detector->Observe(0.5);
+  detector->AdvanceTo(3.0);
+  EXPECT_EQ(detector->bins_closed(), 3u);
+}
+
+TEST(DriftDetector, RejectsAKindPastPeriodicityBreak) {
+  DetectorRecord record;
+  record.kind = static_cast<std::uint8_t>(ts::DriftKind::kPeriodicityBreak) + 1;
+  auto detector = LoadDetectorRecord(record);
+  ASSERT_FALSE(detector.ok());
+  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DriftDetector, RejectsANonFiniteOrigin) {
+  // With origin −inf, AdvanceTo's bin-closing loop never ends.
+  DetectorRecord record;
+  record.origin = -std::numeric_limits<double>::infinity();
+  auto detector = LoadDetectorRecord(record);
+  ASSERT_FALSE(detector.ok());
+  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(detector.status().message().find("origin"), std::string::npos)
+      << detector.status().ToString();
+}
+
+TEST(DriftDetector, RejectsExpectedRatesMakeRefuses) {
+  DetectorRecord record;
+  record.expected = {2.0, -1.0};
+  ASSERT_FALSE(ts::DriftDetector::Make(ts::DriftDetectorOptions{},
+                                       record.expected, record.dt, 2,
+                                       record.origin)
+                   .ok());
+  auto detector = LoadDetectorRecord(record);
+  ASSERT_FALSE(detector.ok());
+  EXPECT_EQ(detector.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DriftDetector, SnapshotRestoreContinuesByteIdentical) {

@@ -19,8 +19,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -769,6 +771,85 @@ TEST(PersistFleetTest, FailedMigrationLeavesBothFleetsUnchanged) {
   EXPECT_EQ(source.size(), 0u);
   EXPECT_EQ(target.size(), 2u);
   EXPECT_NE(target.Find("svc-moved"), nullptr);
+}
+
+void AppendLe(std::string* out, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
+  }
+}
+
+/// A SaveFleet container framed by hand in FLET layout `fleet_version` (1:
+/// no freshness flag; 2: the flag, and a TENT without the HLTH section v3
+/// added) around one tenant "svc" whose SCLR section is `sclr`.
+std::string HandFramedFleet(std::uint32_t fleet_version,
+                            std::string_view sclr) {
+  std::string tent;
+  AppendLe(&tent, 3, 8);
+  tent += "svc";
+  tent += sclr;
+  std::string flet;
+  AppendLe(&flet, fleet_version, 4);
+  if (fleet_version >= 2) AppendLe(&flet, 0, 1);  // Freshness off.
+  AppendLe(&flet, 1, 8);                           // One tenant.
+  AppendLe(&flet, persist::kTagTenant, 4);
+  AppendLe(&flet, tent.size(), 8);
+  flet += tent;
+  std::string out;
+  AppendLe(&out, persist::kMagic, 4);
+  AppendLe(&out, persist::kFormatVersion, 4);
+  AppendLe(&out, persist::kTagFleet, 4);
+  AppendLe(&out, flet.size(), 8);
+  out += flet;
+  AppendLe(&out, persist::Crc32(out.data(), out.size()), 4);
+  return out;
+}
+
+TEST(PersistFleetTest, FleetLayoutsOneAndTwoLoadWithDefaultHealth) {
+  const Workload w = MakePersistWorkload(54);
+  const auto script = MakeScript(w.test);
+  std::ostringstream saved;
+  ASSERT_TRUE(BuildScaler(w, "robust_hp").SaveState(saved).ok());
+  const std::string container = saved.str();
+  // The SCLR section: the container minus its 8-byte header and CRC.
+  const std::string_view sclr =
+      std::string_view(container).substr(8, container.size() - 12);
+
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("FLET layout " + std::to_string(version));
+    std::istringstream bytes(HandFramedFleet(version, sclr));
+    auto loaded = ScalerFleet::LoadFleet(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->Tenants(), std::vector<std::string>{"svc"});
+    auto health = loaded->Health("svc");
+    ASSERT_TRUE(health.ok());
+    EXPECT_EQ(health->health, TenantHealth::kHealthy);
+    EXPECT_EQ(health->plan_failures, 0u);
+    EXPECT_EQ(health->retry_at, -std::numeric_limits<double>::infinity());
+    auto freshness = loaded->Freshness("svc");
+    ASSERT_TRUE(freshness.ok());
+    EXPECT_FALSE(freshness->enabled);
+
+    ScalerFleet control;
+    std::istringstream state(container);
+    auto restored = ScalerBuilder::RestoreState(state);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ASSERT_TRUE(control.Register("svc", std::move(*restored)).ok());
+    for (const Step& step : script) {
+      if (step.is_plan) {
+        auto a = control.Plan("svc", step.time);
+        auto b = loaded->Plan("svc", step.time);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(a->creation_times, b->creation_times) << step.time;
+        ASSERT_EQ(a->deletions, b->deletions) << step.time;
+      } else {
+        auto a = control.Observe("svc", step.time);
+        auto b = loaded->Observe("svc", step.time);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(a->cold_start, b->cold_start) << step.time;
+      }
+    }
+  }
 }
 
 // tests/data/example_fleet.rsnp is a SaveFleet container written by the

@@ -59,9 +59,6 @@ inline void Put(Writer* w, const std::string& v) { w->WriteString(v); }
 inline void Put(Writer* w, const std::vector<double>& v) {
   w->WriteDoubleVector(v);
 }
-inline void Put(Writer* w, const std::vector<std::uint64_t>& v) {
-  w->WriteU64Vector(v);
-}
 inline void Put(Writer* w, const stats::Rng& v) { WriteRngState(w, v); }
 /// A u64 count, then (key, value) pairs in key order.
 void Put(Writer* w, const std::map<std::string, double>& v);
@@ -87,9 +84,6 @@ inline Status Get(Reader* r, std::string* v) {
 }
 inline Status Get(Reader* r, std::vector<double>* v) {
   return r->ReadDoubleVector(v);
-}
-inline Status Get(Reader* r, std::vector<std::uint64_t>* v) {
-  return r->ReadU64Vector(v);
 }
 inline Status Get(Reader* r, stats::Rng* v) { return ReadRngState(r, v); }
 Status Get(Reader* r, std::map<std::string, double>* v);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "rs/api/api.hpp"
+#include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
 #include "rs/stats/rng.hpp"
@@ -897,6 +898,32 @@ TEST(PersistFleetTest, CommittedFleetFixtureReencodesByteForByte) {
   EXPECT_TRUE(out.str() == fixture)
       << "re-encoded " << out.str().size() << " bytes differ from the "
       << fixture.size() << "-byte fixture";
+
+  // The inspector's printer walks the same field lists to the last byte.
+  auto reader = persist::Reader::FromBytes(fixture);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::ostringstream printed;
+  persist::Printer printer(&*reader, &printed);
+  ASSERT_TRUE(ScalerFleet::DescribeFleetSection(&printer).ok())
+      << printer.status().ToString();
+  EXPECT_EQ(reader->remaining(), 0u);
+  const std::string text = printed.str();
+  const auto count = [&text](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("TENT tenant"), 5u);
+  EXPECT_EQ(count("FRSH freshness state"), 5u);
+  EXPECT_EQ(count("ROBS RobustScaler model"), 3u);
+  EXPECT_EQ(count("BPMD backup pool model"), 1u);
+  EXPECT_EQ(count("ABPM adaptive backup pool model"), 1u);
+  EXPECT_EQ(count("\n      state = 2\n"), 1u) << "one quarantined tenant";
+  EXPECT_EQ(count("\n        kind = 1\n"), 1u) << "one latched rate shift";
+  EXPECT_EQ(count("warm_start = 0 values"), 0u) << text;
 }
 
 }  // namespace

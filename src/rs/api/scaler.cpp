@@ -8,35 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "rs/baselines/adaptive_backup_pool.hpp"
-#include "rs/baselines/backup_pool.hpp"
-#include "rs/core/sequential_scaler.hpp"
-#include "rs/persist/fields.hpp"
-#include "rs/stats/rng.hpp"
+#include "rs/api/scaler_serving.hpp"
 #include "rs/train/training_session.hpp"
-
-namespace rs::workload {
-
-// A forecast is one field of the TRND record: its bin width, then its
-// rates. Decoding re-runs Make's domain validation.
-static void Put(persist::Writer* w, const PiecewiseConstantIntensity& f) {
-  w->WriteDouble(f.dt());
-  w->WriteDoubleVector(f.rates());
-}
-
-static Status Get(persist::Reader* r, PiecewiseConstantIntensity* f) {
-  RS_ASSIGN_OR_RETURN(const double dt, r->ReadDouble());
-  std::vector<double> rates;
-  RS_RETURN_NOT_OK(r->ReadDoubleVector(&rates));
-  return persist::Store(PiecewiseConstantIntensity::Make(std::move(rates), dt),
-                        f);
-}
-
-static void Show(std::ostream& os, const PiecewiseConstantIntensity& f) {
-  os << f.rates().size() << " bins x " << f.dt() << " s";
-}
-
-}  // namespace rs::workload
 
 namespace rs::api {
 
@@ -44,168 +17,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Layout version of the SCLR record (independent of the container's
-/// persist::kFormatVersion); bump when the section contents change and
-/// branch on the read value to migrate old snapshots.
-constexpr std::uint32_t kScalerLayerVersion = 1;
-
-/// The head of the SCLR record: its layout version, then SPEC (the
-/// structured strategy spec: bit-exact parameter values, where the
-/// formatted name string is lossy), CTXT (the builder-time factory
-/// defaults Build() fed the registry) and TRND (the forecast, the only
-/// training artifact serving reads, plus the detected period for reports).
-/// The strategy's model record and the serving mirror follow.
-template <class Io, class Spec, class Context, class Trained>
-Status ScalerHeadFields(Io& io, Spec& spec, Context& context,
-                        Trained& trained) {
-  io.Version("Scaler snapshot record", kScalerLayerVersion);
-  io.Section("strategy spec", persist::kTagSpec, [&] {
-    io("name", spec.name);
-    io("params", spec.params);
-  });
-  io.Section("build defaults", persist::kTagBuildContext, [&] {
-    io("pending", context.pending);
-    io("mc_samples", context.mc_samples);
-    io("planning_interval", context.planning_interval);
-    io("seed", context.seed);
-  });
-  io.Section("trained model", persist::kTagTrained, [&] {
-    io("forecast", trained.forecast);
-    io("period", trained.period.period);
-    io("acf_value", trained.period.acf_value);
-    io("p_value", trained.period.p_value);
-  });
-  return io.status();
-}
-
-/// The leading scalars of the MIRR section; its schedule, live set and
-/// retained windows follow them, written by hand.
-struct MirrorScalars {
-  /// The clock pointer cannot travel; `injected_clock` records whether one
-  /// was set, so restore can demand a replacement.
-  sim::EngineOptions options;
-  bool injected_clock = false;
-  double retention_override = 0.0;
-  // Event-loop position and lifetime counters.
-  bool started = false;
-  double now = 0.0;
-  double next_tick = 0.0;
-  std::size_t total_arrivals = 0;
-  std::size_t cold_starts = 0;
-  std::size_t creations_requested = 0;
-  std::size_t deletions_requested = 0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t drain_watermark = 0;
-  std::size_t total_callbacks = 0;
-  /// The loop's RNG (pending-time draws) and the decision clock's logical
-  /// position (deterministic clocks only; a steady clock exports nothing
-  /// and resumes on real wall time).
-  stats::Rng rng;
-  bool has_clock_position = false;
-  double clock_time = 0.0;
-  std::uint64_t clock_readings = 0;
-};
-
-template <class Io, class Rec>
-Status MirrorFields(Io& io, Rec& m) {
-  io("pending", m.options.pending);
-  io("seed", m.options.seed);
-  io("charge_decision_wall_time", m.options.charge_decision_wall_time);
-  io("creation_latency", m.options.creation_latency);
-  io("pending_jitter", m.options.pending_jitter);
-  io("charge_idle_until_horizon", m.options.charge_idle_until_horizon);
-  io("injected_clock", m.injected_clock);
-  io("retention_override", m.retention_override);
-  io("started", m.started);
-  io("now", m.now);
-  io("next_tick", m.next_tick);
-  io("arrivals", m.total_arrivals);
-  io("cold_starts", m.cold_starts);
-  io("creations_requested", m.creations_requested);
-  io("deletions_requested", m.deletions_requested);
-  io("next_seq", m.next_seq);
-  io("drain_watermark", m.drain_watermark);
-  io("callbacks", m.total_callbacks);
-  io("rng", m.rng);
-  io("clock_position", m.has_clock_position);
-  io("clock_time", m.clock_time);
-  io("clock_readings", m.clock_readings);
-  return io.status();
-}
-
-/// STRA holds the strategy's own model record: the built-in strategies
-/// print theirs, any other prints as its tag and size.
-Status DescribeStrategyModel(persist::Printer* printer) {
-  persist::Reader* reader = printer->reader();
-  if (reader->remaining() == 0) return Status::OK();
-  RS_ASSIGN_OR_RETURN(const std::uint32_t tag, reader->PeekSectionTag());
-  switch (tag) {
-    case persist::kTagRobustModel:
-      return core::RobustScalerPolicy::DescribeModel(printer);
-    case persist::kTagBackupPoolModel:
-      return baseline::BackupPool::DescribeModel(printer);
-    case persist::kTagAdaptiveModel:
-      return baseline::AdaptiveBackupPool::DescribeModel(printer);
-    default:
-      printer->Line("model") << persist::TagToString(tag) << " ("
-                             << reader->remaining() << " bytes)\n";
-      return Status::OK();
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Online serving state: the sim::EventLoop that sim::Simulate also drives,
-// plus what serving adds on top of it. The loop observer hooks below keep
-// the undrained Plan() buffer (with each creation's emission number, so a
-// cold start can retract exactly the creation it cancelled), the parity log
-// and the lifetime counters. Arrivals and the parity log live in windowed
-// buffers that CompactServingState() trims once entries age past the
-// strategy's declared history_requirement().
-// ---------------------------------------------------------------------------
-struct Scaler::Serving : sim::LoopObserver {
-  Serving(sim::Autoscaler* strategy, const sim::EngineOptions& options)
-      : loop(strategy, options) {}
-
-  void OnDecision(double time, sim::ScalingAction&& action) {
-    // The log records the raw action at the callback's event time (the
-    // parity contract compares raw actions; charged decision time only
-    // shifts execution).
-    creations_requested += action.creation_times.size();
-    deletions_requested += action.deletions;
-    log_times.push_back(time);
-    log.push_back(std::move(action));
-    ++total_callbacks;
-  }
-  void OnScheduled(double at, std::uint64_t seq) {
-    buffered.creation_times.push_back(at);
-    buffered_seqs.push_back(seq);
-  }
-  void OnDeleted(const sim::LiveInstance& /*instance*/, double /*time*/) {
-    // Only deletions the loop applied reach the caller: forwarding the
-    // excess would make the caller's fleet delete instances the loop kept.
-    ++buffered.deletions;
-  }
-
-  sim::EventLoop loop;
-  std::size_t cold_starts = 0;
-  std::size_t creations_requested = 0;
-  std::size_t deletions_requested = 0;
-  /// Creations with seq < drain_watermark have been handed to the caller
-  /// by Plan().
-  std::uint64_t drain_watermark = 0;
-  /// Actions emitted since the last Plan() drain, plus the emission number
-  /// of each not-yet-drained creation (parallel to buffered.creation_times).
-  sim::ScalingAction buffered;
-  std::vector<std::uint64_t> buffered_seqs;
-  /// Windowed suffix of the parity log (one entry per strategy callback),
-  /// with the callback time of each retained entry. `total_callbacks`
-  /// counts every callback ever made.
-  std::vector<sim::ScalingAction> log;
-  std::vector<double> log_times;
-  std::size_t total_callbacks = 0;
-};
 
 Scaler::Scaler(core::TrainedPipeline trained,
                std::unique_ptr<sim::Autoscaler> strategy, StrategySpec spec,
@@ -447,193 +259,6 @@ Status Scaler::ResetServing() {
   return Status::OK();
 }
 
-// -- Durable state ----------------------------------------------------------
-
-Status Scaler::SaveState(std::ostream& out) const {
-  persist::Writer writer;
-  RS_RETURN_NOT_OK(SaveStateSection(&writer));
-  return writer.Finish(out);
-}
-
-Status Scaler::SaveStateSection(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagScaler);
-  persist::Encoder io(writer);
-  ScalerHeadFields(io, spec_, build_context_, trained_);
-
-  // STRA: the strategy's mutable model state.
-  writer->BeginSection(persist::kTagStrategyModel);
-  RS_RETURN_NOT_OK(strategy_->SerializeModel(writer));
-  writer->EndSection();
-
-  // MIRR: the serving mirror.
-  RS_RETURN_NOT_OK(SaveServingState(writer));
-
-  writer->EndSection();
-  return Status::OK();
-}
-
-Status Scaler::DescribeState(persist::Printer* printer) {
-  printer->Section("scaler", persist::kTagScaler, [printer] {
-    StrategySpec spec;
-    StrategyBuildContext build_context;
-    core::TrainedPipeline trained;
-    ScalerHeadFields(*printer, spec, build_context, trained);
-    printer->Section("strategy model", persist::kTagStrategyModel, [printer] {
-      printer->Latch(DescribeStrategyModel(printer));
-    });
-    // The schedule, live set and windows after the scalars are skipped.
-    MirrorScalars mirror;
-    printer->Section("serving mirror", persist::kTagMirror,
-                     [&] { MirrorFields(*printer, mirror); });
-  });
-  return printer->status();
-}
-
-Status Scaler::SaveServingState(persist::Writer* writer) const {
-  const Serving& s = *serving_;
-  const sim::EventLoop& loop = s.loop;
-  MirrorScalars m;
-  m.options = loop.options;
-  m.injected_clock = loop.options.decision_clock != nullptr;
-  m.retention_override = retention_override_;
-  m.started = loop.started;
-  m.now = loop.now;
-  m.next_tick = loop.next_tick;
-  m.total_arrivals = loop.total_arrivals;
-  m.cold_starts = s.cold_starts;
-  m.creations_requested = s.creations_requested;
-  m.deletions_requested = s.deletions_requested;
-  m.next_seq = loop.next_seq;
-  m.drain_watermark = s.drain_watermark;
-  m.total_callbacks = s.total_callbacks;
-  m.rng = loop.rng;
-  m.has_clock_position =
-      loop.clock->ExportPosition(&m.clock_time, &m.clock_readings);
-  writer->BeginSection(persist::kTagMirror);
-  persist::Encoder io(writer);
-  MirrorFields(io, m);
-
-  // Scheduled future creations, drained from a copy in (time, seq) order.
-  auto schedule = loop.schedule;
-  writer->WriteU64(schedule.size());
-  while (!schedule.empty()) {
-    const sim::ScheduledCreation top = schedule.top();
-    schedule.pop();
-    writer->WriteDouble(top.time);
-    writer->WriteU64(top.seq);
-  }
-
-  // Live instances (ready times, creation order), retained arrival window,
-  // the undrained Plan() buffer, and the retained parity-log suffix.
-  writer->WriteU64(loop.live.size());
-  for (const sim::LiveInstance& instance : loop.live) {
-    writer->WriteDouble(instance.ready_time);
-  }
-  writer->WriteDoubleVector(loop.arrivals);
-  writer->WriteDoubleVector(s.buffered.creation_times);
-  writer->WriteU64(s.buffered.deletions);
-  writer->WriteU64Vector(s.buffered_seqs);
-  writer->WriteU64(s.log.size());
-  for (const sim::ScalingAction& action : s.log) {
-    writer->WriteDoubleVector(action.creation_times);
-    writer->WriteU64(action.deletions);
-  }
-  writer->WriteDoubleVector(s.log_times);
-
-  writer->EndSection();
-  return Status::OK();
-}
-
-Status Scaler::LoadServingState(persist::Reader* reader,
-                                sim::DecisionClock* restore_clock) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagMirror));
-  MirrorScalars m;
-  persist::Decoder io(reader);
-  RS_RETURN_NOT_OK(MirrorFields(io, m));
-  if (m.injected_clock && restore_clock == nullptr) {
-    return Status::Invalid(
-        "snapshot was taken with an injected DecisionClock; pass a "
-        "replacement via ScalerRestoreOptions::decision_clock (restoring "
-        "onto wall time would silently break the deterministic "
-        "continuation)");
-  }
-  m.options.decision_clock = restore_clock;
-  RS_RETURN_NOT_OK(sim::ValidateEngineOptions(m.options));
-  if (std::isnan(m.retention_override) || m.retention_override < 0.0) {
-    return Status::Invalid(
-        "snapshot carries a negative or NaN history-retention override");
-  }
-  retention_override_ = m.retention_override;
-
-  serving_ = std::make_unique<Serving>(strategy_.get(), m.options);
-  Serving& s = *serving_;
-  sim::EventLoop& loop = s.loop;
-  loop.started = m.started;
-  loop.now = m.now;
-  loop.next_tick = m.next_tick;
-  loop.total_arrivals = m.total_arrivals;
-  s.cold_starts = m.cold_starts;
-  s.creations_requested = m.creations_requested;
-  s.deletions_requested = m.deletions_requested;
-  loop.next_seq = m.next_seq;
-  s.drain_watermark = m.drain_watermark;
-  s.total_callbacks = m.total_callbacks;
-  loop.rng = m.rng;
-  if (m.has_clock_position) {
-    if (restore_clock == nullptr) {
-      return Status::Invalid(
-          "snapshot carries a decision-clock position but no clock flag; "
-          "the file is corrupt");
-    }
-    RS_RETURN_NOT_OK(
-        restore_clock->ImportPosition(m.clock_time, m.clock_readings));
-  }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t schedule_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < schedule_size; ++i) {
-    sim::ScheduledCreation entry;
-    RS_ASSIGN_OR_RETURN(entry.time, reader->ReadDouble());
-    RS_ASSIGN_OR_RETURN(entry.seq, reader->ReadU64());
-    loop.schedule.push(entry);
-  }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t live_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < live_size; ++i) {
-    sim::LiveInstance instance;
-    RS_ASSIGN_OR_RETURN(instance.ready_time, reader->ReadDouble());
-    loop.live.push_back(instance);
-  }
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&loop.arrivals));
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.buffered.creation_times));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t buffered_deletions,
-                      reader->ReadU64());
-  s.buffered.deletions = static_cast<std::size_t>(buffered_deletions);
-  RS_RETURN_NOT_OK(reader->ReadU64Vector(&s.buffered_seqs));
-  if (s.buffered_seqs.size() != s.buffered.creation_times.size()) {
-    return Status::Invalid(
-        "snapshot's undrained action buffer is inconsistent (creation "
-        "times and emission numbers differ in length)");
-  }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t log_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < log_size; ++i) {
-    sim::ScalingAction action;
-    RS_RETURN_NOT_OK(reader->ReadDoubleVector(&action.creation_times));
-    RS_ASSIGN_OR_RETURN(const std::uint64_t action_deletions,
-                        reader->ReadU64());
-    action.deletions = static_cast<std::size_t>(action_deletions);
-    s.log.push_back(std::move(action));
-  }
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.log_times));
-  if (s.log_times.size() != s.log.size()) {
-    return Status::Invalid(
-        "snapshot's parity log is inconsistent (entries and timestamps "
-        "differ in length)");
-  }
-
-  return reader->ExitSection();
-}
-
 // ---------------------------------------------------------------------------
 // ScalerBuilder
 // ---------------------------------------------------------------------------
@@ -791,53 +416,6 @@ Result<Scaler> ScalerBuilder::Build() const {
   build_context.seed = seed_;
   return Scaler(std::move(trained), std::move(strategy), std::move(spec),
                 build_context, serve_defaults);
-}
-
-Result<Scaler> ScalerBuilder::RestoreState(std::istream& in,
-                                           const ScalerRestoreOptions& options) {
-  RS_ASSIGN_OR_RETURN(persist::Reader reader, persist::Reader::FromStream(in));
-  return RestoreStateSection(&reader, options);
-}
-
-Result<Scaler> ScalerBuilder::RestoreStateSection(
-    persist::Reader* reader, const ScalerRestoreOptions& options) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagScaler));
-  StrategySpec spec;
-  Scaler::StrategyBuildContext build_context;
-  core::TrainedPipeline trained;
-  persist::Decoder io(reader);
-  RS_RETURN_NOT_OK(ScalerHeadFields(io, spec, build_context, trained));
-  if (build_context.mc_samples == 0 ||
-      !(build_context.planning_interval > 0.0)) {
-    return Status::Invalid(
-        "snapshot carries out-of-domain strategy build defaults "
-        "(mc_samples must be >= 1, planning interval > 0 s)");
-  }
-
-  // Rebuild the strategy through the registry (re-running every factory
-  // validation), then overlay the snapshot's mutable model state.
-  StrategyContext context;
-  context.forecast = &trained.forecast;
-  context.pending = build_context.pending;
-  context.mc_samples = build_context.mc_samples;
-  context.planning_interval = build_context.planning_interval;
-  context.seed = build_context.seed;
-  RS_ASSIGN_OR_RETURN(auto strategy,
-                      StrategyRegistry::Global().Create(spec, context));
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagStrategyModel));
-  RS_RETURN_NOT_OK(strategy->DeserializeModel(reader));
-  RS_RETURN_NOT_OK(reader->ExitSection());
-
-  // The policies copy the forecast at construction, so moving `trained`
-  // into the Scaler afterwards is safe.
-  sim::EngineOptions serve_defaults;
-  serve_defaults.pending = build_context.pending;
-  Scaler scaler(std::move(trained), std::move(strategy), std::move(spec),
-                build_context, serve_defaults);
-  RS_RETURN_NOT_OK(
-      scaler.LoadServingState(reader, options.decision_clock));
-  RS_RETURN_NOT_OK(reader->ExitSection());
-  return scaler;
 }
 
 Result<core::TrainedPipeline> TrainPipeline(

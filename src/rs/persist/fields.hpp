@@ -71,21 +71,15 @@ Status Store(Result<U> read, T* out) {
   *out = std::move(*read);
   return Status::OK();
 }
-inline Status Get(Reader* r, bool* v) { return Store(r->ReadBool(), v); }
-inline Status Get(Reader* r, std::uint32_t* v) {
-  return Store(r->ReadU32(), v);
-}
-inline Status Get(Reader* r, std::uint64_t* v) {
-  return Store(r->ReadU64(), v);
-}
-inline Status Get(Reader* r, double* v) { return Store(r->ReadDouble(), v); }
-inline Status Get(Reader* r, std::string* v) {
-  return Store(r->ReadString(), v);
-}
-inline Status Get(Reader* r, std::vector<double>* v) {
-  return r->ReadDoubleVector(v);
-}
-inline Status Get(Reader* r, stats::Rng* v) { return ReadRngState(r, v); }
+// Out of line, so a decode costs one call per field and the field lists
+// do not swell the translation units that hold a layer's hot path.
+Status Get(Reader* r, bool* v);
+Status Get(Reader* r, std::uint32_t* v);
+Status Get(Reader* r, std::uint64_t* v);
+Status Get(Reader* r, double* v);
+Status Get(Reader* r, std::string* v);
+Status Get(Reader* r, std::vector<double>* v);
+Status Get(Reader* r, stats::Rng* v);
 Status Get(Reader* r, std::map<std::string, double>* v);
 /// Re-validates the parameters (DurationDistribution::FromRawParams).
 Status Get(Reader* r, stats::DurationDistribution* v);

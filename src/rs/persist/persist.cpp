@@ -436,6 +436,14 @@ Status ReadRngState(Reader* reader, stats::Rng* rng) {
 
 // -- Field types (fields.hpp) ----------------------------------------------
 
+Status Get(Reader* r, bool* v) { return Store(r->ReadBool(), v); }
+Status Get(Reader* r, std::uint32_t* v) { return Store(r->ReadU32(), v); }
+Status Get(Reader* r, std::uint64_t* v) { return Store(r->ReadU64(), v); }
+Status Get(Reader* r, double* v) { return Store(r->ReadDouble(), v); }
+Status Get(Reader* r, std::string* v) { return Store(r->ReadString(), v); }
+Status Get(Reader* r, std::vector<double>* v) { return r->ReadDoubleVector(v); }
+Status Get(Reader* r, stats::Rng* v) { return ReadRngState(r, v); }
+
 void Put(Writer* w, const std::map<std::string, double>& v) {
   w->WriteU64(v.size());
   for (const auto& [key, value] : v) {

@@ -10,16 +10,31 @@
 #include <ostream>
 #include <sstream>
 
-#include "rs/api/fleet_tenant.hpp"
 #include "rs/api/serving_tap.hpp"
 #include "rs/fault/fault.hpp"
 #include "rs/persist/atomic_file.hpp"
-#include "rs/persist/persist.hpp"
+#include "rs/persist/fields.hpp"
 
 namespace rs::api {
 
 namespace {
 
+/// Layout version of the FLET record (the TENT record has no version of its
+/// own: its fields are a name, a versioned SCLR record, and optional
+/// versioned FRSH / HLTH sections). v2 added the freshness policy +
+/// per-tenant freshness state; v3 added the per-tenant HLTH health section.
+/// v1/v2 files load as freshness-disabled / default-health fleets.
+constexpr std::uint32_t kFleetLayerVersion = 3;
+/// Payload layout inside kTagFreshness (per-tenant loop state).
+constexpr std::uint32_t kFreshnessVersion = 1;
+/// Payload layout inside kTagFreshnessPolicy. v2 stores the ADMM stopping
+/// rule's ε_abs/ε_rel in the two tolerance slots. A v1 payload held raw
+/// residual-norm bounds there that no refit ever met (every fit ran to the
+/// iteration cap); they have no meaning under the scaled rule, so a v1
+/// policy loads with the current default ε_abs/ε_rel.
+constexpr std::uint32_t kPolicyVersion = 2;
+/// Payload layout inside kTagHealth (per-tenant degradation state).
+constexpr std::uint32_t kHealthVersion = 1;
 /// Largest FreshnessPolicy::retrain_workers EnableFreshness accepts, so a
 /// hand-built policy section cannot make LoadFleet spawn 2^40 threads.
 constexpr std::size_t kMaxRetrainWorkers = 256;
@@ -114,6 +129,121 @@ Status ValidatePolicy(const FreshnessPolicy& policy) {
   return Status::OK();
 }
 
+/// The FPOL record: exactly the pipeline knobs the background refit
+/// consumes, the detector knobs and the retrain cadence.
+template <class Io, class Rec>
+Status PolicyFields(Io& io, Rec& policy) {
+  auto& pipeline = policy.pipeline;
+  auto& detector = policy.detector;
+  io.Section("freshness policy", persist::kTagFreshnessPolicy, [&] {
+    const std::uint32_t version =
+        io.Version("fleet snapshot freshness-policy", kPolicyVersion);
+    io("dt", pipeline.dt);
+    io("beta1", pipeline.beta1);
+    io("beta2", pipeline.beta2);
+    io("forecast_horizon", pipeline.forecast_horizon);
+    io("admm.rho", pipeline.admm.rho);
+    io("admm.max_iterations", pipeline.admm.max_iterations);
+    if (version >= 2) {
+      io("admm.abs_tolerance", pipeline.admm.abs_tolerance);
+      io("admm.rel_tolerance", pipeline.admm.rel_tolerance);
+    } else {
+      // v1's raw residual-norm bounds: read and dropped, so the policy
+      // keeps the default ε_abs/ε_rel.
+      double raw_bound = 0.0;
+      io("admm.v1_abs_bound", raw_bound);
+      io("admm.v1_rel_bound", raw_bound);
+    }
+    io("admm.r_clamp", pipeline.admm.r_clamp);
+    io("periodicity.aggregate_factor", pipeline.periodicity.aggregate_factor);
+    io("detector.warmup_bins", detector.warmup_bins);
+    io("detector.min_rate", detector.min_rate);
+    io("detector.delta", detector.delta);
+    io("detector.threshold", detector.threshold);
+    io("detector.min_profile_correlation", detector.min_profile_correlation);
+    io("detector.profile_cusum_threshold", detector.profile_cusum_threshold);
+    io("detector.check_periodicity", detector.check_periodicity);
+    io("min_retrain_interval", policy.min_retrain_interval);
+    io("retrain_workers", policy.retrain_workers);
+  });
+  return io.status();
+}
+
+/// What the FLET record holds ahead of its TENT records.
+struct FleetHead {
+  bool freshness = false;
+  FreshnessPolicy policy;
+  std::uint64_t tenants = 0;
+};
+
+/// The FLET record's head: the layout version, the freshness policy when
+/// the loop is on (v2+), and the number of TENT records that follow.
+template <class Io, class Rec>
+Status FleetHeadFields(Io& io, Rec& head) {
+  const std::uint32_t version =
+      io.Version("fleet snapshot record", kFleetLayerVersion);
+  if (version >= 2) io("freshness", head.freshness);
+  if (head.freshness) PolicyFields(io, head.policy);
+  io("tenants", head.tenants);
+  return io.status();
+}
+
+/// The FRSH record's scalars (per-tenant loop state); the DRFT and TSES
+/// records follow them in the same section.
+template <class Io, class Base, class Fresh>
+Status FreshnessFields(Io& io, Base& base, Fresh& fresh) {
+  io.Version("tenant snapshot freshness", kFreshnessVersion);
+  io("model_origin", base);
+  io("shift", fresh.shift);
+  io("last_attempt", fresh.last_attempt);
+  io("drift_counted", fresh.drift_counted);
+  io("drift_events", fresh.counters.drift_events);
+  io("retrains_completed", fresh.counters.retrains_completed);
+  io("retrain_failures", fresh.counters.retrain_failures);
+  io("swaps_applied", fresh.counters.swaps_applied);
+  io("last_swap_time", fresh.counters.last_swap_time);
+  return io.status();
+}
+
+/// The HLTH record.
+template <class Io, class Rec>
+Status HealthFields(Io& io, Rec& h) {
+  io.Section("health", persist::kTagHealth, [&] {
+    io.Version("tenant snapshot health", kHealthVersion);
+    io("state", h.health, TenantHealth::kQuarantined);
+    io("consecutive_plan_failures", h.consecutive_plan_failures);
+    io("plan_failures", h.plan_failures);
+    io("fallbacks_served", h.fallbacks_served);
+    io("rejected_observations", h.rejected_observations);
+    io("breaker_opens", h.breaker_opens);
+    io("probes", h.probes);
+    io("deadline_overruns", h.deadline_overruns);
+    io("consecutive_retrain_failures", h.consecutive_retrain_failures);
+    io("open_count", h.open_count);
+    io("freshness_errors", h.freshness_errors);
+    io("retry_at", h.retry_at);
+    io("retrain_retry_at", h.retrain_retry_at);
+    io("jitter_rng", h.jitter_rng);
+  });
+  return io.status();
+}
+
+/// One tenant's degradation record: the public TenantHealthInfo, which
+/// Health() and Snapshot() hand out by slicing, plus the breaker's private
+/// state. Mutated only on the caller thread (BreakerGate before the
+/// fan-out, NotePlanOutcome after the join) except for deadline_overruns,
+/// which the owning worker bumps — per-tenant safe.
+struct HealthState : TenantHealthInfo {
+  /// Consecutive breaker opens without an intervening success (drives the
+  /// exponential backoff).
+  std::uint64_t open_count = 0;
+  /// Per-tenant SplitMix64 stream for backoff jitter (seeded from
+  /// RobustnessPolicy::jitter_seed mixed with the tenant name).
+  std::uint64_t jitter_rng = 0;
+  /// A half-open probe is in flight this boundary: its outcome decides
+  /// recovery vs. re-open.
+  bool probe_inflight = false;
+};
 
 }  // namespace
 
@@ -144,6 +274,41 @@ struct ScalerFleet::RetrainJob {
   double base = 0.0;
 };
 
+/// One tenant's freshness loop: exists exactly while the loop is attached
+/// (AttachFreshness builds it; a restored tenant brings it from its FRSH
+/// section).
+struct ScalerFleet::FreshState {
+  ts::DriftDetector detector;
+  train::TrainingSession session;
+  /// Session (trace) time = fleet serving time + shift. Fixed at attach:
+  /// fleet time Tenant::base maps to the session window's end.
+  double shift = 0.0;
+  double last_attempt = -std::numeric_limits<double>::infinity();
+  bool drift_counted = false;  ///< Current latch already in drift_events.
+  /// The lifetime counters Freshness() reports (drift_events,
+  /// retrains_completed, retrain_failures, swaps_applied, last_swap_time);
+  /// its other fields are derived on read.
+  TenantFreshness counters;
+  std::shared_ptr<RetrainJob> job;  ///< In-flight retrain, if any.
+};
+
+struct ScalerFleet::Tenant {
+  std::string name;
+  Scaler scaler;
+  /// Fleet serving time of the live model's forecast origin. The scaler is
+  /// driven at `fleet_time - base`; creation times come back rebased by
+  /// `+ base`. 0 until the first background swap.
+  double base = 0.0;
+  /// Deferred ReplaceModelAtNextPlan (a pointer: the slot is almost always
+  /// empty, and a Scaler is large).
+  std::unique_ptr<Scaler> pending_manual;
+  std::unique_ptr<FreshState> fresh;     ///< Null while the loop is detached.
+  HealthState health;
+
+  Tenant(std::string n, Scaler s) : name(std::move(n)), scaler(std::move(s)) {}
+  /// The tenant's position on the fleet serving clock.
+  double now() const { return scaler.Snapshot().now + base; }
+};
 
 ScalerFleet::ScalerFleet(std::size_t worker_threads)
     : pool_(std::make_unique<common::ThreadPool>(worker_threads)) {}
@@ -871,6 +1036,97 @@ FleetSnapshot ScalerFleet::Snapshot() const {
 
 // -- Durability & migration -------------------------------------------------
 
+Status ScalerFleet::WriteTenantRecord(persist::Writer* writer,
+                                      std::size_t index) const {
+  const Tenant& tenant = *tenants_[index];
+  writer->BeginSection(persist::kTagTenant);
+  writer->WriteString(tenant.name);
+  RS_RETURN_NOT_OK(tenant.scaler.SaveStateSection(writer));
+  persist::Encoder io(writer);
+  if (tenant.fresh != nullptr) {
+    // In-flight jobs and pending manual replacements are deliberately not
+    // persisted: a latched drift survives, so a restored fleet simply
+    // re-enqueues the retrain at its first plan boundary.
+    writer->BeginSection(persist::kTagFreshness);
+    FreshnessFields(io, tenant.base, *tenant.fresh);
+    tenant.fresh->detector.Serialize(writer);
+    tenant.fresh->session.Serialize(writer);
+    writer->EndSection();
+  }
+  // Health rides along so a restored fleet resumes its degradation state
+  // machine mid-backoff instead of amnesically re-probing everything.
+  // probe_inflight and last_error are transient within one boundary /
+  // diagnostic-only and are deliberately not persisted; RobustnessPolicy
+  // is runtime configuration (like worker_threads) and is re-applied by
+  // the operator after LoadFleet.
+  HealthFields(io, tenant.health);
+  writer->EndSection();
+  return Status::OK();
+}
+
+Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
+    persist::Reader* reader,
+    const std::function<sim::DecisionClock*(const std::string&)>& clock_for,
+    const FreshnessPolicy* policy) {
+  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTenant));
+  RS_ASSIGN_OR_RETURN(std::string name, reader->ReadString());
+  if (name.empty()) {
+    return Status::Invalid(
+        "tenant snapshot carries an empty tenant name; the file is corrupt");
+  }
+  ScalerRestoreOptions restore;
+  if (clock_for) restore.decision_clock = clock_for(name);
+  RS_ASSIGN_OR_RETURN(Scaler scaler,
+                      ScalerBuilder::RestoreStateSection(reader, restore));
+  auto tenant = std::make_unique<Tenant>(std::move(name), std::move(scaler));
+  persist::Decoder io(reader);
+  // FRSH (fleet layer v2+) and HLTH (v3+) are optional, in this order.
+  if (reader->AtSection(persist::kTagFreshness)) {
+    RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshness));
+    auto fresh = std::make_unique<FreshState>();
+    RS_RETURN_NOT_OK(FreshnessFields(io, tenant->base, *fresh));
+    const ts::DriftDetectorOptions detector_options =
+        policy != nullptr ? policy->detector : ts::DriftDetectorOptions{};
+    RS_ASSIGN_OR_RETURN(fresh->detector, ts::DriftDetector::Deserialize(
+                                             reader, detector_options));
+    const core::PipelineOptions pipeline_options =
+        policy != nullptr ? policy->pipeline : core::PipelineOptions{};
+    RS_ASSIGN_OR_RETURN(
+        fresh->session,
+        train::TrainingSession::Deserialize(reader, pipeline_options));
+    RS_RETURN_NOT_OK(reader->ExitSection());
+    tenant->fresh = std::move(fresh);
+  }
+  if (reader->AtSection(persist::kTagHealth)) {
+    RS_RETURN_NOT_OK(HealthFields(io, tenant->health));
+  }
+  RS_RETURN_NOT_OK(reader->ExitSection());
+  return tenant;
+}
+
+Status ScalerFleet::DescribeTenantRecord(persist::Printer* printer) {
+  printer->Section("tenant", persist::kTagTenant, [printer] {
+    std::string name;
+    (*printer)("name", name);
+    printer->Latch(Scaler::DescribeState(printer));
+    persist::Reader* reader = printer->reader();
+    if (printer->ok() && reader->AtSection(persist::kTagFreshness)) {
+      double base = 0.0;
+      FreshState fresh;
+      printer->Section("freshness state", persist::kTagFreshness, [&] {
+        FreshnessFields(*printer, base, fresh);
+        printer->Latch(ts::DriftDetector::Describe(printer));
+        printer->Latch(train::TrainingSession::Describe(printer));
+      });
+    }
+    if (printer->ok() && reader->AtSection(persist::kTagHealth)) {
+      HealthState health;
+      HealthFields(*printer, health);
+    }
+  });
+  return printer->status();
+}
+
 Status ScalerFleet::SnapshotTenant(const std::string& tenant,
                                    std::ostream& out) const {
   const std::size_t i = FindIndex(tenant);
@@ -895,6 +1151,21 @@ Status ScalerFleet::RestoreTenant(std::istream& in,
   return RegisterTenant(std::move(tenant));
 }
 
+Status ScalerFleet::SaveFleetSection(persist::Writer* writer) const {
+  FleetHead head;
+  head.freshness = policy_.has_value();
+  if (head.freshness) head.policy = *policy_;
+  head.tenants = tenants_.size();
+  writer->BeginSection(persist::kTagFleet);
+  persist::Encoder io(writer);
+  FleetHeadFields(io, head);
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    RS_RETURN_NOT_OK(WriteTenantRecord(writer, i));
+  }
+  writer->EndSection();
+  return Status::OK();
+}
+
 Status ScalerFleet::SaveFleet(std::ostream& out) const {
   persist::Writer writer;
   RS_RETURN_NOT_OK(SaveFleetSection(&writer));
@@ -908,6 +1179,39 @@ Status ScalerFleet::SaveFleetToFile(const std::string& path) const {
   std::ostringstream buffer(std::ios::binary);
   RS_RETURN_NOT_OK(SaveFleet(buffer));
   return persist::AtomicWriteFile(path, buffer.str());
+}
+
+Result<ScalerFleet> ScalerFleet::LoadFleetSection(
+    persist::Reader* reader, const FleetRestoreOptions& options) {
+  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFleet));
+  FleetHead head;
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(FleetHeadFields(io, head));
+  ScalerFleet fleet(options.worker_threads);
+  // Enable before registering, so every restored tenant's loop state binds
+  // to the policy as it lands.
+  if (head.freshness) RS_RETURN_NOT_OK(fleet.EnableFreshness(head.policy));
+  for (std::uint64_t i = 0; i < head.tenants; ++i) {
+    RS_ASSIGN_OR_RETURN(
+        auto tenant,
+        ReadTenantRecord(reader, options.decision_clock_for,
+                         fleet.policy_.has_value() ? &*fleet.policy_
+                                                   : nullptr));
+    RS_RETURN_NOT_OK(fleet.RegisterTenant(std::move(tenant)));
+  }
+  RS_RETURN_NOT_OK(reader->ExitSection());
+  return fleet;
+}
+
+Status ScalerFleet::DescribeFleetSection(persist::Printer* printer) {
+  printer->Section("fleet", persist::kTagFleet, [printer] {
+    FleetHead head;
+    FleetHeadFields(*printer, head);
+    for (std::uint64_t i = 0; i < head.tenants && printer->ok(); ++i) {
+      printer->Latch(DescribeTenantRecord(printer));
+    }
+  });
+  return printer->status();
 }
 
 Result<ScalerFleet> ScalerFleet::LoadFleet(std::istream& in,

@@ -476,12 +476,11 @@ class ScalerFleet {
                        const TenantRestoreOptions& options = {});
 
  private:
-  // The per-tenant records live in fleet_tenant.hpp: Tenant (name, scaler,
-  // serving-clock base, a deferred manual replacement), its HealthState
+  // The per-tenant records live in scaler_fleet.cpp: Tenant (name, scaler,
+  // serving-clock base, a deferred manual replacement), its health record
   // (TenantHealthInfo plus the breaker's private state), and FreshState,
   // which exists exactly while the tenant's freshness loop is attached.
   struct Tenant;
-  struct HealthState;
   struct FreshState;
   /// Output slot of one background retrain (shared with the pool task).
   struct RetrainJob;

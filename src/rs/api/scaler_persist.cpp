@@ -1,12 +1,9 @@
 /// \file scaler_persist.cpp
-/// \brief rs::persist records of a Scaler (SCLR and the SPEC, CTXT, TRND,
-///        STRA and MIRR sections it holds), their restore, and their
-///        printer.
-///
-/// Kept out of scaler.cpp so the codec cannot change how the serving hot
-/// path (Observe, Plan) compiles: the field lists inline into their
-/// callers, and in the same translation unit they used up the inliner's
-/// budget for it.
+/// \brief rs::persist records of a Scaler (SCLR and its SPEC, CTXT, TRND,
+///        STRA and MIRR sections), their restore and their printer. Kept
+///        out of scaler.cpp: inlined there, the field lists used up the
+///        growth GCC's inliner allows one translation unit, and Observe and
+///        Plan lost inlining.
 #include <cmath>
 #include <cstdint>
 #include <istream>

@@ -59,7 +59,9 @@ inline void Put(Writer* w, const std::string& v) { w->WriteString(v); }
 inline void Put(Writer* w, const std::vector<double>& v) {
   w->WriteDoubleVector(v);
 }
-inline void Put(Writer* w, const stats::Rng& v) { WriteRngState(w, v); }
+/// The exact generator position (the 256-bit xoshiro state and the
+/// Box–Muller cache), so a restored stream continues bit for bit.
+void Put(Writer* w, const stats::Rng& v);
 /// A u64 count, then (key, value) pairs in key order.
 void Put(Writer* w, const std::map<std::string, double>& v);
 /// The kind byte, then the two raw parameters.

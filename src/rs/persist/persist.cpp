@@ -416,24 +416,6 @@ Status Reader::SkipSection() {
   return ExitSection();
 }
 
-void WriteRngState(Writer* writer, const stats::Rng& rng) {
-  const stats::Rng::State state = rng.SaveState();
-  for (const std::uint64_t word : state.s) writer->WriteU64(word);
-  writer->WriteBool(state.have_cached_gaussian);
-  writer->WriteDouble(state.cached_gaussian);
-}
-
-Status ReadRngState(Reader* reader, stats::Rng* rng) {
-  stats::Rng::State state;
-  for (std::uint64_t& word : state.s) {
-    RS_ASSIGN_OR_RETURN(word, reader->ReadU64());
-  }
-  RS_ASSIGN_OR_RETURN(state.have_cached_gaussian, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(state.cached_gaussian, reader->ReadDouble());
-  rng->RestoreState(state);
-  return Status::OK();
-}
-
 // -- Field types (fields.hpp) ----------------------------------------------
 
 Status Get(Reader* r, bool* v) { return Store(r->ReadBool(), v); }
@@ -442,7 +424,24 @@ Status Get(Reader* r, std::uint64_t* v) { return Store(r->ReadU64(), v); }
 Status Get(Reader* r, double* v) { return Store(r->ReadDouble(), v); }
 Status Get(Reader* r, std::string* v) { return Store(r->ReadString(), v); }
 Status Get(Reader* r, std::vector<double>* v) { return r->ReadDoubleVector(v); }
-Status Get(Reader* r, stats::Rng* v) { return ReadRngState(r, v); }
+
+void Put(Writer* w, const stats::Rng& v) {
+  const stats::Rng::State state = v.SaveState();
+  for (const std::uint64_t word : state.s) w->WriteU64(word);
+  w->WriteBool(state.have_cached_gaussian);
+  w->WriteDouble(state.cached_gaussian);
+}
+
+Status Get(Reader* r, stats::Rng* v) {
+  stats::Rng::State state;
+  for (std::uint64_t& word : state.s) {
+    RS_ASSIGN_OR_RETURN(word, r->ReadU64());
+  }
+  RS_ASSIGN_OR_RETURN(state.have_cached_gaussian, r->ReadBool());
+  RS_ASSIGN_OR_RETURN(state.cached_gaussian, r->ReadDouble());
+  v->RestoreState(state);
+  return Status::OK();
+}
 
 void Put(Writer* w, const std::map<std::string, double>& v) {
   w->WriteU64(v.size());

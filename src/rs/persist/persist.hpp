@@ -237,9 +237,4 @@ class Reader {
   std::vector<std::size_t> ends_;  ///< End offsets of open sections.
 };
 
-/// Serializes the exact generator state (256-bit xoshiro words + the
-/// Box–Muller cache) so a restored stream continues bit-for-bit.
-void WriteRngState(Writer* writer, const stats::Rng& rng);
-Status ReadRngState(Reader* reader, stats::Rng* rng);
-
 }  // namespace rs::persist

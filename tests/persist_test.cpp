@@ -111,14 +111,14 @@ TEST(PersistCodecTest, RngStateRoundTripContinuesBitForBit) {
   stats::Rng rng(123);
   (void)rng.NextGaussian();  // Populate the Box–Muller cache (odd draw count).
   persist::Writer writer;
-  persist::WriteRngState(&writer, rng);
+  persist::Put(&writer, rng);
   std::stringstream out;
   ASSERT_TRUE(writer.Finish(out).ok());
 
   auto reader = persist::Reader::FromStream(out);
   ASSERT_TRUE(reader.ok());
   stats::Rng restored(0);
-  ASSERT_TRUE(persist::ReadRngState(&reader.ValueOrDie(), &restored).ok());
+  ASSERT_TRUE(persist::Get(&reader.ValueOrDie(), &restored).ok());
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.NextGaussian(), restored.NextGaussian()) << "draw " << i;
     EXPECT_EQ(rng.NextUint64(), restored.NextUint64()) << "draw " << i;

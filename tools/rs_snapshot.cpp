@@ -1,27 +1,22 @@
 /// \file rs_snapshot.cpp
-/// \brief Snapshot inspector: prints the section tree and headline state of
-///        an rs::persist container (Scaler, tenant, fleet, or rs::trace
-///        serving capture).
+/// \brief Snapshot inspector: prints every field of an rs::persist
+///        container (Scaler, tenant, fleet, journal checkpoint) through the
+///        field lists the library encodes and decodes with, and summarizes
+///        rs::trace serving captures.
 ///
 /// Usage:  rs_snapshot [--verify] <snapshot-or-journal-file>
 ///
-/// Also understands rs::wal artifacts: journal segment files (magic
-/// "RSWJ", either layout version) are walked record-by-record (CRC,
-/// framing, LSN contiguity, one event per payload — torn tails and padding
-/// reported, pre-tail corruption fails), and journal checkpoints print
-/// their WCKP metadata before the embedded fleet.
-///
-/// The inspector understands the current section layouts but degrades
-/// gracefully: unknown top-level tags are skipped wholesale, and known
-/// sections whose tail carries fields this build predates are closed with
-/// ExitSection (the codec skips the unread bytes). It never mutates the
-/// snapshot and never crashes on corrupt input — the codec's CRC and bounds
-/// checks turn every malformation into a printed error.
+/// Journal segment files (magic "RSWJ", either layout version) are walked
+/// record by record (CRC, framing, LSN contiguity, one event per payload;
+/// torn tails and padding are reported, pre-tail corruption fails).
+/// Unknown top-level tags are skipped, and fields a newer writer appended
+/// to a known section are skipped when the section closes. The inspector
+/// never mutates its input, and the codec's CRC and bounds checks turn
+/// every malformation into a printed error.
 
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <streambuf>
 #include <string>
 
 #include "rs/api/scaler.hpp"
@@ -39,10 +34,10 @@ using rs::persist::Reader;
 // rs::trace serving capture, decoded by the trace layer: metadata, the
 // first few events and the kind histogram (docs/TRACE_FORMAT.md has the
 // event grammar; rs_trace info/replay work on the same decoded form).
-Status PrintTraceCapture(Reader* reader) {
+Status PrintTraceCapture(Reader* reader, std::ostream& out) {
   RS_ASSIGN_OR_RETURN(const rs::trace::Capture capture,
                       rs::trace::Capture::LoadSection(reader));
-  std::cout << "TRCE serving capture: producer \"" << capture.producer
+  out << "TRCE serving capture: producer \"" << capture.producer
             << "\", label \"" << capture.label << "\", "
             << capture.events.size() << " event(s):\n";
   constexpr std::size_t kShown = 8;
@@ -51,31 +46,31 @@ Status PrintTraceCapture(Reader* reader) {
     const rs::trace::Event& e = capture.events[i];
     ++histogram[static_cast<int>(e.kind)];
     if (i >= kShown) continue;
-    std::cout << "  #" << i << ' ' << rs::trace::EventKindName(e.kind);
+    out << "  #" << i << ' ' << rs::trace::EventKindName(e.kind);
     switch (e.kind) {
       case rs::trace::EventKind::kRegister:
-        std::cout << " \"" << e.name << "\" -> id " << e.id << " ("
+        out << " \"" << e.name << "\" -> id " << e.id << " ("
                   << e.state.size() << "-byte scaler snapshot)";
         break;
       case rs::trace::EventKind::kRetire:
-        std::cout << " id " << e.id;
+        out << " id " << e.id;
         break;
       case rs::trace::EventKind::kReplaceModel:
-        std::cout << " id " << e.id
+        out << " id " << e.id
                   << (e.at_next_plan ? " at next plan" : " immediate") << " ("
                   << e.state.size() << "-byte scaler snapshot)";
         break;
       case rs::trace::EventKind::kObserve:
-        std::cout << " id " << e.id << " t=" << e.time
+        out << " id " << e.id << " t=" << e.time
                   << (e.cold_start ? " cold-start" : "")
                   << (e.cancel_earliest ? " cancel-earliest" : "");
         break;
       case rs::trace::EventKind::kPlan:
-        std::cout << " id " << e.id << " t=" << e.time << " -> "
+        out << " id " << e.id << " t=" << e.time << " -> "
                   << e.action.creation_times.size() << " creation(s), "
                   << e.action.deletions << " deletion(s)";
         if (e.clock.has_position) {
-          std::cout << " [clock " << e.clock.time << '/' << e.clock.readings
+          out << " [clock " << e.clock.time << '/' << e.clock.readings
                     << ']';
         }
         break;
@@ -85,34 +80,32 @@ Status PrintTraceCapture(Reader* reader) {
           creations += plan.action.creation_times.size();
           failures += plan.ok ? 0 : 1;
         }
-        std::cout << " t=" << e.time << " over " << e.plans.size()
+        out << " t=" << e.time << " over " << e.plans.size()
                   << " tenant(s): " << creations << " creation(s)";
-        if (failures > 0) std::cout << ", " << failures << " failed";
+        if (failures > 0) out << ", " << failures << " failed";
         break;
       }
     }
-    std::cout << '\n';
+    out << '\n';
   }
   if (capture.events.size() > kShown) {
-    std::cout << "  ... " << capture.events.size() - kShown << " more\n";
+    out << "  ... " << capture.events.size() - kShown << " more\n";
   }
-  std::cout << "  histogram:";
+  out << "  histogram:";
   for (int kind = 1; kind <= 6; ++kind) {
     if (histogram[kind] == 0) continue;
-    std::cout << ' '
+    out << ' '
               << rs::trace::EventKindName(static_cast<rs::trace::EventKind>(kind))
               << '=' << histogram[kind];
   }
-  std::cout << '\n';
+  out << '\n';
   return Status::OK();
 }
 
-// Scaler, tenant, fleet and journal-checkpoint records print through the
-// field lists their layers encode and decode with (rs/persist/fields.hpp).
-Status Inspect(Reader* reader) {
-  std::cout << "format version " << reader->version() << ", payload "
+Status Inspect(Reader* reader, std::ostream& out) {
+  out << "format version " << reader->version() << ", payload "
             << reader->remaining() << " bytes\n";
-  rs::persist::Printer printer(reader, &std::cout);
+  rs::persist::Printer printer(reader, &out);
   while (reader->remaining() > 0) {
     RS_ASSIGN_OR_RETURN(const std::uint32_t tag, reader->PeekSectionTag());
     if (tag == rs::persist::kTagFleet) {
@@ -122,11 +115,11 @@ Status Inspect(Reader* reader) {
     } else if (tag == rs::persist::kTagScaler) {
       RS_RETURN_NOT_OK(rs::api::Scaler::DescribeState(&printer));
     } else if (tag == rs::persist::kTagTraceCapture) {
-      RS_RETURN_NOT_OK(PrintTraceCapture(reader));
+      RS_RETURN_NOT_OK(PrintTraceCapture(reader, out));
     } else if (tag == rs::persist::kTagWalCheckpoint) {
       RS_RETURN_NOT_OK(rs::wal::DescribeCheckpoint(&printer));
     } else {
-      std::cout << "(skipping unknown section "
+      out << "(skipping unknown section "
                 << rs::persist::TagToString(tag) << ")\n";
       RS_RETURN_NOT_OK(reader->SkipSection());
     }
@@ -135,14 +128,6 @@ Status Inspect(Reader* reader) {
 }
 
 }  // namespace
-
-// Swallows the tree print in --verify mode: the full Inspect walk still
-// runs (exercising every section bound on top of the codec's CRC check),
-// but nothing reaches the terminal except the verdict line.
-class NullBuf : public std::streambuf {
- protected:
-  int overflow(int c) override { return c; }
-};
 
 int main(int argc, char** argv) {
   bool verify = false;
@@ -207,10 +192,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::size_t payload = reader.ValueOrDie().remaining();
-  NullBuf null_buf;
-  std::streambuf* saved = verify ? std::cout.rdbuf(&null_buf) : nullptr;
-  const Status st = Inspect(&reader.ValueOrDie());
-  if (saved) std::cout.rdbuf(saved);
+  // --verify still runs the whole walk (every section bound on top of the
+  // CRC check), into a stream without a buffer, which drops the print.
+  std::ostream discard(nullptr);
+  const Status st = Inspect(&reader.ValueOrDie(), verify ? discard : std::cout);
   if (!st.ok()) {
     std::cerr << "rs_snapshot: " << st.message() << '\n';
     return 1;

@@ -98,25 +98,13 @@ class Autoscaler {
   /// they only affect speed, never the emitted actions. The default refuses
   /// with NotImplemented so strategies that opt out fail loudly at snapshot
   /// time, never silently restoring half a model.
-  virtual Status SerializeModel(persist::Writer* writer) const {
-    (void)writer;
-    return Status::NotImplemented(
-        std::string("strategy '") + name() +
-        "' does not implement model serialization; it cannot be included in "
-        "a durable serving snapshot");
-  }
+  virtual Status SerializeModel(persist::Writer* writer) const;
 
   /// Restores the state written by SerializeModel() onto a strategy rebuilt
   /// from the same StrategySpec; the continuation is byte-identical to the
   /// snapshotted instance. Must validate what it reads (snapshots can be
   /// old or corrupt) and return Status rather than crash.
-  virtual Status DeserializeModel(persist::Reader* reader) {
-    (void)reader;
-    return Status::NotImplemented(
-        std::string("strategy '") + name() +
-        "' does not implement model deserialization; snapshots containing "
-        "it cannot be restored");
-  }
+  virtual Status DeserializeModel(persist::Reader* reader);
 
   virtual ScalingAction Initialize(const SimContext& ctx) {
     (void)ctx;

@@ -2,19 +2,10 @@
 /// \brief Field lists: one declaration per snapshot record drives its
 ///        encoder, its decoder and the inspector's printer.
 ///
-/// A record lists its fields once, in wire order:
-///
-///   template <class Io, class Rec>
-///   Status HealthFields(Io& io, Rec& h) {
-///     io.Section("health", kTagHealth, [&] {
-///       io.Version("tenant snapshot health", kHealthVersion);
-///       io("state", h.health, TenantHealth::kQuarantined);
-///       io("plan_failures", h.plan_failures);
-///     });
-///     return io.status();
-///   }
-///
-/// and three visitors run that list:
+/// A record lists its fields once, in wire order, as io("name", rec.field)
+/// calls in a `template <class Io, class Rec> Status XFields(Io&, Rec&)`
+/// (HealthFields in api/scaler_fleet.cpp is a short one), and three
+/// visitors run that list:
 ///  * Encoder, over a Writer (Rec is const): each io(...) is one Write*.
 ///  * Decoder, over a Reader: each io(...) is one Read* into the field. The
 ///    first error wins and every later field is skipped, so a list needs no

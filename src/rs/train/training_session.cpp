@@ -160,12 +160,11 @@ Result<TrainingSession> TrainingSession::Deserialize(
   RS_RETURN_NOT_OK(SessionFields(io, session));
   // AppendArrival casts (t - start) / dt to a bin index: both must be
   // finite for that to be defined.
-  if (!std::isfinite(session.counts_.start)) {
-    return Status::Invalid("TrainingSession: snapshot start must be finite");
-  }
-  if (!(session.counts_.dt > 0.0) || !std::isfinite(session.counts_.dt)) {
+  const ts::CountSeries& counts = session.counts_;
+  if (!std::isfinite(counts.start) || !std::isfinite(counts.dt) ||
+      !(counts.dt > 0.0)) {
     return Status::Invalid(
-        "TrainingSession: snapshot dt must be finite and > 0");
+        "TrainingSession: snapshot start and dt must be finite, dt > 0");
   }
   return session;
 }

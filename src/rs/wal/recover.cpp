@@ -153,13 +153,11 @@ Result<api::ScalerFleet> FleetJournal::Recover(const RecoverOptions& options,
 }
 
 Status DescribeCheckpoint(persist::Printer* printer) {
-  printer->Section("journal checkpoint", persist::kTagWalCheckpoint,
-                   [printer] {
-                     internal::CheckpointMeta meta;
-                     internal::CheckpointFields(*printer, meta);
-                     printer->Latch(
-                         api::ScalerFleet::DescribeFleetSection(printer));
-                   });
+  internal::CheckpointMeta meta;
+  printer->Section("journal checkpoint", persist::kTagWalCheckpoint, [&] {
+    internal::CheckpointFields(*printer, meta);
+    printer->Latch(api::ScalerFleet::DescribeFleetSection(printer));
+  });
   return printer->status();
 }
 

@@ -241,12 +241,19 @@ void BM_SortDoubles(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool radix = state.range(1) != 0;
   rs::stats::Rng rng(10);
-  std::vector<double> base(n), work(n);
   // Planning-target-shaped data: a shared offset plus Gamma-scale spread.
+  // Iterations cycle through distinct arrays (about 1 MB in all), as the
+  // planner sorts fresh targets per query: re-sorting one array would let
+  // the branch predictor learn std::sort's comparisons.
+  const std::size_t arrays = std::clamp<std::size_t>((1 << 17) / n, 1, 4096);
+  std::vector<double> base(arrays * n), work(n);
   for (auto& v : base) v = 500.0 + 40.0 * rng.NextGaussian();
   rs::common::RadixSortScratch scratch;
+  std::size_t next = 0;
   for (auto _ : state) {
-    work = base;
+    const double* input = base.data() + next * n;
+    next = next + 1 == arrays ? 0 : next + 1;
+    std::copy(input, input + n, work.begin());
     if (radix) {
       rs::common::RadixSortAscending(work.data(), n, &scratch);
     } else {
@@ -256,9 +263,21 @@ void BM_SortDoubles(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(radix ? "radix" : "std::sort");
+  state.SetLabel(radix ? "RadixSortAscending" : "std::sort");
 }
+// Below 128 elements RadixSortAscending runs the comparison network, from
+// 128 on the radix passes.
 BENCHMARK(BM_SortDoubles)
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({20, 0})
+    ->Args({20, 1})
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Args({127, 0})
+    ->Args({127, 1})
     ->Args({1000, 0})
     ->Args({1000, 1})
     ->Args({10000, 0})

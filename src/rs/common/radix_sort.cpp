@@ -1,13 +1,25 @@
 #include "rs/common/radix_sort.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace rs::common {
 
 namespace {
 
 constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
+
+/// The radix passes sort from this size on, the network below it, where
+/// it beats std::sort at every size measured (bench_micro BM_SortDoubles,
+/// from n = 2 on).
+constexpr std::size_t kRadixMinSize = 128;
+static_assert(kRadixMinSize - 1 <= 0xFF,
+              "comparator indices are stored as bytes");
 
 /// Monotone double→uint64 key: non-negative doubles get the sign bit set,
 /// negative doubles are fully complemented, so unsigned key order equals
@@ -29,16 +41,59 @@ inline double InverseKey(std::uint64_t key) {
   return value;
 }
 
-}  // namespace
-
-void RadixSortAscending(double* data, std::size_t n,
-                        RadixSortScratch* scratch) {
-  if (n < 2) return;
-  // Below this size the O(n) pass overheads beat the O(n log n) comparisons.
-  if (n < 128 || scratch == nullptr) {
-    std::sort(data, data + n);
-    return;
+/// Batcher's odd–even merge sort network for n elements (K. E. Batcher,
+/// "Sorting networks and their applications", AFIPS SJCC 1968), stage by
+/// stage. It is the network for the next power of two with every
+/// comparator that touches an index ≥ n dropped: those slots would hold
+/// +∞, which no comparator moves.
+void BuildOddEvenMergeNetwork(
+    std::size_t n, std::vector<RadixSortScratch::Comparator>* out) {
+  out->clear();
+  for (std::size_t p = 1; p < n; p <<= 1) {
+    for (std::size_t k = p; k >= 1; k >>= 1) {
+      for (std::size_t j = k % p; j + k < n; j += 2 * k) {
+        for (std::size_t i = j; i < j + k && i + k < n; ++i) {
+          // Only exchange within one 2p-block being merged.
+          if (i / (2 * p) == (i + k) / (2 * p)) {
+            out->push_back({static_cast<std::uint8_t>(i),
+                            static_cast<std::uint8_t>(i + k)});
+          }
+        }
+      }
+    }
   }
+}
+
+/// Orders *lo ≤ *hi without a branch. Both results test the same
+/// predicate (*hi < *lo), so the pair is always permuted, never
+/// duplicated, even for −0.0/+0.0 (std::min(a, b) and std::max(b, a)).
+inline void CompareExchange(double* lo, double* hi) {
+#if defined(__SSE2__)
+  // GCC turns std::min/std::max on doubles into a data-dependent branch;
+  // minsd/maxsd compute the same two values.
+  const __m128d a = _mm_load_sd(lo);
+  const __m128d b = _mm_load_sd(hi);
+  _mm_store_sd(lo, _mm_min_sd(b, a));  // b < a ? b : a
+  _mm_store_sd(hi, _mm_max_sd(a, b));  // a > b ? a : b
+#else
+  const double a = *lo;
+  const double b = *hi;
+  *lo = std::min(a, b);
+  *hi = std::max(b, a);
+#endif
+}
+
+void NetworkSort(double* data, std::size_t n, RadixSortScratch* scratch) {
+  if (scratch->network_n != n) {
+    BuildOddEvenMergeNetwork(n, &scratch->network);
+    scratch->network_n = n;
+  }
+  for (const auto& c : scratch->network) {
+    CompareExchange(data + c.lo, data + c.hi);
+  }
+}
+
+void RadixSort(double* data, std::size_t n, RadixSortScratch* scratch) {
   scratch->keys.resize(n);
   scratch->tmp.resize(n);
   std::uint64_t* a = scratch->keys.data();
@@ -76,6 +131,33 @@ void RadixSortAscending(double* data, std::size_t n,
   }
 
   for (std::size_t i = 0; i < n; ++i) data[i] = InverseKey(a[i]);
+}
+
+bool HasNan(const double* data, std::size_t n) {
+  bool nan = false;
+  for (std::size_t i = 0; i < n; ++i) nan |= std::isnan(data[i]);
+  return nan;
+}
+
+}  // namespace
+
+std::size_t RadixSortScratch::RetainedBytes() const {
+  return (keys.capacity() + tmp.capacity()) * sizeof(std::uint64_t) +
+         network.capacity() * sizeof(Comparator);
+}
+
+void RadixSortAscending(double* data, std::size_t n,
+                        RadixSortScratch* scratch) {
+  if (n < 2) return;
+  if (scratch != nullptr && n >= kRadixMinSize) {
+    RadixSort(data, n, scratch);
+  } else if (scratch != nullptr && !HasNan(data, n)) {
+    // A NaN compares false both ways, so the network would leave it (and
+    // whatever it separates) unsorted.
+    NetworkSort(data, n, scratch);
+  } else {
+    std::sort(data, data + n);
+  }
 }
 
 }  // namespace rs::common

@@ -405,8 +405,7 @@ std::size_t DecisionKernel::WorkspaceBytes() const {
           sorted_xi_.capacity() + xi_prefix_.capacity() +
           scratch_.capacity()) *
              sizeof(double) +
-         (radix_.keys.capacity() + radix_.tmp.capacity()) *
-             sizeof(std::uint64_t);
+         radix_.RetainedBytes();
 }
 
 }  // namespace rs::core

@@ -352,9 +352,7 @@ std::size_t PlanWorkspace::RetainedBytes() const {
           samples.xi.capacity() + samples.tau.capacity() +
           hp_cuts.capacity()) *
              sizeof(double) +
-         order.capacity() * sizeof(std::uint32_t) +
-         (radix.keys.capacity() + radix.tmp.capacity()) *
-             sizeof(std::uint64_t) +
+         order.capacity() * sizeof(std::uint32_t) + radix.RetainedBytes() +
          kernel.WorkspaceBytes();
 }
 

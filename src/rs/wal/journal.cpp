@@ -35,9 +35,10 @@ namespace {
 /// Append/fsync/rotate attempts before the journal fail-stops.
 constexpr int kAttempts = 3;
 
-/// A record larger than this (a scaler snapshot, a PlanAll over a large
-/// fleet) does not leave its capacity behind in the reused encode and frame
-/// buffers; Observe and single-tenant Plan records stay far below it.
+/// A record that embeds a scaler snapshot (register, model swap) and is
+/// larger than this does not leave its capacity behind in the reused frame
+/// buffer. PlanAll records keep theirs whatever their size: every boundary
+/// writes one about as large, so it is the fleet's steady state.
 constexpr std::size_t kRetainedRecordBytes = 4 << 10;
 
 CrashPointHook g_crash_hook = nullptr;
@@ -482,7 +483,9 @@ void FleetJournal::Emit(trace::Event&& event) {
   trace::EncodeEvent(&frame_, event);
   internal::SealFrame(&frame_);
   AppendFrame();
-  if (frame_.size() > kRetainedRecordBytes) {
+  const bool embeds_snapshot = event.kind == trace::EventKind::kRegister ||
+                               event.kind == trace::EventKind::kReplaceModel;
+  if (embeds_snapshot && frame_.size() > kRetainedRecordBytes) {
     // Swap, not assign: clearing a buffer keeps its capacity.
     persist::Writer().swap(frame_);
   }

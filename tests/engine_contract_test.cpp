@@ -429,6 +429,11 @@ std::uint64_t ServingDigest(const ServingCase& strategy,
 
 // -- Golden values (measured before the event loop was unified; the fleet
 // values before the fleet's per-tenant records were reshaped) -------------
+//
+// The fleet stream and restart digests include planning_workspace_bytes.
+// They were re-pinned once, when the small-array sorting network's
+// comparator list joined that count; every other digested byte, and the
+// saves digests, stayed as pinned.
 
 struct Golden {
   const char* key;
@@ -476,12 +481,12 @@ const Golden kGolden[] = {
     {"serving/scripted/stochastic", 0xd3aeac9713ad0065ULL},
     {"serving/scripted/latency_jitter", 0x5b798c82848ba497ULL},
     {"serving/scripted/charged", 0x0c0a4e774a9eeceaULL},
-    {"fleet/clean/stream", 0x2a40ff9c914278f3ULL},
+    {"fleet/clean/stream", 0xfdfb27cc0b824bafULL},
     {"fleet/clean/saves", 0x878a0c6a4be16776ULL},
-    {"fleet/clean/restart", 0xdbec2597acffd2c4ULL},
-    {"fleet/faults/stream", 0x7ef339a0952588ecULL},
+    {"fleet/clean/restart", 0x652b1f7af1203280ULL},
+    {"fleet/faults/stream", 0xe7e2f19cfb872f28ULL},
     {"fleet/faults/saves", 0x4cdbcbf4ecbc9281ULL},
-    {"fleet/faults/restart", 0xed565708644d8e46ULL},
+    {"fleet/faults/restart", 0x182e78399fe03ac2ULL},
 };
 
 std::uint64_t GoldenFor(const std::string& key) {

@@ -382,7 +382,9 @@ void ExpectPolicyMatchesOracle(core::RobustScalerPolicy* policy,
 
 TEST(PlannerParityTest, PolicyRoundsMatchReferenceOracle) {
   // Every pending kind × variant, with R below and above one 128-path draw
-  // block.
+  // block. R = 8 and R = 20 (azure-durable's) sort with the comparison
+  // network and R = 300 with the radix passes; the oracle sorts with
+  // std::sort throughout.
   stats::Rng rng(31337);
   const auto intensity = RandomIntensity(&rng, 64, false, 2.0);
   const std::vector<stats::DurationDistribution> pendings = {
@@ -397,7 +399,8 @@ TEST(PlannerParityTest, PolicyRoundsMatchReferenceOracle) {
   };
   for (const auto& pending : pendings) {
     for (auto variant : variants) {
-      for (std::size_t mc : {std::size_t{64}, std::size_t{300}}) {
+      for (std::size_t mc : {std::size_t{8}, std::size_t{20},
+                             std::size_t{64}, std::size_t{300}}) {
         SCOPED_TRACE(::testing::Message() << "variant "
                                           << static_cast<int>(variant)
                                           << ", R=" << mc);

@@ -16,8 +16,9 @@
 //    events a trace::Recorder captured from the same session, byte for
 //    byte (mid-session attach, lifecycle churn, Plan and PlanAll);
 //  * the append path: every segment file equals, byte for byte, the frames
-//    a fresh-encoder-per-record oracle builds for the same session, and a
-//    steady-state Observe append makes zero heap allocations;
+//    a fresh-encoder-per-record oracle builds for the same session, a
+//    steady-state Observe append makes zero heap allocations, and only a
+//    record that embeds a scaler snapshot releases the frame buffer;
 //  * layout version 1 stays readable: the committed v1 example segment
 //    decodes to pinned events, a v1 journal with a checkpoint recovers and
 //    continues byte-identically, and so does a directory the current
@@ -793,7 +794,7 @@ TEST(WalAppendTest, SteadyStateObserveAppendMakesNoHeapAllocation) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
+TEST(WalAppendTest, ScalerSnapshotRecordDoesNotPinItsBufferCapacity) {
   const std::string dir = TempDir("bounded_buffers");
   JournalPolicy policy;
   policy.fsync = FsyncPolicy::kNone;
@@ -802,20 +803,24 @@ TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
   ScalerFleet fleet(0);
   RegisterTenants(&fleet);
   ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
-  // A PlanAll over a large fleet: one record far larger than an Observe,
-  // the way a scaler snapshot is.
-  std::vector<ScalerFleet::TenantPlan> plans(200);
-  for (ScalerFleet::TenantPlan& plan : plans) {
-    plan.tenant = Tenants()[0];
-    plan.action.creation_times.assign(16, 3.0);
-  }
-  const std::vector<api::TapClockMark> clocks(plans.size());
+  // A model swap embeds the incoming scaler's snapshot: a one-off record,
+  // here made large by a forecast of 2000 bins.
+  auto built = api::ScalerBuilder()
+                   .WithTrace(MakeTrace(62, 4.0 * kPeriodS, 0.5))
+                   .WithBinWidth(kDt)
+                   .WithForecastHorizon(100.0 * kPeriodS)
+                   .WithStrategy(api::StrategySpec{"robust_hp", {}})
+                   .WithPlanningInterval(2.0)
+                   .WithMcSamples(40)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const api::Scaler incoming = std::move(built).ValueOrDie();
   // The live segment is preallocated, so its record bytes come from the
   // segment scan, not the file size.
   const std::string segment = SegmentFiles(dir).back();
   const std::size_t size_before = InspectSegmentFile(segment)->bytes;
   const std::int64_t live_before = g_live_heap_bytes.load();
-  journal.OnPlanAll(2.0, plans, clocks);
+  journal.OnReplaceModel(Tenants()[1], incoming, /*at_next_plan=*/false);
   const std::int64_t retained = g_live_heap_bytes.load() - live_before;
   const std::size_t record = InspectSegmentFile(segment)->bytes - size_before;
 
@@ -824,6 +829,52 @@ TEST(WalAppendTest, LargeRecordDoesNotPinItsBufferCapacity) {
   EXPECT_LT(retained, static_cast<std::int64_t>(record / 4))
       << "the journal still holds " << retained << " heap bytes after a "
       << record << "-byte record";
+  journal.Detach();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalAppendTest, PlanAllRecordKeepsItsBufferCapacity) {
+  const std::string dir = TempDir("planall_buffer");
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir, policy).ok());
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
+  // A PlanAll over a large fleet: every boundary writes a record about
+  // this large, so its frame buffer is kept for the next one.
+  std::vector<ScalerFleet::TenantPlan> plans(200);
+  for (ScalerFleet::TenantPlan& plan : plans) {
+    plan.tenant = Tenants()[0];
+    plan.action.creation_times.assign(16, 3.0);
+  }
+  const std::vector<api::TapClockMark> clocks(plans.size());
+  const std::string segment = SegmentFiles(dir).back();
+  const std::size_t size_before = InspectSegmentFile(segment)->bytes;
+  const std::int64_t live_before = g_live_heap_bytes.load();
+  g_heap_allocations.store(0);
+  g_counting_allocations.store(true);
+  journal.OnPlanAll(2.0, plans, clocks);
+  g_counting_allocations.store(false);
+  const std::uint64_t first_allocations = g_heap_allocations.load();
+  const std::int64_t retained = g_live_heap_bytes.load() - live_before;
+  const std::size_t record = InspectSegmentFile(segment)->bytes - size_before;
+
+  g_heap_allocations.store(0);
+  g_counting_allocations.store(true);
+  journal.OnPlanAll(4.0, plans, clocks);
+  g_counting_allocations.store(false);
+  const std::uint64_t second_allocations = g_heap_allocations.load();
+
+  ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+  ASSERT_GT(record, 16u << 10);
+  EXPECT_GE(retained, static_cast<std::int64_t>(record))
+      << "the frame buffer was released after a PlanAll record";
+  // The event itself allocates the same both times; the first record also
+  // grew the frame buffer.
+  EXPECT_LT(second_allocations, first_allocations)
+      << "the second PlanAll record regrew the frame buffer";
   journal.Detach();
   std::filesystem::remove_all(dir);
 }

@@ -6,12 +6,20 @@
 // kernels behind bench_plan_hot_path: restructured rs::linalg vector ops,
 // ziggurat exponential sampling, batched inverse-cumulative resolution,
 // radix vs comparison sorting, and the allocation-free DecisionKernel.
+// The journal's serving-path cost: the CRC-32 kernels and one PlanAll
+// record (event fill, encode, frame CRC, append).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "rs/api/api.hpp"
 #include "rs/common/radix_sort.hpp"
 #include "rs/core/admm.hpp"
 #include "rs/core/arrival_predictor.hpp"
@@ -20,9 +28,11 @@
 #include "rs/linalg/banded_cholesky.hpp"
 #include "rs/linalg/difference_ops.hpp"
 #include "rs/linalg/vector_ops.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/stats/distributions.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/timeseries/fft.hpp"
+#include "rs/wal/wal.hpp"
 #include "rs/workload/intensity.hpp"
 
 namespace {
@@ -297,6 +307,92 @@ void BM_DecisionKernelRt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecisionKernelRt)->Arg(1000)->Arg(10000);
+
+// 30 B is an Observe record (table kernel), 6 KiB a 100-tenant PlanAll
+// record and 1 MiB a snapshot (folded when the CPU has PCLMULQDQ).
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  rs::stats::Rng rng(12);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.NextBounded(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rs::persist::Crc32(bytes.data(), n));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(30)->Arg(6 << 10)->Arg(1 << 20);
+
+// One journaled PlanAll boundary of 100 tenants, 0-5 creation times each,
+// under FsyncPolicy::kNone: the tap's event fill, the record encode, the
+// frame CRC and the copy into the mapped segment. The journal restarts in
+// a fresh directory (untimed) before a segment would rotate.
+void BM_JournalPlanAll(benchmark::State& state) {
+  namespace api = rs::api;
+  namespace wal = rs::wal;
+  constexpr std::size_t kTenants = 100;
+  constexpr int kRecordsPerJournal = 256;
+  std::vector<double> rates(120, 0.5);
+  auto intensity = *rs::workload::PiecewiseConstantIntensity::Make(rates, 30.0);
+  rs::stats::Rng rng(13);
+  auto trace = *rs::workload::MakeTraceFromIntensity(
+      &rng, intensity, rs::stats::DurationDistribution::Exponential(15.0));
+  auto scaler = api::ScalerBuilder()
+                    .WithTrace(trace)
+                    .WithBinWidth(30.0)
+                    .WithForecastHorizon(7200.0)
+                    .WithStrategy(*api::ParseStrategySpec("backup_pool"))
+                    .WithPlanningInterval(10.0)
+                    .Build();
+  std::ostringstream saved;
+  if (!scaler.ok() || !scaler->SaveState(saved).ok()) {
+    state.SkipWithError("cannot build the tenant scaler");
+    return;
+  }
+  api::ScalerFleet fleet(0);
+  std::vector<api::ScalerFleet::TenantPlan> plans(kTenants);
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    std::istringstream in(saved.str());
+    plans[i].tenant = "fn-" + std::to_string(i);
+    (void)fleet.Register(plans[i].tenant,
+                         std::move(api::ScalerBuilder::RestoreState(in))
+                             .ValueOrDie());
+    for (std::size_t k = 0; k < i % 6; ++k) {
+      plans[i].action.creation_times.push_back(3600.0 + 7.0 * k + 0.1 * i);
+    }
+  }
+  const std::vector<api::TapClockMark> clocks(kTenants);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("rs_bm_journal_planall_" + std::to_string(::getpid()));
+  wal::JournalPolicy policy;
+  policy.fsync = wal::FsyncPolicy::kNone;
+
+  double now = 0.0;
+  int records = kRecordsPerJournal;
+  auto journal = std::make_unique<wal::FleetJournal>();
+  for (auto _ : state) {
+    if (records == kRecordsPerJournal) {
+      state.PauseTiming();
+      journal->Detach();
+      journal = std::make_unique<wal::FleetJournal>();
+      std::filesystem::remove_all(dir);
+      if (!journal->Open(dir.string(), policy).ok() ||
+          !wal::EnableJournal(&fleet, journal.get()).ok()) {
+        state.SkipWithError("cannot open the journal");
+        break;
+      }
+      records = 0;
+      state.ResumeTiming();
+    }
+    journal->OnPlanAll(now += 10.0, plans, clocks);
+    ++records;
+  }
+  journal->Detach();
+  journal.reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_JournalPlanAll)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 ///        normative spec for everything encoded here — keep the two in sync
 ///        (tools/trace_spec_check.py re-decodes the committed example
 ///        capture from the spec alone in CI).
+#include <bit>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -19,6 +20,33 @@ namespace {
 /// changes; readers reject newer versions with a descriptive Status and
 /// accept older ones (there are none yet).
 constexpr std::uint32_t kTraceLayerVersion = 1;
+
+/// A PlanAll tenant's id, ok flag and clock (4 + 1 + 17 bytes); an ok
+/// tenant adds its action's count, times and deletions.
+constexpr std::size_t kPlannedTenantBytes = 22;
+
+/// Stores fields into a run reserved with persist::Writer::Extend, in the
+/// Writer's encodings: little-endian by shifts, so the bytes do not depend
+/// on the host's byte order.
+class RunStore {
+ public:
+  explicit RunStore(char* at) : at_(at) {}
+
+  void U8(std::uint8_t value) { *at_++ = static_cast<char>(value); }
+  void U32(std::uint32_t value) { Le(value, 4); }
+  void U64(std::uint64_t value) { Le(value, 8); }
+  void Double(double value) { U64(std::bit_cast<std::uint64_t>(value)); }
+
+ private:
+  void Le(std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      at_[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+    }
+    at_ += width;
+  }
+
+  char* at_;
+};
 
 void WriteClock(persist::Writer* writer, const ClockMark& clock) {
   writer->WriteBool(clock.has_position);
@@ -75,16 +103,31 @@ void EncodeEvent(persist::Writer* writer, const Event& event) {
       WriteClock(writer, event.clock);
       WriteAction(writer, event.action);
       break;
-    case EventKind::kPlanAll:
-      writer->WriteDouble(event.time);
-      writer->WriteU64(event.plans.size());
+    case EventKind::kPlanAll: {
+      // A boundary's record is the journal's largest on the serving path:
+      // size it once and store every field into one run, in the order and
+      // encodings WriteClock and WriteAction use.
+      std::size_t bytes = 16;
       for (const PlannedTenant& plan : event.plans) {
-        writer->WriteU32(plan.id);
-        writer->WriteBool(plan.ok);
-        WriteClock(writer, plan.clock);
-        if (plan.ok) WriteAction(writer, plan.action);
+        bytes += kPlannedTenantBytes;
+        if (plan.ok) bytes += 16 + 8 * plan.action.creation_times.size();
+      }
+      RunStore run(writer->Extend(bytes));
+      run.Double(event.time);
+      run.U64(event.plans.size());
+      for (const PlannedTenant& plan : event.plans) {
+        run.U32(plan.id);
+        run.U8(plan.ok ? 1 : 0);
+        run.U8(plan.clock.has_position ? 1 : 0);
+        run.Double(plan.clock.time);
+        run.U64(plan.clock.readings);
+        if (!plan.ok) continue;
+        run.U64(plan.action.creation_times.size());
+        for (const double time : plan.action.creation_times) run.Double(time);
+        run.U64(plan.action.deletions);
       }
       break;
+    }
   }
 }
 
@@ -144,7 +187,7 @@ Status DecodeEvent(persist::Reader* reader, Event* event) {
       RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
       // Every per-tenant record is at least id + ok + clock bytes; a count
       // claiming more than the section holds is corrupt, not an allocation.
-      if (count > reader->remaining() / 22) {
+      if (count > reader->remaining() / kPlannedTenantBytes) {
         return Status::Invalid(
             "trace capture claims " + std::to_string(count) +
             " tenants in a PlanAll batch but the section is too small");

@@ -151,17 +151,28 @@ void EventTap::OnPlan(const std::string& tenant, double now,
 void EventTap::OnPlanAll(double now,
                          const std::vector<api::ScalerFleet::TenantPlan>& plans,
                          const std::vector<ClockMark>& clocks) {
-  Event event;
+  // Filled in place: a tap that only encodes the event (the journal) keeps
+  // every tenant slot and its creation_times capacity for the next
+  // boundary, so a steady boundary allocates nothing here. One that moves
+  // it out (the Recorder) leaves it empty, and it regrows.
+  Event& event = plan_all_;
   event.kind = EventKind::kPlanAll;
   event.time = now;
-  event.plans.reserve(plans.size());
+  event.plans.resize(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    PlannedTenant plan;
+    PlannedTenant& plan = event.plans[i];
     plan.id = InternId(plans[i].tenant);
     plan.ok = plans[i].status.ok();
     plan.clock = i < clocks.size() ? clocks[i] : ClockMark{};
-    if (plan.ok) plan.action = plans[i].action;
-    event.plans.push_back(std::move(plan));
+    std::vector<double>& times = plan.action.creation_times;
+    if (plan.ok) {
+      const std::vector<double>& planned = plans[i].action.creation_times;
+      times.assign(planned.begin(), planned.end());
+      plan.action.deletions = plans[i].action.deletions;
+    } else {
+      times.clear();
+      plan.action.deletions = 0;
+    }
   }
   Emit(std::move(event));
 }

@@ -177,7 +177,9 @@ class EventTap : public api::ServingTap {
                  const std::vector<ClockMark>& clocks) final;
 
  protected:
-  /// Receives every event this tap builds, in serving order.
+  /// Receives every event this tap builds, in serving order. It may move
+  /// from the event; a kPlanAll event it leaves in place keeps its buffers
+  /// for the next boundary.
   virtual void Emit(Event&& event) = 0;
 
   /// \brief Attaches as `fleet`'s tap (refused while another tap is
@@ -200,6 +202,9 @@ class EventTap : public api::ServingTap {
 
  private:
   std::uint32_t InternId(const std::string& tenant) const;
+
+  /// The kPlanAll event OnPlanAll fills in place at every boundary.
+  Event plan_all_;
 };
 
 /// \brief ServingTap that records a live fleet's session into a Capture.

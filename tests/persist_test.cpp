@@ -13,6 +13,7 @@
 //    live MigrateTenant between two serving fleets mid-stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -125,8 +126,8 @@ TEST(PersistCodecTest, RngStateRoundTripContinuesBitForBit) {
   }
 }
 
-/// Bitwise CRC-32 (IEEE reflected): the reference the sliced kernel must
-/// match byte for byte.
+/// Bitwise CRC-32 (IEEE reflected): the reference both kernels must match
+/// byte for byte.
 std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t n,
                              std::uint32_t seed) {
   std::uint32_t crc = ~seed;
@@ -139,30 +140,67 @@ std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t n,
   return ~crc;
 }
 
-TEST(PersistCrcTest, SlicedKernelMatchesTheBitwiseReference) {
+/// Crc32 over pieces of at most 63 bytes, chained: each call is below the
+/// 64-byte fold threshold, so this is the table kernel alone on any CPU.
+std::uint32_t TableKernelCrc32(const unsigned char* data, std::size_t n,
+                               std::uint32_t seed) {
+  std::uint32_t crc = seed;
+  for (std::size_t at = 0; at < n; at += 63) {
+    crc = persist::Crc32(data + at, std::min<std::size_t>(63, n - at), crc);
+  }
+  return crc;
+}
+
+TEST(PersistCrcTest, TableAndFoldedKernelsMatchTheBitwiseReference) {
   EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(persist::Crc32(nullptr, 0), 0u);
 
   stats::Rng rng(20220414);
-  std::vector<unsigned char> buffer(4096 + 8);
+  std::vector<unsigned char> buffer((64u << 10) + 16);
   for (unsigned char& byte : buffer) {
     byte = static_cast<unsigned char>(rng.NextBounded(256));
   }
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t len = rng.NextBounded(4097);
+  // One-shot Crc32 folds inputs of 64 bytes or more when the CPU can;
+  // TableKernelCrc32 never does. Both must equal the reference.
+  const auto check = [&](std::size_t len, std::uint32_t seed,
+                         std::size_t align) {
+    const unsigned char* data = buffer.data() + align;
+    const std::uint32_t want = ReferenceCrc32(data, len, seed);
+    EXPECT_EQ(persist::Crc32(data, len, seed), want)
+        << "length " << len << ", alignment " << align;
+    EXPECT_EQ(TableKernelCrc32(data, len, seed), want)
+        << "table kernel, length " << len << ", alignment " << align;
+  };
+  // Every length 0-200 at all 16 alignments: below the threshold, at it,
+  // and past it with every 0-15 byte tail after the folded blocks.
+  for (std::size_t len = 0; len <= 200; ++len) {
     const auto seed = static_cast<std::uint32_t>(rng.NextUint64());
-    for (std::size_t align = 0; align < 8; ++align) {
-      const unsigned char* data = buffer.data() + align;
-      ASSERT_EQ(persist::Crc32(data, len, seed),
-                ReferenceCrc32(data, len, seed))
-          << "length " << len << ", alignment " << align;
-    }
-    // Chaining: a CRC split at any point equals the one-shot CRC.
-    const std::size_t cut = rng.NextBounded(len + 1);
+    for (std::size_t align = 0; align < 16; ++align) check(len, seed, align);
+  }
+  // Random lengths up to 64 KiB, random alignments and seeds.
+  for (int trial = 0; trial < 64; ++trial) {
+    check(rng.NextBounded((64u << 10) + 1),
+          static_cast<std::uint32_t>(rng.NextUint64()), rng.NextBounded(16));
+  }
+  // Chaining: a CRC split at any point equals the one-shot CRC, also when
+  // one side of the cut is folded and the other is not.
+  const auto check_cut = [&](std::size_t len, std::size_t cut) {
     const std::uint32_t head = persist::Crc32(buffer.data(), cut);
     EXPECT_EQ(persist::Crc32(buffer.data() + cut, len - cut, head),
               ReferenceCrc32(buffer.data(), len, 0))
         << "length " << len << " chained at " << cut;
+  };
+  for (const std::size_t len : {64u, 79u, 127u, 128u, 200u, 4096u}) {
+    for (const std::size_t cut :
+         {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
+          std::size_t{63}, std::size_t{64}, std::size_t{65}, len - 65,
+          len - 64, len - 63, len - 1, len}) {
+      if (cut <= len) check_cut(len, cut);
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = rng.NextBounded(4097);
+    check_cut(len, rng.NextBounded(len + 1));
   }
 }
 

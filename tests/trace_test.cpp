@@ -30,6 +30,7 @@
 
 #include "rs/api/api.hpp"
 #include "rs/core/pipeline.hpp"
+#include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/trace/trace.hpp"
@@ -242,6 +243,116 @@ TEST(TraceCodecTest, CaptureHoldsEveryEventKindItRecorded) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
       << "a tenant id was reused within one capture";
+}
+
+/// The field-by-field encoder: every event through a fresh Writer's
+/// per-field appends, PlanAll included, in a container laid out as
+/// Capture::Save lays it out (docs/TRACE_FORMAT.md).
+std::string FieldByFieldCaptureBytes(const Capture& capture) {
+  persist::Writer writer;
+  writer.BeginSection(persist::kTagTraceCapture);
+  writer.WriteU32(1);
+  writer.BeginSection(persist::kTagTraceMeta);
+  writer.WriteString(capture.producer);
+  writer.WriteString(capture.label);
+  writer.EndSection();
+  writer.BeginSection(persist::kTagTraceEvents);
+  writer.WriteU64(capture.events.size());
+  for (const Event& event : capture.events) {
+    if (event.kind != EventKind::kPlanAll) {
+      EncodeEvent(&writer, event);
+      continue;
+    }
+    writer.WriteU8(static_cast<std::uint8_t>(event.kind));
+    writer.WriteDouble(event.time);
+    writer.WriteU64(event.plans.size());
+    for (const PlannedTenant& plan : event.plans) {
+      writer.WriteU32(plan.id);
+      writer.WriteBool(plan.ok);
+      writer.WriteBool(plan.clock.has_position);
+      writer.WriteDouble(plan.clock.time);
+      writer.WriteU64(plan.clock.readings);
+      if (!plan.ok) continue;
+      writer.WriteDoubleVector(plan.action.creation_times);
+      writer.WriteU64(plan.action.deletions);
+    }
+  }
+  writer.EndSection();
+  writer.EndSection();
+  return std::string(writer.Finish());
+}
+
+TEST(TraceCodecTest, RecordedPlanAllBoundariesKeepTheirOwnActions) {
+  const Workload w = MakeTraceWorkload(97);
+  api::ScalerFleet fleet(0);
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(
+        fleet.Register(name, BuildTenantScaler(w, kAllStrategySpecs[0])).ok());
+  }
+  Recorder recorder("plan-all boundaries");
+  ASSERT_TRUE(recorder.Attach(&fleet).ok());
+  const std::size_t registers = recorder.events();
+  ASSERT_EQ(registers, names.size());
+
+  // Boundary b: tenant b fails, the others plan 0-5 creations each, every
+  // value distinct across boundaries, so a slot shared between recorded
+  // events would show as another boundary's action.
+  constexpr std::size_t kBoundaries = 4;
+  std::vector<std::vector<api::ScalerFleet::TenantPlan>> sent(kBoundaries);
+  std::vector<std::vector<ClockMark>> clocks(kBoundaries);
+  for (std::size_t b = 0; b < kBoundaries; ++b) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      api::ScalerFleet::TenantPlan plan;
+      plan.tenant = names[i];
+      if (i == b % names.size()) {
+        plan.status = Status::Invalid("planned past the serving clock");
+      } else {
+        for (std::size_t k = 0; k < (b + 2 * i) % 6; ++k) {
+          plan.action.creation_times.push_back(100.0 * b + 10.0 * i + k);
+        }
+        plan.action.deletions = b + i;
+      }
+      sent[b].push_back(std::move(plan));
+      ClockMark clock;
+      clock.has_position = (b + i) % 2 == 0;
+      clock.time = 0.5 * b + 0.25 * i;
+      clock.readings = 7 * b + i;
+      clocks[b].push_back(clock);
+    }
+    recorder.OnPlanAll(2.0 * (b + 1), sent[b], clocks[b]);
+  }
+  recorder.Detach();
+  const Capture capture = recorder.TakeCapture();
+  ASSERT_EQ(capture.events.size(), registers + kBoundaries);
+
+  for (std::size_t b = 0; b < kBoundaries; ++b) {
+    const Event& event = capture.events[registers + b];
+    ASSERT_EQ(event.kind, EventKind::kPlanAll);
+    EXPECT_EQ(event.time, 2.0 * (b + 1));
+    ASSERT_EQ(event.plans.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const PlannedTenant& plan = event.plans[i];
+      const bool ok = sent[b][i].status.ok();
+      EXPECT_EQ(plan.id, capture.events[i].id) << "boundary " << b;
+      EXPECT_EQ(plan.ok, ok) << "boundary " << b << ", tenant " << i;
+      EXPECT_EQ(plan.clock.has_position, clocks[b][i].has_position);
+      EXPECT_EQ(plan.clock.time, clocks[b][i].time);
+      EXPECT_EQ(plan.clock.readings, clocks[b][i].readings);
+      // A failed tenant records an empty action, whatever its slot held.
+      EXPECT_EQ(plan.action.creation_times,
+                ok ? sent[b][i].action.creation_times : std::vector<double>{})
+          << "boundary " << b << ", tenant " << i;
+      EXPECT_EQ(plan.action.deletions, ok ? sent[b][i].action.deletions : 0u)
+          << "boundary " << b << ", tenant " << i;
+    }
+  }
+
+  auto bytes = capture.ToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(bytes.ValueOrDie() == FieldByFieldCaptureBytes(capture))
+      << "the single-run PlanAll encoding differs from the field-by-field "
+         "one";
 }
 
 // ---------------------------------------------------------------------------

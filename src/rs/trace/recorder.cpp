@@ -164,13 +164,10 @@ void EventTap::OnPlanAll(double now,
     plan.id = InternId(plans[i].tenant);
     plan.ok = plans[i].status.ok();
     plan.clock = i < clocks.size() ? clocks[i] : ClockMark{};
-    std::vector<double>& times = plan.action.creation_times;
     if (plan.ok) {
-      const std::vector<double>& planned = plans[i].action.creation_times;
-      times.assign(planned.begin(), planned.end());
-      plan.action.deletions = plans[i].action.deletions;
+      plan.action = plans[i].action;  // Copy-assigning keeps the capacity.
     } else {
-      times.clear();
+      plan.action.creation_times.clear();
       plan.action.deletions = 0;
     }
   }

@@ -1,10 +1,10 @@
 // Planning hot-path throughput: decisions/sec and ns/decision for one
 // RobustScaler Plan(t) round, the optimized round the policy runs vs the
 // core::RunReferenceRound oracle, across Monte Carlo sample counts R and
-// decision variants. Each side of a row is timed as the fastest of
-// --passes passes over the same round schedule, the two sides alternating:
-// one pass at R = 20 takes about 2 ms, too short to outlast the machine's
-// noise on its own.
+// decision variants. Each side of a row is timed as the fastest of kPasses
+// passes over the same round schedule, the two sides alternating: one pass
+// at R = 20 takes about 2 ms, too short to outlast the machine's noise on
+// its own.
 //
 // The harness is also the parity proof the optimization rests on: it runs
 // the policy's own round schedule through both entry points under a fixed
@@ -13,8 +13,8 @@
 // fitted forecasts are byte-identical.
 //
 // Usage:
-//   bench_plan_hot_path [--mc=100,1000,10000] [--rounds=50] [--passes=7]
-//                       [--qps=2] [--variants=hp,rt,cost] [--workers=0,1,8]
+//   bench_plan_hot_path [--mc=100,1000,10000] [--rounds=50] [--qps=2]
+//                       [--variants=hp,rt,cost] [--workers=0,1,8]
 //                       [--seed=20260730] [--json=BENCH_plan.json]
 //
 // A planner runs serially on its calling thread; fleets parallelise across
@@ -44,10 +44,12 @@ namespace {
 
 using namespace rs;
 
+/// Passes per side of a row; the row keeps each side's fastest.
+constexpr std::size_t kPasses = 7;
+
 struct Options {
   std::vector<std::size_t> mc = {100, 1000, 10000};
   std::size_t rounds = 50;
-  std::size_t passes = 7;
   double qps = 2.0;
   std::vector<core::ScalerVariant> variants = {
       core::ScalerVariant::kHittingProbability,
@@ -78,8 +80,6 @@ Options ParseArgs(int argc, char** argv) {
       options.mc = bench::ParseSizeList(value());
     } else if (arg.rfind("--rounds=", 0) == 0) {
       options.rounds = static_cast<std::size_t>(std::stoul(value()));
-    } else if (arg.rfind("--passes=", 0) == 0) {
-      options.passes = static_cast<std::size_t>(std::stoul(value()));
     } else if (arg.rfind("--qps=", 0) == 0) {
       options.qps = std::stod(value());
     } else if (arg.rfind("--variants=", 0) == 0) {
@@ -112,7 +112,7 @@ Options ParseArgs(int argc, char** argv) {
       std::exit(2);
     }
   }
-  RS_CHECK(!options.mc.empty() && options.rounds > 0 && options.passes > 0 &&
+  RS_CHECK(!options.mc.empty() && options.rounds > 0 &&
            !options.variants.empty());
   return options;
 }
@@ -262,7 +262,6 @@ void WriteJson(const Options& options, const std::vector<BenchRow>& rows,
   out << "{\n"
       << "  \"bench\": \"plan_hot_path\",\n"
       << "  \"rounds\": " << options.rounds << ",\n"
-      << "  \"passes\": " << options.passes << ",\n"
       << "  \"qps\": " << options.qps << ",\n"
       << "  \"seed\": " << options.seed << ",\n"
       << "  \"parity\": \"ok\",\n"
@@ -305,7 +304,7 @@ int main(int argc, char** argv) {
   std::printf(
       "plan_hot_path: %zu rounds/config, fastest of %zu passes, ~%.1f QPS, "
       "seed %llu\n\n",
-      options.rounds, options.passes, options.qps,
+      options.rounds, kPasses, options.qps,
       static_cast<unsigned long long>(options.seed));
   std::printf("%-8s %8s %10s %14s %14s %12s %12s %9s\n", "variant", "R",
               "decisions", "opt_dec_per_s", "ref_dec_per_s", "opt_ns_dec",
@@ -315,7 +314,7 @@ int main(int argc, char** argv) {
   for (auto variant : options.variants) {
     for (std::size_t mc : options.mc) {
       RunResult reference, optimized;
-      for (std::size_t pass = 0; pass < options.passes; ++pass) {
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
         auto ref = DriveRounds(forecast, variant, mc, options.rounds,
                                options.seed, planning_interval,
                                /*reference=*/true);

@@ -33,16 +33,8 @@ std::string Cat(Args&&... args) {
 
 void AppendLe(std::string* buffer, std::uint64_t value, std::size_t width) {
   char bytes[8];
-  for (std::size_t i = 0; i < width; ++i) {
-    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
-  }
+  StoreLe(bytes, value, width);
   buffer->append(bytes, width);
-}
-
-void PatchLe64(std::string* buffer, std::size_t offset, std::uint64_t value) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    (*buffer)[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
-  }
 }
 
 /// Slicing-by-8 tables: kCrcTables[0] is the bytewise table; entry k of
@@ -219,9 +211,7 @@ void Writer::ResetBare() {
 
 void Writer::PatchU32(std::size_t offset, std::uint32_t value) {
   RS_CHECK(offset + 4 <= buffer_.size()) << "PatchU32 past the encoded bytes";
-  for (std::size_t i = 0; i < 4; ++i) {
-    buffer_[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
-  }
+  StoreLe(buffer_.data() + offset, value, 4);
 }
 
 void Writer::swap(Writer& other) noexcept {
@@ -272,7 +262,8 @@ void Writer::EndSection() {
   RS_CHECK(!open_.empty()) << "EndSection() without a matching BeginSection()";
   const std::size_t length_offset = open_.back();
   open_.pop_back();
-  PatchLe64(&buffer_, length_offset, buffer_.size() - (length_offset + 8));
+  StoreLe(buffer_.data() + length_offset,
+          buffer_.size() - (length_offset + 8), 8);
 }
 
 std::string_view Writer::Finish() {

@@ -92,6 +92,15 @@ class Printer;  // fields.hpp: the field-list printer describe entries take.
 /// kernels give the same value.
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
+/// Stores the low `width` bytes of `value` at `at`, least significant
+/// first: the one little-endian store behind every Writer encoding. It
+/// stores by shifts, so the bytes do not depend on the host's byte order.
+inline void StoreLe(char* at, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    at[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
+}
+
 /// \brief Buffered snapshot encoder.
 ///
 /// Accumulates the encoded bytes in memory (section lengths are backpatched

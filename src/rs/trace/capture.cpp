@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "rs/persist/persist.hpp"
 #include "rs/trace/trace.hpp"
@@ -25,33 +26,39 @@ constexpr std::uint32_t kTraceLayerVersion = 1;
 /// tenant adds its action's count, times and deletions.
 constexpr std::size_t kPlannedTenantBytes = 22;
 
-/// Stores fields into a run reserved with persist::Writer::Extend, in the
-/// Writer's encodings: little-endian by shifts, so the bytes do not depend
-/// on the host's byte order.
+/// Stores fields into a run reserved with persist::Writer::Extend, under
+/// the Writer's method names and in its encodings, so WriteClock and
+/// WriteAction lay a field out the same way into either.
 class RunStore {
  public:
   explicit RunStore(char* at) : at_(at) {}
 
-  void U8(std::uint8_t value) { *at_++ = static_cast<char>(value); }
-  void U32(std::uint32_t value) { Le(value, 4); }
-  void U64(std::uint64_t value) { Le(value, 8); }
-  void Double(double value) { U64(std::bit_cast<std::uint64_t>(value)); }
+  void WriteU8(std::uint8_t value) { Store(value, 1); }
+  void WriteBool(bool value) { WriteU8(value ? 1 : 0); }
+  void WriteU32(std::uint32_t value) { Store(value, 4); }
+  void WriteU64(std::uint64_t value) { Store(value, 8); }
+  void WriteDouble(double value) {
+    WriteU64(std::bit_cast<std::uint64_t>(value));
+  }
+  void WriteDoubleVector(const std::vector<double>& values) {
+    WriteU64(values.size());
+    for (const double v : values) WriteDouble(v);
+  }
 
  private:
-  void Le(std::uint64_t value, int width) {
-    for (int i = 0; i < width; ++i) {
-      at_[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
-    }
+  void Store(std::uint64_t value, std::size_t width) {
+    persist::StoreLe(at_, value, width);
     at_ += width;
   }
 
   char* at_;
 };
 
-void WriteClock(persist::Writer* writer, const ClockMark& clock) {
-  writer->WriteBool(clock.has_position);
-  writer->WriteDouble(clock.time);
-  writer->WriteU64(clock.readings);
+template <typename Out>
+void WriteClock(Out* out, const ClockMark& clock) {
+  out->WriteBool(clock.has_position);
+  out->WriteDouble(clock.time);
+  out->WriteU64(clock.readings);
 }
 
 Status ReadClock(persist::Reader* reader, ClockMark* clock) {
@@ -61,9 +68,10 @@ Status ReadClock(persist::Reader* reader, ClockMark* clock) {
   return Status::OK();
 }
 
-void WriteAction(persist::Writer* writer, const sim::ScalingAction& action) {
-  writer->WriteDoubleVector(action.creation_times);
-  writer->WriteU64(action.deletions);
+template <typename Out>
+void WriteAction(Out* out, const sim::ScalingAction& action) {
+  out->WriteDoubleVector(action.creation_times);
+  out->WriteU64(action.deletions);
 }
 
 Status ReadAction(persist::Reader* reader, sim::ScalingAction* action) {
@@ -105,26 +113,20 @@ void EncodeEvent(persist::Writer* writer, const Event& event) {
       break;
     case EventKind::kPlanAll: {
       // A boundary's record is the journal's largest on the serving path:
-      // size it once and store every field into one run, in the order and
-      // encodings WriteClock and WriteAction use.
+      // size it once and store every field into one run.
       std::size_t bytes = 16;
       for (const PlannedTenant& plan : event.plans) {
         bytes += kPlannedTenantBytes;
         if (plan.ok) bytes += 16 + 8 * plan.action.creation_times.size();
       }
       RunStore run(writer->Extend(bytes));
-      run.Double(event.time);
-      run.U64(event.plans.size());
+      run.WriteDouble(event.time);
+      run.WriteU64(event.plans.size());
       for (const PlannedTenant& plan : event.plans) {
-        run.U32(plan.id);
-        run.U8(plan.ok ? 1 : 0);
-        run.U8(plan.clock.has_position ? 1 : 0);
-        run.Double(plan.clock.time);
-        run.U64(plan.clock.readings);
-        if (!plan.ok) continue;
-        run.U64(plan.action.creation_times.size());
-        for (const double time : plan.action.creation_times) run.Double(time);
-        run.U64(plan.action.deletions);
+        run.WriteU32(plan.id);
+        run.WriteBool(plan.ok);
+        WriteClock(&run, plan.clock);
+        if (plan.ok) WriteAction(&run, plan.action);
       }
       break;
     }

@@ -205,6 +205,14 @@ Status FreshnessFields(Io& io, Base& base, Fresh& fresh) {
   return io.status();
 }
 
+/// The head of the TENT record: the tenant's name. The tenant's SCLR
+/// record, then its optional FRSH and HLTH records, follow it.
+template <class Io, class Name>
+Status TenantHeadFields(Io& io, Name& name) {
+  io("name", name);
+  return io.status();
+}
+
 /// The HLTH record.
 template <class Io, class Rec>
 Status HealthFields(Io& io, Rec& h) {
@@ -1040,9 +1048,9 @@ Status ScalerFleet::WriteTenantRecord(persist::Writer* writer,
                                       std::size_t index) const {
   const Tenant& tenant = *tenants_[index];
   writer->BeginSection(persist::kTagTenant);
-  writer->WriteString(tenant.name);
-  RS_RETURN_NOT_OK(tenant.scaler.SaveStateSection(writer));
   persist::Encoder io(writer);
+  TenantHeadFields(io, tenant.name);
+  RS_RETURN_NOT_OK(tenant.scaler.SaveStateSection(writer));
   if (tenant.fresh != nullptr) {
     // In-flight jobs and pending manual replacements are deliberately not
     // persisted: a latched drift survives, so a restored fleet simply
@@ -1069,7 +1077,9 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
     const std::function<sim::DecisionClock*(const std::string&)>& clock_for,
     const FreshnessPolicy* policy) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTenant));
-  RS_ASSIGN_OR_RETURN(std::string name, reader->ReadString());
+  persist::Decoder io(reader);
+  std::string name;
+  RS_RETURN_NOT_OK(TenantHeadFields(io, name));
   if (name.empty()) {
     return Status::Invalid(
         "tenant snapshot carries an empty tenant name; the file is corrupt");
@@ -1079,7 +1089,6 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
   RS_ASSIGN_OR_RETURN(Scaler scaler,
                       ScalerBuilder::RestoreStateSection(reader, restore));
   auto tenant = std::make_unique<Tenant>(std::move(name), std::move(scaler));
-  persist::Decoder io(reader);
   // FRSH (fleet layer v2+) and HLTH (v3+) are optional, in this order.
   if (reader->AtSection(persist::kTagFreshness)) {
     RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagFreshness));
@@ -1107,7 +1116,7 @@ Result<std::unique_ptr<ScalerFleet::Tenant>> ScalerFleet::ReadTenantRecord(
 Status ScalerFleet::DescribeTenantRecord(persist::Printer* printer) {
   printer->Section("tenant", persist::kTagTenant, [printer] {
     std::string name;
-    (*printer)("name", name);
+    TenantHeadFields(*printer, name);
     printer->Latch(Scaler::DescribeState(printer));
     persist::Reader* reader = printer->reader();
     if (printer->ok() && reader->AtSection(persist::kTagFreshness)) {

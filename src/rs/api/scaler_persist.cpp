@@ -6,6 +6,7 @@
 ///        Plan lost inlining.
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -79,9 +80,9 @@ Status ScalerHeadFields(Io& io, Spec& spec, Context& context,
   return io.status();
 }
 
-/// The leading scalars of the MIRR section; its schedule, live set and
-/// retained windows follow them, written by hand.
-struct MirrorScalars {
+/// What the MIRR record copies out of the serving mirror: its scalars, and
+/// the schedule, which a priority queue yields in order only by popping.
+struct MirrorRecord {
   /// The clock pointer cannot travel; `injected_clock` records whether one
   /// was set, so restore can demand a replacement.
   sim::EngineOptions options;
@@ -105,10 +106,16 @@ struct MirrorScalars {
   bool has_clock_position = false;
   double clock_time = 0.0;
   std::uint64_t clock_readings = 0;
+  /// Scheduled future creations, earliest first.
+  std::vector<sim::ScheduledCreation> schedule;
 };
 
-template <class Io, class Rec>
-Status MirrorFields(Io& io, Rec& m) {
+/// The MIRR record: `m`'s scalars and schedule, then the live set (ready
+/// times, creation order), the retained arrival window, the undrained
+/// Plan() buffer and the retained parity-log suffix, read and written in
+/// place in the serving mirror `s`.
+template <class Io, class Rec, class Srv>
+Status MirrorFields(Io& io, Rec& m, Srv& s) {
   io("pending", m.options.pending);
   io("seed", m.options.seed);
   io("charge_decision_wall_time", m.options.charge_decision_wall_time);
@@ -131,6 +138,22 @@ Status MirrorFields(Io& io, Rec& m) {
   io("clock_position", m.has_clock_position);
   io("clock_time", m.clock_time);
   io("clock_readings", m.clock_readings);
+  io.Each("schedule", m.schedule, [](auto& field, auto& creation) {
+    field("time", creation.time);
+    field("seq", creation.seq);
+  });
+  io.Each("live", s.loop.live, [](auto& field, auto& instance) {
+    field("ready_time", instance.ready_time);
+  });
+  io("arrival_window", s.loop.arrivals);
+  io("buffered_creation_times", s.buffered.creation_times);
+  io("buffered_deletions", s.buffered.deletions);
+  io("buffered_seqs", s.buffered_seqs);
+  io.Each("log", s.log, [](auto& field, auto& action) {
+    field("creation_times", action.creation_times);
+    field("deletions", action.deletions);
+  });
+  io("log_times", s.log_times);
   return io.status();
 }
 
@@ -190,10 +213,10 @@ Status Scaler::DescribeState(persist::Printer* printer) {
     printer->Section("strategy model", persist::kTagStrategyModel, [printer] {
       printer->Latch(DescribeStrategyModel(printer));
     });
-    // The schedule, live set and windows after the scalars are skipped.
-    MirrorScalars mirror;
+    MirrorRecord mirror;
+    Serving serving(nullptr, sim::EngineOptions{});
     printer->Section("serving mirror", persist::kTagMirror,
-                     [&] { MirrorFields(*printer, mirror); });
+                     [&] { MirrorFields(*printer, mirror, serving); });
   });
   return printer->status();
 }
@@ -201,7 +224,7 @@ Status Scaler::DescribeState(persist::Printer* printer) {
 Status Scaler::SaveServingState(persist::Writer* writer) const {
   const Serving& s = *serving_;
   const sim::EventLoop& loop = s.loop;
-  MirrorScalars m;
+  MirrorRecord m;
   m.options = loop.options;
   m.injected_clock = loop.options.decision_clock != nullptr;
   m.retention_override = retention_override_;
@@ -218,37 +241,13 @@ Status Scaler::SaveServingState(persist::Writer* writer) const {
   m.rng = loop.rng;
   m.has_clock_position =
       loop.clock->ExportPosition(&m.clock_time, &m.clock_readings);
+  m.schedule.reserve(loop.schedule.size());
+  for (auto queue = loop.schedule; !queue.empty(); queue.pop()) {
+    m.schedule.push_back(queue.top());
+  }
   writer->BeginSection(persist::kTagMirror);
   persist::Encoder io(writer);
-  MirrorFields(io, m);
-
-  // Scheduled future creations, drained from a copy in (time, seq) order.
-  auto schedule = loop.schedule;
-  writer->WriteU64(schedule.size());
-  while (!schedule.empty()) {
-    const sim::ScheduledCreation top = schedule.top();
-    schedule.pop();
-    writer->WriteDouble(top.time);
-    writer->WriteU64(top.seq);
-  }
-
-  // Live instances (ready times, creation order), retained arrival window,
-  // the undrained Plan() buffer, and the retained parity-log suffix.
-  writer->WriteU64(loop.live.size());
-  for (const sim::LiveInstance& instance : loop.live) {
-    writer->WriteDouble(instance.ready_time);
-  }
-  writer->WriteDoubleVector(loop.arrivals);
-  writer->WriteDoubleVector(s.buffered.creation_times);
-  writer->WriteU64(s.buffered.deletions);
-  writer->WriteU64Vector(s.buffered_seqs);
-  writer->WriteU64(s.log.size());
-  for (const sim::ScalingAction& action : s.log) {
-    writer->WriteDoubleVector(action.creation_times);
-    writer->WriteU64(action.deletions);
-  }
-  writer->WriteDoubleVector(s.log_times);
-
+  MirrorFields(io, m, s);
   writer->EndSection();
   return Status::OK();
 }
@@ -256,9 +255,12 @@ Status Scaler::SaveServingState(persist::Writer* writer) const {
 Status Scaler::LoadServingState(persist::Reader* reader,
                                 sim::DecisionClock* restore_clock) {
   RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagMirror));
-  MirrorScalars m;
+  // The tail decodes into a mirror on default options; the restored mirror,
+  // built on the recorded options, takes its containers over.
+  MirrorRecord m;
+  Serving decoded(strategy_.get(), sim::EngineOptions{});
   persist::Decoder io(reader);
-  RS_RETURN_NOT_OK(MirrorFields(io, m));
+  RS_RETURN_NOT_OK(MirrorFields(io, m, decoded));
   if (m.injected_clock && restore_clock == nullptr) {
     return Status::Invalid(
         "snapshot was taken with an injected DecisionClock; pass a "
@@ -271,6 +273,17 @@ Status Scaler::LoadServingState(persist::Reader* reader,
   if (std::isnan(m.retention_override) || m.retention_override < 0.0) {
     return Status::Invalid(
         "snapshot carries a negative or NaN history-retention override");
+  }
+  if (decoded.buffered_seqs.size() !=
+      decoded.buffered.creation_times.size()) {
+    return Status::Invalid(
+        "snapshot's undrained action buffer is inconsistent (creation "
+        "times and emission numbers differ in length)");
+  }
+  if (decoded.log_times.size() != decoded.log.size()) {
+    return Status::Invalid(
+        "snapshot's parity log is inconsistent (entries and timestamps "
+        "differ in length)");
   }
   retention_override_ = m.retention_override;
 
@@ -297,49 +310,14 @@ Status Scaler::LoadServingState(persist::Reader* reader,
     RS_RETURN_NOT_OK(
         restore_clock->ImportPosition(m.clock_time, m.clock_readings));
   }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t schedule_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < schedule_size; ++i) {
-    sim::ScheduledCreation entry;
-    RS_ASSIGN_OR_RETURN(entry.time, reader->ReadDouble());
-    RS_ASSIGN_OR_RETURN(entry.seq, reader->ReadU64());
-    loop.schedule.push(entry);
-  }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t live_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < live_size; ++i) {
-    sim::LiveInstance instance;
-    RS_ASSIGN_OR_RETURN(instance.ready_time, reader->ReadDouble());
-    loop.live.push_back(instance);
-  }
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&loop.arrivals));
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.buffered.creation_times));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t buffered_deletions,
-                      reader->ReadU64());
-  s.buffered.deletions = static_cast<std::size_t>(buffered_deletions);
-  RS_RETURN_NOT_OK(reader->ReadU64Vector(&s.buffered_seqs));
-  if (s.buffered_seqs.size() != s.buffered.creation_times.size()) {
-    return Status::Invalid(
-        "snapshot's undrained action buffer is inconsistent (creation "
-        "times and emission numbers differ in length)");
-  }
-
-  RS_ASSIGN_OR_RETURN(const std::uint64_t log_size, reader->ReadU64());
-  for (std::uint64_t i = 0; i < log_size; ++i) {
-    sim::ScalingAction action;
-    RS_RETURN_NOT_OK(reader->ReadDoubleVector(&action.creation_times));
-    RS_ASSIGN_OR_RETURN(const std::uint64_t action_deletions,
-                        reader->ReadU64());
-    action.deletions = static_cast<std::size_t>(action_deletions);
-    s.log.push_back(std::move(action));
-  }
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&s.log_times));
-  if (s.log_times.size() != s.log.size()) {
-    return Status::Invalid(
-        "snapshot's parity log is inconsistent (entries and timestamps "
-        "differ in length)");
-  }
-
+  loop.schedule = decltype(loop.schedule)(std::greater<>(),
+                                          std::move(m.schedule));
+  loop.live = std::move(decoded.loop.live);
+  loop.arrivals = std::move(decoded.loop.arrivals);
+  s.buffered = std::move(decoded.buffered);
+  s.buffered_seqs = std::move(decoded.buffered_seqs);
+  s.log = std::move(decoded.log);
+  s.log_times = std::move(decoded.log_times);
   return reader->ExitSection();
 }
 

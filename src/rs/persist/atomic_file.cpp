@@ -15,45 +15,16 @@ namespace rs::persist {
 
 namespace {
 
-Status Errno(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
 Status WriteAttempt(const std::string& path, const std::string& tmp,
                     const std::string& bytes, Durability durability) {
   // Direct Hit() calls rather than RS_FAULT_POINT: the macro would return
   // out of the retry loop's caller; here the injected error must feed the
   // retry logic exactly like a real short write / failed rename.
   RS_RETURN_NOT_OK(rs::fault::Hit("persist.write"));
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Errno("AtomicWriteFile: cannot open temp file " + tmp);
-  }
-  const char* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status error = Errno("AtomicWriteFile: short write to " + tmp);
-      ::close(fd);
-      return error;
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
   // fsync *before* rename: on ext4/xfs the rename can hit the journal ahead
   // of the data blocks, and a power cut then exposes a complete-looking
   // file of zeros at `path`.
-  if (durability == Durability::kFsync && ::fsync(fd) != 0) {
-    const Status error = Errno("AtomicWriteFile: fsync " + tmp);
-    ::close(fd);
-    return error;
-  }
-  if (::close(fd) != 0) {
-    return Errno("AtomicWriteFile: close " + tmp);
-  }
+  RS_RETURN_NOT_OK(WriteFileSynced(tmp, bytes, durability));
   RS_RETURN_NOT_OK(rs::fault::Hit("persist.rename"));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("AtomicWriteFile: rename " + tmp + " -> " + path);
@@ -67,6 +38,31 @@ Status WriteAttempt(const std::string& path, const std::string& tmp,
 }
 
 }  // namespace
+
+Status Errno(const std::string& what) {
+  return Status::IoError(what + ": " + std::strerror(errno));
+}
+
+Status WriteFileSynced(const std::string& path, std::string_view bytes,
+                       Durability durability) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Errno("cannot open " + path);
+  Status written;
+  while (written.ok() && !bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n >= 0) {
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    } else if (errno != EINTR) {
+      written = Errno("write " + path);
+    }
+  }
+  if (written.ok() && durability == Durability::kFsync && ::fsync(fd) != 0) {
+    written = Errno("fsync " + path);
+  }
+  if (::close(fd) != 0 && written.ok()) written = Errno("close " + path);
+  return written;
+}
 
 std::string ParentDirectory(const std::string& path) {
   const auto slash = path.find_last_of('/');

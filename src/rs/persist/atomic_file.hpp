@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "rs/common/status.hpp"
 
@@ -50,6 +51,18 @@ struct AtomicWriteOptions {
 /// has been removed (best effort).
 Status AtomicWriteFile(const std::string& path, const std::string& bytes,
                        const AtomicWriteOptions& options = {});
+
+/// \brief Writes `bytes` to the file at `path` (created, or truncated),
+///        retrying interrupted and short writes, fsyncs it under
+///        Durability::kFsync, and closes it.
+///
+/// No rename and no directory fsync: the file step of AtomicWriteFile, and
+/// of the journal's segment headers and checkpoint temp file.
+Status WriteFileSynced(const std::string& path, std::string_view bytes,
+                       Durability durability = Durability::kFsync);
+
+/// An IoError of `what` and the message of the current errno.
+Status Errno(const std::string& what);
 
 /// The directory component of `path` ("." when there is none, "/" at root).
 std::string ParentDirectory(const std::string& path);

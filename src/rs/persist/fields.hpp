@@ -6,7 +6,8 @@
 /// calls in a `template <class Io, class Rec> Status XFields(Io&, Rec&)`
 /// (HealthFields in api/scaler_fleet.cpp is a short one), and three
 /// visitors run that list:
-///  * Encoder, over a Writer (Rec is const): each io(...) is one Write*.
+///  * Encoder, over a Writer or any output with its method names (Rec is
+///    const): each io(...) is one Write*.
 ///  * Decoder, over a Reader: each io(...) is one Read* into the field. The
 ///    first error wins and every later field is skipped, so a list needs no
 ///    per-field error handling. An enum field names its last valid value
@@ -42,13 +43,34 @@ namespace rs::persist {
 // Field types: one Put (encode), Get (decode) and Show (print) overload
 // each. A type a layer's lists name as one field gets its three in its own
 // namespace, where the visitors find them by argument-dependent lookup.
-inline void Put(Writer* w, bool v) { w->WriteBool(v); }
-inline void Put(Writer* w, std::uint32_t v) { w->WriteU32(v); }
-inline void Put(Writer* w, std::uint64_t v) { w->WriteU64(v); }
-inline void Put(Writer* w, double v) { w->WriteDouble(v); }
-inline void Put(Writer* w, const std::string& v) { w->WriteString(v); }
-inline void Put(Writer* w, const std::vector<double>& v) {
+// The Puts of the plain types take any output with the Writer's method
+// names (see Encoder).
+template <class Out>
+void Put(Out* w, bool v) {
+  w->WriteBool(v);
+}
+template <class Out>
+void Put(Out* w, std::uint32_t v) {
+  w->WriteU32(v);
+}
+template <class Out>
+void Put(Out* w, std::uint64_t v) {
+  w->WriteU64(v);
+}
+template <class Out>
+void Put(Out* w, double v) {
+  w->WriteDouble(v);
+}
+template <class Out>
+void Put(Out* w, const std::string& v) {
+  w->WriteString(v);
+}
+template <class Out>
+void Put(Out* w, const std::vector<double>& v) {
   w->WriteDoubleVector(v);
+}
+inline void Put(Writer* w, const std::vector<std::uint64_t>& v) {
+  w->WriteU64Vector(v);
 }
 /// The exact generator position (the 256-bit xoshiro state and the
 /// Box–Muller cache), so a restored stream continues bit for bit.
@@ -72,6 +94,7 @@ Status Get(Reader* r, std::uint64_t* v);
 Status Get(Reader* r, double* v);
 Status Get(Reader* r, std::string* v);
 Status Get(Reader* r, std::vector<double>* v);
+Status Get(Reader* r, std::vector<std::uint64_t>* v);
 Status Get(Reader* r, stats::Rng* v);
 Status Get(Reader* r, std::map<std::string, double>* v);
 /// Re-validates the parameters (DurationDistribution::FromRawParams).
@@ -93,44 +116,48 @@ void Show(std::ostream& os, const std::map<std::string, double>& v);
 void Show(std::ostream& os, const stats::Rng& v);
 void Show(std::ostream& os, const stats::DurationDistribution& v);
 
-/// Runs a field list forward over a Writer.
+/// Runs a field list forward over an output with the Writer's method
+/// names: a Writer, or a caller's sizing or in-place store pass over the
+/// same list (trace/capture.cpp sizes a PlanAll record, then stores it into
+/// one Writer::Extend run).
+template <class Out>
 class Encoder {
  public:
-  explicit Encoder(Writer* writer) : writer_(writer) {}
+  explicit Encoder(Out* out) : out_(out) {}
 
   template <class T>
   void operator()(const char* /*name*/, const T& value) {
-    Put(writer_, value);
+    Put(out_, value);
   }
   /// An enum field: one byte on the wire.
   template <class E>
     requires std::is_enum_v<E>
   void operator()(const char* /*name*/, const E& value, E /*last*/) {
-    writer_->WriteU8(static_cast<std::uint8_t>(value));
+    out_->WriteU8(static_cast<std::uint8_t>(value));
   }
   /// The record's u32 layout version: writes `newest` and returns it.
   std::uint32_t Version(const char* /*what*/, std::uint32_t newest) {
-    writer_->WriteU32(newest);
+    out_->WriteU32(newest);
     return newest;
   }
   /// A nested section whose fields `body` lists.
   template <class Body>
   void Section(const char* /*title*/, std::uint32_t tag, Body&& body) {
-    writer_->BeginSection(tag);
+    out_->BeginSection(tag);
     body();
-    writer_->EndSection();
+    out_->EndSection();
   }
   /// A u64 count, then `fields(*this, item)` for each item.
   template <class Items, class Fields>
   void Each(const char* /*name*/, const Items& items, Fields&& fields) {
-    writer_->WriteU64(items.size());
+    out_->WriteU64(items.size());
     for (const auto& item : items) fields(*this, item);
   }
 
   Status status() const { return Status::OK(); }
 
  private:
-  Writer* writer_;
+  Out* out_;
 };
 
 /// Runs a field list over a Reader into a record: the Decoder, or (kPrint)

@@ -312,13 +312,8 @@ Result<Reader> Reader::FromBytes(std::string bytes) {
   reader.payload_end_ = reader.bytes_.size() - kTrailerBytes;
   reader.cursor_ = 0;
   const auto read_u32 = [&reader](std::size_t offset) {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(reader.bytes_[offset + i]))
-               << (8 * i);
-    }
-    return value;
+    return static_cast<std::uint32_t>(
+        LoadLe(reader.bytes_.data() + offset, 4));
   };
   const std::uint32_t magic = read_u32(0);
   if (magic != kMagic) {
@@ -356,12 +351,7 @@ Result<std::uint64_t> Reader::ReadRaw(std::size_t width) {
                                " bytes but only ", limit() - cursor_,
                                " remain before the section boundary"));
   }
-  const char* bytes = data() + cursor_;
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
+  const std::uint64_t value = LoadLe(data() + cursor_, width);
   cursor_ += width;
   return value;
 }
@@ -464,13 +454,7 @@ Result<std::uint32_t> Reader::PeekSectionTag() const {
         Cat("snapshot ends where a section header was expected (",
             remaining(), " bytes remain)"));
   }
-  std::uint32_t tag = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    tag |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data()[cursor_ + i]))
-           << (8 * i);
-  }
-  return tag;
+  return static_cast<std::uint32_t>(LoadLe(data() + cursor_, 4));
 }
 
 bool Reader::AtSection(std::uint32_t tag) const {
@@ -520,6 +504,9 @@ Status Get(Reader* r, std::uint64_t* v) { return Store(r->ReadU64(), v); }
 Status Get(Reader* r, double* v) { return Store(r->ReadDouble(), v); }
 Status Get(Reader* r, std::string* v) { return Store(r->ReadString(), v); }
 Status Get(Reader* r, std::vector<double>* v) { return r->ReadDoubleVector(v); }
+Status Get(Reader* r, std::vector<std::uint64_t>* v) {
+  return r->ReadU64Vector(v);
+}
 
 void Put(Writer* w, const stats::Rng& v) {
   const stats::Rng::State state = v.SaveState();

@@ -101,6 +101,18 @@ inline void StoreLe(char* at, std::uint64_t value, std::size_t width) {
   }
 }
 
+/// Loads `width` bytes at `at` as a little-endian value, the inverse of
+/// StoreLe: the one little-endian load behind every Reader decoding and
+/// the journal's segment and frame headers.
+inline std::uint64_t LoadLe(const char* at, std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(at[i]))
+             << (8 * i);
+  }
+  return value;
+}
+
 /// \brief Buffered snapshot encoder.
 ///
 /// Accumulates the encoded bytes in memory (section lengths are backpatched

@@ -4,12 +4,15 @@
 ///        (tools/trace_spec_check.py re-decodes the committed example
 ///        capture from the spec alone in CI).
 #include <bit>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/trace/trace.hpp"
 
@@ -22,16 +25,14 @@ namespace {
 /// accept older ones (there are none yet).
 constexpr std::uint32_t kTraceLayerVersion = 1;
 
-/// A PlanAll tenant's id, ok flag and clock (4 + 1 + 17 bytes); an ok
-/// tenant adds its action's count, times and deletions.
-constexpr std::size_t kPlannedTenantBytes = 22;
-
-/// Stores fields into a run reserved with persist::Writer::Extend, under
-/// the Writer's method names and in its encodings, so WriteClock and
-/// WriteAction lay a field out the same way into either.
-class RunStore {
+/// An Encoder output under the Writer's method names and encodings that
+/// counts the bytes a record takes (kStore false), or stores them into a
+/// run reserved with persist::Writer::Extend (kStore true): one field list
+/// sizes a PlanAll record, then stores it in one run.
+template <bool kStore>
+class Run {
  public:
-  explicit RunStore(char* at) : at_(at) {}
+  explicit Run(char* at = nullptr) : at_(at) {}
 
   void WriteU8(std::uint8_t value) { Store(value, 1); }
   void WriteBool(bool value) { WriteU8(value ? 1 : 0); }
@@ -40,171 +41,221 @@ class RunStore {
   void WriteDouble(double value) {
     WriteU64(std::bit_cast<std::uint64_t>(value));
   }
+  void WriteString(std::string_view value) {
+    WriteU64(value.size());
+    if constexpr (kStore) std::memcpy(at_, value.data(), value.size());
+    Advance(value.size());
+  }
   void WriteDoubleVector(const std::vector<double>& values) {
     WriteU64(values.size());
     for (const double v : values) WriteDouble(v);
   }
 
+  /// The bytes counted so far (kStore false).
+  std::size_t bytes() const { return bytes_; }
+
  private:
   void Store(std::uint64_t value, std::size_t width) {
-    persist::StoreLe(at_, value, width);
-    at_ += width;
+    if constexpr (kStore) persist::StoreLe(at_, value, width);
+    Advance(width);
+  }
+  // The store pass advances its pointer, not an offset from the run's
+  // start: GCC then merges each StoreLe's byte stores into one store.
+  void Advance(std::size_t width) {
+    if constexpr (kStore) {
+      at_ += width;
+    } else {
+      bytes_ += width;
+    }
   }
 
   char* at_;
+  std::size_t bytes_ = 0;
 };
 
-template <typename Out>
-void WriteClock(Out* out, const ClockMark& clock) {
-  out->WriteBool(clock.has_position);
-  out->WriteDouble(clock.time);
-  out->WriteU64(clock.readings);
+/// An embedded Scaler::SaveState container (kRegister, kReplaceModel): a
+/// string on the wire, printed as its size.
+template <class Bytes>
+struct Snapshot {
+  Bytes& bytes;
+};
+
+template <class Out>
+void Put(Out* out, const Snapshot<const std::string>& v) {
+  out->WriteString(v.bytes);
 }
 
-Status ReadClock(persist::Reader* reader, ClockMark* clock) {
-  RS_ASSIGN_OR_RETURN(clock->has_position, reader->ReadBool());
-  RS_ASSIGN_OR_RETURN(clock->time, reader->ReadDouble());
-  RS_ASSIGN_OR_RETURN(clock->readings, reader->ReadU64());
+Status Get(persist::Reader* r, Snapshot<std::string>* v) {
+  return persist::Get(r, &v->bytes);
+}
+
+void Show(std::ostream& os, const Snapshot<std::string>& v) {
+  os << v.bytes.size() << "-byte scaler snapshot";
+}
+
+/// An Observe's outcome: one byte, bit 0 a cold start, bit 1 a cancelled
+/// earliest scheduled creation. The decoded event keeps two flags, so the
+/// byte is checked as it is read.
+template <class Bool>
+struct Outcome {
+  Bool& cold_start;
+  Bool& cancel_earliest;
+};
+
+template <class Out>
+void Put(Out* out, const Outcome<const bool>& v) {
+  out->WriteU8(static_cast<std::uint8_t>((v.cold_start ? 1u : 0u) |
+                                         (v.cancel_earliest ? 2u : 0u)));
+}
+
+Status Get(persist::Reader* r, Outcome<bool>* v) {
+  RS_ASSIGN_OR_RETURN(const std::uint8_t bits, r->ReadU8());
+  if (bits > 3) {
+    return Status::Invalid(
+        "trace capture carries corrupt Observe outcome bits (value " +
+        std::to_string(bits) + ")");
+  }
+  v->cold_start = (bits & 1u) != 0;
+  v->cancel_earliest = (bits & 2u) != 0;
   return Status::OK();
 }
 
-template <typename Out>
-void WriteAction(Out* out, const sim::ScalingAction& action) {
-  out->WriteDoubleVector(action.creation_times);
-  out->WriteU64(action.deletions);
+void Show(std::ostream& os, const Outcome<bool>& v) {
+  os << (v.cold_start ? "cold start" : "served warm")
+     << (v.cancel_earliest ? ", cancelled the earliest creation" : "");
 }
 
-Status ReadAction(persist::Reader* reader, sim::ScalingAction* action) {
-  RS_RETURN_NOT_OK(reader->ReadDoubleVector(&action->creation_times));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t deletions, reader->ReadU64());
-  action->deletions = static_cast<std::size_t>(deletions);
+// The clock and action lists are declared inline: out of line, the one-run
+// PlanAll store calls them per tenant and keeps its cursor in memory.
+template <class Io, class Clock>
+inline void ClockFields(Io& io, Clock& clock) {
+  io("clock_position", clock.has_position);
+  io("clock_time", clock.time);
+  io("clock_readings", clock.readings);
+}
+
+template <class Io, class Action>
+inline void ActionFields(Io& io, Action& action) {
+  io("creation_times", action.creation_times);
+  io("deletions", action.deletions);
+}
+
+/// One event record (docs/TRACE_FORMAT.md, "Event records"): the kind
+/// byte, then that kind's fields. Kind 0 carries none and is refused after
+/// the decode (CheckEvent).
+template <class Io, class Ev>
+Status EventFields(Io& io, Ev& e) {
+  io("event kind", e.kind, EventKind::kPlanAll);
+  switch (e.kind) {
+    case EventKind::kRegister: {
+      io("id", e.id);
+      io("name", e.name);
+      Snapshot state{e.state};
+      io("state", state);
+      break;
+    }
+    case EventKind::kRetire:
+      io("id", e.id);
+      break;
+    case EventKind::kReplaceModel: {
+      io("id", e.id);
+      io("at_next_plan", e.at_next_plan);
+      Snapshot state{e.state};
+      io("state", state);
+      break;
+    }
+    case EventKind::kObserve: {
+      io("id", e.id);
+      io("time", e.time);
+      Outcome outcome{e.cold_start, e.cancel_earliest};
+      io("outcome", outcome);
+      break;
+    }
+    case EventKind::kPlan:
+      io("id", e.id);
+      io("time", e.time);
+      ClockFields(io, e.clock);
+      ActionFields(io, e.action);
+      break;
+    case EventKind::kPlanAll:
+      io("time", e.time);
+      io.Each("plans", e.plans, [](auto& field, auto& plan) {
+        field("id", plan.id);
+        field("ok", plan.ok);
+        ClockFields(field, plan.clock);
+        if (plan.ok) ActionFields(field, plan.action);
+      });
+      break;
+  }
+  return io.status();
+}
+
+/// The checks an event's decode leaves to its reader.
+Status CheckEvent(const Event& event) {
+  if (event.kind == EventKind{0}) {
+    return Status::Invalid(
+        "trace capture carries unknown event kind 0; the file is corrupt or "
+        "from a newer writer that forgot to bump the trace layer version");
+  }
+  if (event.kind == EventKind::kRegister && event.name.empty()) {
+    return Status::Invalid(
+        "trace capture registers a tenant with an empty name; the file is "
+        "corrupt");
+  }
   return Status::OK();
+}
+
+/// The capture record: the TRCE layout version, the TMET metadata (a
+/// reader skips fields a newer writer appended there) and the TEVT events.
+template <class Io, class Rec>
+Status CaptureFields(Io& io, Rec& capture) {
+  io.Section("serving capture", persist::kTagTraceCapture, [&] {
+    io.Version("trace capture layer", kTraceLayerVersion);
+    io.Section("metadata", persist::kTagTraceMeta, [&] {
+      io("producer", capture.producer);
+      io("label", capture.label);
+    });
+    io.Section("events", persist::kTagTraceEvents, [&] {
+      io.Each("events", capture.events,
+              [](auto& field, auto& event) { EventFields(field, event); });
+    });
+  });
+  return io.status();
+}
+
+/// Decodes a capture through `io` (a Decoder or a Printer) and checks it.
+template <class Io>
+Result<Capture> ReadCapture(Io& io) {
+  Capture capture;
+  RS_RETURN_NOT_OK(CaptureFields(io, capture));
+  for (const Event& event : capture.events) {
+    RS_RETURN_NOT_OK(CheckEvent(event));
+  }
+  return capture;
 }
 
 }  // namespace
 
 void EncodeEvent(persist::Writer* writer, const Event& event) {
-  writer->WriteU8(static_cast<std::uint8_t>(event.kind));
-  switch (event.kind) {
-    case EventKind::kRegister:
-      writer->WriteU32(event.id);
-      writer->WriteString(event.name);
-      writer->WriteString(event.state);
-      break;
-    case EventKind::kRetire:
-      writer->WriteU32(event.id);
-      break;
-    case EventKind::kReplaceModel:
-      writer->WriteU32(event.id);
-      writer->WriteBool(event.at_next_plan);
-      writer->WriteString(event.state);
-      break;
-    case EventKind::kObserve:
-      writer->WriteU32(event.id);
-      writer->WriteDouble(event.time);
-      writer->WriteU8(static_cast<std::uint8_t>(
-          (event.cold_start ? 1u : 0u) | (event.cancel_earliest ? 2u : 0u)));
-      break;
-    case EventKind::kPlan:
-      writer->WriteU32(event.id);
-      writer->WriteDouble(event.time);
-      WriteClock(writer, event.clock);
-      WriteAction(writer, event.action);
-      break;
-    case EventKind::kPlanAll: {
-      // A boundary's record is the journal's largest on the serving path:
-      // size it once and store every field into one run.
-      std::size_t bytes = 16;
-      for (const PlannedTenant& plan : event.plans) {
-        bytes += kPlannedTenantBytes;
-        if (plan.ok) bytes += 16 + 8 * plan.action.creation_times.size();
-      }
-      RunStore run(writer->Extend(bytes));
-      run.WriteDouble(event.time);
-      run.WriteU64(event.plans.size());
-      for (const PlannedTenant& plan : event.plans) {
-        run.WriteU32(plan.id);
-        run.WriteBool(plan.ok);
-        WriteClock(&run, plan.clock);
-        if (plan.ok) WriteAction(&run, plan.action);
-      }
-      break;
-    }
+  if (event.kind != EventKind::kPlanAll) {
+    persist::Encoder io(writer);
+    EventFields(io, event);
+    return;
   }
+  // A boundary's record is the journal's largest on the serving path: size
+  // it once, then store every field into one run.
+  Run<false> count;
+  persist::Encoder sizing(&count);
+  EventFields(sizing, event);
+  Run<true> run(writer->Extend(count.bytes()));
+  persist::Encoder store(&run);
+  EventFields(store, event);
 }
 
 Status DecodeEvent(persist::Reader* reader, Event* event) {
-  RS_ASSIGN_OR_RETURN(const std::uint8_t kind, reader->ReadU8());
-  if (kind < 1 || kind > 6) {
-    return Status::Invalid("trace capture carries unknown event kind " +
-                           std::to_string(kind) +
-                           "; the file is corrupt or from a newer writer "
-                           "that forgot to bump the trace layer version");
-  }
-  event->kind = static_cast<EventKind>(kind);
-  switch (event->kind) {
-    case EventKind::kRegister: {
-      RS_ASSIGN_OR_RETURN(event->id, reader->ReadU32());
-      RS_ASSIGN_OR_RETURN(event->name, reader->ReadString());
-      RS_ASSIGN_OR_RETURN(event->state, reader->ReadString());
-      if (event->name.empty()) {
-        return Status::Invalid(
-            "trace capture registers a tenant with an empty name; the file "
-            "is corrupt");
-      }
-      break;
-    }
-    case EventKind::kRetire: {
-      RS_ASSIGN_OR_RETURN(event->id, reader->ReadU32());
-      break;
-    }
-    case EventKind::kReplaceModel: {
-      RS_ASSIGN_OR_RETURN(event->id, reader->ReadU32());
-      RS_ASSIGN_OR_RETURN(event->at_next_plan, reader->ReadBool());
-      RS_ASSIGN_OR_RETURN(event->state, reader->ReadString());
-      break;
-    }
-    case EventKind::kObserve: {
-      RS_ASSIGN_OR_RETURN(event->id, reader->ReadU32());
-      RS_ASSIGN_OR_RETURN(event->time, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(const std::uint8_t outcome, reader->ReadU8());
-      if (outcome > 3) {
-        return Status::Invalid(
-            "trace capture carries corrupt Observe outcome bits (value " +
-            std::to_string(outcome) + ")");
-      }
-      event->cold_start = (outcome & 1u) != 0;
-      event->cancel_earliest = (outcome & 2u) != 0;
-      break;
-    }
-    case EventKind::kPlan: {
-      RS_ASSIGN_OR_RETURN(event->id, reader->ReadU32());
-      RS_ASSIGN_OR_RETURN(event->time, reader->ReadDouble());
-      RS_RETURN_NOT_OK(ReadClock(reader, &event->clock));
-      RS_RETURN_NOT_OK(ReadAction(reader, &event->action));
-      break;
-    }
-    case EventKind::kPlanAll: {
-      RS_ASSIGN_OR_RETURN(event->time, reader->ReadDouble());
-      RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-      // Every per-tenant record is at least id + ok + clock bytes; a count
-      // claiming more than the section holds is corrupt, not an allocation.
-      if (count > reader->remaining() / kPlannedTenantBytes) {
-        return Status::Invalid(
-            "trace capture claims " + std::to_string(count) +
-            " tenants in a PlanAll batch but the section is too small");
-      }
-      event->plans.resize(static_cast<std::size_t>(count));
-      for (PlannedTenant& plan : event->plans) {
-        RS_ASSIGN_OR_RETURN(plan.id, reader->ReadU32());
-        RS_ASSIGN_OR_RETURN(plan.ok, reader->ReadBool());
-        RS_RETURN_NOT_OK(ReadClock(reader, &plan.clock));
-        if (plan.ok) RS_RETURN_NOT_OK(ReadAction(reader, &plan.action));
-      }
-      break;
-    }
-  }
-  return Status::OK();
+  persist::Decoder io(reader);
+  RS_RETURN_NOT_OK(EventFields(io, *event));
+  return CheckEvent(*event);
 }
 
 const char* EventKindName(EventKind kind) {
@@ -226,52 +277,17 @@ const char* EventKindName(EventKind kind) {
 }
 
 Status Capture::SaveSection(persist::Writer* writer) const {
-  writer->BeginSection(persist::kTagTraceCapture);
-  writer->WriteU32(kTraceLayerVersion);
-
-  writer->BeginSection(persist::kTagTraceMeta);
-  writer->WriteString(producer);
-  writer->WriteString(label);
-  writer->EndSection();
-
-  writer->BeginSection(persist::kTagTraceEvents);
-  writer->WriteU64(events.size());
-  for (const Event& event : events) EncodeEvent(writer, event);
-  writer->EndSection();
-
-  writer->EndSection();
-  return Status::OK();
+  persist::Encoder io(writer);
+  return CaptureFields(io, *this);
 }
 
 Result<Capture> Capture::LoadSection(persist::Reader* reader) {
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTraceCapture));
-  std::uint32_t version = 0;
-  RS_RETURN_NOT_OK(reader->ReadLayerVersion("trace capture layer",
-                                            kTraceLayerVersion, &version));
-  Capture capture;
+  persist::Decoder io(reader);
+  return ReadCapture(io);
+}
 
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTraceMeta));
-  RS_ASSIGN_OR_RETURN(capture.producer, reader->ReadString());
-  RS_ASSIGN_OR_RETURN(capture.label, reader->ReadString());
-  // Skip any metadata a newer minor writer appended (forward compat).
-  RS_RETURN_NOT_OK(reader->ExitSection());
-
-  RS_RETURN_NOT_OK(reader->EnterSection(persist::kTagTraceEvents));
-  RS_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  // The smallest event (retire) is 5 bytes; a larger count is corruption.
-  if (count > reader->remaining() / 5) {
-    return Status::Invalid("trace capture claims " + std::to_string(count) +
-                           " events but the event section holds only " +
-                           std::to_string(reader->remaining()) + " bytes");
-  }
-  capture.events.resize(static_cast<std::size_t>(count));
-  for (Event& event : capture.events) {
-    RS_RETURN_NOT_OK(DecodeEvent(reader, &event));
-  }
-  RS_RETURN_NOT_OK(reader->ExitSection());
-
-  RS_RETURN_NOT_OK(reader->ExitSection());
-  return capture;
+Status Capture::DescribeSection(persist::Printer* printer) {
+  return ReadCapture(*printer).status();
 }
 
 Status Capture::Save(std::ostream& out) const {

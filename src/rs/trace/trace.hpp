@@ -57,6 +57,7 @@
 namespace rs::persist {
 class Writer;
 class Reader;
+class Printer;
 }  // namespace rs::persist
 
 namespace rs::trace {
@@ -129,8 +130,13 @@ struct Capture {
   Capture Prefix(std::size_t n) const;
 
   /// Section-level codec, for embedding captures in larger containers.
+  /// One field list (capture.cpp) drives the encoder, the decoder and
+  /// DescribeSection.
   Status SaveSection(persist::Writer* writer) const;
   static Result<Capture> LoadSection(persist::Reader* reader);
+  /// Prints a TRCE section field by field, every event included, and runs
+  /// LoadSection's checks (the rs_snapshot inspector).
+  static Status DescribeSection(persist::Printer* printer);
 };
 
 /// \brief Event-record codec, exposed for containers that embed individual

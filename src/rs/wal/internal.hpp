@@ -50,9 +50,6 @@ constexpr std::size_t MinPayloadBytes(std::uint32_t layout_version) {
   return layout_version == 1 ? 12 : 5;
 }
 
-std::uint32_t ReadU32Le(const char* p);
-std::uint64_t ReadU64Le(const char* p);
-
 /// Starts a record frame in `frame` (a bare run, capacity kept): the
 /// 16-byte frame header with `lsn`, its length and CRC left for SealFrame.
 /// The caller then encodes the payload into `frame`.

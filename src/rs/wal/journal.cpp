@@ -44,23 +44,7 @@ constexpr std::size_t kRetainedRecordBytes = 4 << 10;
 CrashPointHook g_crash_hook = nullptr;
 void* g_crash_hook_arg = nullptr;
 
-Status Errno(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-/// Writes all `size` bytes; false (errno set) on failure.
-bool WriteAll(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+using persist::Errno;
 
 /// Preallocates `fd`'s file to at least `bytes` and maps its first `bytes`
 /// shared, so appends are stores into the page cache. Space runs out here,
@@ -82,20 +66,6 @@ Status MapSegment(int fd, std::uint64_t bytes, const std::string& path,
   if (mapped == MAP_FAILED) return Errno("map " + path);
   *map = static_cast<char*>(mapped);
   return Status::OK();
-}
-
-Status WriteFileDurable(const std::string& path, std::string_view bytes) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Errno("cannot open " + path);
-  Status written = WriteAll(fd, bytes.data(), bytes.size())
-                       ? Status::OK()
-                       : Errno("write " + path);
-  if (written.ok() && ::fsync(fd) != 0) {
-    written = Errno("fsync " + path);
-  }
-  ::close(fd);
-  return written;
 }
 
 /// Segment filenames are wal-<16 hex digits of first LSN>.rswal so a
@@ -225,7 +195,7 @@ Status FleetJournal::Open(const std::string& dir,
     std::string bytes;
     RS_RETURN_NOT_OK(internal::ReadFileBytes(path, &bytes));
     if (bytes.size() >= internal::kSegmentHeaderBytes &&
-        internal::ReadU32Le(bytes.data()) == internal::kSegmentMagic) {
+        persist::LoadLe(bytes.data(), 4) == internal::kSegmentMagic) {
       break;
     }
     std::remove(path.c_str());
@@ -424,20 +394,15 @@ Status FleetJournal::CreateSegment(bool rotating) {
       last = fault::Hit("wal.rotate");
       if (!last.ok()) continue;
     }
-    // O_TRUNC: a previous crashed attempt may have left a partial file
-    // here; restart it cleanly.
-    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    // Truncates a partial file a previous crashed attempt may have left.
+    last = persist::WriteFileSynced(path, header);
+    if (!last.ok()) continue;
+    fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
     if (fd < 0) {
-      last = Errno("FleetJournal: cannot create segment " + path);
+      last = Errno("FleetJournal: cannot open segment " + path);
       continue;
     }
-    last = WriteAll(fd, header.data(), header.size())
-               ? Status::OK()
-               : Errno("write header of " + path);
-    if (last.ok() && ::fsync(fd) != 0) {
-      last = Errno("fsync " + path);
-    }
-    if (last.ok()) last = MapSegment(fd, map_bytes, path, &map);
+    last = MapSegment(fd, map_bytes, path, &map);
     if (last.ok()) break;
     ::close(fd);
     fd = -1;
@@ -586,7 +551,7 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
   const std::string path = dir_ + "/checkpoint.rsnp";
   const std::string tmp = path + ".tmp";
   RS_RETURN_NOT_OK(fault::Hit("persist.write"));
-  RS_RETURN_NOT_OK(WriteFileDurable(tmp, encoded));
+  RS_RETURN_NOT_OK(persist::WriteFileSynced(tmp, encoded));
   CrashPoint("wal.checkpoint.tmp");
   RS_RETURN_NOT_OK(fault::Hit("persist.rename"));
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -599,19 +564,13 @@ Status FleetJournal::Checkpoint(const std::string& user_meta) {
 
   // Retire segments fully covered by the checkpoint. The active segment is
   // always kept, which preserves the journal-end >= checkpoint invariant.
-  if (policy_.remove_retired_segments) {
-    bool removed = false;
-    while (segments_.size() >= 2 &&
-           segments_[1].first <= checkpoint_lsn_ + 1) {
-      std::remove(segments_.front().second.c_str());
-      segments_.erase(segments_.begin());
-      removed = true;
-    }
-    if (removed) {
-      RS_RETURN_NOT_OK(persist::FsyncParentDir(path));
-    }
+  bool removed = false;
+  while (segments_.size() >= 2 && segments_[1].first <= checkpoint_lsn_ + 1) {
+    std::remove(segments_.front().second.c_str());
+    segments_.erase(segments_.begin());
+    removed = true;
   }
-  return Status::OK();
+  return removed ? persist::FsyncParentDir(path) : Status::OK();
 }
 
 }  // namespace rs::wal

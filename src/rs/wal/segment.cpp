@@ -11,24 +11,6 @@
 
 namespace rs::wal::internal {
 
-std::uint32_t ReadU32Le(const char* p) {
-  std::uint32_t value = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t ReadU64Le(const char* p) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
 void BeginFrame(std::uint64_t lsn, persist::Writer* frame) {
   frame->ResetBare();
   frame->WriteU64(lsn);
@@ -64,7 +46,7 @@ Result<SegmentScan> ScanSegmentBytes(
         << kSegmentHeaderBytes << "-byte header";
     return Status::Invalid(msg.str());
   }
-  const std::uint32_t magic = ReadU32Le(bytes.data());
+  const std::uint64_t magic = persist::LoadLe(bytes.data(), 4);
   if (magic != kSegmentMagic) {
     std::ostringstream msg;
     msg << "not a journal segment: bad magic 0x" << std::hex << magic
@@ -72,11 +54,12 @@ Result<SegmentScan> ScanSegmentBytes(
     return Status::Invalid(msg.str());
   }
   SegmentScan scan;
-  scan.version = ReadU32Le(bytes.data() + 4);
+  scan.version =
+      static_cast<std::uint32_t>(persist::LoadLe(bytes.data() + 4, 4));
   RS_RETURN_NOT_OK(persist::CheckLayerVersion(
       "journal segment layout", scan.version, kSegmentLayoutVersion));
   const std::size_t min_payload = MinPayloadBytes(scan.version);
-  scan.first_lsn = ReadU64Le(bytes.data() + 8);
+  scan.first_lsn = persist::LoadLe(bytes.data() + 8, 8);
   if (expected_first_lsn != 0 && scan.first_lsn != expected_first_lsn) {
     std::ostringstream msg;
     msg << "journal segment header claims first LSN " << scan.first_lsn
@@ -114,17 +97,18 @@ Result<SegmentScan> ScanSegmentBytes(
     if (remaining < kFrameHeaderBytes) {
       return broken("truncated record frame header");
     }
-    const std::uint64_t lsn = ReadU64Le(bytes.data() + offset);
-    const std::uint32_t len = ReadU32Le(bytes.data() + offset + 8);
-    const std::uint32_t stored_crc = ReadU32Le(bytes.data() + offset + 12);
+    const char* frame = bytes.data() + offset;
+    const std::uint64_t lsn = persist::LoadLe(frame, 8);
+    const std::uint64_t len = persist::LoadLe(frame + 8, 4);
+    const std::uint64_t stored_crc = persist::LoadLe(frame + 12, 4);
     if (lsn != expected) {
       return broken("record LSN breaks the contiguous sequence");
     }
     if (len < min_payload || len > remaining - kFrameHeaderBytes) {
       return broken("record length field exceeds the segment");
     }
-    std::uint32_t crc = persist::Crc32(bytes.data() + offset, 12);
-    crc = persist::Crc32(bytes.data() + offset + kFrameHeaderBytes, len, crc);
+    std::uint32_t crc = persist::Crc32(frame, 12);
+    crc = persist::Crc32(frame + kFrameHeaderBytes, len, crc);
     if (crc != stored_crc) {
       return broken("record CRC mismatch");
     }

@@ -97,10 +97,6 @@ struct JournalPolicy {
   /// never spans segments; tests shrink it to force rotation windows).
   /// Also the preallocation of the active segment's mapping.
   std::uint64_t segment_bytes = 4ull << 20;
-  /// Checkpoint() deletes segments fully covered by the checkpoint LSN
-  /// (the active segment is always kept, preserving the invariant that
-  /// the journal end never trails the checkpoint).
-  bool remove_retired_segments = true;
 };
 
 /// What Open() found and repaired on disk.
@@ -238,8 +234,10 @@ class FleetJournal final : public trace::EventTap {
   /// \brief Writes a checkpoint: fsyncs the journal, then durably writes
   ///        (temp + fsync + rename + dir fsync) a snapshot container tying
   ///        the attached fleet's full state and the journal's tenant-id
-  ///        intern table to the current LSN, then retires fully-covered
-  ///        segments. Recovery needs only the checkpoint + later records.
+  ///        intern table to the current LSN, then always deletes the
+  ///        segments it fully covers (the active segment is kept, so the
+  ///        journal end never trails the checkpoint). Recovery needs only
+  ///        the checkpoint + later records.
   Status Checkpoint(const std::string& user_meta = "");
 
   /// fsyncs the active segment now, regardless of policy.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -230,6 +232,16 @@ TEST(ThreadPoolFaultTest, ThrowingSubmittedTaskDoesNotKillWorkers) {
     });
   }
   latch.Wait();
+  // The latch opens when the last four tasks finish, but the other worker
+  // may still be in an earlier task: a thrower is counted in tasks_failed()
+  // only after it unwinds, and an odd task may not have bumped `ran` yet.
+  // Wait, bounded, for both totals.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((ran.load() < 8 || pool.tasks_failed() < 4) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(pool.tasks_failed(), 4u);
 }

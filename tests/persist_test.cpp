@@ -962,6 +962,14 @@ TEST(PersistFleetTest, CommittedFleetFixtureReencodesByteForByte) {
   EXPECT_EQ(count("\n      state = 2\n"), 1u) << "one quarantined tenant";
   EXPECT_EQ(count("\n        kind = 1\n"), 1u) << "one latched rate shift";
   EXPECT_EQ(count("warm_start = 0 values"), 0u) << text;
+  // MIRR's tail: the schedule, the live set, the arrival window, the
+  // undrained buffer and the parity log, once per tenant.
+  for (const char* field :
+       {"schedule = ", "live = ", "arrival_window = ",
+        "buffered_creation_times = ", "buffered_deletions = ",
+        "buffered_seqs = ", "log = ", "log_times = "}) {
+    EXPECT_EQ(count(std::string("\n        ") + field), 5u) << field;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,9 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,6 +33,7 @@
 
 #include "rs/api/api.hpp"
 #include "rs/core/pipeline.hpp"
+#include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/simulator/decision_clock.hpp"
 #include "rs/stats/rng.hpp"
@@ -351,8 +355,86 @@ TEST(TraceCodecTest, RecordedPlanAllBoundariesKeepTheirOwnActions) {
   auto bytes = capture.ToBytes();
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   EXPECT_TRUE(bytes.ValueOrDie() == FieldByFieldCaptureBytes(capture))
-      << "the single-run PlanAll encoding differs from the field-by-field "
+      << "the capture's PlanAll encoding differs from the field-by-field "
          "one";
+}
+
+TEST(TraceCodecTest, OneRunPlanAllEncodeStoresExactlyTheBytesItCounted) {
+  // EncodeEvent sizes a PlanAll record with one pass of the event field
+  // list, reserves that many bytes and stores the record into them with a
+  // second pass. A count above the stores leaves zero bytes at the end; a
+  // count below them stores past the reservation (ASan) and loses the
+  // record's tail. Either shows against the field-by-field oracle.
+  stats::Rng rng(20261019);
+  for (std::size_t round = 0; round < 40; ++round) {
+    Event event;
+    event.kind = EventKind::kPlanAll;
+    event.time = 60.0 * static_cast<double>(round) + rng.NextDouble();
+    event.plans.resize(rng.NextBounded(301));
+    for (PlannedTenant& plan : event.plans) {
+      plan.id = static_cast<std::uint32_t>(rng.NextBounded(1000) + 1);
+      plan.ok = rng.NextBounded(4) != 0;
+      plan.clock.has_position = rng.NextBounded(2) == 1;
+      plan.clock.time = rng.NextDouble();
+      plan.clock.readings = rng.NextUint64();
+      if (!plan.ok) continue;
+      plan.action.creation_times.resize(rng.NextBounded(41));
+      for (double& t : plan.action.creation_times) t = rng.NextGaussian();
+      plan.action.deletions = rng.NextBounded(5);
+    }
+
+    persist::Writer writer;
+    writer.ResetBare();
+    EncodeEvent(&writer, event);
+    const std::string run(writer.bytes());
+
+    Capture capture;
+    capture.events.push_back(event);
+    const std::string oracle = FieldByFieldCaptureBytes(capture);
+    ASSERT_GE(oracle.size(), run.size() + 4) << "round " << round;
+    EXPECT_TRUE(oracle.compare(oracle.size() - 4 - run.size(), run.size(),
+                               run) == 0)
+        << "round " << round << ": the one-run encode of "
+        << event.plans.size() << " tenants differs from the field-by-field "
+        << "bytes";
+
+    persist::Reader reader = persist::Reader::OverBytes(run);
+    Event decoded;
+    ASSERT_TRUE(DecodeEvent(&reader, &decoded).ok()) << "round " << round;
+    EXPECT_EQ(reader.remaining(), 0u) << "round " << round;
+    ExpectEventsEqual(event, decoded, round);
+  }
+}
+
+TEST(TraceCodecTest, CommittedCapturesPrintToTheLastByte) {
+  // rs_snapshot's printer runs the capture's field list: it must walk each
+  // committed capture to its last byte and print every event.
+  for (const char* name : {"example.rstrace", "example_tiny.rstrace"}) {
+    const std::string path =
+        (std::filesystem::path(__FILE__).parent_path() / "data" / name)
+            .string();
+    std::ifstream file(path, std::ios::binary);
+    ASSERT_TRUE(file) << path;
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    auto capture = Capture::FromBytes(bytes);
+    ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+
+    auto reader = persist::Reader::FromBytes(bytes);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::ostringstream printed;
+    persist::Printer printer(&*reader, &printed);
+    ASSERT_TRUE(Capture::DescribeSection(&printer).ok())
+        << name << ": " << printer.status().ToString();
+    EXPECT_EQ(reader->remaining(), 0u) << name;
+    const std::string text = printed.str();
+    std::size_t events = 0;
+    for (auto at = text.find("event kind = "); at != std::string::npos;
+         at = text.find("event kind = ", at + 1)) {
+      ++events;
+    }
+    EXPECT_EQ(events, capture->events.size()) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /// \file rs_snapshot.cpp
 /// \brief Snapshot inspector: prints every field of an rs::persist
-///        container (Scaler, tenant, fleet, journal checkpoint) through the
-///        field lists the library encodes and decodes with, and summarizes
-///        rs::trace serving captures.
+///        container (Scaler, tenant, fleet, journal checkpoint, rs::trace
+///        serving capture) through the field lists the library encodes and
+///        decodes with.
 ///
 /// Usage:  rs_snapshot [--verify] <snapshot-or-journal-file>
 ///
@@ -31,77 +31,6 @@ namespace {
 using rs::Status;
 using rs::persist::Reader;
 
-// rs::trace serving capture, decoded by the trace layer: metadata, the
-// first few events and the kind histogram (docs/TRACE_FORMAT.md has the
-// event grammar; rs_trace info/replay work on the same decoded form).
-Status PrintTraceCapture(Reader* reader, std::ostream& out) {
-  RS_ASSIGN_OR_RETURN(const rs::trace::Capture capture,
-                      rs::trace::Capture::LoadSection(reader));
-  out << "TRCE serving capture: producer \"" << capture.producer
-            << "\", label \"" << capture.label << "\", "
-            << capture.events.size() << " event(s):\n";
-  constexpr std::size_t kShown = 8;
-  std::size_t histogram[7] = {};  // By EventKind (1..6).
-  for (std::size_t i = 0; i < capture.events.size(); ++i) {
-    const rs::trace::Event& e = capture.events[i];
-    ++histogram[static_cast<int>(e.kind)];
-    if (i >= kShown) continue;
-    out << "  #" << i << ' ' << rs::trace::EventKindName(e.kind);
-    switch (e.kind) {
-      case rs::trace::EventKind::kRegister:
-        out << " \"" << e.name << "\" -> id " << e.id << " ("
-                  << e.state.size() << "-byte scaler snapshot)";
-        break;
-      case rs::trace::EventKind::kRetire:
-        out << " id " << e.id;
-        break;
-      case rs::trace::EventKind::kReplaceModel:
-        out << " id " << e.id
-                  << (e.at_next_plan ? " at next plan" : " immediate") << " ("
-                  << e.state.size() << "-byte scaler snapshot)";
-        break;
-      case rs::trace::EventKind::kObserve:
-        out << " id " << e.id << " t=" << e.time
-                  << (e.cold_start ? " cold-start" : "")
-                  << (e.cancel_earliest ? " cancel-earliest" : "");
-        break;
-      case rs::trace::EventKind::kPlan:
-        out << " id " << e.id << " t=" << e.time << " -> "
-                  << e.action.creation_times.size() << " creation(s), "
-                  << e.action.deletions << " deletion(s)";
-        if (e.clock.has_position) {
-          out << " [clock " << e.clock.time << '/' << e.clock.readings
-                    << ']';
-        }
-        break;
-      case rs::trace::EventKind::kPlanAll: {
-        std::size_t creations = 0, failures = 0;
-        for (const rs::trace::PlannedTenant& plan : e.plans) {
-          creations += plan.action.creation_times.size();
-          failures += plan.ok ? 0 : 1;
-        }
-        out << " t=" << e.time << " over " << e.plans.size()
-                  << " tenant(s): " << creations << " creation(s)";
-        if (failures > 0) out << ", " << failures << " failed";
-        break;
-      }
-    }
-    out << '\n';
-  }
-  if (capture.events.size() > kShown) {
-    out << "  ... " << capture.events.size() - kShown << " more\n";
-  }
-  out << "  histogram:";
-  for (int kind = 1; kind <= 6; ++kind) {
-    if (histogram[kind] == 0) continue;
-    out << ' '
-              << rs::trace::EventKindName(static_cast<rs::trace::EventKind>(kind))
-              << '=' << histogram[kind];
-  }
-  out << '\n';
-  return Status::OK();
-}
-
 Status Inspect(Reader* reader, std::ostream& out) {
   out << "format version " << reader->version() << ", payload "
             << reader->remaining() << " bytes\n";
@@ -115,7 +44,7 @@ Status Inspect(Reader* reader, std::ostream& out) {
     } else if (tag == rs::persist::kTagScaler) {
       RS_RETURN_NOT_OK(rs::api::Scaler::DescribeState(&printer));
     } else if (tag == rs::persist::kTagTraceCapture) {
-      RS_RETURN_NOT_OK(PrintTraceCapture(reader, out));
+      RS_RETURN_NOT_OK(rs::trace::Capture::DescribeSection(&printer));
     } else if (tag == rs::persist::kTagWalCheckpoint) {
       RS_RETURN_NOT_OK(rs::wal::DescribeCheckpoint(&printer));
     } else {

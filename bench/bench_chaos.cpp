@@ -1,10 +1,13 @@
-// Chaos storm over a production-shaped fleet: drives the bench_replay-style
-// Azure-Functions workload (heavy-tailed per-tenant rates, diurnal cycle,
-// burst windows, cloned archetype models) with a seeded rs::fault storm
-// installed over the whole injection-site catalogue — plan boundaries and
-// observes fail or throw, forced retrains die mid-refit, snapshot writes
-// and renames are killed — and measures what the degradation machinery
-// guarantees under fire:
+// Chaos storm over a production-shaped fleet: drives the Azure-Functions
+// session of bench/serving_session.hpp (heavy-tailed per-tenant rates,
+// diurnal cycle, burst windows, cloned archetype models). It is
+// bench_replay's session only as far as bench_replay's --diurnal-s equals
+// this bench's --serve-s: here the diurnal period is the storm window, one
+// whole "day". A seeded rs::fault storm is installed over the whole
+// injection-site catalogue — plan boundaries and observes fail or throw,
+// forced retrains die mid-refit, snapshot writes and renames are killed —
+// and the bench measures what the degradation machinery guarantees under
+// fire:
 //
 //   availability        — fraction of plan boundaries served (real plan or
 //                         last-good fallback; the contract is >= 99%, and
@@ -41,12 +44,10 @@
 // CI's perf-smoke invocation is in .github/workflows/ci.yml; the committed
 // baseline lives at bench/baselines/BENCH_chaos.baseline.json.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -56,17 +57,11 @@
 #include "rs/common/stopwatch.hpp"
 #include "rs/fault/fault.hpp"
 #include "rs/wal/wal.hpp"
+#include "serving_session.hpp"
 
 namespace {
 
 using namespace rs;
-
-/// Rate-curve bin width for the synthesized intensities (also the cloned
-/// archetypes' model bin width and the freshness refit bin width).
-constexpr double kBinS = 30.0;
-
-/// Training window of the archetype models; serving starts at this time.
-constexpr double kTrainS = 3600.0;
 
 struct Options {
   std::size_t tenants = 100;
@@ -135,84 +130,6 @@ Options ParseArgs(int argc, char** argv) {
   RS_CHECK(options.fire_probability > 0.0 && options.fire_probability < 1.0);
   RS_CHECK(!options.state_out.empty());
   return options;
-}
-
-/// Arrival event in the merged serving stream.
-struct Event {
-  double t;
-  std::size_t tenant;
-};
-
-/// One tenant's piecewise-constant intensity over [0, kTrainS + serve_s):
-/// quiet training window, then lognormal base rate x diurnal sinusoid x
-/// burst windows. Deterministic per tenant index (same recipe as
-/// bench_replay, so the chaos fleet is production-shaped too).
-std::vector<double> TenantRateBins(std::size_t tenant, const Options& o) {
-  stats::Rng rng(9000 + tenant);
-  const double base = std::clamp(std::exp(rng.NextGaussian()), 0.05, 50.0);
-  const double phase = rng.NextDouble();
-  struct Burst {
-    double start, len, mult;
-  };
-  std::vector<Burst> bursts(1 + rng.NextBounded(3));
-  for (auto& b : bursts) {
-    b.start = rng.NextDouble() * (o.serve_s - 120.0);
-    b.len = 30.0 + 60.0 * rng.NextDouble();
-    b.mult = 4.0 + 6.0 * rng.NextDouble();
-  }
-  const auto bins = static_cast<std::size_t>((kTrainS + o.serve_s) / kBinS);
-  std::vector<double> rates(bins, 0.0);
-  for (std::size_t bin = 0; bin < bins; ++bin) {
-    const double s = (static_cast<double>(bin) + 0.5) * kBinS - kTrainS;
-    if (s < 0.0) continue;
-    double r =
-        base * (1.0 + 0.6 * std::sin(2.0 * M_PI * (s / o.serve_s + phase)));
-    for (const auto& b : bursts) {
-      if (s >= b.start && s < b.start + b.len) r *= b.mult;
-    }
-    rates[bin] = r;
-  }
-  return rates;
-}
-
-const char* kArchetypeSpecs[] = {
-    "robust_hp:target=0.9",
-    "robust_rt:target=1.0",
-    "robust_cost:target=2.0",
-    "backup_pool:pool_size=2",
-};
-
-/// Trains one archetype model and returns its Scaler::SaveState buffer;
-/// tenant i restores buffer i % archetypes.
-std::string TrainArchetype(std::size_t k, const Options& options) {
-  const double period = 600.0;
-  std::vector<double> rates;
-  for (double t = 0.5 * kBinS; t < kTrainS; t += kBinS) {
-    const double phase = std::fmod(t, period) / period;
-    rates.push_back(
-        1.0 +
-        0.6 * std::sin(2.0 * M_PI * (phase + static_cast<double>(k) / 7.3)));
-  }
-  auto intensity = *workload::PiecewiseConstantIntensity::Make(rates, kBinS);
-  stats::Rng rng(500 + k);
-  auto trace = *workload::MakeTraceFromIntensity(
-      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-  auto spec = api::ParseStrategySpec(
-      kArchetypeSpecs[k %
-                      (sizeof(kArchetypeSpecs) / sizeof(kArchetypeSpecs[0]))]);
-  RS_CHECK(spec.ok()) << spec.status().ToString();
-  auto scaler = api::ScalerBuilder()
-                    .WithTrace(trace)
-                    .WithBinWidth(kBinS)
-                    .WithForecastHorizon(kTrainS + options.serve_s)
-                    .WithStrategy(*spec)
-                    .WithPlanningInterval(options.plan_interval)
-                    .WithMcSamples(options.mc_samples)
-                    .Build();
-  RS_CHECK(scaler.ok()) << scaler.status().ToString();
-  std::ostringstream out;
-  RS_CHECK(scaler->SaveState(out).ok());
-  return out.str();
 }
 
 /// One boundary's outcome in the recorded serving history.
@@ -284,18 +201,19 @@ void CheckParity(const RunResult& baseline, const RunResult& run) {
 RunResult RunOnce(const Options& options,
                   const std::vector<std::string>& names,
                   const std::vector<std::string>& buffers,
-                  const std::vector<Event>& events, std::size_t threads) {
+                  const std::vector<bench::Arrival>& events,
+                  std::size_t threads) {
   RunResult run;
   run.threads = threads;
   run.history.resize(names.size());
-  const double horizon = kTrainS + options.serve_s;
+  const double horizon = bench::kAzureTrainS + options.serve_s;
 
   api::ScalerFleet fleet(threads);
   // Synchronous retrains: the refit runs inline at the enqueue point, so
   // swap timing — and therefore the whole serving history — is
   // deterministic under any plan-worker count.
   api::FreshnessPolicy freshness;
-  freshness.pipeline.dt = kBinS;
+  freshness.pipeline.dt = bench::kSessionBinS;
   freshness.pipeline.forecast_horizon = horizon;
   freshness.min_retrain_interval = options.plan_every;
   freshness.retrain_workers = 0;
@@ -310,12 +228,7 @@ RunResult RunOnce(const Options& options,
   robustness.backoff_base = 2.0 * options.plan_every;
   robustness.backoff_max = 10.0 * options.plan_every;
   fleet.ConfigureRobustness(robustness);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    std::istringstream in(buffers[i % buffers.size()]);
-    auto scaler = api::ScalerBuilder::RestoreState(in);
-    RS_CHECK(scaler.ok()) << scaler.status().ToString();
-    RS_CHECK(fleet.Register(names[i], std::move(scaler).ValueOrDie()).ok());
-  }
+  bench::RegisterClones(&fleet, names, buffers);
 
   const auto plan_batch = [&](api::ScalerFleet* f, RunResult* r, double t) {
     for (auto& plan : f->PlanAll(t)) {
@@ -358,7 +271,7 @@ RunResult RunOnce(const Options& options,
       plan.rules.push_back(std::move(rule));
     }
     fault::ScopedFaultInjection inject(std::move(plan));
-    double next_plan = kTrainS + options.plan_every;
+    double next_plan = bench::kAzureTrainS + options.plan_every;
     for (const auto& event : events) {
       while (next_plan <= event.t) {
         plan_batch(&fleet, &run, next_plan);
@@ -402,18 +315,11 @@ RunResult RunOnce(const Options& options,
         policy.segment_bytes = 256;  // Rotate every couple of records.
         if (!journal.Open(wal_dir.string(), policy).ok()) continue;
         api::ScalerFleet side(0);
-        for (std::size_t i = 0; i < 2; ++i) {
-          std::istringstream in(buffers[i % buffers.size()]);
-          auto scaler = api::ScalerBuilder::RestoreState(in);
-          RS_CHECK(scaler.ok()) << scaler.status().ToString();
-          RS_CHECK(side.Register("wal-" + std::to_string(i),
-                                 std::move(scaler).ValueOrDie())
-                       .ok());
-        }
+        bench::RegisterClones(&side, {"wal-0", "wal-1"}, buffers);
         if (!wal::EnableJournal(&side, &journal).ok()) continue;
         for (std::size_t step = 1; step <= 8 && journal.status().ok();
              ++step) {
-          const double t = kTrainS + static_cast<double>(step);
+          const double t = bench::kAzureTrainS + static_cast<double>(step);
           (void)side.Observe("wal-0", t - 0.5);
           (void)side.Observe("wal-1", t - 0.25);
           (void)side.PlanAll(t);
@@ -521,40 +427,20 @@ void WriteJson(const Options& options, const std::vector<RunResult>& runs,
 int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
 
-  // Synthesize the production-shaped stream (seeded per tenant index, so
-  // the stream is bit-identical between runs of this binary).
-  std::vector<std::vector<double>> rates;
-  double expected = 0.0;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    rates.push_back(TenantRateBins(i, options));
-    for (double r : rates.back()) expected += r * kBinS;
-  }
-  const double scale = options.target_arrivals / expected;
-  std::vector<Event> events;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    for (double& r : rates[i]) r *= scale;
-    auto intensity =
-        *workload::PiecewiseConstantIntensity::Make(rates[i], kBinS);
-    stats::Rng rng(777 + i);
-    auto trace = *workload::MakeTraceFromIntensity(
-        &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-    for (const auto& q : trace.queries()) {
-      events.push_back({q.arrival_time, i});
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.tenant < b.tenant;
-  });
+  // The storm window is one diurnal period.
+  const std::vector<bench::Arrival> events =
+      bench::AzureArrivals(options.tenants, options.target_arrivals,
+                           options.serve_s, options.serve_s);
 
   Stopwatch train_watch;
-  std::vector<std::string> buffers;
-  for (std::size_t k = 0; k < options.archetypes; ++k) {
-    buffers.push_back(TrainArchetype(k, options));
-  }
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    names.push_back("fn-" + std::to_string(i));
-  }
+  bench::ArchetypeOptions archetype;
+  archetype.train_s = bench::kAzureTrainS;
+  archetype.horizon = bench::kAzureTrainS + options.serve_s;
+  archetype.plan_interval = options.plan_interval;
+  archetype.mc_samples = options.mc_samples;
+  const std::vector<std::string> buffers =
+      bench::TrainArchetypes(options.archetypes, archetype);
+  const std::vector<std::string> names = bench::TenantNames(options.tenants);
   std::printf(
       "chaos: %zu tenants (%zu archetypes, trained in %.2f s), %zu arrivals "
       "over %.0f s serving, storm seed %llu (p=%.3f), PlanAll every %.0f s, "

@@ -1,7 +1,8 @@
 // Multi-tenant serving throughput: tenants × worker threads.
 //
-// Builds a ScalerFleet of T per-tenant models (phase-shifted sinusoidal
-// NHPP workloads), drives the merged arrival stream plus periodic PlanAll
+// Builds a ScalerFleet of T per-tenant models (the 600 s sine workload of
+// bench/serving_session.hpp, phase-shifted per tenant), drives the merged
+// (time, tenant)-ordered arrival stream plus periodic PlanAll
 // batches through it once per worker-thread count, and reports the serving
 // wall time, planning throughput, and speedup over the single-worker run.
 // Every run must produce byte-identical per-tenant action sequences — the
@@ -31,10 +32,8 @@
 // perf-smoke job runs tiny sizes and uploads the JSON (see
 // .github/workflows/ci.yml and EXPERIMENTS.md).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,6 +42,7 @@
 
 #include "bench_common.hpp"
 #include "rs/common/stopwatch.hpp"
+#include "serving_session.hpp"
 
 namespace {
 
@@ -112,12 +112,6 @@ struct TenantWorkload {
   workload::Trace test;
 };
 
-/// Arrival event in the merged serving stream.
-struct Event {
-  double t;
-  std::size_t tenant;
-};
-
 struct RunResult {
   std::size_t threads = 0;
   double train_s = 0.0;
@@ -131,25 +125,16 @@ struct RunResult {
   double snapshot_s = 0.0;          ///< Cumulative SaveFleet wall time.
   std::size_t snapshot_bytes = 0;   ///< Size of the last fleet snapshot.
   std::size_t snapshots = 0;
-  std::vector<std::vector<sim::ScalingAction>> logs;  ///< Per tenant.
+  bench::ActionLogs logs;  ///< Per tenant.
 };
 
 TenantWorkload MakeTenantWorkload(std::size_t tenant, double serve_cycles,
                                   double qps) {
-  const double period_s = 600.0, dt = 30.0;
+  const double period_s = 600.0;
   const double horizon = (6.0 + serve_cycles) * period_s;
-  const double phase0 =
-      static_cast<double>(tenant) / 7.3;  // Deterministic phase shift.
-  std::vector<double> rates;
-  for (double t = 0.5 * dt; t < horizon; t += dt) {
-    const double phase = std::fmod(t, period_s) / period_s;
-    rates.push_back(qps *
-                    (1.0 + 0.6 * std::sin(2.0 * M_PI * (phase + phase0))));
-  }
-  auto intensity = *workload::PiecewiseConstantIntensity::Make(rates, dt);
-  stats::Rng rng(1000 + tenant);
-  auto trace = *workload::MakeTraceFromIntensity(
-      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
+  const workload::Trace trace = bench::DrawTrace(
+      bench::SineRates(horizon, qps, period_s, bench::SinePhase(tenant)),
+      1000 + tenant);
   TenantWorkload w;
   auto [train, test] = trace.SplitAt(horizon - serve_cycles * period_s);
   w.train = std::move(train);
@@ -159,8 +144,8 @@ TenantWorkload MakeTenantWorkload(std::size_t tenant, double serve_cycles,
 
 RunResult RunOnce(const Options& options,
                   const std::vector<TenantWorkload>& workloads,
-                  const std::vector<Event>& events, double serve_horizon,
-                  std::size_t threads) {
+                  const std::vector<bench::Arrival>& events,
+                  double serve_horizon, std::size_t threads) {
   RunResult run;
   run.threads = threads;
 
@@ -238,30 +223,8 @@ RunResult RunOnce(const Options& options,
 
   const api::FleetSnapshot snap = fleet.Snapshot();
   run.planning_rounds = snap.planning_rounds;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    run.logs.push_back(fleet.Find(names[i])->ActionLog());
-  }
+  run.logs = bench::CollectActionLogs(fleet, names);
   return run;
-}
-
-/// Byte-identical action-log comparison across two runs (the fleet parity
-/// guarantee: worker count changes wall time, never actions).
-void CheckParity(const RunResult& baseline, const RunResult& run) {
-  RS_CHECK(baseline.logs.size() == run.logs.size());
-  for (std::size_t i = 0; i < baseline.logs.size(); ++i) {
-    const auto& a = baseline.logs[i];
-    const auto& b = run.logs[i];
-    RS_CHECK(a.size() == b.size())
-        << "tenant " << i << ": " << a.size() << " vs " << b.size()
-        << " actions (threads " << baseline.threads << " vs " << run.threads
-        << ")";
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      RS_CHECK(a[k].deletions == b[k].deletions) << "tenant " << i;
-      RS_CHECK(a[k].creation_times == b[k].creation_times)
-          << "tenant " << i << ", action " << k << " diverged between "
-          << baseline.threads << " and " << run.threads << " threads";
-    }
-  }
 }
 
 void WriteJson(const Options& options, const std::vector<RunResult>& runs,
@@ -309,17 +272,14 @@ int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
 
   std::vector<TenantWorkload> workloads;
-  std::vector<Event> events;
+  std::vector<bench::Arrival> events;
   double serve_horizon = 0.0;
   for (std::size_t i = 0; i < options.tenants; ++i) {
     workloads.push_back(MakeTenantWorkload(i, options.cycles, options.qps));
-    for (const auto& q : workloads[i].test.queries()) {
-      events.push_back({q.arrival_time, i});
-    }
+    bench::AddArrivals(i, workloads[i].test, &events);
     serve_horizon = std::max(serve_horizon, workloads[i].test.horizon());
   }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.t < b.t; });
+  bench::SortArrivals(&events);
   std::printf("fleet_scaling: %zu tenants, %zu arrivals over %.0f s, "
               "strategy %s, R=%zu, ~%.1f QPS/tenant\n\n",
               options.tenants, events.size(), serve_horizon,
@@ -332,7 +292,8 @@ int main(int argc, char** argv) {
     runs.push_back(
         RunOnce(options, workloads, events, serve_horizon, threads));
     const auto& run = runs.back();
-    CheckParity(runs.front(), run);
+    bench::CheckActionLogParity(runs.front().logs, run.logs,
+                                "across thread counts");
     std::printf("%8zu %10.3f %10.3f %10.3f %10.3f %14.0f %10.2fx\n",
                 run.threads, run.train_s, run.serve_s, run.plan_s,
                 run.observe_s,

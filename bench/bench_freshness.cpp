@@ -2,14 +2,15 @@
 // warm-start background retrain → tear-free hot swap (ScalerFleet::
 // EnableFreshness).
 //
-// Builds a fleet of T tenants on stationary sinusoidal training windows,
-// then serves a test window where half the tenants change regime at
-// mid-serve (even shifted tenants jump to 4x the traffic level, odd ones
-// switch to a 3x shorter period). The freshness loop must catch every
-// shifted tenant and swap a retrained model in at a plan boundary while
-// the unshifted tenants stay silent — the bench aborts if either side
-// fails, so the reported numbers are always from a run where the loop
-// actually worked.
+// Builds a fleet of T tenants on stationary training windows of the 600 s
+// sine workload (bench/serving_session.hpp), then serves a test window
+// (one merged, (time, tenant)-ordered arrival stream) where half the
+// tenants change regime at mid-serve (even shifted tenants jump to 4x the
+// traffic level, odd ones switch to a 3x shorter period). The freshness
+// loop must catch every shifted tenant and swap a retrained model in at a
+// plan boundary while the unshifted tenants stay silent — the bench aborts
+// if either side fails, so the reported numbers are always from a run
+// where the loop actually worked.
 //
 // Reported per --retrain-workers setting:
 //   detection_rate            shifted tenants whose detector latched
@@ -38,7 +39,6 @@
 //                   [--json=BENCH_freshness.json]
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,13 +49,15 @@
 
 #include "bench_common.hpp"
 #include "rs/common/stopwatch.hpp"
+#include "serving_session.hpp"
 
 namespace {
 
 using namespace rs;
+using bench::kSessionBinS;
+using bench::SineRate;
 
 constexpr double kPeriodS = 600.0;   ///< Workload cycle before the shift.
-constexpr double kDt = 30.0;         ///< Model bin width.
 constexpr double kPlanEvery = 2.0;   ///< Serving plan cadence (seconds).
 constexpr double kTrainCycles = 6.0;
 
@@ -106,20 +108,6 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-double SineRate(double t, double qps, double period, double phase0) {
-  const double phase = std::fmod(t, period) / period;
-  return qps * (1.0 + 0.6 * std::sin(2.0 * M_PI * (phase + phase0)));
-}
-
-workload::Trace MakeTrace(const std::vector<double>& rates,
-                          std::uint64_t seed) {
-  auto intensity = *workload::PiecewiseConstantIntensity::Make(rates, kDt);
-  stats::Rng rng(seed);
-  auto trace = *workload::MakeTraceFromIntensity(
-      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-  return trace;
-}
-
 struct TenantWorkload {
   workload::Trace train;  ///< Stationary, kTrainCycles cycles.
   workload::Trace test;   ///< Serving window; may shift at t_shift.
@@ -128,18 +116,16 @@ struct TenantWorkload {
 
 TenantWorkload MakeTenantWorkload(std::size_t tenant, const Options& options,
                                   double serve_horizon, double t_shift) {
-  const double phase0 = static_cast<double>(tenant) / 7.3;
+  const double phase0 = bench::SinePhase(tenant);
   TenantWorkload w;
   // Half the fleet shifts; alternating so shifted/unshifted interleave in
   // registration order.
   w.shifted = (tenant % 2) == 0;
-  std::vector<double> train_rates;
-  for (double t = 0.5 * kDt; t < kTrainCycles * kPeriodS; t += kDt) {
-    train_rates.push_back(SineRate(t, options.qps, kPeriodS, phase0));
-  }
-  w.train = MakeTrace(train_rates, 1000 + tenant);
+  w.train = bench::DrawTrace(
+      bench::SineRates(kTrainCycles * kPeriodS, options.qps, kPeriodS, phase0),
+      1000 + tenant);
   std::vector<double> test_rates;
-  for (double t = 0.5 * kDt; t < serve_horizon; t += kDt) {
+  for (double t = 0.5 * kSessionBinS; t < serve_horizon; t += kSessionBinS) {
     if (!w.shifted || t < t_shift) {
       test_rates.push_back(SineRate(t, options.qps, kPeriodS, phase0));
     } else if ((tenant / 2) % 2 == 0) {
@@ -150,14 +136,9 @@ TenantWorkload MakeTenantWorkload(std::size_t tenant, const Options& options,
       test_rates.push_back(SineRate(t, options.qps, kPeriodS / 3.0, phase0));
     }
   }
-  w.test = MakeTrace(test_rates, 5000 + tenant);
+  w.test = bench::DrawTrace(test_rates, 5000 + tenant);
   return w;
 }
-
-struct Event {
-  double t;
-  std::size_t tenant;
-};
 
 struct RunResult {
   bool freshness = false;
@@ -182,7 +163,7 @@ api::ScalerFleet BuildFleet(const Options& options,
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     auto scaler = api::ScalerBuilder()
                       .WithTrace(workloads[i].train)
-                      .WithBinWidth(kDt)
+                      .WithBinWidth(kSessionBinS)
                       .WithForecastHorizon(serve_horizon)
                       .WithStrategy(*spec)
                       .WithPlanningInterval(kPlanEvery)
@@ -198,8 +179,9 @@ api::ScalerFleet BuildFleet(const Options& options,
 
 RunResult RunOnce(const Options& options,
                   const std::vector<TenantWorkload>& workloads,
-                  const std::vector<Event>& events, double serve_horizon,
-                  bool freshness, std::size_t retrain_workers) {
+                  const std::vector<bench::Arrival>& events,
+                  double serve_horizon, bool freshness,
+                  std::size_t retrain_workers) {
   RunResult run;
   run.freshness = freshness;
   run.retrain_workers = retrain_workers;
@@ -210,7 +192,7 @@ RunResult RunOnce(const Options& options,
   api::ScalerFleet fleet = BuildFleet(options, workloads, serve_horizon);
   if (freshness) {
     api::FreshnessPolicy policy;
-    policy.pipeline.dt = kDt;
+    policy.pipeline.dt = kSessionBinS;
     policy.pipeline.forecast_horizon = serve_horizon;
     policy.min_retrain_interval = options.min_retrain_interval;
     policy.retrain_workers = retrain_workers;
@@ -405,16 +387,13 @@ int main(int argc, char** argv) {
   const double t_shift = serve_horizon / 3.0;
 
   std::vector<TenantWorkload> workloads;
-  std::vector<Event> events;
+  std::vector<bench::Arrival> events;
   for (std::size_t i = 0; i < options.tenants; ++i) {
     workloads.push_back(
         MakeTenantWorkload(i, options, serve_horizon, t_shift));
-    for (const auto& q : workloads[i].test.queries()) {
-      events.push_back({q.arrival_time, i});
-    }
+    bench::AddArrivals(i, workloads[i].test, &events);
   }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.t < b.t; });
+  bench::SortArrivals(&events);
   std::printf(
       "freshness: %zu tenants (%zu shifted at t=%.0f s), %zu arrivals over "
       "%.0f s, strategy %s, R=%zu\n\n",

@@ -7,12 +7,14 @@
 // ziggurat exponential sampling, batched inverse-cumulative resolution,
 // radix vs comparison sorting, and the allocation-free DecisionKernel.
 // The journal's serving-path cost: the CRC-32 kernels and one PlanAll
-// record (event fill, encode, frame CRC, append).
+// record (event fill, encode, frame CRC, append); and its restart cost, one
+// trace event's decode.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -32,6 +34,7 @@
 #include "rs/stats/distributions.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/timeseries/fft.hpp"
+#include "rs/trace/trace.hpp"
 #include "rs/wal/wal.hpp"
 #include "rs/workload/intensity.hpp"
 
@@ -398,6 +401,46 @@ void BM_JournalPlanAll(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_JournalPlanAll)->Unit(benchmark::kMicrosecond);
+
+// Decodes one encoded trace event into a reused Event, the per-record step
+// of journal recovery and capture loading: an Observe (argument 0) or a
+// PlanAll of that many tenants, 0-5 creation times each.
+void BM_DecodeEvent(benchmark::State& state) {
+  namespace trace = rs::trace;
+  const auto tenants = static_cast<std::size_t>(state.range(0));
+  trace::Event event;
+  if (tenants == 0) {
+    event.kind = trace::EventKind::kObserve;
+    event.id = 7;
+    event.time = 3600.25;
+    event.cold_start = true;
+  } else {
+    event.kind = trace::EventKind::kPlanAll;
+    event.time = 3660.0;
+    event.plans.resize(tenants);
+    for (std::size_t i = 0; i < tenants; ++i) {
+      event.plans[i].id = static_cast<std::uint32_t>(i + 1);
+      for (std::size_t k = 0; k < i % 6; ++k) {
+        event.plans[i].action.creation_times.push_back(3600.0 + 7.0 * k +
+                                                       0.1 * i);
+      }
+    }
+  }
+  rs::persist::Writer writer;
+  writer.ResetBare();
+  trace::EncodeEvent(&writer, event);
+  const std::string bytes(writer.bytes());
+  trace::Event decoded;
+  for (auto _ : state) {
+    rs::persist::Reader reader = rs::persist::Reader::OverBytes(bytes);
+    if (!trace::DecodeEvent(&reader, &decoded).ok()) {
+      state.SkipWithError("cannot decode the event");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_DecodeEvent)->Arg(0)->Arg(100);
 
 }  // namespace
 

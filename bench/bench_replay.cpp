@@ -2,11 +2,11 @@
 // rs::trace Recorder tax live serving, and how fast does trace::Replay()
 // re-drive a capture relative to the live session it verifies?
 //
-// The workload is Azure-Functions-shaped: per-tenant base rates drawn from
-// a heavy-tailed lognormal (a few hot functions dominate, a long tail
-// idles along), modulated by a shared diurnal sinusoid with per-tenant
-// phase, plus short random burst windows (4-10x for 30-90 s). Tenant
-// models are clones of a few trained archetypes (Scaler::SaveState /
+// The session comes from bench/serving_session.hpp: Azure-Functions-shaped
+// arrivals (heavy-tailed lognormal base rates, so a few hot functions
+// dominate and a long tail idles along; a diurnal sinusoid of period
+// --diurnal-s with per-tenant phase; short 4-10x burst windows) served by
+// clones of a few trained archetypes (Scaler::SaveState /
 // ScalerBuilder::RestoreState buffers), so 100+ tenants set up in
 // milliseconds instead of 100 trainings.
 //
@@ -37,12 +37,9 @@
 // `rs_snapshot <file>` or `rs_trace info <file>` (see README.md). The
 // defaults synthesize ~1M arrivals; CI's perf-smoke invocation is in
 // .github/workflows/ci.yml and the recipe in EXPERIMENTS.md.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,17 +47,11 @@
 #include "bench_common.hpp"
 #include "rs/common/stopwatch.hpp"
 #include "rs/trace/trace.hpp"
+#include "serving_session.hpp"
 
 namespace {
 
 using namespace rs;
-
-/// Rate-curve bin width for the synthesized intensities (also the cloned
-/// archetypes' model bin width).
-constexpr double kBinS = 30.0;
-
-/// Training window of the archetype models; serving starts at this time.
-constexpr double kTrainS = 3600.0;
 
 struct Options {
   std::size_t tenants = 100;
@@ -118,103 +109,6 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// Arrival event in the merged serving stream.
-struct Event {
-  double t;
-  std::size_t tenant;
-};
-
-/// One tenant's piecewise-constant intensity over [0, kTrainS + serve_s):
-/// zero through the archetypes' training window, then lognormal base rate
-/// x diurnal sinusoid x burst windows. Deterministic per tenant index.
-std::vector<double> TenantRateBins(std::size_t tenant, const Options& o) {
-  stats::Rng rng(9000 + tenant);
-  // Heavy tail: lognormal(mu=0, sigma=1), median 1 QPS before the global
-  // rescale to --target-arrivals. The clamp keeps a single draw from
-  // swallowing the whole arrival budget.
-  const double base = std::clamp(std::exp(rng.NextGaussian()), 0.05, 50.0);
-  const double phase = rng.NextDouble();
-  struct Burst {
-    double start, len, mult;
-  };
-  std::vector<Burst> bursts(1 + rng.NextBounded(3));
-  for (auto& b : bursts) {
-    b.start = rng.NextDouble() * (o.serve_s - 120.0);
-    b.len = 30.0 + 60.0 * rng.NextDouble();
-    b.mult = 4.0 + 6.0 * rng.NextDouble();
-  }
-  const auto bins = static_cast<std::size_t>((kTrainS + o.serve_s) / kBinS);
-  std::vector<double> rates(bins, 0.0);
-  for (std::size_t bin = 0; bin < bins; ++bin) {
-    const double s = (static_cast<double>(bin) + 0.5) * kBinS - kTrainS;
-    if (s < 0.0) continue;  // Quiet training window: serving starts later.
-    double r = base *
-               (1.0 + 0.6 * std::sin(2.0 * M_PI * (s / o.diurnal_s + phase)));
-    for (const auto& b : bursts) {
-      if (s >= b.start && s < b.start + b.len) r *= b.mult;
-    }
-    rates[bin] = r;
-  }
-  return rates;
-}
-
-const char* kArchetypeSpecs[] = {
-    "robust_hp:target=0.9",
-    "robust_rt:target=1.0",
-    "robust_cost:target=2.0",
-    "backup_pool:pool_size=2",
-};
-
-/// Trains one archetype model on a plain sinusoidal trace and returns its
-/// Scaler::SaveState buffer; tenant i restores buffer i % archetypes.
-std::string TrainArchetype(std::size_t k, const Options& options) {
-  const double period = 600.0;
-  std::vector<double> rates;
-  for (double t = 0.5 * kBinS; t < kTrainS; t += kBinS) {
-    const double phase = std::fmod(t, period) / period;
-    rates.push_back(1.0 + 0.6 * std::sin(2.0 * M_PI *
-                                         (phase + static_cast<double>(k) /
-                                                      7.3)));
-  }
-  auto intensity = *workload::PiecewiseConstantIntensity::Make(rates, kBinS);
-  stats::Rng rng(500 + k);
-  auto trace = *workload::MakeTraceFromIntensity(
-      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-  auto spec = api::ParseStrategySpec(
-      kArchetypeSpecs[k % (sizeof(kArchetypeSpecs) /
-                           sizeof(kArchetypeSpecs[0]))]);
-  RS_CHECK(spec.ok()) << spec.status().ToString();
-  auto scaler = api::ScalerBuilder()
-                    .WithTrace(trace)
-                    .WithBinWidth(kBinS)
-                    .WithForecastHorizon(kTrainS + options.serve_s)
-                    .WithStrategy(*spec)
-                    .WithPlanningInterval(options.plan_interval)
-                    .WithMcSamples(options.mc_samples)
-                    .Build();
-  RS_CHECK(scaler.ok()) << scaler.status().ToString();
-  std::ostringstream out;
-  RS_CHECK(scaler->SaveState(out).ok());
-  return out.str();
-}
-
-/// Registers `names.size()` tenants into `fleet`, each restored from its
-/// archetype buffer (round-robin). Unbounded history retention keeps the
-/// full action log for the parity cross-checks.
-void PopulateFleet(api::ScalerFleet* fleet,
-                   const std::vector<std::string>& names,
-                   const std::vector<std::string>& buffers) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    std::istringstream in(buffers[i % buffers.size()]);
-    auto scaler = api::ScalerBuilder::RestoreState(in);
-    RS_CHECK(scaler.ok()) << scaler.status().ToString();
-    RS_CHECK(fleet->Register(names[i], std::move(scaler).ValueOrDie()).ok());
-    RS_CHECK(fleet->Find(names[i])
-                 ->ConfigureHistoryRetention(sim::kUnboundedHistory)
-                 .ok());
-  }
-}
-
 struct DriveStats {
   double serve_s = 0.0;
   std::size_t plan_batches = 0;
@@ -226,10 +120,10 @@ struct DriveStats {
 /// construction, which is what makes their action logs comparable.
 DriveStats Drive(api::ScalerFleet* fleet,
                  const std::vector<std::string>& names,
-                 const std::vector<Event>& events, double horizon,
+                 const std::vector<bench::Arrival>& events, double horizon,
                  double plan_every) {
   DriveStats stats;
-  double next_plan = kTrainS + plan_every;
+  double next_plan = bench::kAzureTrainS + plan_every;
   Stopwatch watch;
   const auto plan_batch = [&](double t) {
     for (const auto& plan : fleet->PlanAll(t)) {
@@ -261,58 +155,36 @@ struct RunResult {
   std::size_t plan_batches = 0;
   std::size_t events = 0;        ///< Capture event count.
   std::size_t capture_bytes = 0; ///< Encoded container size.
-  std::vector<std::vector<sim::ScalingAction>> logs;  ///< Per tenant.
+  bench::ActionLogs logs;
 };
-
-/// Byte-identical action-log comparison between two runs (worker counts
-/// and the tap must change wall time, never actions).
-void CheckParity(const RunResult& baseline, const RunResult& run,
-                 const char* what) {
-  RS_CHECK(baseline.logs.size() == run.logs.size());
-  for (std::size_t i = 0; i < baseline.logs.size(); ++i) {
-    const auto& a = baseline.logs[i];
-    const auto& b = run.logs[i];
-    RS_CHECK(a.size() == b.size())
-        << what << ": tenant " << i << ": " << a.size() << " vs " << b.size()
-        << " actions";
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      RS_CHECK(a[k].deletions == b[k].deletions &&
-               a[k].creation_times == b[k].creation_times)
-          << what << ": tenant " << i << ", action " << k << " diverged";
-    }
-  }
-}
 
 RunResult RunOnce(const Options& options,
                   const std::vector<std::string>& names,
                   const std::vector<std::string>& buffers,
-                  const std::vector<Event>& events, std::size_t threads,
-                  trace::Capture* capture_out) {
+                  const std::vector<bench::Arrival>& events,
+                  std::size_t threads, trace::Capture* capture_out) {
   RunResult run;
   run.threads = threads;
-  const double horizon = kTrainS + options.serve_s;
+  const double horizon = bench::kAzureTrainS + options.serve_s;
   Stopwatch watch;
 
   // 1. Control: the session with no tap.
-  RunResult control;
+  bench::ActionLogs control;
   {
     api::ScalerFleet fleet(threads);
-    PopulateFleet(&fleet, names, buffers);
+    bench::RegisterClones(&fleet, names, buffers, /*keep_action_log=*/true);
     const DriveStats stats =
         Drive(&fleet, names, events, horizon, options.plan_every);
     run.serve_off_s = stats.serve_s;
     run.plan_batches = stats.plan_batches;
-    for (const auto& name : names) {
-      control.logs.push_back(fleet.Find(name)->ActionLog());
-    }
+    control = bench::CollectActionLogs(fleet, names);
   }
-  control.threads = threads;
 
   // 2. The identical session with a Recorder attached.
   trace::Capture capture;
   {
     api::ScalerFleet fleet(threads);
-    PopulateFleet(&fleet, names, buffers);
+    bench::RegisterClones(&fleet, names, buffers, /*keep_action_log=*/true);
     trace::Recorder recorder("bench_replay synthetic session");
     watch.Reset();
     RS_CHECK(recorder.Attach(&fleet).ok());
@@ -322,11 +194,9 @@ RunResult RunOnce(const Options& options,
     run.serve_on_s = stats.serve_s;
     recorder.Detach();
     capture = recorder.TakeCapture();
-    for (const auto& name : names) {
-      run.logs.push_back(fleet.Find(name)->ActionLog());
-    }
+    run.logs = bench::CollectActionLogs(fleet, names);
   }
-  CheckParity(control, run, "tap-on vs tap-off");
+  bench::CheckActionLogParity(control, run.logs, "tap-on vs tap-off");
   run.events = capture.events.size();
 
   watch.Reset();
@@ -394,42 +264,19 @@ void WriteJson(const Options& options, const std::vector<RunResult>& runs,
 int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
 
-  // Synthesize the production-shaped stream: build every tenant's rate
-  // curve, rescale so the expected total hits --target-arrivals, then draw
-  // the NHPP arrivals. Everything is seeded per tenant index, so two runs
-  // of this binary produce the same stream bit-for-bit.
-  std::vector<std::vector<double>> rates;
-  double expected = 0.0;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    rates.push_back(TenantRateBins(i, options));
-    for (double r : rates.back()) expected += r * kBinS;
-  }
-  const double scale = options.target_arrivals / expected;
-  std::vector<Event> events;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    for (double& r : rates[i]) r *= scale;
-    auto intensity = *workload::PiecewiseConstantIntensity::Make(rates[i],
-                                                                 kBinS);
-    stats::Rng rng(777 + i);
-    auto trace = *workload::MakeTraceFromIntensity(
-        &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-    for (const auto& q : trace.queries()) {
-      events.push_back({q.arrival_time, i});
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.tenant < b.tenant;
-  });
+  const std::vector<bench::Arrival> events =
+      bench::AzureArrivals(options.tenants, options.target_arrivals,
+                           options.serve_s, options.diurnal_s);
 
   Stopwatch train_watch;
-  std::vector<std::string> buffers;
-  for (std::size_t k = 0; k < options.archetypes; ++k) {
-    buffers.push_back(TrainArchetype(k, options));
-  }
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    names.push_back("fn-" + std::to_string(i));
-  }
+  bench::ArchetypeOptions archetype;
+  archetype.train_s = bench::kAzureTrainS;
+  archetype.horizon = bench::kAzureTrainS + options.serve_s;
+  archetype.plan_interval = options.plan_interval;
+  archetype.mc_samples = options.mc_samples;
+  const std::vector<std::string> buffers =
+      bench::TrainArchetypes(options.archetypes, archetype);
+  const std::vector<std::string> names = bench::TenantNames(options.tenants);
   std::printf(
       "replay: %zu tenants (%zu archetypes, trained in %.2f s), "
       "%zu arrivals over %.0f s serving (target %.0f), PlanAll every "
@@ -447,7 +294,8 @@ int main(int argc, char** argv) {
     runs.push_back(RunOnce(options, names, buffers, events, threads,
                            &last_capture));
     const auto& run = runs.back();
-    CheckParity(runs.front(), run, "across thread counts");
+    bench::CheckActionLogParity(runs.front().logs, run.logs,
+                                "across thread counts");
     std::printf("%8zu %12.3f %12.3f %7.3fx %10.3f %7.3fx %12.2f %10.1f\n",
                 run.threads, run.serve_off_s, run.serve_on_s,
                 run.serve_on_s / run.serve_off_s, run.replay_s,

@@ -1,6 +1,7 @@
 // Write-ahead journal overhead: the same deterministic serving session —
-// a fleet of cloned archetype tenants, one observe per tenant per step,
-// then a PlanAll batch — run once with no journal attached (the control)
+// a fleet of archetype clones from bench/serving_session.hpp (trained on a
+// 1800 s window with Δ = 2 s), one observe per tenant per step, then a
+// PlanAll batch — run once with no journal attached (the control)
 // and once per fsync policy {none, every-64, every-record}, timing the
 // serving loop only. Reported per policy:
 //
@@ -37,27 +38,25 @@
 //
 // CI's perf-smoke invocation is in .github/workflows/ci.yml; the committed
 // baseline lives at bench/baselines/BENCH_wal.baseline.json.
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <system_error>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "rs/common/stopwatch.hpp"
 #include "rs/wal/wal.hpp"
+#include "serving_session.hpp"
 
 namespace {
 
 using namespace rs;
 
-constexpr double kBinS = 30.0;
+/// Training window of the archetype models; serving starts at this time.
 constexpr double kTrainS = 1800.0;
 
 struct Options {
@@ -100,55 +99,10 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-const char* kArchetypeSpecs[] = {
-    "robust_hp:target=0.9",
-    "robust_rt:target=1.0",
-    "robust_cost:target=2.0",
-    "backup_pool:pool_size=2",
-};
-
-std::string TrainArchetype(std::size_t k, const Options& options) {
-  const double period = 600.0;
-  std::vector<double> rates;
-  for (double t = 0.5 * kBinS; t < kTrainS; t += kBinS) {
-    const double phase = std::fmod(t, period) / period;
-    rates.push_back(
-        1.0 +
-        0.6 * std::sin(2.0 * M_PI * (phase + static_cast<double>(k) / 7.3)));
-  }
-  auto intensity = *workload::PiecewiseConstantIntensity::Make(rates, kBinS);
-  stats::Rng rng(500 + k);
-  auto trace = *workload::MakeTraceFromIntensity(
-      &rng, intensity, stats::DurationDistribution::Exponential(15.0));
-  auto spec = api::ParseStrategySpec(
-      kArchetypeSpecs[k %
-                      (sizeof(kArchetypeSpecs) / sizeof(kArchetypeSpecs[0]))]);
-  RS_CHECK(spec.ok()) << spec.status().ToString();
-  auto scaler = api::ScalerBuilder()
-                    .WithTrace(trace)
-                    .WithBinWidth(kBinS)
-                    .WithForecastHorizon(2.0 * kTrainS)
-                    .WithStrategy(*spec)
-                    .WithPlanningInterval(2.0)
-                    .WithMcSamples(options.mc_samples)
-                    .Build();
-  RS_CHECK(scaler.ok()) << scaler.status().ToString();
-  std::ostringstream out;
-  RS_CHECK(scaler->SaveState(out).ok());
-  return std::move(out).str();
-}
-
 api::ScalerFleet BuildFleet(const Options& options,
                             const std::vector<std::string>& buffers) {
   api::ScalerFleet fleet(0);
-  for (std::size_t i = 0; i < options.tenants; ++i) {
-    std::istringstream in(buffers[i % buffers.size()]);
-    auto scaler = api::ScalerBuilder::RestoreState(in);
-    RS_CHECK(scaler.ok()) << scaler.status().ToString();
-    RS_CHECK(
-        fleet.Register("fn-" + std::to_string(i), std::move(scaler).ValueOrDie())
-            .ok());
-  }
+  bench::RegisterClones(&fleet, bench::TenantNames(options.tenants), buffers);
   return fleet;
 }
 
@@ -334,10 +288,13 @@ int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
 
   Stopwatch train_watch;
-  std::vector<std::string> buffers;
-  for (std::size_t k = 0; k < options.archetypes; ++k) {
-    buffers.push_back(TrainArchetype(k, options));
-  }
+  bench::ArchetypeOptions archetype;
+  archetype.train_s = kTrainS;
+  archetype.horizon = 2.0 * kTrainS;
+  archetype.plan_interval = 2.0;
+  archetype.mc_samples = options.mc_samples;
+  const std::vector<std::string> buffers =
+      bench::TrainArchetypes(options.archetypes, archetype);
   const std::uint64_t events_per_run =
       static_cast<std::uint64_t>(options.steps) * (options.tenants + 1);
   std::printf(

@@ -28,12 +28,19 @@ static void Put(persist::Writer* w, const PiecewiseConstantIntensity& f) {
   w->WriteDoubleVector(f.rates());
 }
 
-static Status Get(persist::Reader* r, PiecewiseConstantIntensity* f) {
-  RS_ASSIGN_OR_RETURN(const double dt, r->ReadDouble());
+static void Get(persist::Reader* r, PiecewiseConstantIntensity* f,
+                Status* error) {
+  double dt = 0.0;
   std::vector<double> rates;
-  RS_RETURN_NOT_OK(r->ReadDoubleVector(&rates));
-  return persist::Store(PiecewiseConstantIntensity::Make(std::move(rates), dt),
-                        f);
+  persist::Decoder io(r);
+  io("dt", dt);
+  io("rates", rates);
+  if (!io.ok()) {
+    *error = io.status();
+    return;
+  }
+  persist::Store(PiecewiseConstantIntensity::Make(std::move(rates), dt), f,
+                 error);
 }
 
 static void Show(std::ostream& os, const PiecewiseConstantIntensity& f) {

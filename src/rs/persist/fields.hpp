@@ -11,7 +11,8 @@
 ///  * Decoder, over a Reader: each io(...) is one Read* into the field. The
 ///    first error wins and every later field is skipped, so a list needs no
 ///    per-field error handling. An enum field names its last valid value
-///    and a byte past it is refused.
+///    and a byte past it is refused. A section skips the bytes after its
+///    last known field (a newer writer's), unless io.End closes it.
 ///  * Printer, over a Reader: decodes like Decoder and prints one
 ///    `name = value` line per field (vectors as their length), one level
 ///    deeper inside each section.
@@ -80,25 +81,31 @@ void Put(Writer* w, const std::map<std::string, double>& v);
 /// The kind byte, then the two raw parameters.
 void Put(Writer* w, const stats::DurationDistribution& v);
 
+/// Stores a read's value in *out, or its error in *error.
 template <class T, class U>
-Status Store(Result<U> read, T* out) {
-  if (!read.ok()) return read.status();
-  *out = std::move(*read);
-  return Status::OK();
+void Store(Result<U> read, T* out, Status* error) {
+  if (read.ok()) {
+    *out = std::move(*read);
+  } else {
+    *error = read.status();
+  }
 }
-// Out of line, so a decode costs one call per field and the field lists
-// do not swell the translation units that hold a layer's hot path.
-Status Get(Reader* r, bool* v);
-Status Get(Reader* r, std::uint32_t* v);
-Status Get(Reader* r, std::uint64_t* v);
-Status Get(Reader* r, double* v);
-Status Get(Reader* r, std::string* v);
-Status Get(Reader* r, std::vector<double>* v);
-Status Get(Reader* r, std::vector<std::uint64_t>* v);
-Status Get(Reader* r, stats::Rng* v);
-Status Get(Reader* r, std::map<std::string, double>* v);
+// A Get decodes one field into *v, or stores why it could not in *error,
+// which is OK on entry; the Decoder then skips every later field. Out of
+// line and latching its own error, a Get is the one call a decoded field
+// costs, and the field lists do not swell the translation units that hold
+// a layer's hot path.
+void Get(Reader* r, bool* v, Status* error);
+void Get(Reader* r, std::uint32_t* v, Status* error);
+void Get(Reader* r, std::uint64_t* v, Status* error);
+void Get(Reader* r, double* v, Status* error);
+void Get(Reader* r, std::string* v, Status* error);
+void Get(Reader* r, std::vector<double>* v, Status* error);
+void Get(Reader* r, std::vector<std::uint64_t>* v, Status* error);
+void Get(Reader* r, stats::Rng* v, Status* error);
+void Get(Reader* r, std::map<std::string, double>* v, Status* error);
 /// Re-validates the parameters (DurationDistribution::FromRawParams).
-Status Get(Reader* r, stats::DurationDistribution* v);
+void Get(Reader* r, stats::DurationDistribution* v, Status* error);
 
 template <class T>
 void Show(std::ostream& os, const T& v) {
@@ -153,6 +160,8 @@ class Encoder {
     out_->WriteU64(items.size());
     for (const auto& item : items) fields(*this, item);
   }
+  /// The end of a section with no growth point (nothing to write).
+  void End(const char* /*after*/) {}
 
   Status status() const { return Status::OK(); }
 
@@ -167,7 +176,7 @@ class FieldReader {
  public:
   template <class T>
   void operator()(const char* name, T& value) {
-    if (ok()) Latch(Get(reader_, &value));
+    if (ok()) Get(reader_, &value, &status_);
     if constexpr (kPrint) {
       if (ok()) Show(Line(name), value);
       if (ok()) *out_ << '\n';
@@ -218,6 +227,15 @@ class FieldReader {
       ++depth_;
       fields(*this, items.emplace_back());
       --depth_;
+    }
+  }
+
+  /// Refuses bytes left in the innermost section: a section with no
+  /// growth point ends at its last field, where Section would skip them.
+  void End(const char* after) {
+    if (ok() && reader_->remaining() != 0) {
+      Latch(Status::Invalid(std::to_string(reader_->remaining()) +
+                            " stray bytes after " + after));
     }
   }
 

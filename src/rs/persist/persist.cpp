@@ -4,6 +4,7 @@
 #include <bit>
 #include <iterator>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -345,14 +346,15 @@ Reader Reader::OverBytes(std::string_view bytes) {
   return reader;
 }
 
+Status Reader::Underflow(std::size_t width) const {
+  return Status::Invalid(Cat("snapshot section underflow: need ", width,
+                             " bytes but only ", remaining(),
+                             " remain before the section boundary"));
+}
+
 Result<std::uint64_t> Reader::ReadRaw(std::size_t width) {
-  if (limit() - cursor_ < width) {
-    return Status::Invalid(Cat("snapshot section underflow: need ", width,
-                               " bytes but only ", limit() - cursor_,
-                               " remain before the section boundary"));
-  }
-  const std::uint64_t value = LoadLe(data() + cursor_, width);
-  cursor_ += width;
+  std::uint64_t value = 0;
+  if (!TakeLe(width, &value)) return Underflow(width);
   return value;
 }
 
@@ -361,12 +363,18 @@ Result<std::uint8_t> Reader::ReadU8() {
   return static_cast<std::uint8_t>(raw);
 }
 
+namespace {
+
+Status CorruptBool(std::uint64_t raw) {
+  return Status::Invalid(
+      Cat("corrupt boolean in snapshot (byte value ", raw, ")"));
+}
+
+}  // namespace
+
 Result<bool> Reader::ReadBool() {
   RS_ASSIGN_OR_RETURN(const std::uint64_t raw, ReadRaw(1));
-  if (raw > 1) {
-    return Status::Invalid(
-        Cat("corrupt boolean in snapshot (byte value ", raw, ")"));
-  }
+  if (raw > 1) return CorruptBool(raw);
   return raw == 1;
 }
 
@@ -426,8 +434,9 @@ Status Reader::ReadDoubleVector(std::vector<double>* out) {
   out->clear();
   out->reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    RS_ASSIGN_OR_RETURN(const double value, ReadDouble());
-    out->push_back(value);
+    std::uint64_t raw = 0;
+    TakeLe(8, &raw);  // In bounds: the count is checked above.
+    out->push_back(std::bit_cast<double>(raw));
   }
   return Status::OK();
 }
@@ -442,7 +451,8 @@ Status Reader::ReadU64Vector(std::vector<std::uint64_t>* out) {
   out->clear();
   out->reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    RS_ASSIGN_OR_RETURN(const std::uint64_t value, ReadU64());
+    std::uint64_t value = 0;
+    TakeLe(8, &value);  // In bounds: the count is checked above.
     out->push_back(value);
   }
   return Status::OK();
@@ -498,14 +508,44 @@ Status Reader::SkipSection() {
 
 // -- Field types (fields.hpp) ----------------------------------------------
 
-Status Get(Reader* r, bool* v) { return Store(r->ReadBool(), v); }
-Status Get(Reader* r, std::uint32_t* v) { return Store(r->ReadU32(), v); }
-Status Get(Reader* r, std::uint64_t* v) { return Store(r->ReadU64(), v); }
-Status Get(Reader* r, double* v) { return Store(r->ReadDouble(), v); }
-Status Get(Reader* r, std::string* v) { return Store(r->ReadString(), v); }
-Status Get(Reader* r, std::vector<double>* v) { return r->ReadDoubleVector(v); }
-Status Get(Reader* r, std::vector<std::uint64_t>* v) {
-  return r->ReadU64Vector(v);
+namespace {
+
+/// A fixed-width field, loaded in place: no Result on the way.
+template <class T>
+void GetLe(Reader* r, T* v, Status* error) {
+  std::uint64_t raw = 0;
+  if (!r->TakeLe(sizeof(T), &raw)) {
+    *error = r->Underflow(sizeof(T));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    *v = std::bit_cast<T>(raw);
+  } else {
+    *v = static_cast<T>(raw);
+  }
+}
+
+}  // namespace
+
+void Get(Reader* r, bool* v, Status* error) {
+  std::uint64_t raw = 0;
+  if (!r->TakeLe(1, &raw)) {
+    *error = r->Underflow(1);
+  } else if (raw > 1) {
+    *error = CorruptBool(raw);
+  } else {
+    *v = raw == 1;
+  }
+}
+void Get(Reader* r, std::uint32_t* v, Status* error) { GetLe(r, v, error); }
+void Get(Reader* r, std::uint64_t* v, Status* error) { GetLe(r, v, error); }
+void Get(Reader* r, double* v, Status* error) { GetLe(r, v, error); }
+void Get(Reader* r, std::string* v, Status* error) {
+  Store(r->ReadString(), v, error);
+}
+void Get(Reader* r, std::vector<double>* v, Status* error) {
+  *error = r->ReadDoubleVector(v);
+}
+void Get(Reader* r, std::vector<std::uint64_t>* v, Status* error) {
+  *error = r->ReadU64Vector(v);
 }
 
 void Put(Writer* w, const stats::Rng& v) {
@@ -515,15 +555,14 @@ void Put(Writer* w, const stats::Rng& v) {
   w->WriteDouble(state.cached_gaussian);
 }
 
-Status Get(Reader* r, stats::Rng* v) {
+void Get(Reader* r, stats::Rng* v, Status* error) {
   stats::Rng::State state;
-  for (std::uint64_t& word : state.s) {
-    RS_ASSIGN_OR_RETURN(word, r->ReadU64());
-  }
-  RS_ASSIGN_OR_RETURN(state.have_cached_gaussian, r->ReadBool());
-  RS_ASSIGN_OR_RETURN(state.cached_gaussian, r->ReadDouble());
-  v->RestoreState(state);
-  return Status::OK();
+  Decoder io(r);
+  for (std::uint64_t& word : state.s) io("state word", word);
+  io("have_cached_gaussian", state.have_cached_gaussian);
+  io("cached_gaussian", state.cached_gaussian);
+  if (io.ok()) v->RestoreState(state);
+  *error = io.status();
 }
 
 void Put(Writer* w, const std::map<std::string, double>& v) {
@@ -534,14 +573,17 @@ void Put(Writer* w, const std::map<std::string, double>& v) {
   }
 }
 
-Status Get(Reader* r, std::map<std::string, double>* v) {
-  RS_ASSIGN_OR_RETURN(const std::uint64_t count, r->ReadU64());
+void Get(Reader* r, std::map<std::string, double>* v, Status* error) {
+  Decoder io(r);
+  std::uint64_t count = 0;
+  io("count", count);
   v->clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    RS_ASSIGN_OR_RETURN(std::string key, r->ReadString());
-    RS_ASSIGN_OR_RETURN((*v)[std::move(key)], r->ReadDouble());
+  for (std::uint64_t i = 0; i < count && io.ok(); ++i) {
+    std::string key;
+    io("key", key);
+    io("value", (*v)[std::move(key)]);
   }
-  return Status::OK();
+  *error = io.status();
 }
 
 void Show(std::ostream& os, const std::map<std::string, double>& v) {
@@ -559,11 +601,22 @@ void Put(Writer* w, const stats::DurationDistribution& v) {
   w->WriteDouble(v.param2());
 }
 
-Status Get(Reader* r, stats::DurationDistribution* v) {
-  RS_ASSIGN_OR_RETURN(const std::uint8_t kind, r->ReadU8());
-  RS_ASSIGN_OR_RETURN(const double p1, r->ReadDouble());
-  RS_ASSIGN_OR_RETURN(const double p2, r->ReadDouble());
-  return Store(stats::DurationDistribution::FromRawParams(kind, p1, p2), v);
+void Get(Reader* r, stats::DurationDistribution* v, Status* error) {
+  const Result<std::uint8_t> kind = r->ReadU8();
+  if (!kind.ok()) {
+    *error = kind.status();
+    return;
+  }
+  double p1 = 0.0;
+  double p2 = 0.0;
+  Decoder io(r);
+  io("param1", p1);
+  io("param2", p2);
+  if (!io.ok()) {
+    *error = io.status();
+    return;
+  }
+  Store(stats::DurationDistribution::FromRawParams(*kind, p1, p2), v, error);
 }
 
 void Show(std::ostream& os, const stats::DurationDistribution& v) {

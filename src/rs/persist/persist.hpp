@@ -249,6 +249,18 @@ class Reader {
   /// Bytes left before the innermost open section (or the snapshot) ends.
   std::size_t remaining() const { return limit() - cursor_; }
 
+  /// Consumes the next `width` (<= 8) bytes as a little-endian value; with
+  /// fewer remaining, consumes nothing and returns false. The bounds-checked
+  /// load under every fixed-width read.
+  bool TakeLe(std::size_t width, std::uint64_t* value) {
+    if (remaining() < width) return false;
+    *value = LoadLe(data() + cursor_, width);
+    cursor_ += width;
+    return true;
+  }
+  /// The error of a `width`-byte read that TakeLe refused.
+  Status Underflow(std::size_t width) const;
+
  private:
   Result<std::uint64_t> ReadRaw(std::size_t width);
   std::size_t limit() const {

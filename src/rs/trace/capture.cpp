@@ -85,8 +85,8 @@ void Put(Out* out, const Snapshot<const std::string>& v) {
   out->WriteString(v.bytes);
 }
 
-Status Get(persist::Reader* r, Snapshot<std::string>* v) {
-  return persist::Get(r, &v->bytes);
+void Get(persist::Reader* r, Snapshot<std::string>* v, Status* error) {
+  persist::Get(r, &v->bytes, error);
 }
 
 void Show(std::ostream& os, const Snapshot<std::string>& v) {
@@ -108,16 +108,18 @@ void Put(Out* out, const Outcome<const bool>& v) {
                                          (v.cancel_earliest ? 2u : 0u)));
 }
 
-Status Get(persist::Reader* r, Outcome<bool>* v) {
-  RS_ASSIGN_OR_RETURN(const std::uint8_t bits, r->ReadU8());
-  if (bits > 3) {
-    return Status::Invalid(
+void Get(persist::Reader* r, Outcome<bool>* v, Status* error) {
+  std::uint64_t bits = 0;
+  if (!r->TakeLe(1, &bits)) {
+    *error = r->Underflow(1);
+  } else if (bits > 3) {
+    *error = Status::Invalid(
         "trace capture carries corrupt Observe outcome bits (value " +
         std::to_string(bits) + ")");
+  } else {
+    v->cold_start = (bits & 1u) != 0;
+    v->cancel_earliest = (bits & 2u) != 0;
   }
-  v->cold_start = (bits & 1u) != 0;
-  v->cancel_earliest = (bits & 2u) != 0;
-  return Status::OK();
 }
 
 void Show(std::ostream& os, const Outcome<bool>& v) {
@@ -206,7 +208,8 @@ Status CheckEvent(const Event& event) {
 }
 
 /// The capture record: the TRCE layout version, the TMET metadata (a
-/// reader skips fields a newer writer appended there) and the TEVT events.
+/// reader skips fields a newer writer appended there) and the TEVT events,
+/// after which neither TEVT nor TRCE may hold another byte.
 template <class Io, class Rec>
 Status CaptureFields(Io& io, Rec& capture) {
   io.Section("serving capture", persist::kTagTraceCapture, [&] {
@@ -218,7 +221,9 @@ Status CaptureFields(Io& io, Rec& capture) {
     io.Section("events", persist::kTagTraceEvents, [&] {
       io.Each("events", capture.events,
               [](auto& field, auto& event) { EventFields(field, event); });
+      io.End("the last event");
     });
+    io.End("the events section");
   });
   return io.status();
 }
@@ -296,15 +301,29 @@ Status Capture::Save(std::ostream& out) const {
   return writer.Finish(out);
 }
 
+namespace {
+
+/// A capture file's one TRCE section, with nothing after it.
+Result<Capture> LoadContainer(persist::Reader* reader) {
+  RS_ASSIGN_OR_RETURN(Capture capture, Capture::LoadSection(reader));
+  if (reader->remaining() != 0) {
+    return Status::Invalid(std::to_string(reader->remaining()) +
+                           " stray bytes after the capture section");
+  }
+  return capture;
+}
+
+}  // namespace
+
 Result<Capture> Capture::Load(std::istream& in) {
   RS_ASSIGN_OR_RETURN(persist::Reader reader, persist::Reader::FromStream(in));
-  return LoadSection(&reader);
+  return LoadContainer(&reader);
 }
 
 Result<Capture> Capture::FromBytes(std::string bytes) {
   RS_ASSIGN_OR_RETURN(persist::Reader reader,
                       persist::Reader::FromBytes(std::move(bytes)));
-  return LoadSection(&reader);
+  return LoadContainer(&reader);
 }
 
 Result<std::string> Capture::ToBytes() const {

@@ -126,11 +126,18 @@ Result<api::ScalerFleet> FleetJournal::Recover(const RecoverOptions& options,
   if (!tail_.empty()) {
     // The journal tail *is* a trace capture over the checkpoint's fleet —
     // same event grammar — so recovery re-drives it through the replay
-    // engine and inherits its byte-identical verification for free.
+    // engine and inherits its byte-identical verification for free. The
+    // held events are lent to the capture, not copied: they swap back when
+    // this block ends, on every path out of it, so tail() keeps them.
     trace::Capture capture;
     capture.producer = "robustscaler rs::wal";
     capture.label = "journal tail past LSN " + std::to_string(checkpoint_lsn_);
-    capture.events = tail_;
+    struct Lend {
+      std::vector<trace::Event>* tail;
+      trace::Capture* capture;
+      ~Lend() { tail->swap(capture->events); }
+    } lend{&tail_, &capture};
+    tail_.swap(capture.events);
     trace::ReplayOptions replay;
     replay.into = &*fleet;
     replay.tenant_names = names_;

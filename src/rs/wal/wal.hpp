@@ -254,7 +254,8 @@ class FleetJournal final : public trace::EventTap {
   /// syncs; bench_wal reports it per fsync policy).
   std::uint64_t fsyncs() const { return fsyncs_; }
   std::uint64_t checkpoint_lsn() const { return checkpoint_lsn_; }
-  /// Journal-tail events decoded by Open() (what Recover re-drives).
+  /// Journal-tail events decoded by Open() (what Recover re-drives; they
+  /// are still here after Recover returns, whether its replay passed).
   const std::vector<trace::Event>& tail() const { return tail_; }
 
  private:

@@ -119,7 +119,9 @@ TEST(PersistCodecTest, RngStateRoundTripContinuesBitForBit) {
   auto reader = persist::Reader::FromStream(out);
   ASSERT_TRUE(reader.ok());
   stats::Rng restored(0);
-  ASSERT_TRUE(persist::Get(&reader.ValueOrDie(), &restored).ok());
+  Status read;
+  persist::Get(&reader.ValueOrDie(), &restored, &read);
+  ASSERT_TRUE(read.ok()) << read.ToString();
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.NextGaussian(), restored.NextGaussian()) << "draw " << i;
     EXPECT_EQ(rng.NextUint64(), restored.NextUint64()) << "draw " << i;

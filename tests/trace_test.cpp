@@ -859,6 +859,77 @@ TEST(TraceCorruptionTest, PostCrcTamperingIsRejectedByStructureChecks) {
       << decoded_name.status().ToString();
 }
 
+/// `bytes` (a capture container) with one byte inserted at `at`, the u64
+/// section lengths at `length_fields` grown by one to cover it, and the
+/// CRC trailer recomputed: a well-framed file with a stray byte.
+std::string InsertStrayByte(std::string bytes, std::size_t at,
+                            const std::vector<std::size_t>& length_fields) {
+  for (const std::size_t field : length_fields) {
+    persist::StoreLe(bytes.data() + field,
+                     persist::LoadLe(bytes.data() + field, 8) + 1, 8);
+  }
+  bytes.insert(at, 1, '\x5a');
+  const std::size_t body = bytes.size() - 4;
+  persist::StoreLe(bytes.data() + body, persist::Crc32(bytes.data(), body), 4);
+  return bytes;
+}
+
+TEST(TraceCorruptionTest, StrayBytesAfterTheEventsAreRejected) {
+  // docs/TRACE_FORMAT.md sections 3 and 3.2: TEVT and TRCE have no growth
+  // point, so a byte after the last event (in TEVT, in TRCE after TEVT or
+  // after TRCE) is corrupt; TMET is the growth point, so a byte after its
+  // known fields is skipped.
+  const auto data = std::filesystem::path(__FILE__).parent_path() / "data";
+  std::ifstream file(data / "example_tiny.rstrace", std::ios::binary);
+  ASSERT_TRUE(file) << data;
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  auto committed = Capture::FromBytes(bytes);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+
+  // Container header (magic, version), then TRCE: tag, u64 length, the
+  // u32 layer version, TMET and TEVT, each a tag and a u64 length.
+  const auto tag_at = [&bytes](std::size_t at) {
+    return static_cast<std::uint32_t>(persist::LoadLe(bytes.data() + at, 4));
+  };
+  const std::size_t trce = 8;
+  const std::size_t tmet = trce + 12 + 4;
+  const std::size_t tevt =
+      tmet + 12 + persist::LoadLe(bytes.data() + tmet + 4, 8);
+  const std::size_t tevt_end =
+      tevt + 12 + persist::LoadLe(bytes.data() + tevt + 4, 8);
+  ASSERT_EQ(tag_at(trce), persist::kTagTraceCapture);
+  ASSERT_EQ(tag_at(tmet), persist::kTagTraceMeta);
+  ASSERT_EQ(tag_at(tevt), persist::kTagTraceEvents);
+  ASSERT_EQ(tevt_end, bytes.size() - 4) << "TEVT must close TRCE";
+
+  const std::string in_tevt =
+      InsertStrayByte(bytes, tevt_end, {trce + 4, tevt + 4});
+  const std::string in_trce = InsertStrayByte(bytes, tevt_end, {trce + 4});
+  const std::string after_trce = InsertStrayByte(bytes, tevt_end, {});
+  EXPECT_FALSE(Capture::FromBytes(after_trce).ok())
+      << "a stray byte after TRCE loaded";
+  for (const std::string* stray : {&in_tevt, &in_trce}) {
+    const char* where = stray == &in_tevt ? "TEVT" : "TRCE";
+    auto loaded = Capture::FromBytes(*stray);
+    ASSERT_FALSE(loaded.ok()) << "a stray byte in " << where << " loaded";
+    EXPECT_NE(loaded.status().message().find("1 stray byte"),
+              std::string::npos)
+        << loaded.status().ToString();
+    auto reader = persist::Reader::FromBytes(*stray);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::ostringstream printed;
+    persist::Printer printer(&*reader, &printed);
+    EXPECT_FALSE(Capture::DescribeSection(&printer).ok())
+        << "the printer walked past a stray byte in " << where;
+  }
+
+  auto grown_meta =
+      Capture::FromBytes(InsertStrayByte(bytes, tevt, {trce + 4, tmet + 4}));
+  ASSERT_TRUE(grown_meta.ok()) << grown_meta.status().ToString();
+  EXPECT_EQ(grown_meta->events.size(), committed->events.size());
+}
+
 // ---------------------------------------------------------------------------
 // Tap exclusion rules
 // ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@
 //  * every fsync policy recovers (kill -9 semantics: the page cache lives);
 //  * recovery edge cases: empty journal, exactly one torn record (cut at
 //    every byte offset inside it), checkpoint LSN past the journal end
-//    (stale snapshot + lost journal), and double-recovery idempotence, and
-//    the refusal to Recover through a journal object that has appended
-//    since Open (its tail is stale);
+//    (stale snapshot + lost journal), double-recovery idempotence, a tail
+//    that fails to replay, and the refusal to Recover through a journal
+//    object that has appended since Open (its tail is stale); tail() holds
+//    every tail event after Recover, whether the replay passed or failed;
 //  * one event tap: a journal reopened after a session holds exactly the
 //    events a trace::Recorder captured from the same session, byte for
 //    byte (mid-session attach, lifecycle churn, Plan and PlanAll);
@@ -221,6 +222,16 @@ std::size_t LastFrameOffset(const std::string& bytes) {
     last = offset;
   }
   return last;
+}
+
+/// The events `journal` holds past its checkpoint, encoded back to back.
+std::string EncodedTail(const FleetJournal& journal) {
+  persist::Writer writer;
+  writer.ResetBare();
+  for (const trace::Event& event : journal.tail()) {
+    trace::EncodeEvent(&writer, event);
+  }
+  return std::string(writer.bytes());
 }
 
 std::vector<std::string> SegmentFiles(const std::string& dir) {
@@ -571,23 +582,63 @@ TEST(WalRecoveryTest, DoubleRecoveryIsIdempotent) {
   // Two independent recoveries of the same journal (the first is dropped
   // un-attached, as an operator inspecting a crashed host would) serve the
   // continuation identically — recovery mutates nothing it didn't repair.
+  // Recovery replays the tail it holds and still holds it afterwards.
   std::vector<std::string> first;
   {
     FleetJournal journal;
     ASSERT_TRUE(journal.Open(dir).ok());
+    const std::string held = EncodedTail(journal);
+    ASSERT_FALSE(held.empty());
     auto fleet = journal.Recover();
     ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    EXPECT_EQ(EncodedTail(journal), held);
     first = ServeSteps(&*fleet, 9, 14);  // Un-journaled continuation probe.
   }
   {
     FleetJournal journal;
     ASSERT_TRUE(journal.Open(dir).ok());
+    const std::string held = EncodedTail(journal);
     RecoveryReport report;
     auto fleet = journal.Recover({}, &report);
     ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
     EXPECT_GT(report.events_replayed, 0u);
+    EXPECT_EQ(report.events_replayed, journal.tail().size());
+    EXPECT_EQ(EncodedTail(journal), held);
     EXPECT_EQ(ServeSteps(&*fleet, 9, 14), first);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalRecoveryTest, FailedTailReplayKeepsTheTail) {
+  // A PlanAll record no fleet would produce: the tail replay diverges at
+  // it, Recover fails, and the journal still holds every tail event.
+  const std::string dir = TempDir("failed_replay");
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir).ok());
+    ScalerFleet fleet(0);
+    RegisterTenants(&fleet);
+    ASSERT_TRUE(EnableJournal(&fleet, &journal).ok());
+    ServeSteps(&fleet, 1, 4);
+    std::vector<ScalerFleet::TenantPlan> plans(Tenants().size());
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      plans[i].tenant = Tenants()[i];
+      plans[i].action.creation_times.assign(3, 1000.0);
+    }
+    journal.OnPlanAll(10.0, plans,
+                      std::vector<api::TapClockMark>(plans.size()));
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+  }
+  FleetJournal journal;
+  ASSERT_TRUE(journal.Open(dir).ok());
+  const std::string held = EncodedTail(journal);
+  ASSERT_FALSE(held.empty());
+  auto fleet = journal.Recover();
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_NE(fleet.status().message().find("does not replay"),
+            std::string::npos)
+      << fleet.status().ToString();
+  EXPECT_EQ(EncodedTail(journal), held);
   std::filesystem::remove_all(dir);
 }
 

@@ -16,7 +16,14 @@
 //                      layout 1's nested persist container (90.7 B);
 //   fsyncs           — how many fsync(2) calls the policy actually issued
 //                      (every-record ~= records, every-64 ~= records/64,
-//                      none = rotations + the final explicit Sync only).
+//                      none = rotations + the final explicit Sync only);
+//   caller_minflt_per_record
+//                    — minor page faults the serving thread took over the
+//                      timed run (getrusage RUSAGE_THREAD), minus those of
+//                      the journal-off control over the same steps, per
+//                      record: the first stores into segment pages the
+//                      journal's helper thread has not populated. A count,
+//                      not a time, so it holds on any machine.
 //
 // Before anything is timed, a self-check session runs each policy through
 // the real crash path: serve, drop the fleet and journal with no shutdown,
@@ -27,9 +34,16 @@
 // run the journal is recovered once more and must replay every appended
 // event.
 //
+// Tenant names are built once, before any timed loop, so the serving time
+// the overhead divides by holds no string building.
+//
 // Gated metrics (tools/bench_gate.py, "wal"): append_overhead and
-// bytes_per_event per policy, both lower-is-better. Absolute events/sec
-// are reported, gated only with --gate-absolute.
+// caller_minflt_per_record on the "none" row, bytes_per_event and fsyncs
+// on every journaled row, all lower-is-better. The fsync-heavy rows'
+// overhead and fault counts are reported ungated: they track the device's
+// sync latency, and under every-record the helper races the caller to
+// re-populate each written-back page. Absolute events/sec are reported,
+// gated only with --gate-absolute.
 //
 // Usage:
 //   bench_wal [--tenants=16] [--steps=400] [--mc=20] [--archetypes=4]
@@ -38,6 +52,8 @@
 //
 // CI's perf-smoke invocation is in .github/workflows/ci.yml; the committed
 // baseline lives at bench/baselines/BENCH_wal.baseline.json.
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -99,21 +115,26 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-api::ScalerFleet BuildFleet(const Options& options,
-                            const std::vector<std::string>& buffers) {
+/// The serving session's fixed inputs: archetype buffers and tenant names.
+struct Session {
+  std::vector<std::string> buffers;
+  std::vector<std::string> names;
+};
+
+api::ScalerFleet BuildFleet(const Session& session) {
   api::ScalerFleet fleet(0);
-  bench::RegisterClones(&fleet, bench::TenantNames(options.tenants), buffers);
+  bench::RegisterClones(&fleet, session.names, session.buffers);
   return fleet;
 }
 
 /// Serves steps [first, last): one observe per tenant, then one PlanAll.
 /// Appends (tenants + 1) journal events per step when a tap is attached.
-void ServeSteps(api::ScalerFleet* fleet, const Options& options,
+void ServeSteps(api::ScalerFleet* fleet, const Session& session,
                 std::size_t first, std::size_t last) {
   for (std::size_t step = first; step < last; ++step) {
     const double now = kTrainS + 2.0 * static_cast<double>(step + 1);
-    for (std::size_t i = 0; i < options.tenants; ++i) {
-      RS_CHECK(fleet->Observe("fn-" + std::to_string(i),
+    for (std::size_t i = 0; i < session.names.size(); ++i) {
+      RS_CHECK(fleet->Observe(session.names[i],
                               now - 1.0 + 0.001 * static_cast<double>(i))
                    .ok());
     }
@@ -121,6 +142,13 @@ void ServeSteps(api::ScalerFleet* fleet, const Options& options,
       RS_CHECK(plan.status.ok()) << plan.status.ToString();
     }
   }
+}
+
+/// Minor page faults the calling thread has taken since it started.
+std::uint64_t ThreadMinorFaults() {
+  rusage usage{};
+  RS_CHECK(::getrusage(RUSAGE_THREAD, &usage) == 0);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
 }
 
 /// Record bytes of every segment: the live segment is preallocated, so its
@@ -146,6 +174,8 @@ struct PolicyResult {
   double bytes_per_event = 0.0;
   std::uint64_t fsyncs = 0;
   std::uint64_t segments = 0;
+  std::uint64_t caller_minflt = 0;       ///< Serving thread, timed run.
+  double caller_minflt_per_record = 0.0; ///< Over the control's, per record.
 };
 
 wal::JournalPolicy MakePolicy(const Options& options, wal::FsyncPolicy fsync) {
@@ -159,7 +189,7 @@ wal::JournalPolicy MakePolicy(const Options& options, wal::FsyncPolicy fsync) {
 /// The pre-timing self-check: serve half the steps journaled, "crash"
 /// (drop both objects, no shutdown), recover, and serve the rest — the
 /// bench only times configurations whose recovery story verifiably holds.
-void SelfCheck(const Options& options, const std::vector<std::string>& buffers,
+void SelfCheck(const Options& options, const Session& session,
                wal::FsyncPolicy fsync) {
   namespace fs = std::filesystem;
   const std::string dir = options.dir + "/selfcheck";
@@ -171,9 +201,9 @@ void SelfCheck(const Options& options, const std::vector<std::string>& buffers,
     wal::FleetJournal journal;
     const Status opened = journal.Open(dir, MakePolicy(small, fsync));
     RS_CHECK(opened.ok()) << opened.ToString();
-    api::ScalerFleet fleet = BuildFleet(small, buffers);
+    api::ScalerFleet fleet = BuildFleet(session);
     RS_CHECK(wal::EnableJournal(&fleet, &journal).ok());
-    ServeSteps(&fleet, small, 0, small.steps / 2);
+    ServeSteps(&fleet, session, 0, small.steps / 2);
     // Scope exit with no Detach, no Sync, no checkpoint: the in-process
     // crash. kNone still recovers — the page cache survives a dead
     // process; fsync only matters for power loss.
@@ -184,7 +214,7 @@ void SelfCheck(const Options& options, const std::vector<std::string>& buffers,
   auto fleet = journal.Recover();
   RS_CHECK(fleet.ok()) << fleet.status().ToString();
   RS_CHECK(journal.Attach(&*fleet).ok());
-  ServeSteps(&*fleet, small, small.steps / 2, small.steps);
+  ServeSteps(&*fleet, session, small.steps / 2, small.steps);
   RS_CHECK(journal.status().ok()) << journal.status().ToString();
   const std::uint64_t expected =
       small.tenants +
@@ -195,22 +225,28 @@ void SelfCheck(const Options& options, const std::vector<std::string>& buffers,
   fs::remove_all(dir, ignored);
 }
 
-PolicyResult RunOff(const Options& options,
-                    const std::vector<std::string>& buffers) {
+PolicyResult RunOff(const Options& options, const Session& session) {
   PolicyResult result;
   result.policy = "off";
   result.append_overhead = 1.0;
-  api::ScalerFleet fleet = BuildFleet(options, buffers);
+  {
+    // An untimed first pass grows the heap, so the control is timed (and
+    // its faults counted) warm, like every journaled run after it.
+    api::ScalerFleet warm = BuildFleet(session);
+    ServeSteps(&warm, session, 0, options.steps);
+  }
+  api::ScalerFleet fleet = BuildFleet(session);
+  const std::uint64_t faults_before = ThreadMinorFaults();
   Stopwatch watch;
-  ServeSteps(&fleet, options, 0, options.steps);
+  ServeSteps(&fleet, session, 0, options.steps);
   result.serve_s = watch.ElapsedSeconds();
+  result.caller_minflt = ThreadMinorFaults() - faults_before;
   return result;
 }
 
-PolicyResult RunPolicy(const Options& options,
-                       const std::vector<std::string>& buffers,
-                       wal::FsyncPolicy fsync, double serve_off_s) {
-  SelfCheck(options, buffers, fsync);
+PolicyResult RunPolicy(const Options& options, const Session& session,
+                       wal::FsyncPolicy fsync, const PolicyResult& off) {
+  SelfCheck(options, session, fsync);
 
   namespace fs = std::filesystem;
   const std::string dir = options.dir + "/timed";
@@ -222,13 +258,15 @@ PolicyResult RunPolicy(const Options& options,
   wal::FleetJournal journal;
   const Status opened = journal.Open(dir, MakePolicy(options, fsync));
   RS_CHECK(opened.ok()) << opened.ToString();
-  api::ScalerFleet fleet = BuildFleet(options, buffers);
+  api::ScalerFleet fleet = BuildFleet(session);
   RS_CHECK(wal::EnableJournal(&fleet, &journal).ok());
   const std::uint64_t registered = journal.last_lsn();
 
+  const std::uint64_t faults_before = ThreadMinorFaults();
   Stopwatch watch;
-  ServeSteps(&fleet, options, 0, options.steps);
+  ServeSteps(&fleet, session, 0, options.steps);
   result.serve_s = watch.ElapsedSeconds();
+  result.caller_minflt = ThreadMinorFaults() - faults_before;
   RS_CHECK(journal.status().ok()) << journal.status().ToString();
   RS_CHECK(journal.Sync().ok());
   journal.Detach();
@@ -237,7 +275,11 @@ PolicyResult RunPolicy(const Options& options,
   RS_CHECK(result.events ==
            static_cast<std::uint64_t>(options.steps) * (options.tenants + 1))
       << "journal dropped records";
-  result.append_overhead = result.serve_s / serve_off_s;
+  result.append_overhead = result.serve_s / off.serve_s;
+  result.caller_minflt_per_record =
+      (static_cast<double>(result.caller_minflt) -
+       static_cast<double>(off.caller_minflt)) /
+      static_cast<double>(result.events);
   result.fsyncs = journal.fsyncs();
   result.bytes_per_event = static_cast<double>(JournalBytes(dir)) /
                            static_cast<double>(journal.last_lsn());
@@ -275,7 +317,13 @@ void WriteJson(const Options& options, const std::vector<PolicyResult>& runs,
         << ", \"append_overhead\": " << run.append_overhead
         << ", \"bytes_per_event\": " << run.bytes_per_event
         << ", \"fsyncs\": " << run.fsyncs
-        << ", \"segments\": " << run.segments << "}"
+        << ", \"segments\": " << run.segments
+        << ", \"caller_minflt\": " << run.caller_minflt;
+    if (run.policy != "off") {
+      out << ", \"caller_minflt_per_record\": "
+          << run.caller_minflt_per_record;
+    }
+    out << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -293,8 +341,8 @@ int main(int argc, char** argv) {
   archetype.horizon = 2.0 * kTrainS;
   archetype.plan_interval = 2.0;
   archetype.mc_samples = options.mc_samples;
-  const std::vector<std::string> buffers =
-      bench::TrainArchetypes(options.archetypes, archetype);
+  const Session session{bench::TrainArchetypes(options.archetypes, archetype),
+                        bench::TenantNames(options.tenants)};
   const std::uint64_t events_per_run =
       static_cast<std::uint64_t>(options.steps) * (options.tenants + 1);
   std::printf(
@@ -305,23 +353,25 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(options.segment_mb));
 
   std::vector<PolicyResult> runs;
-  runs.push_back(RunOff(options, buffers));
-  const double serve_off_s = runs.front().serve_s;
+  runs.push_back(RunOff(options, session));
   for (const auto fsync :
        {wal::FsyncPolicy::kNone, wal::FsyncPolicy::kEveryN,
         wal::FsyncPolicy::kEveryRecord}) {
-    runs.push_back(RunPolicy(options, buffers, fsync, serve_off_s));
+    runs.push_back(RunPolicy(options, session, fsync, runs.front()));
   }
 
-  std::printf("%14s %10s %10s %10s %12s %8s %8s\n", "policy", "serve_s",
-              "events/s", "overhead", "B/event", "fsyncs", "segs");
+  std::printf("%14s %10s %10s %10s %12s %8s %8s %8s %11s\n", "policy",
+              "serve_s", "events/s", "overhead", "B/event", "fsyncs", "segs",
+              "minflt", "minflt/rec");
   for (const auto& run : runs) {
-    std::printf("%14s %10.3f %10.0f %9.3fx %12.1f %8llu %8llu\n",
+    std::printf("%14s %10.3f %10.0f %9.3fx %12.1f %8llu %8llu %8llu %11.5f\n",
                 run.policy.c_str(), run.serve_s,
                 static_cast<double>(events_per_run) / run.serve_s,
                 run.append_overhead, run.bytes_per_event,
                 static_cast<unsigned long long>(run.fsyncs),
-                static_cast<unsigned long long>(run.segments));
+                static_cast<unsigned long long>(run.segments),
+                static_cast<unsigned long long>(run.caller_minflt),
+                run.caller_minflt_per_record);
   }
 
   std::error_code ignored;

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -26,6 +27,7 @@
 #include "rs/persist/fields.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/wal/internal.hpp"
+#include "rs/wal/prefault.hpp"
 #include "rs/wal/wal.hpp"
 
 namespace rs::wal {
@@ -118,9 +120,17 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "unknown";
 }
 
+FleetJournal::FleetJournal()
+    : prefault_(std::make_unique<internal::Prefaulter>()) {}
+
 FleetJournal::~FleetJournal() { ReleaseActive(); }
 
+std::uint64_t FleetJournal::populated_end() const {
+  return prefault_->populated_end();
+}
+
 void FleetJournal::ReleaseActive() {
+  prefault_->Release();
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
   map_ = nullptr;
   if (fd_ < 0) return;
@@ -301,10 +311,12 @@ Status FleetJournal::Open(const std::string& dir,
     } else {
       map_bytes_ = std::max<std::uint64_t>(policy_.segment_bytes, active_size_);
       RS_RETURN_NOT_OK(MapSegment(fd_, map_bytes_, active_path_, &map_));
+      prefault_->Follow(map_, map_bytes_, active_size_);
     }
   }
 
   records_since_fsync_ = 0;
+  bytes_since_fsync_ = 0;
   last_fsync_ = std::chrono::steady_clock::now();
   lsn_at_open_ = next_lsn_;
   status_ = Status::OK();
@@ -326,9 +338,11 @@ Status FleetJournal::AppendAttempt() {
     // Only a record larger than the segment's preallocation gets here.
     char* grown = nullptr;
     RS_RETURN_NOT_OK(MapSegment(fd_, end, active_path_, &grown));
+    prefault_->Release();
     ::munmap(map_, map_bytes_);
     map_ = grown;
     map_bytes_ = end;
+    prefault_->Follow(map_, map_bytes_, active_size_);
   }
   // The store lands in the page cache, as a write() would: it survives the
   // process, and fsync(fd_) writes it back. A crash mid-copy leaves part of
@@ -355,7 +369,10 @@ Status FleetJournal::FsyncActive() {
     }
     CrashPoint("wal.fsync.after");
     ++fsyncs_;
+    // Writeback write-protected the pages populated ahead: populate again.
+    prefault_->Rearm(active_size_, bytes_since_fsync_);
     records_since_fsync_ = 0;
+    bytes_since_fsync_ = 0;
     last_fsync_ = std::chrono::steady_clock::now();
     return Status::OK();
   }
@@ -423,11 +440,14 @@ Status FleetJournal::CreateSegment(bool rotating) {
   active_size_ = internal::kSegmentHeaderBytes;
   active_records_ = 0;
   segments_.emplace_back(next_lsn_, path);
+  prefault_->Follow(map_, map_bytes_, active_size_);
   return Status::OK();
 }
 
 Status FleetJournal::Rotate() {
   CrashPoint("wal.rotate.begin");
+  // The helper lets go of the outgoing mapping before its file shrinks.
+  prefault_->Release();
   // The outgoing segment is cut to its data end and then made fully
   // durable before the journal moves on, so retired segments carry no
   // padding. Rotation is rare, so this syncs under every policy.
@@ -483,12 +503,15 @@ void FleetJournal::AppendFrame() {
   ++active_records_;
   ++next_lsn_;
   ++records_since_fsync_;
+  bytes_since_fsync_ += frame_.size();
   const Status synced = MaybeFsync();
   if (!synced.ok()) {
     status_ = Status(synced.code(), "journal fail-stop at LSN " +
                                         std::to_string(last_lsn()) +
                                         " (fsync): " + synced.message());
+    return;
   }
+  prefault_->Advance(active_size_, bytes_since_fsync_);
 }
 
 Status FleetJournal::Sync() {

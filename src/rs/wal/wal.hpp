@@ -45,6 +45,33 @@
 /// its data end; a killed process leaves the zero padding, which readers
 /// skip on the journal's last segment (docs/WAL_FORMAT.md §2.3).
 ///
+/// The first store to a fresh page of the mapping would take a page fault
+/// (4-7 µs) on the serving thread. So the journal keeps one helper thread
+/// that populates the active segment's pages for writing
+/// (madvise MADV_POPULATE_WRITE, Linux >= 5.14) a bounded window ahead of
+/// the append cursor, and the memcpy lands on pages already mapped
+/// writable. The helper starts on the first append after Open, so Open
+/// and Recover never start or wait for it. An append costs the caller one
+/// compare, and a wake-up (no allocation) when the cursor comes within
+/// half a window of what the helper was asked for.
+///   * Window: at most 256 KiB, and at most the bytes appended per sync
+///     interval (the previous interval's or the current one's so far,
+///     whichever is larger), because each fsync also writes back the zero
+///     pages populated ahead. Under a page the helper stands aside:
+///     every-record and small every-n journals append as before.
+///   * Re-arm: writeback write-protects a populated page again, so after
+///     every fsync (policy, Sync, Checkpoint, rotation) population restarts
+///     at the cursor's page.
+///   * Lifetime: the helper is idle and has let go of the mapping before
+///     rotation, the grow path or the destructor truncates or unmaps it,
+///     and it follows each new segment.
+///   * Fallback: EINVAL or ENOSYS from madvise retires the helper and
+///     appends fault as they did without it; any other error skips that
+///     window. Population writes no byte, so no segment, checkpoint or
+///     crash window depends on it.
+/// A process that forks must not do so while a journal of its own is
+/// appending: the child would inherit the helper's lock but not its thread.
+///
 /// Residual risk of the mapping: a few I/O failures arrive as SIGBUS, not
 /// as a fail-stop Status — a page read back in with EIO after writeback
 /// evicted it, or another process truncating the segment. Either kills the
@@ -64,6 +91,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +102,10 @@
 #include "rs/trace/trace.hpp"
 
 namespace rs::wal {
+
+namespace internal {
+class Prefaulter;
+}  // namespace internal
 
 /// When appended records are pushed to stable storage.
 enum class FsyncPolicy : std::uint8_t {
@@ -192,7 +224,7 @@ void CrashPoint(const char* point);
 /// trace::Recorder; the journal supplies Emit, which appends one record.
 class FleetJournal final : public trace::EventTap {
  public:
-  FleetJournal() = default;
+  FleetJournal();
   ~FleetJournal() override;
 
   FleetJournal(const FleetJournal&) = delete;
@@ -257,6 +289,10 @@ class FleetJournal final : public trace::EventTap {
   /// Journal-tail events decoded by Open() (what Recover re-drives; they
   /// are still here after Recover returns, whether its replay passed).
   const std::vector<trace::Event>& tail() const { return tail_; }
+  /// Offset in the active segment up to which the append helper has
+  /// mapped pages writable ("Where the bytes live" above); the cursor's
+  /// page start until it catches up, and always when it has retired.
+  std::uint64_t populated_end() const;
 
  private:
   /// Encodes one event as a frame in frame_ and appends it; on exhausted
@@ -300,6 +336,7 @@ class FleetJournal final : public trace::EventTap {
   std::uint64_t lsn_at_open_ = 1;
   std::uint64_t fsyncs_ = 0;
   std::uint64_t records_since_fsync_ = 0;
+  std::uint64_t bytes_since_fsync_ = 0;
   std::chrono::steady_clock::time_point last_fsync_{};
   /// Emit's reused frame buffer: a bare run holding the frame header and
   /// the event encoded after it.
@@ -310,6 +347,8 @@ class FleetJournal final : public trace::EventTap {
   std::vector<trace::Event> tail_;
   /// (first_lsn, path) per segment, ascending; back() is active.
   std::vector<std::pair<std::uint64_t, std::string>> segments_;
+  /// Populates the active mapping ahead of active_size_ on its own thread.
+  std::unique_ptr<internal::Prefaulter> prefault_;
 };
 
 /// \brief One-call journaling enablement (the EnableJournal of ISSUE 10,

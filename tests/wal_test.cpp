@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -47,9 +48,11 @@
 #include <system_error>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -767,6 +770,41 @@ std::string OracleFrame(std::uint64_t lsn, const trace::Event& event) {
   return frame + payload;
 }
 
+/// The closed segment files a journal of `events` (LSN 1 on) under
+/// `segment_bytes` must hold: "RSWJ", version 2, first LSN, then whole
+/// frames; a frame that would overflow a non-empty segment starts the next
+/// one, and one larger than a segment sits alone in it.
+std::vector<std::string> OracleSegments(const std::vector<trace::Event>& events,
+                                        std::uint64_t segment_bytes) {
+  std::vector<std::string> expected;
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint64_t lsn = i + 1;
+    const std::string frame = OracleFrame(lsn, events[i]);
+    if (expected.empty() ||
+        (records > 0 && expected.back().size() + frame.size() > segment_bytes)) {
+      expected.emplace_back("RSWJ");
+      AppendLe(&expected.back(), 2, 4);
+      AppendLe(&expected.back(), lsn, 8);
+      records = 0;
+    }
+    expected.back() += frame;
+    ++records;
+  }
+  return expected;
+}
+
+/// Every segment file in `dir` equals the oracle's, byte for byte.
+void ExpectOracleSegments(const std::string& dir,
+                          const std::vector<std::string>& expected) {
+  const auto segments = SegmentFiles(dir);
+  ASSERT_EQ(segments.size(), expected.size());
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_TRUE(Slurp(segments[i]) == expected[i])
+        << segments[i] << " differs from the oracle's bytes";
+  }
+}
+
 TEST(WalAppendTest, SegmentFilesEqualTheFreshEncoderOracleByteForByte) {
   // The event stream, from a Recorder serving the same session.
   trace::Recorder recorder("wal_test byte oracle");
@@ -786,32 +824,10 @@ TEST(WalAppendTest, SegmentFilesEqualTheFreshEncoderOracleByteForByte) {
     ASSERT_EQ(journal.last_lsn(), capture.events.size());
   }
 
-  // Expected segments: "RSWJ", version 2, first LSN, then whole frames; a
-  // frame that would overflow a non-empty segment starts the next one.
-  std::vector<std::string> expected;
-  std::size_t records = 0;
-  for (std::size_t i = 0; i < capture.events.size(); ++i) {
-    const std::uint64_t lsn = i + 1;
-    const std::string frame = OracleFrame(lsn, capture.events[i]);
-    if (expected.empty() ||
-        (records > 0 &&
-         expected.back().size() + frame.size() > policy.segment_bytes)) {
-      expected.emplace_back("RSWJ");
-      AppendLe(&expected.back(), 2, 4);
-      AppendLe(&expected.back(), lsn, 8);
-      records = 0;
-    }
-    expected.back() += frame;
-    ++records;
-  }
+  const std::vector<std::string> expected =
+      OracleSegments(capture.events, policy.segment_bytes);
   ASSERT_GE(expected.size(), 2u) << "the session must rotate segments";
-
-  const auto segments = SegmentFiles(dir);
-  ASSERT_EQ(segments.size(), expected.size());
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    EXPECT_TRUE(Slurp(segments[i]) == expected[i])
-        << segments[i] << " differs from the oracle's bytes";
-  }
+  ExpectOracleSegments(dir, expected);
   std::filesystem::remove_all(dir);
 }
 
@@ -976,6 +992,214 @@ TEST(WalAppendTest, RecordLargerThanTheSegmentGrowsTheMapping) {
   ASSERT_TRUE(reopened.Open(dir, policy).ok());
   EXPECT_EQ(reopened.last_lsn(), records);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The append helper: the active segment's pages are populated for writing
+// ahead of the cursor, on the journal's own thread.
+// ---------------------------------------------------------------------------
+
+// Sanitizers keep shadow memory for every mapped byte, and the serving
+// thread's first look at a shadow page faults whatever the journal does;
+// under them the helper tests check bytes and lifetimes, not fault counts.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCountsFaults = false;
+#else
+constexpr bool kCountsFaults = true;
+#endif
+
+/// Minor page faults the calling thread has taken since it started.
+std::uint64_t ThreadMinorFaults() {
+  rusage usage{};
+  EXPECT_EQ(::getrusage(RUSAGE_THREAD, &usage), 0);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
+}
+
+/// Waits, at most 20 s, for the helper to populate the active segment
+/// through `end`.
+bool WaitPopulated(const FleetJournal& journal, std::uint64_t end) {
+  for (int i = 0; i < 20000 && journal.populated_end() < end; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return journal.populated_end() >= end;
+}
+
+/// A PlanAll batch of `tenants` plans, each creating `creations` instances.
+std::vector<ScalerFleet::TenantPlan> Plans(std::size_t tenants,
+                                           std::size_t creations) {
+  std::vector<ScalerFleet::TenantPlan> plans(tenants);
+  for (std::size_t i = 0; i < tenants; ++i) {
+    plans[i].tenant = Tenants()[i % Tenants().size()];
+    plans[i].action.creation_times.assign(creations, 3.0 + i);
+  }
+  return plans;
+}
+
+/// Bytes a 100-tenant boundary covers: an Observe record is ~30 B, a
+/// PlanAll record several kB, so this holds 400 Observes and 8 boundaries.
+constexpr std::uint64_t kMeasuredBytes = 96 << 10;
+
+/// Once the window ahead of the cursor is populated, 400 Observe records
+/// and 8 PlanAll records of a 100-tenant boundary land in it without one
+/// page fault on the calling thread.
+void ExpectAppendsInsideTheWindowDoNotFault(FleetJournal* journal,
+                                            const std::string& dir,
+                                            double now) {
+  const std::string segment = SegmentFiles(dir).back();
+  const std::uint64_t cursor = InspectSegmentFile(segment)->bytes;
+  ASSERT_TRUE(WaitPopulated(*journal, cursor + kMeasuredBytes))
+      << "the helper populated through " << journal->populated_end()
+      << ", short of " << cursor + kMeasuredBytes;
+  const std::uint64_t populated = journal->populated_end();
+  const auto boundary = Plans(100, 4);
+  const std::vector<api::TapClockMark> clocks(boundary.size());
+  api::Scaler::ObserveOutcome outcome;
+
+  const std::uint64_t faults_before = ThreadMinorFaults();
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      journal->OnObserve(Tenants()[i % 2], now + 0.01 * i, outcome);
+    }
+    journal->OnPlanAll(now + 1.0, boundary, clocks);
+    now += 2.0;
+  }
+  const std::uint64_t faults = ThreadMinorFaults() - faults_before;
+
+  ASSERT_TRUE(journal->status().ok()) << journal->status().ToString();
+  const std::uint64_t end = InspectSegmentFile(segment)->bytes;
+  ASSERT_LE(end, populated) << "the measured records overran the window";
+  ASSERT_GT(end - cursor, 8 * 4096u) << "the PlanAll records are too small";
+  if (kCountsFaults) {
+    EXPECT_EQ(faults, 0u) << "page faults on the serving thread while "
+                          << end - cursor << " bytes went into "
+                          << populated - cursor << " populated bytes";
+  }
+}
+
+/// A journal under kNone with both tenants attached, whose sync interval
+/// has grown past the helper's largest window.
+void OpenWarmJournal(FleetJournal* journal, ScalerFleet* fleet,
+                     const std::string& dir) {
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  ASSERT_TRUE(journal->Open(dir, policy).ok());
+  RegisterTenants(fleet);
+  ASSERT_TRUE(EnableJournal(fleet, journal).ok());
+  const auto boundary = Plans(100, 4);
+  const std::vector<api::TapClockMark> clocks(boundary.size());
+  for (int i = 0; i < 120; ++i) journal->OnPlanAll(1.0 + i, boundary, clocks);
+  ASSERT_TRUE(journal->status().ok()) << journal->status().ToString();
+}
+
+TEST(WalPrefaultTest, AppendsInsideThePopulatedWindowTakeNoPageFault) {
+  const std::string dir = TempDir("prefault_window");
+  FleetJournal journal;
+  ScalerFleet fleet(0);
+  OpenWarmJournal(&journal, &fleet, dir);
+  ExpectAppendsInsideTheWindowDoNotFault(&journal, dir, 200.0);
+  journal.Detach();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalPrefaultTest, SyncRearmsTheWindow) {
+  // fsync writes the populated pages back and write-protects them again;
+  // the helper populates them anew from the cursor's page.
+  const std::string dir = TempDir("prefault_rearm");
+  FleetJournal journal;
+  ScalerFleet fleet(0);
+  OpenWarmJournal(&journal, &fleet, dir);
+  ExpectAppendsInsideTheWindowDoNotFault(&journal, dir, 200.0);
+  const auto boundary = Plans(100, 4);
+  const std::vector<api::TapClockMark> clocks(boundary.size());
+  for (int sync = 0; sync < 3; ++sync) {
+    // The window after a sync spans at most the interval it closed.
+    for (int i = 0; i < 40; ++i) {
+      journal.OnPlanAll(300.0 + 100 * sync + i, boundary, clocks);
+    }
+    ASSERT_TRUE(journal.Sync().ok());
+    ExpectAppendsInsideTheWindowDoNotFault(&journal, dir, 350.0 + 100 * sync);
+  }
+  journal.Detach();
+  std::filesystem::remove_all(dir);
+}
+
+/// Rounds of 40 Observes and a 100-tenant PlanAll through `tap`, with a
+/// 200-tenant PlanAll every fifth round.
+template <typename Tap>
+void ServeLargeRecords(Tap* tap, int rounds) {
+  ScalerFleet fleet(0);
+  RegisterTenants(&fleet);
+  ASSERT_TRUE(tap->Attach(&fleet).ok());
+  const auto boundary = Plans(100, 4);
+  const auto oversized = Plans(200, 16);
+  const std::vector<api::TapClockMark> clocks(oversized.size());
+  api::Scaler::ObserveOutcome outcome;
+  for (int round = 0; round < rounds; ++round) {
+    const double now = 2.0 * round;
+    for (int i = 0; i < 40; ++i) {
+      outcome.cold_start = i % 3 == 0;
+      tap->OnObserve(Tenants()[i % 2], now + 0.01 * i, outcome);
+    }
+    tap->OnPlanAll(now + 1.0, boundary, clocks);
+    if (round % 5 == 4) tap->OnPlanAll(now + 1.5, oversized, clocks);
+  }
+  tap->Detach();
+}
+
+TEST(WalPrefaultTest, RotationAndGrowthUnderTheHelperKeepEveryByte) {
+  trace::Recorder recorder("wal_test prefault oracle");
+  ServeLargeRecords(&recorder, 40);
+  const trace::Capture capture = recorder.TakeCapture();
+
+  // 16 KiB segments: a 200-tenant PlanAll outsizes the preallocation (the
+  // grow path), and every few rounds the active segment rotates, each
+  // time while the helper may be populating the mapping it leaves.
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  policy.segment_bytes = 16 << 10;
+  const std::string dir = TempDir("prefault_rotation");
+  {
+    FleetJournal journal;
+    ASSERT_TRUE(journal.Open(dir, policy).ok());
+    ServeLargeRecords(&journal, 40);
+    ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    ASSERT_EQ(journal.last_lsn(), capture.events.size());
+  }
+  const std::vector<std::string> expected =
+      OracleSegments(capture.events, policy.segment_bytes);
+  ASSERT_GE(expected.size(), 20u) << "the session must rotate segments";
+  std::size_t grown = 0;
+  for (const std::string& segment : expected) {
+    grown += segment.size() > policy.segment_bytes ? 1 : 0;
+  }
+  ASSERT_GE(grown, 4u) << "the session must outsize the preallocation";
+  ExpectOracleSegments(dir, expected);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalPrefaultTest, DestroyingTheJournalWhileTheHelperRunsKeepsEveryByte) {
+  trace::Recorder recorder("wal_test prefault destroy");
+  ServeLargeRecords(&recorder, 3);
+  const trace::Capture capture = recorder.TakeCapture();
+  JournalPolicy policy;
+  policy.fsync = FsyncPolicy::kNone;
+  const std::vector<std::string> expected =
+      OracleSegments(capture.events, policy.segment_bytes);
+  ASSERT_EQ(expected.size(), 1u);
+  // Each journal dies right after its last append asked the helper for a
+  // window of up to 256 KiB: the destructor waits out that madvise before
+  // it unmaps and cuts the segment.
+  for (int round = 0; round < 20; ++round) {
+    const std::string dir = TempDir("prefault_destroy");
+    {
+      FleetJournal journal;
+      ASSERT_TRUE(journal.Open(dir, policy).ok());
+      ServeLargeRecords(&journal, 3);
+      ASSERT_TRUE(journal.status().ok()) << journal.status().ToString();
+    }
+    ExpectOracleSegments(dir, expected);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ the machine out and collapse only when the optimization itself regresses:
                    latency and is reported ungated — their deterministic
                    `fsyncs` count gates instead. `bytes_per_event` (on-disk
                    framing cost — moves only when the wire format changes)
-                   gates for every journaled row.
+                   gates for every journaled row. `caller_minflt_per_record`
+                   (the serving thread's minor page faults per record over
+                   the journal-off control's, a count) gates for "none"
+                   against an absolute allowance over the baseline.
 
   table3_period_reg : the paper-fidelity gate for Table III — per metric
                    (MSE, MAE) the `improvement_pct` the periodicity term buys
@@ -140,6 +143,30 @@ class Gate:
             "baseline": baseline,
             "current": current,
             "delta_pct": round(100.0 * delta, 2),
+            "gated": gated,
+            "regressed": regressed,
+        })
+        return regressed
+
+    def compare_count(self, key, metric, baseline, current, allowance, gated):
+        """Records a lower-is-better count; returns True when it regressed.
+
+        Counts near zero have no useful relative tolerance, so `current`
+        may exceed `baseline` by the absolute `allowance` and no more. A
+        gated count missing from the current run is a regression.
+        """
+        if baseline is None:
+            return False
+        regressed = gated and (current is None or
+                               current > baseline + allowance)
+        self.rows.append({
+            "key": fmt_key(key),
+            "metric": metric,
+            "baseline": baseline,
+            "current": current,
+            "delta_pct": (round(100.0 * (current - baseline) / baseline, 2)
+                          if baseline > 0 and current is not None else None),
+            "allowance": allowance,
             "gated": gated,
             "regressed": regressed,
         })
@@ -373,6 +400,13 @@ def gate_chaos(baseline, current, gate, gate_absolute):
     return regressions
 
 
+# Serving-thread page faults per journal record that a wal run may take
+# over its baseline: one in 200 records. A journal whose helper populates
+# nothing ahead of the cursor takes one per page of records, about one in
+# 52 at this bench's 78.7 B per event.
+WAL_MINFLT_ALLOWANCE = 0.005
+
+
 def gate_wal(baseline, current, gate, gate_absolute):
     regressions = 0
     base_rows = index_rows(baseline.get("results", []), ("policy",))
@@ -409,12 +443,25 @@ def gate_wal(baseline, current, gate, gate_absolute):
                                     base.get("events_per_s"),
                                     cur.get("events_per_s"),
                                     gated=gate_absolute)
+        # Page faults the serving thread takes per record: a count, so it
+        # holds on any runner. Only "none" gates it; under the fsync
+        # policies writeback write-protects the populated pages and the
+        # journal's helper races the caller to populate them again.
+        regressions += gate.compare_count(
+            key, "caller_minflt_per_record",
+            base.get("caller_minflt_per_record"),
+            cur.get("caller_minflt_per_record"),
+            allowance=WAL_MINFLT_ALLOWANCE, gated=(policy == "none"))
+        minflt = cur.get("caller_minflt_per_record")
         print(f"bench_gate: {fmt_key(key)}: "
               f"overhead {cur.get('append_overhead', 0):.2f}x "
               f"(baseline {base.get('append_overhead', 0):.2f}x), "
               f"{cur.get('bytes_per_event', 0):.1f} B/event "
               f"(baseline {base.get('bytes_per_event', 0):.1f}), "
-              f"{cur.get('fsyncs', 0)} fsyncs")
+              f"{cur.get('fsyncs', 0)} fsyncs"
+              + (f", {minflt:.5f} caller faults/record "
+                 f"(baseline {base.get('caller_minflt_per_record', 0):.5f})"
+                 if minflt is not None else ""))
     return regressions
 
 
@@ -563,6 +610,10 @@ def main():
         for row in worst:
             if row["baseline"] is None:
                 print(f"  {row['key']}: {row['metric']}", file=sys.stderr)
+            elif "allowance" in row:
+                print(f"  {row['key']}: {row['metric']} "
+                      f"{row['baseline']} -> {row['current']} (allowed: "
+                      f"baseline + {row['allowance']})", file=sys.stderr)
             else:
                 print(f"  {row['key']}: {row['metric']} "
                       f"{row['baseline']:.3f} -> {row['current']:.3f} "

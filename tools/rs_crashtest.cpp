@@ -43,6 +43,15 @@
 ///   rs_crashtest gen-example --crashed <out-file>
 ///                                  # the same, as a killed writer leaves it
 ///
+/// Forking is safe with the journal's page-populating helper thread: the
+/// parent never holds a journal across a fork. Its recoveries (Open +
+/// Recover) append nothing, so they start no helper, and the attached
+/// continuation, which does, is destroyed (helper joined) before the next
+/// victim is forked. Each victim opens its own journal. The helper writes
+/// no byte, so it adds no crash state and has no crash window: the
+/// windows count on one process-wide counter the matrix replays
+/// deterministically.
+///
 /// Exit code 0 = every kill point recovered byte-identically; any
 /// divergence, lost record, or recovery failure aborts with a message.
 /// CI runs a fresh seed every build and prints it for reproduction.

@@ -31,7 +31,7 @@
 // Gated metrics (tools/bench_gate.py, "chaos"): availability,
 // recovered_fraction (higher is better), fallback_fraction (lower is
 // better). All three are deterministic given the seed; absolute
-// arrivals/sec are reported, gated only with --gate-absolute.
+// arrivals/sec are reported, not gated.
 //
 // Usage:
 //   bench_chaos [--tenants=100] [--target-arrivals=200000]

@@ -253,8 +253,8 @@ void WriteJson(const Options& options, const std::vector<RunResult>& runs,
         << ", \"plans_per_s\": "
         << static_cast<double>(run.planning_rounds) / run.serve_s;
     if (options.snapshot_interval > 0.0) {
-      // Reported, not gated: the perf baseline predates these fields and
-      // bench_gate.py only compares keys present in the baseline rows.
+      // Gated, lower is better: bench_gate.py compares every metric the
+      // baseline row carries.
       out << ", \"snapshot_ms\": " << 1000.0 * run.snapshot_s
           << ", \"snapshot_bytes\": " << run.snapshot_bytes
           << ", \"snapshots\": " << run.snapshots;

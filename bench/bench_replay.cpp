@@ -24,7 +24,7 @@
 // tools/bench_gate.py): tap_overhead (serve_on/serve_off wall time),
 // replay_vs_live (replay/serve_on), and bytes_per_event (capture size over
 // event count — format bloat, not speed). Absolute arrivals/sec are
-// reported, gated only with --gate-absolute.
+// reported, not gated.
 //
 // Usage:
 //   bench_replay [--tenants=100] [--target-arrivals=1000000]

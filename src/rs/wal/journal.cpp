@@ -112,8 +112,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
       return "every-record";
     case FsyncPolicy::kEveryN:
       return "every-n";
-    case FsyncPolicy::kEveryT:
-      return "every-t";
     case FsyncPolicy::kNone:
       return "none";
   }
@@ -317,7 +315,6 @@ Status FleetJournal::Open(const std::string& dir,
 
   records_since_fsync_ = 0;
   bytes_since_fsync_ = 0;
-  last_fsync_ = std::chrono::steady_clock::now();
   lsn_at_open_ = next_lsn_;
   status_ = Status::OK();
   opened_ = true;
@@ -373,7 +370,6 @@ Status FleetJournal::FsyncActive() {
     prefault_->Rearm(active_size_, bytes_since_fsync_);
     records_since_fsync_ = 0;
     bytes_since_fsync_ = 0;
-    last_fsync_ = std::chrono::steady_clock::now();
     return Status::OK();
   }
   return last;
@@ -386,12 +382,6 @@ Status FleetJournal::MaybeFsync() {
     case FsyncPolicy::kEveryN:
       return records_since_fsync_ >= policy_.fsync_every_n ? FsyncActive()
                                                            : Status::OK();
-    case FsyncPolicy::kEveryT: {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - last_fsync_;
-      return elapsed.count() >= policy_.fsync_every_s ? FsyncActive()
-                                                      : Status::OK();
-    }
     case FsyncPolicy::kNone:
       return Status::OK();
   }

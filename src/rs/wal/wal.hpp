@@ -87,7 +87,6 @@
 /// state machine.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -111,7 +110,6 @@ class Prefaulter;
 enum class FsyncPolicy : std::uint8_t {
   kEveryRecord,  ///< fsync after every append: zero-loss through power cut.
   kEveryN,       ///< fsync every `fsync_every_n` records.
-  kEveryT,       ///< fsync when `fsync_every_s` elapsed since the last one.
   kNone,         ///< Never fsync on append: zero-loss through kill -9 only
                  ///< (the appended records sit in the OS page cache, via the
                  ///< shared mapping, which survives the process), not power
@@ -123,8 +121,6 @@ const char* FsyncPolicyName(FsyncPolicy policy);
 struct JournalPolicy {
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
   std::uint64_t fsync_every_n = 64;  ///< FsyncPolicy::kEveryN knob.
-  double fsync_every_s = 0.05;       ///< FsyncPolicy::kEveryT knob (steady
-                                     ///< clock — avoid in parity tests).
   /// Rotate to a fresh segment once the active one exceeds this (a record
   /// never spans segments; tests shrink it to force rotation windows).
   /// Also the preallocation of the active segment's mapping.
@@ -337,7 +333,6 @@ class FleetJournal final : public trace::EventTap {
   std::uint64_t fsyncs_ = 0;
   std::uint64_t records_since_fsync_ = 0;
   std::uint64_t bytes_since_fsync_ = 0;
-  std::chrono::steady_clock::time_point last_fsync_{};
   /// Emit's reused frame buffer: a bare run holding the frame header and
   /// the event encoded after it.
   persist::Writer frame_;

@@ -21,9 +21,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "rs/api/api.hpp"
 #include "rs/common/thread_pool.hpp"
@@ -618,7 +621,8 @@ TEST(FleetDegradationTest, FailedRetrainKeepsLastGoodModelAndBacksOff) {
 // ---------------------------------------------------------------------------
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "rs_fault_test_" + name;
+  return ::testing::TempDir() + "rs_fault_test_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::string Slurp(const std::string& path) {
@@ -681,7 +685,7 @@ TEST(AtomicFileTest, DurabilityKnobOffStillCommitsAtomically) {
 }
 
 TEST(AtomicFileTest, RemoveStaleTempFilesSweepsOnlyOrphans) {
-  const std::string dir = ::testing::TempDir() + "rs_fault_test_tmpsweep";
+  const std::string dir = TempPath("tmpsweep");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(persist::AtomicWriteFile(dir + "/keep.bin", "keep").ok());
   // Strand two orphans the way a crash between temp-write and rename does.
@@ -691,7 +695,8 @@ TEST(AtomicFileTest, RemoveStaleTempFilesSweepsOnlyOrphans) {
   EXPECT_EQ(Slurp(dir + "/keep.bin"), "keep") << "committed files survive";
   EXPECT_TRUE(Slurp(dir + "/a.bin.tmp").empty());
   EXPECT_EQ(persist::RemoveStaleTempFiles(dir), 0u) << "sweep is idempotent";
-  std::remove((dir + "/keep.bin").c_str());
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
 }
 
 TEST(FleetDegradationTest, HealthStateSurvivesSaveAndLoad) {

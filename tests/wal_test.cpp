@@ -179,7 +179,8 @@ std::vector<std::string> ServeSteps(ScalerFleet* fleet, int first, int last) {
 }
 
 std::string TempDir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "rs_wal_test_" + name;
+  const std::string dir = ::testing::TempDir() + "rs_wal_test_" +
+                          std::to_string(::getpid()) + "_" + name;
   // Tests re-run: start from an empty directory.
   std::error_code ignored;
   std::filesystem::remove_all(dir, ignored);
@@ -349,8 +350,7 @@ TEST(WalRecoveryTest, EveryFsyncPolicyRecoversAfterProcessCrash) {
   const auto control_tail = ServeSteps(&control, 11, 16);
 
   for (const FsyncPolicy fsync :
-       {FsyncPolicy::kEveryRecord, FsyncPolicy::kEveryN, FsyncPolicy::kEveryT,
-        FsyncPolicy::kNone}) {
+       {FsyncPolicy::kEveryRecord, FsyncPolicy::kEveryN, FsyncPolicy::kNone}) {
     JournalPolicy policy;
     policy.fsync = fsync;
     policy.fsync_every_n = 4;
@@ -1480,7 +1480,6 @@ TEST(WalFaultTest, RotationFaultFailStopsAndDurablePrefixRecovers) {
 /// A small journal directory with one checkpoint and a multi-record segment,
 /// built once and copied per mutation probe.
 struct CorruptionFixture {
-  std::string dir;
   std::string segment_bytes;
   std::string checkpoint_bytes;
 };
@@ -1488,10 +1487,10 @@ struct CorruptionFixture {
 const CorruptionFixture& Fixture() {
   static const CorruptionFixture fixture = [] {
     CorruptionFixture f;
-    f.dir = TempDir("fuzz_base");
+    const std::string dir = TempDir("fuzz_base");
     {
       FleetJournal journal;
-      EXPECT_TRUE(journal.Open(f.dir).ok());
+      EXPECT_TRUE(journal.Open(dir).ok());
       ScalerFleet fleet(0);
       EXPECT_TRUE(fleet.Register("svc-a", BuildScaler("backup_pool")).ok());
       EXPECT_TRUE(
@@ -1513,10 +1512,12 @@ const CorruptionFixture& Fixture() {
       }
       journal.Detach();
     }  // Closing the journal cuts its preallocated segment to the records.
-    const auto segments = SegmentFiles(f.dir);
+    const auto segments = SegmentFiles(dir);
     EXPECT_EQ(segments.size(), 1u);
     f.segment_bytes = Slurp(segments[0]);
-    f.checkpoint_bytes = Slurp(f.dir + "/checkpoint.rsnp");
+    f.checkpoint_bytes = Slurp(dir + "/checkpoint.rsnp");
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
     return f;
   }();
   return fixture;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "rs/stats/empirical.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/timeseries/aggregate.hpp"
@@ -45,7 +47,8 @@ TEST(TraceTest, SplitAtPartitionsAllQueries) {
 
 TEST(TraceTest, CsvRoundTrip) {
   Trace t({{1.25, 10.5}, {2.5, 20.25}}, 100.0);
-  const std::string path = ::testing::TempDir() + "/trace_roundtrip.csv";
+  const std::string path = ::testing::TempDir() + "/trace_roundtrip_" +
+                           std::to_string(::getpid()) + ".csv";
   ASSERT_TRUE(t.SaveCsv(path).ok());
   auto loaded = Trace::LoadCsv(path, 100.0);
   ASSERT_TRUE(loaded.ok());

@@ -32,6 +32,7 @@
 #include "rs/linalg/vector_ops.hpp"
 #include "rs/persist/persist.hpp"
 #include "rs/stats/distributions.hpp"
+#include "rs/stats/empirical.hpp"
 #include "rs/stats/rng.hpp"
 #include "rs/timeseries/fft.hpp"
 #include "rs/trace/trace.hpp"
@@ -295,6 +296,49 @@ BENCHMARK(BM_SortDoubles)
     ->Args({1000, 1})
     ->Args({10000, 0})
     ->Args({10000, 1});
+
+void BM_OrderStatPair(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool shared = state.range(1) != 0;
+  rs::stats::Rng rng(12);
+  // Ranks near the top, where the HP planner's warm-pivot prefilter leaves
+  // them; distinct arrays per iteration, as for BM_SortDoubles.
+  const std::size_t hi = n - 1 - n / 8;
+  const std::size_t lo = hi - 1;
+  const std::size_t arrays = std::clamp<std::size_t>((1 << 17) / n, 1, 4096);
+  std::vector<double> base(arrays * n), work(n);
+  for (auto& v : base) v = rng.NextDouble();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const double* input = base.data() + next * n;
+    next = next + 1 == arrays ? 0 : next + 1;
+    std::copy(input, input + n, work.begin());
+    double v_lo = 0.0, v_hi = 0.0;
+    if (shared) {
+      rs::stats::SelectOrderStatPair(work.data(), n, lo, hi, &v_lo, &v_hi);
+    } else {
+      std::nth_element(work.begin(), work.begin() + lo, work.end());
+      v_lo = work[lo];
+      v_hi = *std::min_element(work.begin() + lo + 1, work.end());
+    }
+    benchmark::DoNotOptimize(v_lo);
+    benchmark::DoNotOptimize(v_hi);
+  }
+  state.SetLabel(shared ? "SelectOrderStatPair" : "nth_element + min scan");
+}
+// SelectOrderStatPair insertion-sorts up to stats::kSortSelectMax (16)
+// elements and selects with nth_element above it.
+BENCHMARK(BM_OrderStatPair)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({12, 0})
+    ->Args({12, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({24, 0})
+    ->Args({24, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 void BM_DecisionKernelRt(benchmark::State& state) {
   const auto r = static_cast<std::size_t>(state.range(0));

@@ -5,6 +5,7 @@
 
 #include "rs/common/logging.hpp"
 #include "rs/core/kappa.hpp"
+#include "rs/stats/empirical.hpp"
 
 namespace rs::core {
 
@@ -26,40 +27,18 @@ void FitVector(std::vector<T>* v, std::size_t n) {
   if (v->capacity() > 2 * std::max<std::size_t>(n, 1)) v->shrink_to_fit();
 }
 
-/// Exact (v_lo, v_hi) order statistics at ranks lo <= hi of values[0..n) by
-/// selection. When the interpolation sits low in the distribution it is
-/// cheaper to select at hi and max-scan the small left partition than to
-/// select at lo and min-scan the large right one; pick the cheaper side.
-void SelectOrderStatPair(double* values, std::size_t n, std::size_t lo,
-                         std::size_t hi, double* v_lo, double* v_hi) {
-  if (hi == lo) {
-    std::nth_element(values, values + lo, values + n);
-    *v_lo = values[lo];
-    *v_hi = *v_lo;
-    return;
-  }
-  if (hi <= n - 1 - lo) {
-    std::nth_element(values, values + hi, values + n);
-    *v_hi = values[hi];
-    *v_lo = *std::max_element(values, values + hi);
-  } else {
-    std::nth_element(values, values + lo, values + n);
-    *v_lo = values[lo];
-    *v_hi = *std::min_element(values + lo + 1, values + n);
-  }
-}
-
 /// \brief HP decision for deterministic τ without materializing ξ.
 ///
 /// The map target → slack = max(0, Λ⁻¹(target) − now) − τ is non-decreasing,
-/// so the two order statistics the type-7 quantile interpolates can be
-/// selected directly on the cumulative targets and inverted individually:
-/// two inversions instead of R, with exactly the doubles the reference path
-/// computes. The previous round's quantile for the same query index is kept
-/// in hp_cuts as a warm pivot: one branchless counting pass confirms the
-/// pivot bounds at least hi+1 elements, and the exact selection then runs on
-/// only that ~αR-sized prefilter. `ws->targets` is consumed (reordered);
-/// ws->hp_cuts must be pre-sized past k_index.
+/// and so is γ → fl(base + γ), so the two order statistics the type-7
+/// quantile interpolates can be selected directly on γ, shifted by base and
+/// inverted individually: two inversions instead of R, with exactly the
+/// doubles the reference path computes. The previous round's γ quantile for
+/// the same query index is kept in hp_cuts as a warm pivot: one branch-free
+/// pass gathers the elements below it, and when they number at least hi+1
+/// the exact selection runs on only that ~αR-sized prefilter. `ws->targets`
+/// is the selection scratch for a cold or missed pivot; ws->hp_cuts must be
+/// pre-sized past k_index.
 Result<Decision> SolveHpDeterministicTau(
     const workload::PiecewiseConstantIntensity& forecast, PlanWorkspace* ws,
     double now, double tau, double alpha, std::size_t r_count,
@@ -67,22 +46,22 @@ Result<Decision> SolveHpDeterministicTau(
   if (!(alpha > 0.0) || !(alpha < 1.0)) {
     return Status::Invalid("SolveHpConstrained: alpha must lie in (0, 1)");
   }
-  std::vector<double>& targets = ws->targets;
+  const double* gamma = ws->gamma.data();
   std::vector<double>& hp_cuts = ws->hp_cuts;
   // The scalar path fails the whole round when any target lies beyond a
   // zero-rate tail; probe the largest target so this path fails identically
   // instead of silently answering from the two selected statistics.
   if (forecast.rates().back() <= 0.0) {
-    const double max_target = *std::max_element(targets.begin(), targets.end());
-    RS_RETURN_NOT_OK(forecast.InverseCumulative(max_target).status());
+    const double max_gamma = *std::max_element(gamma, gamma + r_count);
+    RS_RETURN_NOT_OK(forecast.InverseCumulative(base + max_gamma).status());
   }
   const double pos = alpha * static_cast<double>(r_count - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, r_count - 1);
   const double frac = pos - static_cast<double>(lo);
 
-  double t_lo = 0.0, t_hi = 0.0;
-  bool selected = false;
+  double* selection = nullptr;
+  std::size_t selection_size = 0;
   RS_DCHECK(k_index < hp_cuts.size());
   if (hp_cuts[k_index] > 0.0) {
     // γ's α-quantile at this query index moves only by sampling noise
@@ -90,35 +69,38 @@ Result<Decision> SolveHpDeterministicTau(
     // the quantile pair with near-certainty (miss → exact fallback below).
     const double margin =
         std::max(1.0, 0.2 * std::sqrt(static_cast<double>(k_index + 1)));
-    const double pivot = base + hp_cuts[k_index] + margin;
-    const double* t = targets.data();
+    const double pivot = hp_cuts[k_index] + margin;
+    ws->gather.resize(r_count);
+    double* g = ws->gather.data();
     std::size_t count = 0;
     for (std::size_t r = 0; r < r_count; ++r) {
-      count += t[r] < pivot ? 1 : 0;
+      g[count] = gamma[r];
+      count += gamma[r] < pivot ? 1 : 0;
     }
     if (count > hi) {
       // The count elements below the pivot are exactly the count smallest:
       // ranks lo and hi live inside the prefilter.
-      ws->gather.resize(r_count);
-      double* g = ws->gather.data();
-      std::size_t idx = 0;
-      for (std::size_t r = 0; r < r_count; ++r) {
-        if (t[r] < pivot) g[idx++] = t[r];
-      }
-      SelectOrderStatPair(g, count, lo, hi, &t_lo, &t_hi);
-      selected = true;
+      selection = g;
+      selection_size = count;
     }
   }
-  if (!selected) {
-    SelectOrderStatPair(targets.data(), r_count, lo, hi, &t_lo, &t_hi);
+  if (selection == nullptr) {
+    selection = ws->targets.data();
+    selection_size = r_count;
+    std::copy(gamma, gamma + r_count, selection);
   }
-  hp_cuts[k_index] = t_hi - base;
+  double g_lo = 0.0, g_hi = 0.0;
+  stats::SelectOrderStatPair(selection, selection_size, lo, hi, &g_lo,
+                             &g_hi);
+  hp_cuts[k_index] = g_hi;
 
-  RS_ASSIGN_OR_RETURN(const double inv_lo, forecast.InverseCumulative(t_lo));
+  RS_ASSIGN_OR_RETURN(const double inv_lo,
+                      forecast.InverseCumulative(base + g_lo));
   const double slack_lo = std::max(0.0, inv_lo - now) - tau;
   double slack_hi = slack_lo;
   if (hi != lo) {
-    RS_ASSIGN_OR_RETURN(const double inv_hi, forecast.InverseCumulative(t_hi));
+    RS_ASSIGN_OR_RETURN(const double inv_hi,
+                        forecast.InverseCumulative(base + g_hi));
     slack_hi = std::max(0.0, inv_hi - now) - tau;
   }
   const double x_star = slack_lo * (1.0 - frac) + slack_hi * frac;
@@ -196,16 +178,16 @@ Result<Decision> SolveOptimized(const RoundParams& p, PlanWorkspace* ws,
                                 std::size_t abs_k, double base) {
   const std::size_t r_count = p.r_count;
   const bool deterministic_tau = DeterministicTau(p);
-  double* targets = ws->targets.data();
-  const double* gamma = ws->gamma.data();
-  for (std::size_t r = 0; r < r_count; ++r) targets[r] = base + gamma[r];
-  McSamples& samples = ws->samples;
-
   if (deterministic_tau &&
       p.variant == ScalerVariant::kHittingProbability) {
     return SolveHpDeterministicTau(*p.forecast, ws, p.now, p.pending->Mean(),
                                    p.alpha, r_count, abs_k, base);
   }
+  double* targets = ws->targets.data();
+  const double* gamma = ws->gamma.data();
+  for (std::size_t r = 0; r < r_count; ++r) targets[r] = base + gamma[r];
+  McSamples& samples = ws->samples;
+
   if (deterministic_tau) {
     // RT/cost with constant τ: the pairing of ξ with τ is irrelevant, so
     // sort the targets in place and invert them in one ascending sweep —

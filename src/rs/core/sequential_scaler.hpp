@@ -49,7 +49,8 @@ enum class ScalerVariant {
 struct PlanWorkspace {
   std::vector<double> gamma;  ///< Cumulative unit-rate exposure per path.
   /// Λ(now) + γ: inversion input. Also receives each query's Exp(1) draws
-  /// before they are folded into gamma.
+  /// before they are folded into gamma, and is the HP selection's copy of
+  /// γ when no warm pivot applies.
   std::vector<double> targets;
   std::vector<std::uint32_t> order;  ///< Batch-inversion index scratch.
   std::vector<double> gather;        ///< Pivot-prefilter buffer (HP).

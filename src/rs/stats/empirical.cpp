@@ -23,15 +23,43 @@ Result<double> QuantileInPlace(std::vector<double>* values, double q) {
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
-  // Select the lo-th order statistic; the hi-th is then the minimum of the
-  // partition above it. Same two order statistics — and the same
-  // interpolation — as sorting and indexing, at O(n) instead of O(n log n).
-  const auto lo_it = values->begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(values->begin(), lo_it, values->end());
-  const double v_lo = *lo_it;
-  const double v_hi =
-      hi == lo ? v_lo : *std::min_element(lo_it + 1, values->end());
+  double v_lo = 0.0, v_hi = 0.0;
+  SelectOrderStatPair(values->data(), n, lo, hi, &v_lo, &v_hi);
   return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
+void SelectOrderStatPair(double* values, std::size_t n, std::size_t lo,
+                         std::size_t hi, double* v_lo, double* v_hi) {
+  RS_DCHECK(lo <= hi && hi < n);
+  if (n <= kSortSelectMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const double v = values[i];
+      std::size_t j = i;
+      for (; j > 0 && v < values[j - 1]; --j) values[j] = values[j - 1];
+      values[j] = v;
+    }
+    *v_lo = values[lo];
+    *v_hi = values[hi];
+    return;
+  }
+  if (hi == lo) {
+    std::nth_element(values, values + lo, values + n);
+    *v_lo = values[lo];
+    *v_hi = *v_lo;
+    return;
+  }
+  // When the pair sits low in the range it is cheaper to select at hi and
+  // max-scan the small left partition than to select at lo and min-scan the
+  // large right one; pick the cheaper side.
+  if (hi <= n - 1 - lo) {
+    std::nth_element(values, values + hi, values + n);
+    *v_hi = values[hi];
+    *v_lo = *std::max_element(values, values + hi);
+  } else {
+    std::nth_element(values, values + lo, values + n);
+    *v_lo = values[lo];
+    *v_hi = *std::min_element(values + lo + 1, values + n);
+  }
 }
 
 Result<double> QuantileSorted(const std::vector<double>& sorted, double q) {

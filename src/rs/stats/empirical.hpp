@@ -13,7 +13,7 @@ namespace rs::stats {
 
 /// Linearly-interpolated sample quantile (type-7, as in NumPy default).
 /// `q` in [0, 1]. The input need not be sorted. Selection-based
-/// (std::nth_element, O(n) expected) rather than a full sort — it returns
+/// (SelectOrderStatPair, O(n) expected) rather than a full sort — it returns
 /// the exact same value a sort + QuantileSorted would, since only the two
 /// order statistics adjacent to the interpolation point matter.
 Result<double> Quantile(std::vector<double> values, double q);
@@ -22,6 +22,18 @@ Result<double> Quantile(std::vector<double> values, double q);
 /// form: callers reuse their scratch buffer across calls). The element
 /// order afterwards is unspecified.
 Result<double> QuantileInPlace(std::vector<double>* values, double q);
+
+/// Ranges of at most this many elements are sorted outright by
+/// SelectOrderStatPair: there an insertion sort beats std::nth_element.
+inline constexpr std::size_t kSortSelectMax = 16;
+
+/// \brief The order statistics at ranks lo <= hi < n of values[0..n), the
+///        pair a type-7 quantile interpolates between.
+///
+/// Reorders the range. Exact by construction: the values are the ones a
+/// full sort leaves at positions lo and hi, whichever way they are found.
+void SelectOrderStatPair(double* values, std::size_t n, std::size_t lo,
+                         std::size_t hi, double* v_lo, double* v_hi);
 
 /// Quantile of an already ascending-sorted range (no copy).
 Result<double> QuantileSorted(const std::vector<double>& sorted, double q);

@@ -1,5 +1,6 @@
 #include "rs/stats/rng.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace rs::stats {
@@ -11,36 +12,11 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(&sm);
-}
-
-std::uint64_t Rng::NextUint64() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextOpenDouble() {
-  // (x + 0.5) / 2^53 lies strictly inside (0, 1).
-  return (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::NextBounded(std::uint64_t n) {
@@ -74,10 +50,10 @@ Rng Rng::SubstreamAt(std::uint64_t index) const {
   // with a golden-ratio-spaced counter, then reseed through the same
   // SplitMix64 expansion the seeded constructor uses. `index + 1` keeps
   // substream 0 distinct from the parent's own reseeding of this state.
-  std::uint64_t sm =
-      s_[0] ^ Rotl(s_[1], 13) ^ Rotl(s_[2], 29) ^ Rotl(s_[3], 43);
+  std::uint64_t sm = s_[0] ^ std::rotl(s_[1], 13) ^ std::rotl(s_[2], 29) ^
+                     std::rotl(s_[3], 43);
   sm ^= (index + 1) * 0x9E3779B97F4A7C15ULL;
-  Rng child(0);
+  Rng child = *this;  // A copy, not Rng(0): no seeding pass to discard.
   for (auto& word : child.s_) word = SplitMix64(&sm);
   child.have_cached_gaussian_ = false;
   child.cached_gaussian_ = 0.0;

@@ -7,6 +7,7 @@
 /// standard library implementations).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace rs::stats {
@@ -23,15 +24,32 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
-  /// Next raw 64-bit output.
+  /// Next raw 64-bit output. The step and the two uniforms below are
+  /// defined here so the samplers in other units (ziggurat, Gamma, the
+  /// planners' substream fills) inline them instead of calling per draw.
   result_type operator()() { return NextUint64(); }
-  result_type NextUint64();
+  result_type NextUint64() {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in (0, 1) — never exactly 0 (safe for log()).
-  double NextOpenDouble();
+  double NextOpenDouble() {
+    // (x + 0.5) / 2^53 lies strictly inside (0, 1).
+    return (static_cast<double>(NextUint64() >> 11) + 0.5) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, n).
   std::uint64_t NextBounded(std::uint64_t n);

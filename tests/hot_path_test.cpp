@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "rs/common/thread_pool.hpp"
@@ -382,9 +384,9 @@ void ExpectPolicyMatchesOracle(core::RobustScalerPolicy* policy,
 
 TEST(PlannerParityTest, PolicyRoundsMatchReferenceOracle) {
   // Every pending kind × variant, with R below and above one 128-path draw
-  // block. R = 8 and R = 20 (azure-durable's) sort with the comparison
-  // network and R = 300 with the radix passes; the oracle sorts with
-  // std::sort throughout.
+  // block. R = 8, R = 20 (azure-durable's) and R = 60 (drift-refresh's)
+  // sort with the comparison network and R = 300 with the radix passes;
+  // the oracle sorts with std::sort throughout.
   stats::Rng rng(31337);
   const auto intensity = RandomIntensity(&rng, 64, false, 2.0);
   const std::vector<stats::DurationDistribution> pendings = {
@@ -400,7 +402,8 @@ TEST(PlannerParityTest, PolicyRoundsMatchReferenceOracle) {
   for (const auto& pending : pendings) {
     for (auto variant : variants) {
       for (std::size_t mc : {std::size_t{8}, std::size_t{20},
-                             std::size_t{64}, std::size_t{300}}) {
+                             std::size_t{60}, std::size_t{64},
+                             std::size_t{300}}) {
         SCOPED_TRACE(::testing::Message() << "variant "
                                           << static_cast<int>(variant)
                                           << ", R=" << mc);
@@ -446,6 +449,112 @@ TEST(PlannerParityTest, SkippedRoundsMatchReferenceOracle) {
     if (pending.kind() == stats::DurationDistribution::Kind::kDeterministic) {
       EXPECT_GT(ws.hp_cuts.at(9), 0.0) << "warm pivot of a recurring index";
     }
+  }
+}
+
+/// Plans query index kSkip (skip = kSkip, count = 1) of an HP
+/// deterministic-τ round whose warm pivot is preset so that exactly
+/// `gathered` of the query's R γ values lie below it, and checks the action
+/// against RunReferenceRound and the recorded cut against γ's rank-hi
+/// order statistic. gathered <= hi is a pivot miss (full selection).
+/// Returns the query's γ values, ascending.
+std::vector<double> ExpectHpPivotCaseMatchesOracle(
+    const PiecewiseConstantIntensity& forecast, double now,
+    std::size_t r_count, double alpha, std::size_t gathered) {
+  constexpr std::size_t kSkip = 20;
+  // The planner's pivot margin at query index 20: max(1, 0.2·√21) = 1.
+  constexpr double kMargin = 1.0;
+  const auto pending = stats::DurationDistribution::Deterministic(13.0);
+  core::RoundParams round;
+  round.forecast = &forecast;
+  round.pending = &pending;
+  round.alpha = alpha;
+  round.r_count = r_count;
+  round.now = round.emit_origin = now;
+  round.skip = kSkip;
+  round.count = 1;
+  constexpr std::uint64_t kSeed = 97;
+  SCOPED_TRACE(::testing::Message() << "R=" << r_count << ", alpha=" << alpha
+                                    << ", gathered=" << gathered);
+
+  // A cold probe round draws the same γ the warm round will (draws depend
+  // only on the master state), and leaves them in its workspace.
+  core::PlanWorkspace probe;
+  stats::Rng probe_master(kSeed);
+  (void)core::RunMonteCarloRound(round, &probe_master, &probe);
+  std::vector<double> sorted(probe.gamma.begin(),
+                             probe.gamma.begin() + r_count);
+  std::sort(sorted.begin(), sorted.end());
+  const double pivot =
+      gathered == 0 ? 0.5 * sorted.front()
+      : gathered == r_count
+          ? sorted.back() + 1.0
+          : 0.5 * (sorted[gathered - 1] + sorted[gathered]);
+  const double cut = pivot - kMargin;
+  EXPECT_GT(cut, 0.0);
+  EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                sorted.begin(), sorted.end(),
+                [&](double g) { return g < cut + kMargin; })),
+            gathered);
+
+  core::PlanWorkspace ws;
+  ws.hp_cuts.assign(kSkip + 1, 0.0);
+  ws.hp_cuts[kSkip] = cut;
+  stats::Rng master(kSeed), oracle_master(kSeed);
+  const auto got = core::RunMonteCarloRound(round, &master, &ws);
+  EXPECT_EQ(got.creation_times.size(), 1u);
+  ExpectSameAction(core::RunReferenceRound(round, &oracle_master), got, 0);
+  const double pos = alpha * static_cast<double>(r_count - 1);
+  const std::size_t hi =
+      std::min(static_cast<std::size_t>(pos) + 1, r_count - 1);
+  EXPECT_EQ(ws.hp_cuts[kSkip], sorted[hi]);
+  return sorted;
+}
+
+TEST(PlannerParityTest, HpWarmPivotEdgesMatchReferenceOracle) {
+  stats::Rng rng(60);
+  const auto intensity = RandomIntensity(&rng, 48, false, 1.5);
+  const std::size_t cutoff = stats::kSortSelectMax;
+  struct Config {
+    std::size_t r_count;
+    double alpha;
+  };
+  // R = 60 at α = 0.1 is drift-refresh's round (lo = 5, hi = 6);
+  // α·(R − 1) = 15 exactly at R = 61, α = 0.25 (interpolation weight 0);
+  // R = 1 is the only round with hi == lo.
+  for (const Config& c : {Config{60, 0.1}, Config{61, 0.25}, Config{1, 0.1}}) {
+    const double pos = c.alpha * static_cast<double>(c.r_count - 1);
+    const std::size_t hi =
+        std::min(static_cast<std::size_t>(pos) + 1, c.r_count - 1);
+    // A miss one short of hi + 1, exactly hi + 1, both sides of the
+    // sort-select cutoff, and a pivot above every path.
+    for (std::size_t gathered :
+         {hi, hi + 1, cutoff, cutoff + 1, c.r_count}) {
+      if (gathered > c.r_count) continue;
+      ExpectHpPivotCaseMatchesOracle(intensity, 3.0, c.r_count, c.alpha,
+                                     gathered);
+    }
+  }
+}
+
+TEST(PlannerParityTest, HpSelectionOnGammaMatchesOracleOnTiedTargets) {
+  // At a rate of 1e15/s, Λ(now) = 5e16 and its doubles are 8 apart, so
+  // base + γ rounds the R = 60 paths (γ ≈ 21 ± 5) onto a few tied
+  // targets. The planner selects on γ and adds base afterwards; the
+  // oracle inverts every base + γ. Monotone rounding keeps them equal.
+  auto made = PiecewiseConstantIntensity::Make(
+      std::vector<double>(8, 1e15), 10.0);
+  ASSERT_TRUE(made.ok());
+  const double now = 50.0;
+  EXPECT_EQ(made->Cumulative(now), 5e16);
+  for (std::size_t gathered : {std::size_t{7}, stats::kSortSelectMax + 1,
+                               std::size_t{60}}) {
+    std::set<double> targets;
+    for (double g : ExpectHpPivotCaseMatchesOracle(*made, now, 60, 0.1,
+                                                   gathered)) {
+      targets.insert(5e16 + g);
+    }
+    EXPECT_LT(targets.size(), 10u) << "the targets must tie";
   }
 }
 

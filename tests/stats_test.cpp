@@ -2,7 +2,9 @@
 // samplers (moment checks), gamma special functions, empirical statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "rs/stats/distributions.hpp"
@@ -78,6 +80,30 @@ TEST(RngTest, SplitProducesIndependentStream) {
   Rng a(12);
   Rng child = a.Split();
   EXPECT_NE(a.NextUint64(), child.NextUint64());
+}
+
+// Known answers: the first outputs of Rng(42). Every planner draw,
+// committed golden digest and generated regression rests on this stream;
+// a change to the xoshiro256++ step, the seeding or the substream fold
+// fails here by value.
+TEST(RngTest, SeededStreamMatchesKnownAnswers) {
+  Rng rng(42);
+  EXPECT_EQ(rng.NextUint64(), 0xD0764D4F4476689FULL);
+  EXPECT_EQ(rng.NextUint64(), 0x519E4174576F3791ULL);
+  EXPECT_EQ(rng.NextUint64(), 0xFBE07CFB0C24ED8CULL);
+  EXPECT_EQ(rng.NextUint64(), 0xB37D9F600CD835B8ULL);
+  EXPECT_EQ(rng.NextDouble(), 0x1.96463870e908dp-1);
+  EXPECT_EQ(rng.NextDouble(), 0x1.2d1b3e009ca1bp-1);
+  EXPECT_EQ(rng.NextDouble(), 0x1.00b8c7f910d18p-3);
+  EXPECT_EQ(rng.NextOpenDouble(), 0x1.35d29c0e1db1ap-1);
+  EXPECT_EQ(rng.NextOpenDouble(), 0x1.a9679ed784ae6p-3);
+  EXPECT_EQ(rng.NextOpenDouble(), 0x1.dddfac6433694p-1);
+  Rng sub = rng.SubstreamAt(3);
+  EXPECT_EQ(sub.NextUint64(), 0x578D670B589F451FULL);
+  EXPECT_EQ(sub.NextUint64(), 0x32411C4F0549CE37ULL);
+  EXPECT_EQ(sub.NextUint64(), 0x4346CA0B15A58BC4ULL);
+  // SubstreamAt is pure: the parent continues where it was.
+  EXPECT_EQ(rng.NextUint64(), 0x8F3DFA98020E7942ULL);
 }
 
 TEST(DistributionsTest, ExponentialMoments) {
@@ -318,6 +344,34 @@ TEST(EmpiricalTest, QuantileSelectionKeepsType7Convention) {
 
   std::vector<double> scratch{4.0, 1.0, 3.0, 2.0};
   EXPECT_DOUBLE_EQ(*QuantileInPlace(&scratch, 0.5), 2.5);
+}
+
+// SelectOrderStatPair sorts ranges up to kSortSelectMax outright and
+// selects above it; both sides of the cutoff, ties and lo == hi must give
+// exactly what a full sort leaves at positions lo and hi.
+TEST(EmpiricalTest, OrderStatPairMatchesFullSortAcrossTheCutoff) {
+  Rng rng(2718);
+  const std::size_t cutoff = kSortSelectMax;
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, cutoff - 1, cutoff,
+                        cutoff + 1, std::size_t{60}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<double> values(n);
+      for (auto& v : values) {
+        v = SampleUniform(&rng, 0.0, 8.0);
+        if (trial % 2 == 1) v = std::round(v);  // Ties on odd trials.
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t lo = rng.NextBounded(n);
+      for (std::size_t hi : {lo, std::min(lo + 1, n - 1)}) {
+        std::vector<double> scratch = values;
+        double v_lo = -1.0, v_hi = -1.0;
+        SelectOrderStatPair(scratch.data(), n, lo, hi, &v_lo, &v_hi);
+        EXPECT_EQ(v_lo, sorted[lo]) << "n=" << n << " lo=" << lo;
+        EXPECT_EQ(v_hi, sorted[hi]) << "n=" << n << " hi=" << hi;
+      }
+    }
+  }
 }
 
 TEST(EmpiricalTest, MeanVarianceMedian) {

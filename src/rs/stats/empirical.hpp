@@ -25,6 +25,8 @@ Result<double> QuantileInPlace(std::vector<double>* values, double q);
 
 /// Ranges of at most this many elements are sorted outright by
 /// SelectOrderStatPair: there an insertion sort beats std::nth_element.
+/// The HP planner's warm prefilter hands it sets this small in most
+/// decisions (EXPERIMENTS.md, "The insertion-sort branch").
 inline constexpr std::size_t kSortSelectMax = 16;
 
 /// \brief The order statistics at ranks lo <= hi < n of values[0..n), the

@@ -10,10 +10,6 @@ the candidate won, and whether the quartile rule holds:
   base's by more than the base's interquartile range (Q3 - Q1, from
   statistics.quantiles(n=4)).
 
-Before each run a fixed pure-Python kernel is timed (fastest of five). A
-pair whose two kernel times differ by more than --phase-tolerance ran
-across a change of the host's speed, and is flagged (it still counts).
-
 Metric names and their better direction come from BENCHMARK.json at the
 root of this repository. Usage, from anywhere:
 
@@ -31,7 +27,6 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,21 +36,6 @@ def load_directions(path):
     with open(path) as f:
         spec = json.load(f)
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
-
-
-def calibrate():
-    """Seconds a fixed arithmetic loop takes on this host right now: the
-    fastest of five repetitions, so a brief interruption does not count
-    (one 2M-iteration loop spread 40% over twelve calls on a 4-vCPU host,
-    the fastest of five 400k-iteration loops 6%)."""
-    best = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        acc = 0
-        for i in range(400_000):
-            acc = (acc + i * i) % 1_000_003
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_perfbench(checkout, workload, seed, seconds):
@@ -120,7 +100,7 @@ def summarize(pairs, directions):
     return rows
 
 
-def print_table(rows, flagged):
+def print_table(rows):
     out = sys.stdout
     out.write("| metric | base median [Q1, Q3] | candidate median [Q1, Q3] "
               "| change | wins | quartile rule |\n|---|---|---|---|---|---|\n")
@@ -131,8 +111,6 @@ def print_table(rows, flagged):
                   f"{cm:.5g} [{c1:.5g}, {c3:.5g}] | {100 * r['change']:+.1f}% "
                   f"| {r['wins']}/{r['pairs']} | "
                   f"{'met' if r['rule_met'] else '-'} |\n")
-    if flagged:
-        out.write(f"pairs across a host phase change: {flagged}\n")
 
 
 def main(argv=None):
@@ -144,38 +122,27 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--phase-tolerance", type=float, default=0.1,
-                        help="flag a pair whose calibration times differ by "
-                             "more than this fraction (default 0.1)")
     parser.add_argument("--json", help="write every run and the summary here")
     args = parser.parse_args(argv)
     directions = load_directions(os.path.join(ROOT, "BENCHMARK.json"))
 
-    pairs, calib, flagged = [], [], []
+    pairs = []
     for i in range(args.pairs):
         order = ["base", "candidate"] if i % 2 == 0 else ["candidate", "base"]
-        got, times = {}, {}
+        got = {}
         for side in order:
-            times[side] = calibrate()
             checkout = args.base if side == "base" else args.candidate
             got[side] = run_perfbench(checkout, args.workload, args.seed,
                                       args.seconds)
         pairs.append((got["base"], got["candidate"]))
-        calib.append((times["base"], times["candidate"]))
-        slow, fast = max(times.values()), min(times.values())
-        if slow > fast * (1.0 + args.phase_tolerance):
-            flagged.append(i + 1)
-        sys.stderr.write(f"pair {i + 1}/{args.pairs} done "
-                         f"(calibration {times['base']:.3f}/"
-                         f"{times['candidate']:.3f} s)\n")
+        sys.stderr.write(f"pair {i + 1}/{args.pairs} done\n")
 
     rows = summarize(pairs, directions)
-    print_table(rows, flagged)
+    print_table(rows)
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seed": args.seed,
                        "seconds": args.seconds, "runs": pairs,
-                       "calibration_s": calib, "phase_flagged": flagged,
                        "summary": rows}, f, indent=1)
     return 0
 
